@@ -310,9 +310,3 @@ def defect_bound(Z: NovikovSeries) -> Exponent:
     if Z.is_zero():
         raise DegenerateTraceError("degenerate: not Morse")
     return Z.valuation()
-
-
-def from_hessian(matrix: Sequence[Sequence[NovikovSeries]]
-                 ) -> CliffordAlgebraModel:
-    """Build the algebra whose form is an evaluated Hessian matrix."""
-    return CliffordAlgebraModel(matrix)

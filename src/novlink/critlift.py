@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import sympy
 from sympy.solvers.polysys import solve_poly_system
@@ -27,7 +27,7 @@ from .errors import (
     NotZeroDimensionalError,
     ObstructedError,
 )
-from .laurent import LaurentPotential, UnitaryPoint, solve_linear
+from .laurent import LaurentPotential, UnitaryPoint, det_bareiss, solve_linear
 from .novikov import INFINITY, NovikovSeries, as_fraction, as_precision
 
 
@@ -36,14 +36,11 @@ class LiftConfig:
     """Settings for the order-by-order lift.
 
     ``target_precision``: the lifted point satisfies the gradient system
-    modulo ``T^target_precision``.  ``branch_selector`` may override the
-    default choice (lexicographically smallest leading tuple) when several
-    leading solutions exist.
+    modulo ``T^target_precision``.
     """
 
     target_precision: Fraction
     max_steps: int = 64
-    branch_selector: Optional[Callable[[List[UnitaryPoint]], UnitaryPoint]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "target_precision",
@@ -112,7 +109,9 @@ def _solve_leading_system(W: LaurentPotential):
     """
     k = W.num_vars
     grads = W.log_gradient()
-    if any(g.is_zero() for g in grads):
+    # A component whose coefficients are all zero modulo precision has no
+    # known leading layer.
+    if any(g.min_coefficient_valuation() is INFINITY for g in grads):
         raise NotZeroDimensionalError("leading system not zero-dimensional")
     symbols = sympy.symbols(f"z1:{k + 1}")
     polys = []
@@ -157,11 +156,6 @@ def leading_solutions(W: LaurentPotential) -> List[UnitaryPoint]:
     """
     points, _ = _solve_leading_system(W)
     return points
-
-
-def default_branch(points: List[UnitaryPoint]) -> UnitaryPoint:
-    """Tie-break rule: lexicographically smallest leading coordinate tuple."""
-    return min(points, key=lambda p: p.leading_tuple())
 
 
 # -- lifting -------------------------------------------------------------------
@@ -214,10 +208,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     if len(z0) != W.num_vars:
         raise ConfigError("seed point has the wrong number of coordinates")
     target = cfg.target_precision
-    grads = W.log_gradient()
-    hess = W.log_hessian()
-
-    h_matrix = [[entry.evaluate(z0, target) for entry in row] for row in hess]
+    _, h_matrix = W.log_jet(z0, target)
     v0, lead = _leading_matrix(h_matrix)
     if v0 is INFINITY or _rational_det(lead) == 0:
         raise NonMorseError("non-Morse: cannot lift")
@@ -232,7 +223,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     residual_vals = []
     prev_val = None
     for _ in range(cfg.max_steps):
-        residual = [g.evaluate(z, work) for g in grads]
+        residual, h_now = W.log_jet(z, work)
         rv = min(r.val_lower_bound() for r in residual)
         residual_vals.append(rv)
         if all(r.is_zero() for r in residual):
@@ -242,7 +233,6 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
         if prev_val is not None and rv <= prev_val:
             raise ObstructedError(f"obstructed at order {rv}", order=rv)
         prev_val = rv
-        h_now = [[entry.evaluate(z, work) for entry in row] for row in hess]
         delta = solve_linear(h_now, [-r for r in residual])
         z = [(z[i] * (NovikovSeries.one() + delta[i])).truncate(work)
              for i in range(len(z))]
@@ -284,13 +274,13 @@ def certify_morse(W: LaurentPotential, z, target_precision=None
         target = as_precision(target_precision)
 
     reasons = []
-    residual = [g.evaluate(z, target) for g in W.log_gradient()]
+    residual, matrix = W.log_jet(z, target)
     grad_ok = all(r.is_zero() for r in residual)
     if not grad_ok:
         bad = min(r.val_lower_bound() for r in residual if not r.is_zero())
         reasons.append(f"gradient does not vanish (residual valuation {bad})")
 
-    matrix, det = W.log_hessian_det_at(z, target)
+    det = det_bareiss(matrix)
     det_ok = not det.is_zero()
     if not det_ok:
         reasons.append("Hessian determinant vanishes to available precision")
@@ -320,12 +310,3 @@ def lift_all(W: LaurentPotential, cfg: LiftConfig
         return []
     return [hensel_lift(W, p, cfg) for p in points]
 
-
-def select_branch(points: List[UnitaryPoint],
-                  cfg: Optional[LiftConfig] = None) -> UnitaryPoint:
-    """Apply the configured branch selector, defaulting to lexicographic."""
-    if not points:
-        raise ConfigError("no leading solutions to select from")
-    if cfg is not None and cfg.branch_selector is not None:
-        return cfg.branch_selector(points)
-    return default_branch(points)

@@ -108,13 +108,12 @@ class LaurentPotential:
                 raise ConfigError("exponent vector length does not match "
                                   "num_vars")
             coeff = NovikovSeries.from_scalar(coeff)
-            if coeff.is_zero():
-                continue
             if m in cleaned:
                 coeff = cleaned[m] + coeff
-                if coeff.is_zero():
-                    del cleaned[m]
-                    continue
+            # ``O(T^p)`` is unknown, not zero: only an exact zero is dropped.
+            if coeff.is_zero() and coeff.is_exact():
+                cleaned.pop(m, None)
+                continue
             cleaned[m] = coeff
         self._terms = cleaned
 
@@ -172,16 +171,60 @@ class LaurentPotential:
         vals = [c.valuation() for c in self._terms.values()]
         return min(vals) if vals else INFINITY
 
-    def variables_present(self) -> Tuple[int, ...]:
-        """Indices of variables that occur with nonzero exponent."""
-        present = set()
-        for m in self._terms:
+    # -- torus calculus ------------------------------------------------------
+
+    def _monomial_table(self, point, target_precision):
+        """``(prec, [(m, coeff * z^m mod T^prec)])`` over sorted monomials.
+
+        ``prec`` is the target, or ``INFINITY`` without one.  Every
+        coordinate power comes from one memo, built by repeated
+        multiplication at the factor precision
+        ``prec - min(min coefficient valuation, 0)``, which is enough for
+        every coefficient to reach ``T^prec``.  Without a target the table
+        is exact, which requires every coordinate raised to a negative
+        power to be an exact monomial.
+        """
+        coords = _as_unitary_coords(point, self._num_vars)
+        exact = target_precision is None
+        prec = INFINITY if exact else as_precision(target_precision)
+        min_cval = min((c.val_lower_bound() for c in self._terms.values()),
+                       default=Fraction(0))
+        factor_prec = prec - min(min_cval, Fraction(0))
+
+        def inverse(c):
+            # ``invert`` alone would accept a finite-precision monomial.
+            if exact and (len(c.terms) != 1 or not c.is_exact()):
+                raise PrecisionError(
+                    "exact evaluation needs monomial coordinates for "
+                    "negative powers; pass target_precision")
+            return c.invert(factor_prec)
+
+        powers: Dict[Tuple[int, int], NovikovSeries] = {}
+
+        def power(i, e):
+            # Extend from the highest memoised power of the same sign.
+            step = 1 if e > 0 else -1
+            base = powers.get((i, step))
+            if base is None:
+                base = coords[i] if step > 0 else inverse(coords[i])
+                base = powers[(i, step)] = base.truncate(factor_prec)
+            n = e
+            while (i, n) not in powers:
+                n -= step
+            got = powers[(i, n)]
+            while n != e:
+                n += step
+                got = powers[(i, n)] = (got * base).truncate(factor_prec)
+            return got
+
+        table = []
+        for m, coeff in sorted(self._terms.items()):
+            value = coeff
             for i, e in enumerate(m):
                 if e:
-                    present.add(i)
-        return tuple(sorted(present))
-
-    # -- torus calculus ------------------------------------------------------
+                    value = value * power(i, e)
+            table.append((m, value.truncate(prec)))
+        return prec, table
 
     def evaluate(self, point, target_precision=None) -> NovikovSeries:
         """Value at a unitary point, modulo ``T^target_precision``.
@@ -190,29 +233,35 @@ class LaurentPotential:
         coordinate raised to a negative power to be an exact monomial
         (constant points qualify); otherwise a target must be supplied.
         """
-        coords = _as_unitary_coords(point, self._num_vars)
-        if not self._terms:
-            return NovikovSeries.zero(
-                INFINITY if target_precision is None
-                else as_precision(target_precision))
-        target = (None if target_precision is None
-                  else as_precision(target_precision))
-        min_cval = min(c.val_lower_bound() for c in self._terms.values())
-        if target is None:
-            factor_prec = None
-        else:
-            factor_prec = target - min(min_cval, Fraction(0))
-        powers = _PowerCache(coords, factor_prec)
-        total = NovikovSeries.zero()
-        for m, coeff in sorted(self._terms.items()):
-            term = coeff
-            for i, e in enumerate(m):
-                if e:
-                    term = term * powers.get(i, e)
-            total = total + term
-        if target is not None:
-            total = total.truncate(target)
+        prec, table = self._monomial_table(point, target_precision)
+        total = NovikovSeries.zero(prec)
+        for _, value in table:
+            total = total + value
         return total
+
+    def log_jet(self, point, target_precision=None):
+        """Log-gradient and log-Hessian at a unitary point in one pass.
+
+        Returns ``(gradient, hessian)``: entry by entry the values of
+        ``log_gradient()`` and ``log_hessian()`` at the point modulo
+        ``T^target_precision``, read off one monomial table as sums
+        weighted by ``m_i`` and ``m_i * m_j``.  The exactness rules are
+        those of ``evaluate``.
+        """
+        prec, table = self._monomial_table(point, target_precision)
+        n = self._num_vars
+        gradient = [NovikovSeries.zero(prec)] * n
+        hessian = [[NovikovSeries.zero(prec)] * n for _ in range(n)]
+        for m, value in table:
+            for i, mi in enumerate(m):
+                if not mi:
+                    continue
+                gradient[i] = gradient[i] + value * mi
+                row = hessian[i]
+                for j, mj in enumerate(m):
+                    if mj:
+                        row[j] = row[j] + value * (mi * mj)
+        return gradient, hessian
 
     def log_gradient(self) -> List["LaurentPotential"]:
         """Multiplicative gradient: component ``i`` is ``sum m_i coeff z^m``."""
@@ -248,9 +297,7 @@ class LaurentPotential:
         second multiplicative derivative and ``det`` is its fraction-free
         Bareiss determinant, both modulo ``T^target_precision``.
         """
-        hess = self.log_hessian()
-        matrix = [[entry.evaluate(point, target_precision) for entry in row]
-                  for row in hess]
+        _, matrix = self.log_jet(point, target_precision)
         return matrix, det_bareiss(matrix)
 
     # -- serialization -------------------------------------------------------
@@ -287,54 +334,6 @@ class LaurentPotential:
     def __repr__(self):
         body = " + ".join(f"({c})*z^{list(m)}" for m, c in self.items())
         return f"LaurentPotential[{self._num_vars}]({body or '0'})"
-
-
-class _PowerCache:
-    """Coordinate powers built incrementally, capped at a working precision."""
-
-    def __init__(self, coords, precision):
-        self._coords = coords
-        self._prec = precision
-        self._cache: Dict[Tuple[int, int], NovikovSeries] = {}
-        self._inverses: Dict[int, NovikovSeries] = {}
-
-    def _inverse(self, i):
-        inv = self._inverses.get(i)
-        if inv is None:
-            c = self._coords[i]
-            if self._prec is None:
-                if len(c.terms) != 1 or not c.is_exact():
-                    raise PrecisionError(
-                        "exact evaluation needs monomial coordinates for "
-                        "negative powers; pass target_precision")
-                inv = c.invert()
-            else:
-                inv = c.invert(self._prec)
-            self._inverses[i] = inv
-        return inv
-
-    def get(self, i, e):
-        key = (i, e)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        step = 1 if e > 0 else -1
-        base = self._coords[i] if e > 0 else self._inverse(i)
-        prev = NovikovSeries.one()
-        n = 0
-        # Extend from the highest cached power of the same sign.
-        for m in range(abs(e) - 1, 0, -1):
-            hit = self._cache.get((i, step * m))
-            if hit is not None:
-                prev, n = hit, m
-                break
-        while n < abs(e):
-            prev = prev * base
-            if self._prec is not None:
-                prev = prev.truncate(self._prec)
-            n += 1
-            self._cache[(i, step * n)] = prev
-        return prev
 
 
 def _as_unitary_coords(point, num_vars):

@@ -35,9 +35,7 @@ from .critlift import (
 from .errors import (
     AreaError,
     ConfigError,
-    ExtensionFieldError,
     NotZeroDimensionalError,
-    ObstructedError,
 )
 from .laurent import LaurentPotential, UnitaryPoint
 from .novikov import INFINITY, NovikovSeries, as_fraction
@@ -175,21 +173,10 @@ def critical_data(link: CircleLinkS2, bulk: BulkParameter,
     W = build_chain_potential(link, bulk, extra_terms)
     if cfg is None:
         cfg = LiftConfig(target_precision=(link.k + 4) * link.B)
-    if cfg.branch_selector is not None:
-        points, irrational = _solve_leading_system(W)
-        if not points:
-            if irrational:
-                raise ExtensionFieldError(
-                    "requires extension field: no rational leading branch")
-            raise ObstructedError(
-                "chain potential has no leading critical points",
-                order=W.min_coefficient_valuation())
-        z0 = cfg.branch_selector(points)
-    else:
-        # The decoupled leading system makes the all-plus branch explicit;
-        # building it directly avoids enumerating all 2^k sign choices.
-        z0 = UnitaryPoint([NovikovSeries.monomial(c, 0)
-                           for c in preferred_branch_leads(link, bulk)])
+    # The decoupled leading system makes the all-plus branch explicit;
+    # building it directly avoids enumerating all 2^k sign choices.
+    z0 = UnitaryPoint([NovikovSeries.monomial(c, 0)
+                       for c in preferred_branch_leads(link, bulk)])
     return hensel_lift(W, z0, cfg)
 
 

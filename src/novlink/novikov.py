@@ -91,11 +91,6 @@ INFINITY = _Infinity()
 RationalLike = Union[int, str, Fraction]
 PrecisionLike = Union[Fraction, int, str, _Infinity]
 
-# Cap on quotient length for exact division; finite term sets share a common
-# exponent denominator, so a true finite quotient is reached long before this.
-_EXACT_DIV_TERM_LIMIT = 100_000
-
-
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce ints, ``"p/q"`` strings and Fractions to an exact Fraction."""
     if isinstance(x, Fraction):
@@ -539,29 +534,15 @@ def val(x: NovikovSeries):
     return x.valuation()
 
 
-def arithmetic(x: NovikovSeries, y: NovikovSeries, op: str) -> NovikovSeries:
-    """Named dispatch over the ring operations (``add``/``sub``/``mul``).
-
-    Equivalent to the ``+``, ``-`` and ``*`` operators; kept for callers
-    driving the arithmetic from data.
-    """
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def divide(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
     """Quotient ``a / b`` with adic precision tracking.
 
-    With exact operands the division must be exact (finite quotient);
-    otherwise the quotient carries the relative precision
-    ``min(relprec(a), relprec(b))`` above its valuation, which is the best
-    knowable.  Used by fraction-free elimination, where divisions are exact
-    by construction.
+    With exact operands the division must be exact (finite quotient): the
+    quotient's terms end at ``top(a) - top(b)``, so ``InexactDivisionError``
+    is raised as soon as a quotient term passes it.  Otherwise the quotient
+    carries the relative precision ``min(relprec(a), relprec(b))`` above its
+    valuation, which is the best knowable.  Used by fraction-free
+    elimination, where divisions are exact by construction.
     """
     if not b._terms:
         raise NotInvertibleError("not invertible at this precision")
@@ -574,21 +555,20 @@ def divide(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
     rel_a = INFINITY if a.precision is INFINITY else a.precision - va
     rel = min(rel_a, rel_b)
     qprec = INFINITY if rel is INFINITY else va - vb + rel
+    qtop = a._terms[-1][0] - b._terms[-1][0]
     rem = a
     qterms = []
     while rem._terms:
         e = rem.valuation() - vb
         if qprec is not INFINITY and e >= qprec:
             break
+        if qprec is INFINITY and e > qtop:
+            raise InexactDivisionError("division of exact series is not "
+                                       "exact")
         t = NovikovSeries.monomial(rem.leading_coefficient()
                                    / b.leading_coefficient(), e)
         qterms.append((t.leading_coefficient(), e))
         rem = rem - t * b
-        if len(qterms) > _EXACT_DIV_TERM_LIMIT:
-            raise InexactDivisionError("quotient exceeds the exact-division "
-                                       "term limit; division is not exact")
-    if qprec is INFINITY and rem._terms:
-        raise InexactDivisionError("division of exact series is not exact")
     return NovikovSeries(qterms, qprec)
 
 

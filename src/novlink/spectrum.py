@@ -37,10 +37,6 @@ class ModelOrbitSet:
         vals = tuple(sorted({as_fraction(v) for v in values}))
         object.__setattr__(self, "values", vals)
 
-    def shifted(self, s) -> "ModelOrbitSet":
-        s = as_fraction(s)
-        return ModelOrbitSet([v + s for v in self.values])
-
     def merged(self, other: "ModelOrbitSet") -> "ModelOrbitSet":
         return ModelOrbitSet(self.values + other.values)
 

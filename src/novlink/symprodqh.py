@@ -191,10 +191,11 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
     k, omega = x.k, x.omega
     out = [NovikovSeries.zero() for _ in range(k + 1)]
     for i, ci in enumerate(x.coeffs):
-        if ci.is_zero():
+        # ``O(T^p)`` coefficients still contribute their precision.
+        if ci.is_zero() and ci.is_exact():
             continue
         for j, cj in enumerate(y.coeffs):
-            if cj.is_zero():
+            if cj.is_zero() and cj.is_exact():
                 continue
             prod = ci * cj
             for l in range(k + 1):

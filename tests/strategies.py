@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from novlink.laurent import LaurentPotential
 from novlink.novikov import INFINITY, NovikovSeries
 
 small_fractions = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
@@ -39,12 +40,26 @@ def nonzero_series(draw, max_terms=4, exact_only=False):
 
 
 @st.composite
-def unitary_series(draw, max_terms=3):
+def unitary_series(draw, min_terms=1, max_terms=3, exact_only=True):
     """Valuation-zero series with a positive-valuation tail."""
     lead = draw(nonzero_fractions)
-    n = draw(st.integers(0, max_terms - 1))
+    n = draw(st.integers(min_terms - 1, max_terms - 1))
     exps = draw(st.lists(positive_fractions, min_size=n, max_size=n,
                          unique=True))
     pairs = [(lead, Fraction(0))] + [(draw(nonzero_fractions), e)
                                      for e in exps]
-    return NovikovSeries(pairs)
+    if exact_only or draw(st.booleans()):
+        prec = INFINITY
+    else:
+        prec = max(exps, default=Fraction(0)) + draw(positive_fractions)
+    return NovikovSeries(pairs, prec)
+
+
+@st.composite
+def laurent_potentials(draw, num_vars, max_terms=4):
+    """Exponents in ``[-2, 2]``; some coefficients are ``O(T^p)`` only."""
+    n = draw(st.integers(1, max_terms))
+    exps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * num_vars),
+                         min_size=n, max_size=n, unique=True))
+    return LaurentPotential(num_vars,
+                            {m: draw(series(max_terms=2)) for m in exps})

@@ -10,11 +10,9 @@ import pytest
 from novlink.critlift import (
     LiftConfig,
     certify_morse,
-    default_branch,
     hensel_lift,
     leading_solutions,
     lift_all,
-    select_branch,
 )
 from novlink.errors import (
     ConfigError,
@@ -74,6 +72,13 @@ class TestLeadingSolutions:
 
     def test_unconstrained_variable_rejected(self):
         W = LaurentPotential(2, {(2, 0): mono(1), (1, 0): mono(-2)})
+        with pytest.raises(NotZeroDimensionalError):
+            leading_solutions(W)
+
+    def test_gradient_zero_modulo_precision_rejected(self):
+        # The z1 component has only an O(T^3) coefficient: no known layer.
+        W = LaurentPotential(2, {(1, 0): NovikovSeries.zero(3),
+                                 (0, 1): mono(1), (0, -1): mono(1)})
         with pytest.raises(NotZeroDimensionalError):
             leading_solutions(W)
 
@@ -191,22 +196,8 @@ class TestCertifyMorse:
 
 
 class TestBranchSelection:
-    def test_default_is_lexicographic(self):
-        W = build_chain_potential(LINK2, BulkParameter(F(1)))
-        pts = leading_solutions(W)
-        assert default_branch(pts).leading_tuple() == (-1, -1)
-
     def test_lift_all_covers_every_branch(self):
         W = build_chain_potential(LINK2, BulkParameter(F(1)))
         certs = lift_all(W, LiftConfig(F(1)))
         assert len(certs) == 4
         assert all(c.morse for c in certs)
-
-    def test_selector_override(self):
-        W = build_chain_potential(LINK2, BulkParameter(F(1)))
-        pts = leading_solutions(W)
-        cfg = LiftConfig(F(1), branch_selector=lambda ps: ps[-1])
-        assert select_branch(pts, cfg).leading_tuple() == (1, 1)
-        assert select_branch(pts).leading_tuple() == (-1, -1)
-        with pytest.raises(ConfigError):
-            select_branch([])

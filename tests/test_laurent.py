@@ -20,7 +20,12 @@ from novlink.linkfam import BulkParameter, CircleLinkS2, build_chain_potential
 from novlink.novikov import NovikovSeries
 
 from oracles import det_minor_expansion, evaluate_dual
-from strategies import series
+from strategies import (
+    laurent_potentials,
+    positive_fractions,
+    series,
+    unitary_series,
+)
 
 
 def mono(c, e=0):
@@ -58,6 +63,10 @@ class TestEvaluate:
         out = W_zplus1overz().evaluate([z], 3)
         # z + 1/z = (1+T) + (1 - T + T^2 - ...) = 2 + T^2 - T^3 ...
         assert out == NovikovSeries([(2, 0), (1, 2)], 3)
+
+    def test_zero_modulo_precision_coefficient_kept(self):
+        W = LaurentPotential(1, {(1,): NovikovSeries.zero(3), (0,): 1})
+        assert W.evaluate([1]) == NovikovSeries([(1, 0)], 3)
 
     def test_truncates_at_target(self):
         pt = UnitaryPoint([NovikovSeries.one()])
@@ -134,6 +143,29 @@ class TestHessian:
                        for j in range(n)] for i in range(n)]
             det = det_bareiss(matrix)
             assert det.valuation() == sum(d.valuation() for d in diag)
+
+
+class TestLogJet:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_symbolic_derivatives(self, data):
+        n = data.draw(st.integers(1, 3))
+        W = data.draw(laurent_potentials(n))
+        z = [data.draw(unitary_series(min_terms=2, exact_only=False))
+             for _ in range(n)]
+        target = data.draw(positive_fractions)
+        gradient, hessian = W.log_jet(z, target)
+        assert gradient == [g.evaluate(z, target) for g in W.log_gradient()]
+        assert hessian == [[h.evaluate(z, target) for h in row]
+                           for row in W.log_hessian()]
+
+    def test_exact_needs_exact_monomial_coordinates(self):
+        # 1 + O(T^5) is a monomial, but not an exact one.
+        z = [NovikovSeries([(1, 0)], 5)]
+        with pytest.raises(PrecisionError):
+            W_zplus1overz().log_jet(z)
+        with pytest.raises(PrecisionError):
+            W_zplus1overz().evaluate(z)
 
 
 class TestDualNumberGradientCheck:

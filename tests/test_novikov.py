@@ -12,7 +12,6 @@ from novlink.errors import InexactDivisionError, NotInvertibleError, PrecisionEr
 from novlink.novikov import (
     INFINITY,
     NovikovSeries,
-    arithmetic,
     as_fraction,
     divide,
     val,
@@ -71,14 +70,6 @@ class TestArithmetic:
         s = S((1, F(-1, 2)), (2, 1))
         assert val(s) == F(-1, 2)
 
-    def test_named_dispatch(self):
-        x, y = S((1, 0), (1, 1)), S((1, 1))
-        assert arithmetic(x, y, "add") == x + y
-        assert arithmetic(x, y, "sub") == x - y
-        assert arithmetic(x, y, "mul") == x * y
-        with pytest.raises(ValueError):
-            arithmetic(x, y, "div")
-
 
 class TestInvert:
     def test_geometric_series(self):
@@ -116,6 +107,13 @@ class TestDivide:
     def test_inexact_division_raises(self):
         with pytest.raises(InexactDivisionError):
             divide(S((1, 0)), S((1, 0), (-1, 1)))
+
+    def test_long_finite_quotient(self):
+        # (1 - T^N)/(1 - T) = 1 + T + ... + T^(N-1): every quotient term is
+        # at most top(num) - top(den), however many there are.
+        n = 100_001
+        q = divide(S((1, 0), (-1, n)), S((1, 0), (-1, 1)))
+        assert q == NovikovSeries([(1, e) for e in range(n)])
 
     def test_division_by_zero_mod_precision(self):
         with pytest.raises(NotInvertibleError):

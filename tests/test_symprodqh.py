@@ -97,6 +97,12 @@ class TestSymmetricAlgebra:
         x = SymQHElement.basis(4, F(1), 2)
         assert symk_multiply(one, x) == x
 
+    def test_zero_modulo_precision_coefficient_kept(self):
+        # x = O(T) m0 + m1: the O(T) coefficient is unknown, not zero.
+        x = SymQHElement(2, F(1), [NovikovSeries.zero(1), mono(1), 0])
+        assert symk_multiply(x, x).coeffs == (
+            NovikovSeries([(2, 1)], 2), NovikovSeries.zero(1), mono(2))
+
     def test_k_or_omega_mismatch(self):
         with pytest.raises(AlgebraMismatchError):
             symk_multiply(SymQHElement.one(2, F(1)), SymQHElement.one(3, F(1)))
