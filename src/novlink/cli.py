@@ -9,8 +9,9 @@ Subcommands mirror the library surface:
 * ``spectrum enum``: exact action-spectrum enumeration in a window;
 * ``scan weyl`` / ``scan nobulk``: the sweep tables.
 
-Exit codes: 0 success, 2 configuration error, 3 mathematical obstruction
-(non-Morse seed, obstructed lift, degenerate trace, area violation).
+Exit codes: 0 success, 2 configuration error or missing precision (such
+as a trace known only as ``O(T^p)``), 3 mathematical obstruction (non-Morse
+seed, obstructed lift, degenerate trace, area violation).
 """
 
 from __future__ import annotations
@@ -80,16 +81,17 @@ def _cmd_trace_check(args) -> int:
     Z = cliffordtrace.trace_Z(alg)
     from .laurent import det_bareiss
     det = det_bareiss(matrix)
-    match = (not Z.is_zero() and not det.is_zero()
-             and Z.valuation() == det.valuation()
-             and Z.leading_coefficient() == det.leading_coefficient())
     print(f"Z = {Z}")
     print(f"det = {det}")
-    if Z.is_zero():
+    try:
+        val_z = cliffordtrace.defect_bound(Z)
+    except DegenerateTraceError:
         print("val(Z) = +inf (degenerate)")
         print("leading terms match: no")
-        raise DegenerateTraceError("degenerate: not Morse")
-    print(f"val(Z) = {Z.valuation()}")
+        raise
+    match = (not det.is_zero() and val_z == det.valuation()
+             and Z.leading_coefficient() == det.leading_coefficient())
+    print(f"val(Z) = {val_z}")
     print(f"leading terms match: {'yes' if match else 'no'}")
     return 0
 

@@ -29,7 +29,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import AlgebraMismatchError, ConfigError, DegenerateTraceError
+from .errors import (
+    AlgebraMismatchError,
+    ConfigError,
+    DegenerateTraceError,
+    PrecisionError,
+)
 from .novikov import Exponent, NovikovSeries, as_fraction
 
 Subset = Tuple[int, ...]
@@ -76,7 +81,6 @@ class CliffordAlgebraModel:
         # Contraction form B = (kappa/2) * form, the square of a generator.
         half = Fraction(self.kappa, 2)
         self._b = tuple(tuple(entry * half for entry in row) for row in rows)
-        self._basis_products: Dict[Tuple[Subset, Subset], "CliffordElement"] = {}
 
     # -- elements ------------------------------------------------------------
 
@@ -119,7 +123,7 @@ class CliffordAlgebraModel:
                 _accumulate(out, K, c if sign == 1 else -c)
             for pos, j in enumerate(J):
                 b = self._b[i - 1][j - 1]
-                if b.is_zero():
+                if _is_exact_zero(b):
                     continue
                 K = tuple(x for x in J if x != j)
                 contrib = b * c
@@ -140,7 +144,7 @@ class CliffordAlgebraModel:
         acc = self._generator_times(i, self._basis_times(rest, coeffs))
         for pos, j in enumerate(rest):
             b = self._b[i - 1][j - 1]
-            if b.is_zero():
+            if _is_exact_zero(b):
                 continue
             K = tuple(x for x in rest if x != j)
             sub = self._basis_times(K, coeffs)
@@ -148,15 +152,6 @@ class CliffordAlgebraModel:
             for L, v in sub.items():
                 _accumulate(acc, L, (-sign) * b * v)
         return acc
-
-    def basis_product(self, I: Subset, J: Subset) -> "CliffordElement":
-        key = (I, J)
-        got = self._basis_products.get(key)
-        if got is None:
-            raw = self._basis_times(I, {J: NovikovSeries.one()})
-            got = CliffordElement(self, raw)
-            self._basis_products[key] = got
-        return got
 
     # -- pairing ----------------------------------------------------------------
 
@@ -168,7 +163,11 @@ class CliffordAlgebraModel:
 
 
 class CliffordElement:
-    """Finite combination of wedge-basis elements with series coefficients."""
+    """Finite combination of wedge-basis elements with series coefficients.
+
+    A coefficient known only as ``O(T^p)`` is kept: only exact zeros are
+    dropped.
+    """
 
     __slots__ = ("algebra", "_coeffs")
 
@@ -179,7 +178,7 @@ class CliffordElement:
         for I, c in coeffs.items():
             I = tuple(sorted(I))
             c = NovikovSeries.from_scalar(c)
-            if not c.is_zero():
+            if not _is_exact_zero(c):
                 cleaned[I] = c
         self._coeffs = cleaned
 
@@ -191,7 +190,8 @@ class CliffordElement:
         return self._coeffs.get(tuple(sorted(I)), NovikovSeries.zero())
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        """True when every coefficient is zero modulo its precision."""
+        return all(c.is_zero() for c in self._coeffs.values())
 
     def __add__(self, other):
         _check_same_algebra(self, other)
@@ -226,10 +226,15 @@ class CliffordElement:
         return f"CliffordElement({body})"
 
 
+def _is_exact_zero(c: NovikovSeries) -> bool:
+    # ``O(T^p)`` is unknown, not zero.
+    return c.is_zero() and c.is_exact()
+
+
 def _accumulate(d: Dict[Subset, NovikovSeries], I: Subset, c: NovikovSeries):
     cur = d.get(I)
     c = cur + c if cur is not None else c
-    if c.is_zero():
+    if _is_exact_zero(c):
         d.pop(I, None)
     else:
         d[I] = c
@@ -255,9 +260,8 @@ def clifford_product(alg: CliffordAlgebraModel, a: CliffordElement,
     out: Dict[Subset, NovikovSeries] = {}
     for I, ca in a._coeffs.items():
         for J, cb in b._coeffs.items():
-            prod = alg.basis_product(I, J)
             w = ca * cb
-            for K, v in prod._coeffs.items():
+            for K, v in alg._basis_times(I, {J: NovikovSeries.one()}).items():
                 _accumulate(out, K, v * w)
     return CliffordElement(alg, out)
 
@@ -282,31 +286,65 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
     Sums ``(-1)^{|I|} g^{IJ} <m2(e_I, vol), m2(e_J, vol)>`` over the basis,
     with the frozen graded-inversion signs; for an algebra built from a
     Hessian matrix this equals the Hessian determinant.
+
+    ``vol`` holds every index, so ``e_I vol`` has no wedge part: it is
+    ``vol`` contracted against the rows ``I`` of ``B = (kappa/2) form``,
+    least index last, and each product is one contraction of a smaller
+    one.  A form entry is skipped, and a sum dropped, only when it is an
+    exact zero, so entries known only as ``O(T^p)`` bound the precision.
     """
     n = alg.n
-    vol = alg.vol
     full = tuple(range(1, n + 1))
-    products = {}
-    for I in alg.subsets():
-        products[I] = clifford_product(alg, alg.basis_element(I), vol)
+    subsets = alg.subsets()
+    products: Dict[Subset, Dict[Subset, NovikovSeries]] = {
+        (): {full: NovikovSeries.one()}}
+    for I in subsets[1:]:
+        row = alg._b[I[0] - 1]
+        out: Dict[Subset, NovikovSeries] = {}
+        for J, c in products[I[1:]].items():
+            for pos, j in enumerate(J):
+                b = row[j - 1]
+                if _is_exact_zero(b):
+                    continue
+                term = b * c
+                _accumulate(out, J[:pos] + J[pos + 1:],
+                            term if pos % 2 == 0 else -term)
+        products[I] = out
     total = NovikovSeries.zero()
-    for I in alg.subsets():
-        J = tuple(sorted(set(full) - set(I)))
+    for I in subsets:
+        J = _complement(I, full)
         # g is a signed permutation pairing I with its complement:
         # (g^{-1})_{IJ} = 1/<e_J, e_I> on complementary pairs.
         ginv = alg.pairing_sign(J, I)
         g_upper = ginv * graded_inverse_sign(len(I), n)
         sign = (-1 if len(I) % 2 else 1) * g_upper
-        bracket = poincare_pairing(alg, products[I], products[J])
-        total = total + (bracket if sign == 1 else -bracket)
+        # <e_I vol, e_J vol>: the pairing matches each K with its complement.
+        right = products[J]
+        for K, c in products[I].items():
+            Kc = _complement(K, full)
+            d = right.get(Kc)
+            if d is None:
+                continue
+            term = c * d
+            total = total + (term if sign * shuffle_sign(K, Kc) == 1
+                             else -term)
     return total
+
+
+def _complement(I: Subset, full: Subset) -> Subset:
+    return tuple(x for x in full if x not in I)
 
 
 def defect_bound(Z: NovikovSeries) -> Exponent:
     """Valuation of the trace: the quasimorphism-defect bound.
 
-    A vanishing trace means the underlying critical point was not Morse.
+    An exactly vanishing trace means the underlying critical point was not
+    Morse.  A trace known only as ``O(T^p)`` has no known valuation and
+    raises ``PrecisionError``.
     """
     if Z.is_zero():
-        raise DegenerateTraceError("degenerate: not Morse")
+        if Z.is_exact():
+            raise DegenerateTraceError("degenerate: not Morse")
+        raise PrecisionError(f"trace is known only as O(T^{Z.precision}); "
+                             "its valuation is unknown")
     return Z.valuation()

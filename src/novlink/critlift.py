@@ -26,6 +26,7 @@ from .errors import (
     NonMorseError,
     NotZeroDimensionalError,
     ObstructedError,
+    PrecisionError,
 )
 from .laurent import LaurentPotential, UnitaryPoint, det_bareiss, solve_linear
 from .novikov import INFINITY, NovikovSeries, as_fraction, as_precision
@@ -80,11 +81,16 @@ def _leading_polynomial(component: LaurentPotential, symbols):
 
     The monomial content is divided out (per-variable minimum exponent set
     to zero), which is harmless on the unit torus and keeps the system
-    polynomial.
+    polynomial.  A coefficient known only as ``O(T^p)`` with ``p <= v``
+    leaves layer ``v`` unknown and raises ``PrecisionError``.
     """
     v = component.min_coefficient_valuation()
     monos = []
     for m, coeff in component.items():
+        if coeff.is_zero() and coeff.precision <= v:
+            raise PrecisionError(
+                f"leading layer T^{v} is unknown: the coefficient of "
+                f"z^{list(m)} is O(T^{coeff.precision})")
         if coeff.valuation() == v:
             monos.append((m, coeff.leading_coefficient()))
     shift = [min(m[i] for m, _ in monos) for i in range(component.num_vars)]

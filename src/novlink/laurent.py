@@ -246,12 +246,14 @@ class LaurentPotential:
         ``log_gradient()`` and ``log_hessian()`` at the point modulo
         ``T^target_precision``, read off one monomial table as sums
         weighted by ``m_i`` and ``m_i * m_j``.  The exactness rules are
-        those of ``evaluate``.
+        those of ``evaluate``.  An entry that no monomial reaches is
+        identically zero and comes out as an exact zero, which keeps
+        Hessians sparse.
         """
-        prec, table = self._monomial_table(point, target_precision)
+        _, table = self._monomial_table(point, target_precision)
         n = self._num_vars
-        gradient = [NovikovSeries.zero(prec)] * n
-        hessian = [[NovikovSeries.zero(prec)] * n for _ in range(n)]
+        gradient = [NovikovSeries.zero()] * n
+        hessian = [[NovikovSeries.zero()] * n for _ in range(n)]
         for m, value in table:
             for i, mi in enumerate(m):
                 if not mi:
@@ -311,29 +313,50 @@ class LaurentPotential:
 
     @classmethod
     def from_obj(cls, obj) -> "LaurentPotential":
+        """Parse ``to_obj`` output, or a bare term list.
+
+        ``num_vars`` and the monomial exponents must be JSON integers; a
+        float, bool or string raises ``ConfigError``.
+        """
         if isinstance(obj, list):
             items = obj
             if not items:
                 raise ConfigError("cannot infer variable count from an "
                                   "empty term list")
-            num_vars = len(items[0]["m"])
-        else:
+            num_vars = None
+        elif isinstance(obj, dict):
             items = obj.get("terms", [])
             num_vars = obj.get("num_vars")
-            if num_vars is None:
-                if not items:
-                    raise ConfigError("potential needs num_vars or terms")
-                num_vars = len(items[0]["m"])
+            if num_vars is None and not items:
+                raise ConfigError("potential needs num_vars or terms")
+        else:
+            raise ConfigError(f"a potential must be a term list or an "
+                              f"object, got {obj!r}")
+        if not isinstance(items, list):
+            raise ConfigError("potential terms must be a list")
         terms: Dict[ExponentVector, NovikovSeries] = {}
         for item in items:
-            m = tuple(int(e) for e in item["m"])
+            m = item["m"] if isinstance(item, dict) else None
+            if not isinstance(m, list) or not all(map(_is_json_int, m)):
+                raise ConfigError(f"monomial exponents must be a list of "
+                                  f"integers, got {m!r}")
+            m = tuple(m)
             coeff = NovikovSeries.from_obj(item["coeff"])
             terms[m] = terms.get(m, NovikovSeries.zero()) + coeff
+        if num_vars is None:
+            num_vars = len(next(iter(terms)))
+        elif not _is_json_int(num_vars):
+            raise ConfigError(f"num_vars must be an integer, got "
+                              f"{num_vars!r}")
         return cls(num_vars, terms)
 
     def __repr__(self):
         body = " + ".join(f"({c})*z^{list(m)}" for m, c in self.items())
         return f"LaurentPotential[{self._num_vars}]({body or '0'})"
+
+
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _as_unitary_coords(point, num_vars):

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import (
+    ConfigError,
     InexactDivisionError,
     NotInvertibleError,
     PrecisionError,
@@ -442,14 +443,27 @@ class NovikovSeries:
 
     @classmethod
     def from_obj(cls, obj) -> "NovikovSeries":
+        """Parse ``to_obj`` output, or a bare term list for an exact series.
+
+        Coefficients, exponents and the precision must be JSON integers or
+        strings; a float or bool raises ``ConfigError``.
+        """
         if isinstance(obj, list):
             terms = obj
-            prec: PrecisionLike = INFINITY
-        else:
+            prec = "inf"
+        elif isinstance(obj, dict):
             terms = obj.get("terms", [])
             prec = obj.get("prec", "inf")
-        return cls([(as_fraction(t["c"]), as_fraction(t["e"])) for t in terms],
-                   as_precision(prec))
+        else:
+            raise ConfigError(f"a series must be a term list or an object, "
+                              f"got {obj!r}")
+        if not isinstance(terms, list) or not all(isinstance(t, dict)
+                                                  for t in terms):
+            raise ConfigError("series terms must be a list of objects")
+        return cls([(_parse_json_number(t["c"], "coefficient", as_fraction),
+                     _parse_json_number(t["e"], "exponent", as_fraction))
+                    for t in terms],
+                   _parse_json_number(prec, "precision", as_precision))
 
     def __repr__(self):
         return f"NovikovSeries({self})"
@@ -475,6 +489,17 @@ class NovikovSeries:
         if self._precision is not INFINITY:
             parts.append(f"+ O(T^{_fmt_exp(self._precision)})")
         return " ".join(parts)
+
+
+def _parse_json_number(x, what: str, parse):
+    """``parse(x)`` for a JSON integer or string, else ``ConfigError``."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ConfigError(f"{what} must be an integer or a \"p/q\" string, "
+                          f"got {x!r}")
+    try:
+        return parse(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{what} {x!r} is not a rational number") from exc
 
 
 def _fmt_exp(e) -> str:

@@ -63,3 +63,15 @@ def laurent_potentials(draw, num_vars, max_terms=4):
                          min_size=n, max_size=n, unique=True))
     return LaurentPotential(num_vars,
                             {m: draw(series(max_terms=2)) for m in exps})
+
+
+@st.composite
+def symmetric_forms(draw, max_n=4):
+    """Symmetric matrices mixing exact, finite-precision and ``O(T^p)``
+    entries (``series`` draws all three)."""
+    n = draw(st.integers(1, max_n))
+    form = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            form[i][j] = form[j][i] = draw(series(max_terms=2))
+    return form

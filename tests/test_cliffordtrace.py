@@ -17,12 +17,17 @@ from novlink.cliffordtrace import (
     poincare_pairing,
     trace_Z,
 )
-from novlink.errors import AlgebraMismatchError, DegenerateTraceError
+from novlink.errors import (
+    AlgebraMismatchError,
+    DegenerateTraceError,
+    PrecisionError,
+)
 from novlink.laurent import det_bareiss
 from novlink.linkfam import BulkParameter, CircleLinkS2, critical_data
 from novlink.novikov import NovikovSeries
 
-from oracles import trace_with_conventions
+from oracles import det_minor_expansion, trace_with_conventions
+from strategies import nonzero_fractions, symmetric_forms
 
 
 def mono(c, e=0):
@@ -69,6 +74,13 @@ class TestProduct:
         sq = clifford_product(alg, e1, e1)
         assert sq.coefficient(()) == h * F(KAPPA, 2)
         assert sq.coefficient((1,)).is_zero()
+
+    def test_unknown_square_is_kept(self):
+        alg = diag_algebra(NovikovSeries.zero(2))
+        e1 = alg.basis_element((1,))
+        sq = clifford_product(alg, e1, e1)
+        assert sq.coefficient(()) == NovikovSeries.zero(2)
+        assert sq.is_zero()
 
     def test_off_diagonal_generators_anticommute(self):
         alg = diag_algebra(mono(2), mono(3))
@@ -148,6 +160,41 @@ class TestTraceIdentity:
                 assert trace_Z(CliffordAlgebraModel(form)) \
                     == det_bareiss(form)
 
+    def test_unknown_entry_is_not_zero(self):
+        assert trace_Z(diag_algebra(NovikovSeries.zero(2))) \
+            == NovikovSeries.zero(2)
+
+    def test_unknown_off_diagonal_bounds_precision(self):
+        one, unknown = NovikovSeries.one(), NovikovSeries.zero(2)
+        form = [[one, unknown], [unknown, one]]
+        Z = trace_Z(CliffordAlgebraModel(form))
+        assert Z == NovikovSeries([(1, 0)], 4)
+        assert Z == det_bareiss(form)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_completion_agrees_modulo_trace_precision(self, data):
+        # Any exact completion of the inexact entries (terms at or above
+        # their precision) has a determinant equal to the trace modulo the
+        # precision the trace claims.
+        form = data.draw(symmetric_forms())
+        n = len(form)
+        completed = [list(row) for row in form]
+        for i in range(n):
+            for j in range(i, n):
+                x = form[i][j]
+                if x.is_exact():
+                    continue
+                gaps = data.draw(st.lists(
+                    st.fractions(0, 2, max_denominator=4),
+                    min_size=1, max_size=2, unique=True))
+                tail = [(data.draw(nonzero_fractions), x.precision + g)
+                        for g in gaps]
+                entry = NovikovSeries([(c, e) for e, c in x.terms] + tail)
+                completed[i][j] = completed[j][i] = entry
+        Z = trace_Z(CliffordAlgebraModel(form))
+        assert Z.eq_mod(det_minor_expansion(completed), Z.precision)
+
     def test_chain_link_trace_valuation_is_kB(self):
         for k in (1, 2, 3):
             link = CircleLinkS2(k, F(1, 8), F(1, 4))
@@ -212,3 +259,7 @@ class TestDefectBound:
     def test_zero_trace_degenerate(self):
         with pytest.raises(DegenerateTraceError, match="not Morse"):
             defect_bound(NovikovSeries.zero())
+
+    def test_unknown_trace_needs_precision(self):
+        with pytest.raises(PrecisionError, match=r"O\(T\^2\)"):
+            defect_bound(NovikovSeries.zero(2))

@@ -20,6 +20,7 @@ from novlink.errors import (
     NonMorseError,
     NotZeroDimensionalError,
     ObstructedError,
+    PrecisionError,
 )
 from novlink.laurent import LaurentPotential, UnitaryPoint
 from novlink.linkfam import BulkParameter, CircleLinkS2, build_chain_potential
@@ -81,6 +82,15 @@ class TestLeadingSolutions:
                                  (0, 1): mono(1), (0, -1): mono(1)})
         with pytest.raises(NotZeroDimensionalError):
             leading_solutions(W)
+
+    def test_unknown_leading_layer_needs_precision(self):
+        # The z^2 coefficient is O(T): layer T^2 of the gradient is unknown.
+        W = LaurentPotential(1, {(2,): NovikovSeries.zero(1),
+                                 (-1,): mono(1, 2), (1,): mono(1, 2)})
+        with pytest.raises(PrecisionError, match="unknown"):
+            leading_solutions(W)
+        with pytest.raises(PrecisionError, match="unknown"):
+            lift_all(W, LiftConfig(F(4)))
 
     def test_irrational_branches_dropped_and_reported(self):
         # z + 2/z: critical points z^2 = 2.

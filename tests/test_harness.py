@@ -176,6 +176,41 @@ class TestCLI:
         assert "val(Z) = 1/2" in out
         assert "leading terms match: yes" in out
 
+    def test_trace_check_unknown_trace_exits_2(self, tmp_path, capsys):
+        hpath = self._write(tmp_path, "H.json",
+                            [[{"terms": [], "prec": "2"}]])
+        assert main(["trace", "check", "--hessian", hpath]) == 2
+        captured = capsys.readouterr()
+        assert "Z = O(T^2)" in captured.out
+        assert "degenerate" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("bad", [
+        {"c": 0.5, "e": "0"},
+        {"c": "1", "e": 0.5},
+        {"c": True, "e": "0"},
+        {"c": "1/0", "e": "0"},
+    ])
+    def test_malformed_series_number_exits_2(self, tmp_path, capsys, bad):
+        hpath = self._write(tmp_path, "H.json", [[{"terms": [bad]}]])
+        assert main(["trace", "check", "--hessian", hpath]) == 2
+        W = {"num_vars": 1,
+             "terms": [{"m": [1], "coeff": {"terms": [bad]}},
+                       {"m": [-1], "coeff": {"terms": [{"c": "1",
+                                                         "e": "0"}]}}]}
+        wpath = self._write(tmp_path, "W.json", W)
+        assert main(["crit", "find", "--potential", wpath]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", [[1.5], [True], ["1"]])
+    def test_non_integer_monomial_exponent_exits_2(self, tmp_path, capsys,
+                                                   m):
+        one = {"terms": [{"c": "1", "e": "0"}]}
+        wpath = self._write(tmp_path, "W.json", {
+            "num_vars": 1,
+            "terms": [{"m": m, "coeff": one}, {"m": [-1], "coeff": one}]})
+        assert main(["crit", "find", "--potential", wpath]) == 2
+        assert "monomial exponents" in capsys.readouterr().err
+
     def test_qh_idempotents(self, capsys):
         assert main(["qh", "idempotents", "--k", "5", "--omega", "1"]) == 0
         out = capsys.readouterr().out

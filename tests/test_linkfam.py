@@ -128,6 +128,16 @@ class TestCriticalData:
         assert cert.det_valuation() == 3 * link.B
         assert abs(cert.hessian_det.leading_coefficient()) == 8
 
+    def test_off_diagonal_hessian_is_exact_zero(self):
+        # Every chain monomial involves one variable.
+        cert = critical_data(CircleLinkS2(4, F(1, 8), F(1, 4)),
+                             BulkParameter(F(1)))
+        for i, row in enumerate(cert.hessian):
+            for j, entry in enumerate(row):
+                if i != j:
+                    assert entry == NovikovSeries.zero()
+                    assert entry.is_exact()
+
     def test_k1(self):
         link = CircleLinkS2(1, F(1, 8), F(1, 4))
         cert = critical_data(link, BulkParameter(F(1)))
