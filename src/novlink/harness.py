@@ -23,8 +23,9 @@ from typing import Dict, List, Optional, Tuple
 
 from . import cliffordtrace
 from .errors import AreaError, ConfigError
+from .laurent import _is_json_int
 from .linkfam import BulkParameter, CircleLinkS2, critical_data
-from .novikov import as_fraction
+from .novikov import _parse_json_number, as_fraction
 from .symprodqh import symk_idempotents
 
 
@@ -101,14 +102,22 @@ class AreaSchedule:
 
     @classmethod
     def from_obj(cls, obj) -> "AreaSchedule":
+        """Parse a schedule object.
+
+        ``beta``, ``annulus_ratio`` and ``total_area`` must be JSON integers
+        or ``"p/q"`` strings, ``power`` and ``shift`` JSON integers; anything
+        else raises ``ConfigError``.
+        """
+        if not isinstance(obj, dict):
+            raise ConfigError(f"schedule must be an object, got {obj!r}")
         return cls(
             kind=obj.get("type", "power"),
-            beta=as_fraction(obj.get("beta", 1)),
-            power=int(obj.get("power", 2)),
-            shift=int(obj.get("shift", 2)),
-            annulus_ratio=as_fraction(obj.get("annulus_ratio",
-                                              Fraction(1, 2))),
-            total_area=(as_fraction(obj["total_area"])
+            beta=_rational(obj.get("beta", 1), "beta"),
+            power=_integer(obj.get("power", 2), "power"),
+            shift=_integer(obj.get("shift", 2), "shift"),
+            annulus_ratio=_rational(obj.get("annulus_ratio", "1/2"),
+                                    "annulus_ratio"),
+            total_area=(_rational(obj["total_area"], "total_area")
                         if "total_area" in obj else None),
         )
 
@@ -139,19 +148,28 @@ class ScanConfig:
 
     @classmethod
     def from_obj(cls, obj) -> "ScanConfig":
-        try:
-            k_range = tuple(int(x) for x in obj["k_range"])
-            if len(k_range) != 2:
-                raise ValueError
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError("config needs k_range: [lo, hi]") from None
+        """Parse a scan config: ``k_range`` is two JSON integers, ``c0`` and
+        ``omega`` JSON integers or ``"p/q"`` strings."""
+        k_range = obj.get("k_range") if isinstance(obj, dict) else None
+        if not (isinstance(k_range, list) and len(k_range) == 2):
+            raise ConfigError("config needs k_range: [lo, hi]")
         return cls(
-            k_range=k_range,
+            k_range=tuple(_integer(x, "k_range entry") for x in k_range),
             schedule=AreaSchedule.from_obj(obj.get("schedule", {})),
-            c0=as_fraction(obj.get("c0", 1)),
-            omega=as_fraction(obj.get("omega", 1)),
+            c0=_rational(obj.get("c0", 1), "c0"),
+            omega=_rational(obj.get("omega", 1), "omega"),
             output_format=obj.get("output_format", "csv"),
         )
+
+
+def _rational(x, what: str) -> Fraction:
+    return _parse_json_number(x, what, as_fraction)
+
+
+def _integer(x, what: str) -> int:
+    if not _is_json_int(x):
+        raise ConfigError(f"{what} must be a JSON integer, got {x!r}")
+    return x
 
 
 WEYL_COLUMNS = ("k", "A", "B", "val_Z", "val_Z_over_k", "defect_bound")

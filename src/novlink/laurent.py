@@ -84,7 +84,12 @@ class UnitaryPoint:
 
     @classmethod
     def from_obj(cls, obj) -> "UnitaryPoint":
-        return cls([NovikovSeries.from_obj(c) for c in obj["coords"]])
+        """Parse ``to_obj`` output: an object whose ``coords`` is a list."""
+        coords = obj.get("coords") if isinstance(obj, dict) else None
+        if not isinstance(coords, list):
+            raise ConfigError(f"a point must be an object with a \"coords\" "
+                              f"list, got {obj!r}")
+        return cls([NovikovSeries.from_obj(c) for c in coords])
 
     def __repr__(self):
         inner = ", ".join(str(c) for c in self._coords)

@@ -26,6 +26,9 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import ConfigError, SpectrumError, SubadditivityError
 from .novikov import as_fraction
 
+#: Most spectrum points ``enumerate_spectrum`` may have to build.
+SPECTRUM_POINT_LIMIT = 10 ** 6
+
 
 @dataclass(frozen=True)
 class ModelOrbitSet:
@@ -69,23 +72,35 @@ def enumerate_spectrum(orbits: ModelOrbitSet,
 
     Base sums are built by a period-budget dynamic program; each base
     value is then translated by every lattice multiple landing in the
-    window.
+    window.  Everything runs on integers scaled by the least common
+    denominator of the values, the generator and the window.
+
+    The ``C(k + n - 1, n - 1)`` multisets of ``k`` of the ``n`` values,
+    each with at most ``floor((hi - lo)/g) + 1`` translates in the window,
+    bound both the work and the output; a request whose bound exceeds
+    ``SPECTRUM_POINT_LIMIT`` raises ``ConfigError`` before any of it.
     """
     if not orbits.values:
         raise SpectrumError("no orbits: spectrum undefined for autonomous "
                             "model")
-    sums = {Fraction(0)}
-    for _ in range(cfg.k):
-        sums = {s + v for s in sums for v in orbits.values}
     lo, hi = cfg.window
     g = cfg.pi_generator
+    n = len(orbits.values)
+    bound = math.comb(cfg.k + n - 1, n - 1) * ((hi - lo) // g + 1)
+    if bound > SPECTRUM_POINT_LIMIT:
+        raise ConfigError(f"spectrum request may need {bound} points, above "
+                          f"the limit of {SPECTRUM_POINT_LIMIT}")
+    D = math.lcm(*(q.denominator for q in orbits.values + (g, lo, hi)))
+    values = [int(v * D) for v in orbits.values]
+    G, L, H = int(g * D), int(lo * D), int(hi * D)
+    sums = {0}
+    for _ in range(cfg.k):
+        sums = {s + v for s in sums for v in values}
     out = set()
     for base in sums:
-        n_lo = math.ceil((lo - base) / g)
-        n_hi = math.floor((hi - base) / g)
-        for n in range(n_lo, n_hi + 1):
-            out.add(base + n * g)
-    return sorted(out)
+        first = base - ((base - L) // G) * G
+        out.update(range(first, H + 1, G))
+    return [Fraction(x, D) for x in sorted(out)]
 
 
 def fekete_homogenize(c_values: Sequence) -> Tuple[Fraction,

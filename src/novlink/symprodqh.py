@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import List, Optional, Tuple
 
 from .errors import AlgebraMismatchError, ConfigError
@@ -185,31 +185,73 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
 
         ``m_i m_j = sum_l C(l, i-c) C(k-l, c) T^(c*omega) m_l``
 
-    with ``c = (i + j - l)/2`` running over admissible integers.
+    with ``c = (i + j - l)/2`` running over ``max(0, i + j - k) <= c <=
+    min(i, j)``, the range where both binomials are nonzero.
+
+    The sum runs on integers: exponents and ``omega`` share one
+    denominator, each operand's coefficients have their own.  A slot's
+    precision is the least over its contributions of
+    ``min(p_i + val_j, p_j + val_i) + c*omega``, exactly what series
+    arithmetic would give; a slot nothing reaches stays an exact ``0``.
     """
     x._check(y)
     k, omega = x.k, x.omega
-    out = [NovikovSeries.zero() for _ in range(k + 1)]
-    for i, ci in enumerate(x.coeffs):
-        # ``O(T^p)`` coefficients still contribute their precision.
-        if ci.is_zero() and ci.is_exact():
-            continue
-        for j, cj in enumerate(y.coeffs):
-            if cj.is_zero() and cj.is_exact():
-                continue
-            prod = ci * cj
-            for l in range(k + 1):
-                if (i + j - l) % 2:
-                    continue
-                c = (i + j - l) // 2
-                if c < 0 or i - c < 0 or i - c > l or c > k - l:
-                    continue
+    # ``O(T^p)`` coefficients contribute no terms but still their precision.
+    xs = [(i, ci) for i, ci in enumerate(x.coeffs)
+          if not (ci.is_zero() and ci.is_exact())]
+    ys = [(j, cj) for j, cj in enumerate(y.coeffs)
+          if not (cj.is_zero() and cj.is_exact())]
+    de = lcm(omega.denominator,
+             *(e.denominator for _, s in xs + ys for e, _ in s.terms))
+    dcx = lcm(*(c.denominator for _, s in xs for _, c in s.terms))
+    dcy = lcm(*(c.denominator for _, s in ys for _, c in s.terms))
+    ny = [(j, cj, _scaled_terms(cj, de, dcy)) for j, cj in ys]
+    step = omega.numerator * (de // omega.denominator)
+    exact = all(s.is_exact() for _, s in xs + ys)
+    acc = [{} for _ in range(k + 1)]
+    prec = [INFINITY] * (k + 1)
+    for i, ci in xs:
+        ti = _scaled_terms(ci, de, dcx)
+        for j, cj, tj in ny:
+            prod: dict = {}
+            for ea, ca in ti:
+                for eb, cb in tj:
+                    e = ea + eb
+                    prod[e] = prod.get(e, 0) + ca * cb
+            base = INFINITY if exact else min(
+                ci.precision + cj.val_lower_bound(),
+                cj.precision + ci.val_lower_bound())
+            for c in range(max(0, i + j - k), min(i, j) + 1):
+                l = i + j - 2 * c
                 mult = comb(l, i - c) * comb(k - l, c)
-                if mult == 0:
-                    continue
-                weight = NovikovSeries.monomial(mult, c * omega)
-                out[l] = out[l] + prod * weight
+                shift = c * step
+                slot = acc[l]
+                get = slot.get
+                for e, v in prod.items():
+                    e += shift
+                    slot[e] = get(e, 0) + v * mult
+                if base is not INFINITY:
+                    prec[l] = min(prec[l], base + c * omega)
+    denom = dcx * dcy
+    out = []
+    for slot, p in zip(acc, prec):
+        if p is INFINITY:
+            pairs = [(e, v) for e, v in sorted(slot.items()) if v]
+        else:
+            # ``e / de < p`` on integers.
+            bound_num, bound_den = p.numerator * de, p.denominator
+            pairs = [(e, v) for e, v in sorted(slot.items())
+                     if v and e * bound_den < bound_num]
+        out.append(NovikovSeries._raw(
+            tuple((Fraction(e, de), Fraction(v, denom)) for e, v in pairs),
+            p))
     return SymQHElement(k, omega, out)
+
+
+def _scaled_terms(s: NovikovSeries, de: int, dc: int):
+    """The terms as ``(e * de, c * dc)`` integer pairs."""
+    return [(e.numerator * (de // e.denominator),
+             c.numerator * (dc // c.denominator)) for e, c in s.terms]
 
 
 def symk_idempotents(k: int, omega) -> List[SymQHElement]:
@@ -224,25 +266,28 @@ def symk_idempotents(k: int, omega) -> List[SymQHElement]:
 
     They are pairwise orthogonal, sum to the unit, and each has valuation
     exactly ``-k*omega/2``.
+
+    ``alpha_{j,w}`` is the coefficient of ``s^j`` in
+    ``(s - 1)^w (1 + s)^(k-w)``, so column ``w + 1`` is column ``w``
+    divided by ``1 + s`` and multiplied by ``s - 1``, both exact on
+    integers: ``O(k^2)`` operations in all.
     """
     if k < 1:
         raise ConfigError("k must be a positive integer")
     omega = as_fraction(omega)
-    scale = Fraction(1, 2 ** k)
-    out = []
-    for j in range(k + 1):
-        coeffs = []
-        for w in range(k + 1):
-            alpha = 0
-            for t in range(0, min(w, j) + 1):
-                alpha += (-1) ** (w - t) * comb(w, t) * comb(k - w, j - t)
-            if alpha:
-                coeffs.append(NovikovSeries.monomial(
-                    scale * alpha, -Fraction(w) * omega / 2))
-            else:
-                coeffs.append(NovikovSeries.zero())
-        out.append(SymQHElement(k, omega, coeffs))
-    return out
+    denom = 2 ** k
+    zero = NovikovSeries.zero()
+    cols = [[comb(k, j) for j in range(k + 1)]]
+    for _ in range(k):
+        quot, q = [], 0
+        for a in cols[-1][:k]:
+            q = a - q
+            quot.append(q)
+        cols.append([b - a for a, b in zip(quot + [0], [0] + quot)])
+    exps = [-Fraction(w) * omega / 2 for w in range(k + 1)]
+    return [SymQHElement(k, omega, [
+        NovikovSeries._raw(((e, Fraction(a, denom)),), INFINITY) if a
+        else zero for a, e in zip(row, exps)]) for row in zip(*cols)]
 
 
 def grading(x) -> Optional[Fraction]:

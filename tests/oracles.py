@@ -10,6 +10,10 @@ Everything here deliberately avoids the code path it verifies:
   with a constant leading Hessian (checks Newton lifting);
 * ``tensor_multiply`` and friends: full tensor-basis arithmetic with
   explicit arrangements (checks the symmetric structure constants);
+* ``symk_idempotents_triple_sum``: the idempotents' closed-form triple sum
+  (checks the column recurrence);
+* ``spectrum_brute_force``: every multiset of values walked along the
+  lattice (checks the integer spectrum);
 * ``trace_with_conventions``: the Clifford trace with the calibration
   constants left free (pins down the frozen ones).
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from novlink.cliffordtrace import CliffordAlgebraModel, clifford_product, poincare_pairing
 from novlink.errors import ObstructedError
@@ -172,29 +177,37 @@ def one_exponent_lift(W: LaurentPotential, z0: UnitaryPoint, target):
 
 
 def sym_to_tensor(x):
-    """Expand a symmetric element into the full ``2^k`` arrangement basis."""
+    """Expand a symmetric element into the full ``2^k`` arrangement basis.
+
+    An arrangement is the bitmask of the slots holding ``H``.  Only exact
+    zeros are left out: an ``O(T^p)`` coefficient still carries precision.
+    """
     out = {}
     for j, coeff in enumerate(x.coeffs):
-        if coeff.is_zero():
+        if coeff.is_zero() and coeff.is_exact():
             continue
         for S in itertools.combinations(range(x.k), j):
-            key = frozenset(S)
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
+            out[sum(1 << s for s in S)] = coeff
     return out
 
 
 def tensor_multiply(t1, t2, omega):
-    """Slotwise product: overlapping quantum factors square to ``T^omega``."""
+    """Slotwise product: overlapping quantum factors square to ``T^omega``.
+
+    ``weighted[S2][n]`` is ``c2 * T^(n*omega)`` for every overlap size ``n``
+    the arrangement ``S2`` allows, so each pair costs one series product.
+    """
+    weighted = {S2: [c2 * NovikovSeries.monomial(1, omega * n)
+                     for n in range(S2.bit_count() + 1)]
+                for S2, c2 in t2.items()}
     out = {}
     for S1, c1 in t1.items():
-        for S2, c2 in t2.items():
-            weight = NovikovSeries.monomial(1, omega * len(S1 & S2))
+        for S2, w2 in weighted.items():
             key = S1 ^ S2
-            term = c1 * c2 * weight
+            term = c1 * w2[(S1 & S2).bit_count()]
             cur = out.get(key)
             val = term if cur is None else cur + term
-            if val.is_zero():
+            if val.is_zero() and val.is_exact():
                 out.pop(key, None)
             else:
                 out[key] = val
@@ -212,13 +225,50 @@ def tensor_to_sym(t, k, omega):
     coeffs = [NovikovSeries.zero()] * (k + 1)
     seen = {}
     for S, c in t.items():
-        j = len(S)
+        j = S.bit_count()
         if j in seen:
             assert seen[j] == c, "tensor element is not symmetric"
         else:
             seen[j] = c
             coeffs[j] = c
     return SymQHElement(k, omega, coeffs)
+
+
+def symk_idempotents_triple_sum(k, omega):
+    """Coefficient lists of the ``k + 1`` idempotents from the closed form
+
+        ``E_j = 2^-k sum_w alpha_{j,w} T^(-w*omega/2) m_w``,
+        ``alpha_{j,w} = sum_t (-1)^(w-t) C(w, t) C(k-w, j-t)``.
+    """
+    out = []
+    for j in range(k + 1):
+        coeffs = []
+        for w in range(k + 1):
+            alpha = sum((-1) ** (w - t) * comb(w, t) * comb(k - w, j - t)
+                        for t in range(min(w, j) + 1))
+            coeffs.append(NovikovSeries.monomial(Fraction(alpha, 2 ** k),
+                                                 -w * omega / 2)
+                          if alpha else NovikovSeries.zero())
+        out.append(coeffs)
+    return out
+
+
+# -- spectra -------------------------------------------------------------------
+
+
+def spectrum_brute_force(values, k, g, lo, hi):
+    """Every ``k``-fold sum of the values, walked along the lattice ``g Z``
+    through the window ``[lo, hi]``, in plain Fraction arithmetic."""
+    out = set()
+    for combo in itertools.combinations_with_replacement(values, k):
+        x = sum(combo, Fraction(0))
+        while x >= lo:
+            x -= g
+        while x <= hi:
+            if x >= lo:
+                out.add(x)
+            x += g
+    return sorted(out)
 
 
 # -- Clifford trace with free conventions ---------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from novlink.laurent import LaurentPotential
 from novlink.novikov import INFINITY, NovikovSeries
+from novlink.symprodqh import SymQHElement
 
 small_fractions = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
                                max_denominator=6)
@@ -75,3 +76,17 @@ def symmetric_forms(draw, max_n=4):
         for j in range(i, n):
             form[i][j] = form[j][i] = draw(series(max_terms=2))
     return form
+
+
+@st.composite
+def sym_element_pairs(draw, max_k=4):
+    """Two elements of one symmetric algebra (``k <= max_k``) whose
+    coefficients mix exact, finite-precision and ``O(T^p)`` series."""
+    k = draw(st.integers(1, max_k))
+    omega = draw(positive_fractions)
+
+    def element():
+        return SymQHElement(k, omega, [draw(series(max_terms=2))
+                                       for _ in range(k + 1)])
+
+    return element(), element()

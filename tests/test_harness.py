@@ -252,3 +252,57 @@ class TestCLI:
         })
         assert main(["scan", "weyl", "--config", cfg]) == 3
         assert "k = 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule, top", [
+        ({"beta": 0.5}, {}),
+        ({"beta": True}, {}),
+        ({"annulus_ratio": 0.5}, {}),
+        ({"type": "power_fixed_total", "total_area": 1.5}, {}),
+        ({"power": 2.5}, {}),
+        ({"power": "2"}, {}),
+        ({"shift": 1.0}, {}),
+        ({"shift": True}, {}),
+        ({}, {"k_range": [1.7, 2]}),
+        ({}, {"k_range": [1, True]}),
+        ({}, {"k_range": [1, 2, 3]}),
+        ({}, {"c0": 0.5}),
+        ({}, {"omega": "1/0"}),
+        ([], {}),
+    ])
+    def test_malformed_scan_number_exits_2(self, tmp_path, capsys,
+                                           schedule, top):
+        obj = {"k_range": [1, 2], "schedule": schedule}
+        obj.update(top)
+        cfg = self._write(tmp_path, "scan.json", obj)
+        assert main(["scan", "weyl", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
+    def test_scan_config_rationals_parse(self):
+        cfg = ScanConfig.from_obj({
+            "k_range": [1, 3], "c0": "-2", "omega": 3,
+            "schedule": {"type": "power_fixed_total", "beta": "1/2",
+                         "power": 1, "shift": 0, "annulus_ratio": "1/3",
+                         "total_area": 1}})
+        assert cfg.c0 == -2 and cfg.omega == 3
+        assert cfg.schedule.beta == F(1, 2)
+        assert cfg.schedule.annulus_ratio == F(1, 3)
+        assert cfg.schedule.total_area == 1
+
+    @pytest.mark.parametrize("seed", [[1], {"coords": 1}, "z", {}])
+    def test_malformed_seed_point_exits_2(self, tmp_path, capsys, seed):
+        one = {"terms": [{"c": "1", "e": "0"}]}
+        wpath = self._write(tmp_path, "W.json", {
+            "num_vars": 1,
+            "terms": [{"m": [1], "coeff": one}, {"m": [-1], "coeff": one}]})
+        zpath = self._write(tmp_path, "z.json", seed)
+        assert main(["crit", "lift", "--potential", wpath, "--seed", zpath,
+                     "--prec", "2"]) == 2
+        assert "coords" in capsys.readouterr().err
+
+    def test_spectrum_enum_over_size_limit_exits_2(self, capsys):
+        assert main(["spectrum", "enum", "--values", "0", "--k", "1",
+                     "--pi", "1/1000000", "--window", "-1000,1000"]) == 2
+        err = capsys.readouterr().err
+        assert "2000000001" in err and "1000000" in err

@@ -9,6 +9,7 @@ import pytest
 
 from novlink.errors import ConfigError, SpectrumError, SubadditivityError
 from novlink.spectrum import (
+    SPECTRUM_POINT_LIMIT,
     ModelOrbitSet,
     SpectrumConfig,
     enumerate_spectrum,
@@ -16,6 +17,8 @@ from novlink.spectrum import (
     rigidity_check,
     spectrum_gap,
 )
+
+from oracles import spectrum_brute_force
 
 
 def cfg(k, pi, lo, hi):
@@ -80,6 +83,36 @@ class TestEnumerate:
                 ModelOrbitSet([v + s for v in vals]),
                 SpectrumConfig(k, pi, (lo + k * s, hi + k * s)))
             assert shifted == [x + k * s for x in base]
+
+
+    def test_matches_brute_force(self):
+        rng = random.Random(19)
+        for _ in range(150):
+            k = rng.randint(1, 4)
+            vals = [F(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 3))]
+            g = F(rng.randint(1, 12), rng.randint(1, 4))
+            if rng.random() < 0.5:
+                # Both window ends on translates of one k-fold sum.
+                base = sum(rng.choice(vals) for _ in range(k))
+                lo = base - rng.randint(0, 3) * g
+                hi = base + rng.randint(0, 3) * g
+            else:
+                lo = F(rng.randint(-12, 4), rng.randint(1, 3))
+                hi = lo + F(rng.randint(0, 16), rng.randint(1, 3))
+            spec = enumerate_spectrum(ModelOrbitSet(vals), cfg(k, g, lo, hi))
+            assert spec == spectrum_brute_force(sorted(set(vals)), k, g,
+                                                lo, hi)
+
+    def test_size_limit_refused_up_front(self):
+        # 2 * 10^9 + 1 translates of the single base value 0.
+        with pytest.raises(ConfigError, match=str(SPECTRUM_POINT_LIMIT)):
+            enumerate_spectrum(ModelOrbitSet([0]),
+                               cfg(1, F(1, 10 ** 6), -1000, 1000))
+        # C(2002, 2) multisets of 2000 of three values, one translate each.
+        with pytest.raises(ConfigError, match="2003001 points"):
+            enumerate_spectrum(ModelOrbitSet([0, F(1, 3), F(1, 7)]),
+                               cfg(2000, 1, 0, 0))
 
 
 class TestFekete:

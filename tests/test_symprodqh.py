@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from novlink.errors import AlgebraMismatchError
 from novlink.novikov import NovikovSeries
@@ -19,7 +20,13 @@ from novlink.symprodqh import (
     symk_multiply,
 )
 
-from oracles import sym_to_tensor, tensor_multiply, tensor_to_sym
+from oracles import (
+    sym_to_tensor,
+    symk_idempotents_triple_sum,
+    tensor_multiply,
+    tensor_to_sym,
+)
+from strategies import sym_element_pairs
 
 
 def mono(c, e=0):
@@ -103,6 +110,16 @@ class TestSymmetricAlgebra:
         assert symk_multiply(x, x).coeffs == (
             NovikovSeries([(2, 1)], 2), NovikovSeries.zero(1), mono(2))
 
+    @settings(max_examples=200, deadline=None)
+    @given(sym_element_pairs())
+    def test_inexact_product_matches_tensor_oracle(self, pair):
+        # Terms and precision both: O(T^p) coefficients bound the result.
+        x, y = pair
+        via_tensor = tensor_to_sym(
+            tensor_multiply(sym_to_tensor(x), sym_to_tensor(y), x.omega),
+            x.k, x.omega)
+        assert symk_multiply(x, y) == via_tensor
+
     def test_k_or_omega_mismatch(self):
         with pytest.raises(AlgebraMismatchError):
             symk_multiply(SymQHElement.one(2, F(1)), SymQHElement.one(3, F(1)))
@@ -139,6 +156,12 @@ class TestSymmetricIdempotents:
                         assert prod == ei
                     else:
                         assert prod.is_zero()
+
+    def test_matches_closed_form_triple_sum(self):
+        for omega in (F(1), F(3, 2)):
+            for k in range(1, 41):
+                assert [list(e.coeffs) for e in symk_idempotents(k, omega)] \
+                    == symk_idempotents_triple_sum(k, omega)
 
     def test_normalized_valuation_constant(self):
         omega = F(1)
