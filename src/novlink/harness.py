@@ -26,7 +26,7 @@ from .errors import AreaError, ConfigError
 from .laurent import _is_json_int
 from .linkfam import BulkParameter, CircleLinkS2, critical_data
 from .novikov import _parse_json_number, as_fraction
-from .symprodqh import symk_idempotents
+from .symprodqh import SYMK_K_LIMIT, symk_idempotents
 
 
 @dataclass(frozen=True)
@@ -213,10 +213,15 @@ def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
     """One row per ``k``: idempotent count and (normalized) valuation.
 
     Empty ranges give empty tables.  The valuations are read off the
-    computed idempotents, not the closed formula, and must all agree.
+    computed idempotents, not the closed formula, and must all agree.  A
+    range reaching above ``SYMK_K_LIMIT`` raises ``ConfigError`` before any
+    row is computed.
     """
     omega = as_fraction(omega)
     lo, hi = k_range
+    if hi > SYMK_K_LIMIT:
+        raise ConfigError(f"k = {hi} is above the limit SYMK_K_LIMIT = "
+                          f"{SYMK_K_LIMIT}")
     rows = []
     for k in range(lo, hi + 1):
         idems = symk_idempotents(k, omega)

@@ -259,15 +259,18 @@ class LaurentPotential:
         n = self._num_vars
         gradient = [NovikovSeries.zero()] * n
         hessian = [[NovikovSeries.zero()] * n for _ in range(n)]
+        # Only entries with j >= i are summed; m_i m_j = m_j m_i and the
+        # monomials come in one order, so the mirror is the same series.
         for m, value in table:
-            for i, mi in enumerate(m):
-                if not mi:
-                    continue
+            live = [(i, mi) for i, mi in enumerate(m) if mi]
+            for a, (i, mi) in enumerate(live):
                 gradient[i] = gradient[i] + value * mi
                 row = hessian[i]
-                for j, mj in enumerate(m):
-                    if mj:
-                        row[j] = row[j] + value * (mi * mj)
+                for j, mj in live[a:]:
+                    row[j] = row[j] + value * (mi * mj)
+        for i in range(n):
+            for j in range(i + 1, n):
+                hessian[j][i] = hessian[i][j]
         return gradient, hessian
 
     def log_gradient(self) -> List["LaurentPotential"]:
@@ -386,7 +389,8 @@ def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
 
     Row pivoting picks the lowest-valuation nonzero entry in each column;
     the Bareiss divisions are exact, so precision follows the adic rules
-    with no division loss.  The empty matrix has determinant 1.
+    with no division loss.  Each step's divisor is inverted once (see
+    ``_divider``).  The empty matrix has determinant 1.
     """
     n = len(matrix)
     if n == 0:
@@ -400,18 +404,34 @@ def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     for k in range(n - 1):
         pivot_row = _pick_pivot(m, k)
         if pivot_row is None:
-            return _singular_det(m, k)
+            return _singular_det(m, k, prev)
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
+        by_prev = _divider(prev)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = divide(num, prev)
+                m[i][j] = by_prev(num)
             m[i][k] = NovikovSeries.zero(m[i][k].precision)
         prev = m[k][k]
     out = m[n - 1][n - 1]
     return out if sign == 1 else -out
+
+
+def _divider(pivot: NovikovSeries):
+    """``x -> divide(x, pivot)`` for one pivot and many ``x``.
+
+    A monomial or finite-precision pivot is inverted once: ``x`` times
+    ``pivot.invert()`` has exactly the quotient's terms and its precision
+    ``val(x) - val(pivot) + min(relprec(x), relprec(pivot))``.  An exact
+    multi-term pivot has no finite inverse and keeps the exact quotient,
+    with its ``InexactDivisionError``.
+    """
+    if len(pivot.terms) == 1 or not pivot.is_exact():
+        inverse = pivot.invert()
+        return lambda x: x * inverse
+    return lambda x: divide(x, pivot)
 
 
 def _pick_pivot(m, k):
@@ -427,15 +447,26 @@ def _pick_pivot(m, k):
     return best
 
 
-def _singular_det(m, k):
-    # Column k vanishes (mod precision) below row k: the determinant is zero
-    # to the precision the column data supports.
+def _singular_det(m, k, prev):
+    """The determinant once column ``k`` vanishes mod precision below row k.
+
+    Sylvester's identity gives ``det = +-det(M) / prev^(n-k-1)`` for the
+    block ``M`` left at rows and columns ``k..n-1``.  Expanding ``det(M)``
+    along column ``k``, entry ``i`` is ``O(T^p_i)`` and its cofactor has
+    valuation at least the sum, over the other rows, of each row's least
+    valuation bound in columns ``k+1..n-1``.  The least ``p_i`` plus that
+    sum, less ``(n-k-1) val(prev)``, is how far the determinant is known to
+    be zero.
+    """
+    n = len(m)
+    low = {r: min(m[r][j].val_lower_bound() for j in range(k + 1, n))
+           for r in range(k, n)}
     prec = INFINITY
-    for i in range(k, len(m)):
-        prec = min(prec, m[i][k].precision)
-    for i in range(k, len(m)):
-        for j in range(k, len(m)):
-            prec = min(prec, m[i][j].precision + m[i][k].val_lower_bound())
+    for i in range(k, n):
+        cofactor = sum(low[r] for r in low if r != i)
+        prec = min(prec, m[i][k].precision + cofactor)
+    if prec is not INFINITY:
+        prec = prec - (n - k - 1) * prev.valuation()
     return NovikovSeries.zero(prec)
 
 
@@ -445,7 +476,8 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
     """Solve ``matrix @ x = rhs`` over the series field.
 
     Gaussian elimination with lowest-valuation pivoting; division precision
-    follows the adic rules.  The elimination divisions are generic, so with
+    follows the adic rules, and each pivot is inverted once (see
+    ``_divider``).  The elimination divisions are generic, so with
     fully exact inputs a ``target_precision`` cap is required to keep the
     quotients finite.  Raises ``SingularMatrixError`` when no pivot with a
     nonzero leading term exists at the available precision.
@@ -456,6 +488,7 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
         matrix = [[e.truncate(tp) for e in row] for row in matrix]
         rhs = [e.truncate(tp) for e in rhs]
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    by_pivot = []
     for k in range(n):
         best, best_val = None, None
         for i in range(k, n):
@@ -469,10 +502,12 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
                                       "precision")
         if best != k:
             a[k], a[best] = a[best], a[k]
+        by_pivot.append(_divider(a[k][k]))
         for i in range(k + 1, n):
-            if a[i][k].is_zero():
+            # ``O(T^p)`` is unknown, not zero: only an exact zero is skipped.
+            if a[i][k].is_zero() and a[i][k].is_exact():
                 continue
-            factor = divide(a[i][k], a[k][k])
+            factor = by_pivot[k](a[i][k])
             for j in range(k, n + 1):
                 a[i][j] = a[i][j] - factor * a[k][j]
     xs: List[NovikovSeries] = [NovikovSeries.zero()] * n
@@ -480,5 +515,5 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
         acc = a[k][n]
         for j in range(k + 1, n):
             acc = acc - a[k][j] * xs[j]
-        xs[k] = divide(acc, a[k][k])
+        xs[k] = by_pivot[k](acc)
     return xs

@@ -22,6 +22,7 @@ themselves.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -562,39 +563,78 @@ def val(x: NovikovSeries):
 def divide(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
     """Quotient ``a / b`` with adic precision tracking.
 
-    With exact operands the division must be exact (finite quotient): the
-    quotient's terms end at ``top(a) - top(b)``, so ``InexactDivisionError``
-    is raised as soon as a quotient term passes it.  Otherwise the quotient
-    carries the relative precision ``min(relprec(a), relprec(b))`` above its
-    valuation, which is the best knowable.  Used by fraction-free
+    With an inexact operand the quotient carries the relative precision
+    ``min(relprec(a), relprec(b))`` above its valuation, which is the best
+    knowable; it is ``a`` times the Newton inverse of ``b`` taken to
+    ``relprec - val(b)``, which makes the product's precision exactly that.
+    With exact operands the division must be exact (finite quotient) and is
+    long division on integers (``_exact_quotient``); used by fraction-free
     elimination, where divisions are exact by construction.
     """
     if not b._terms:
         raise NotInvertibleError("not invertible at this precision")
-    vb = b.valuation()
-    rel_b = INFINITY if b.precision is INFINITY else b.precision - vb
+    vb = b._terms[0][0]
     if not a._terms:
-        prec = INFINITY if a.precision is INFINITY else a.precision - vb
+        prec = INFINITY if a._precision is INFINITY else a._precision - vb
         return NovikovSeries.zero(prec)
-    va = a.valuation()
-    rel_a = INFINITY if a.precision is INFINITY else a.precision - va
-    rel = min(rel_a, rel_b)
-    qprec = INFINITY if rel is INFINITY else va - vb + rel
-    qtop = a._terms[-1][0] - b._terms[-1][0]
-    rem = a
-    qterms = []
-    while rem._terms:
-        e = rem.valuation() - vb
-        if qprec is not INFINITY and e >= qprec:
-            break
-        if qprec is INFINITY and e > qtop:
+    if a._precision is INFINITY and b._precision is INFINITY:
+        return _exact_quotient(a._terms, b._terms)
+    va = a._terms[0][0]
+    rel = min(a._precision - va, b._precision - vb)
+    qprec = va - vb + rel
+    return (a * b.invert(rel - vb)).truncate(qprec)
+
+
+def _exact_quotient(ta, tb) -> NovikovSeries:
+    """Exact quotient of two exact term tuples by long division.
+
+    Exponents go over one common denominator, the dividend's coefficients
+    over theirs, and the divisor's are made primitive integers.  By Gauss's
+    lemma an exact quotient by a primitive integer divisor has integer
+    coefficients, so ``InexactDivisionError`` is raised as soon as a
+    quotient coefficient is not an integer or a quotient term passes
+    ``top(a) - top(b)``.  The remainder is an ``{exponent: coefficient}``
+    dict on integers whose exponents wait in a heap.
+    """
+    de = math.lcm(*(e.denominator for e, _ in ta),
+                  *(e.denominator for e, _ in tb))
+    dca = math.lcm(*(c.denominator for _, c in ta))
+    dcb = math.lcm(*(c.denominator for _, c in tb))
+    nb = [(e.numerator * (de // e.denominator),
+           c.numerator * (dcb // c.denominator)) for e, c in tb]
+    g = math.gcd(*(c for _, c in nb))
+    vb, lead = nb[0][0], nb[0][1] // g
+    tail = [(f - vb, c // g) for f, c in nb[1:]]
+    rem = {e.numerator * (de // e.denominator):
+           c.numerator * (dca // c.denominator) for e, c in ta}
+    qtop = max(rem) - nb[-1][0]
+    heap = sorted(rem)
+    quotient = []
+    while rem:
+        x = heapq.heappop(heap)
+        c = rem.pop(x, 0)
+        if not c:
+            continue  # cancelled after it was queued
+        q, r = divmod(c, lead)
+        e = x - vb
+        if r or e > qtop:
             raise InexactDivisionError("division of exact series is not "
                                        "exact")
-        t = NovikovSeries.monomial(rem.leading_coefficient()
-                                   / b.leading_coefficient(), e)
-        qterms.append((t.leading_coefficient(), e))
-        rem = rem - t * b
-    return NovikovSeries(qterms, qprec)
+        quotient.append((e, q))
+        # Tail gaps are positive, so every key touched lies above ``x``.
+        for f, cb in tail:
+            y, d = x + f, q * cb
+            cur = rem.get(y)
+            if cur is None:
+                rem[y] = -d
+                heapq.heappush(heap, y)
+            elif cur != d:
+                rem[y] = cur - d
+            else:
+                del rem[y]
+    den = dca * g
+    return NovikovSeries._raw(tuple((Fraction(e, de), Fraction(q * dcb, den))
+                                    for e, q in quotient), INFINITY)
 
 
 def is_unitary(x: NovikovSeries) -> bool:

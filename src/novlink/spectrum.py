@@ -53,15 +53,15 @@ class SpectrumConfig:
     window: Tuple[Fraction, Fraction]
 
     def __init__(self, k: int, pi_generator, window):
-        if k < 1:
-            raise ConfigError("k must be a positive integer")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ConfigError(f"k must be a positive integer, got {k!r}")
         pi_generator = as_fraction(pi_generator)
         if pi_generator <= 0:
             raise ConfigError("pi_generator must be positive")
         lo, hi = (as_fraction(window[0]), as_fraction(window[1]))
         if lo > hi:
             raise ConfigError("window must satisfy lo <= hi")
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "pi_generator", pi_generator)
         object.__setattr__(self, "window", (lo, hi))
 

@@ -28,6 +28,12 @@ from typing import List, Optional, Tuple
 from .errors import AlgebraMismatchError, ConfigError
 from .novikov import INFINITY, NovikovSeries, as_fraction
 
+#: Largest ``k`` the idempotents are computed for.  Their ``(k+1)^2``
+#: coefficients have ``k``-bit numerators, so memory grows about as
+#: ``k^3``; ``scan nobulk`` up to this ``k`` takes about 10 s on a 2-core
+#: machine (``qh idempotents --k 160`` about 0.3 s).
+SYMK_K_LIMIT = 160
+
 
 @dataclass(frozen=True)
 class QHP1Element:
@@ -265,7 +271,8 @@ def symk_idempotents(k: int, omega) -> List[SymQHElement]:
         ``alpha_{j,w} = sum_t (-1)^(w-t) C(w, t) C(k-w, j-t)``.
 
     They are pairwise orthogonal, sum to the unit, and each has valuation
-    exactly ``-k*omega/2``.
+    exactly ``-k*omega/2``.  A ``k`` above ``SYMK_K_LIMIT`` raises
+    ``ConfigError``.
 
     ``alpha_{j,w}`` is the coefficient of ``s^j`` in
     ``(s - 1)^w (1 + s)^(k-w)``, so column ``w + 1`` is column ``w``
@@ -274,6 +281,9 @@ def symk_idempotents(k: int, omega) -> List[SymQHElement]:
     """
     if k < 1:
         raise ConfigError("k must be a positive integer")
+    if k > SYMK_K_LIMIT:
+        raise ConfigError(f"k = {k} is above the limit SYMK_K_LIMIT = "
+                          f"{SYMK_K_LIMIT}")
     omega = as_fraction(omega)
     denom = 2 ** k
     zero = NovikovSeries.zero()

@@ -4,6 +4,8 @@ Everything here deliberately avoids the code path it verifies:
 
 * ``det_minor_expansion``: division-free cofactor determinant (checks the
   Bareiss route);
+* ``long_divide``: schoolbook long division on Fraction dicts (checks the
+  series quotient, precision included);
 * ``evaluate_dual``: first-order dual-number evaluation (checks symbolic
   multiplicative gradients);
 * ``one_exponent_lift``: kill the residual one exponent layer at a time
@@ -25,7 +27,11 @@ from fractions import Fraction
 from math import comb
 
 from novlink.cliffordtrace import CliffordAlgebraModel, clifford_product, poincare_pairing
-from novlink.errors import ObstructedError
+from novlink.errors import (
+    InexactDivisionError,
+    NotInvertibleError,
+    ObstructedError,
+)
 from novlink.laurent import LaurentPotential, UnitaryPoint
 from novlink.novikov import INFINITY, NovikovSeries
 
@@ -57,6 +63,46 @@ def det_minor_expansion(matrix):
         return acc
 
     return minor(tuple(range(n)))
+
+
+# -- long division -------------------------------------------------------------
+
+
+def long_divide(a, b):
+    """Quotient ``a / b`` one term at a time, on a Fraction remainder dict.
+
+    The quotient is known to ``val(a) - val(b) + min(relprec(a),
+    relprec(b))``.  With both operands exact it has to be a finite sum: a
+    quotient term past ``top(a) - top(b)`` raises ``InexactDivisionError``.
+    """
+    if not b.terms:
+        raise NotInvertibleError("divisor is zero modulo its precision")
+    vb, lead = b.terms[0]
+    if not a.terms:
+        return NovikovSeries.zero(INFINITY if a.is_exact()
+                                  else a.precision - vb)
+    va = a.terms[0][0]
+    rels = [x.precision - x.terms[0][0] for x in (a, b) if not x.is_exact()]
+    qprec = va - vb + min(rels) if rels else INFINITY
+    qtop = a.terms[-1][0] - b.terms[-1][0]
+    rem = dict(a.terms)
+    quotient = []
+    while rem:
+        e = min(rem) - vb
+        if qprec is not INFINITY and e >= qprec:
+            break
+        if qprec is INFINITY and e > qtop:
+            raise InexactDivisionError("exact quotient is not a finite sum")
+        q = rem[e + vb] / lead
+        quotient.append((q, e))
+        for be, bc in b.terms:
+            x = be + e
+            c = rem.get(x, 0) - q * bc
+            if c:
+                rem[x] = c
+            else:
+                rem.pop(x, None)
+    return NovikovSeries(quotient, qprec)
 
 
 # -- dual numbers --------------------------------------------------------------
@@ -217,20 +263,25 @@ def tensor_multiply(t1, t2, omega):
 def tensor_to_sym(t, k, omega):
     """Collapse a symmetric tensor element back to the monomial basis.
 
-    Asserts that all same-size arrangements carry the same coefficient,
-    i.e. that the input really is invariant.
+    Asserts that every size present has all ``C(k, j)`` arrangements and
+    that they carry the same coefficient, i.e. that the input really is
+    invariant.
     """
     from novlink.symprodqh import SymQHElement
 
     coeffs = [NovikovSeries.zero()] * (k + 1)
     seen = {}
+    count = [0] * (k + 1)
     for S, c in t.items():
         j = S.bit_count()
+        count[j] += 1
         if j in seen:
             assert seen[j] == c, "tensor element is not symmetric"
         else:
             seen[j] = c
             coeffs[j] = c
+    assert all(count[j] == comb(k, j) for j in seen), \
+        "tensor element is not symmetric"
     return SymQHElement(k, omega, coeffs)
 
 

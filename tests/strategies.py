@@ -90,3 +90,21 @@ def sym_element_pairs(draw, max_k=4):
                                        for _ in range(k + 1)])
 
     return element(), element()
+
+
+@st.composite
+def completions(draw, x, exact=None):
+    """``x`` changed only at or above its precision: one or two terms added
+    there, and the result exact or known to a higher precision (``exact``
+    picks which; ``None`` draws it).  An exact ``x`` is returned as is."""
+    if x.is_exact():
+        return x
+    gaps = draw(st.lists(st.fractions(0, 2, max_denominator=4),
+                         min_size=1, max_size=2, unique=True))
+    pairs = [(c, e) for e, c in x.terms]
+    pairs += [(draw(nonzero_fractions), x.precision + g) for g in gaps]
+    if exact is None:
+        exact = draw(st.booleans())
+    if exact:
+        return NovikovSeries(pairs)
+    return NovikovSeries(pairs, x.precision + 2 + draw(positive_fractions))

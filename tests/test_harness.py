@@ -19,6 +19,7 @@ from novlink.harness import (
     weyl_scan,
 )
 from novlink.linkfam import BulkParameter, CircleLinkS2, critical_data
+from novlink.symprodqh import SYMK_K_LIMIT, symk_idempotents
 
 
 def power_config(lo=2, hi=6, **kw):
@@ -120,6 +121,14 @@ class TestNobulkScan:
 
     def test_empty_range(self):
         assert nobulk_scan((5, 4), F(1)) == []
+
+    def test_size_limit(self):
+        assert len(symk_idempotents(SYMK_K_LIMIT, F(1))) == SYMK_K_LIMIT + 1
+        with pytest.raises(ConfigError, match=str(SYMK_K_LIMIT)):
+            symk_idempotents(SYMK_K_LIMIT + 1, F(1))
+        # Refused before the first row, not after computing the others.
+        with pytest.raises(ConfigError, match=str(SYMK_K_LIMIT)):
+            nobulk_scan((1, SYMK_K_LIMIT + 1), F(1))
 
     def test_json_rendering(self):
         rows = nobulk_scan((1, 2), F(1))
@@ -300,6 +309,15 @@ class TestCLI:
         assert main(["crit", "lift", "--potential", wpath, "--seed", zpath,
                      "--prec", "2"]) == 2
         assert "coords" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["qh", "idempotents", "--k", str(SYMK_K_LIMIT + 1), "--omega", "1"],
+        ["scan", "nobulk", "--kmax", str(SYMK_K_LIMIT + 1), "--omega", "1"],
+    ])
+    def test_symmetric_power_over_size_limit_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(SYMK_K_LIMIT) in err and str(SYMK_K_LIMIT + 1) in err
 
     def test_spectrum_enum_over_size_limit_exits_2(self, capsys):
         assert main(["spectrum", "enum", "--values", "0", "--k", "1",

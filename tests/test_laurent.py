@@ -6,10 +6,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from novlink.errors import ConfigError, NonUnitaryError, PrecisionError
+from novlink.errors import (
+    ConfigError,
+    NonUnitaryError,
+    PrecisionError,
+    SingularMatrixError,
+)
 from novlink.laurent import (
     LaurentPotential,
     UnitaryPoint,
@@ -21,6 +26,7 @@ from novlink.novikov import NovikovSeries
 
 from oracles import det_minor_expansion, evaluate_dual
 from strategies import (
+    completions,
     laurent_potentials,
     positive_fractions,
     series,
@@ -234,6 +240,53 @@ class TestMatrixHelpers:
             sol = solve_linear(matrix, rhs, target_precision=F(12))
             for got, want in zip(sol, xs):
                 assert got.eq_mod(want, got.precision)
+
+    def test_singular_column_bound_counts_cofactor_valuation(self):
+        # Column 0 is O(T^(1/6)), but the cofactor T^-1 + 1 of its lower
+        # entry has valuation -1: the determinant is only O(T^(-5/6)).
+        unknown = NovikovSeries.zero(F(1, 6))
+        det = det_bareiss([[unknown, unknown],
+                           [unknown, NovikovSeries([(1, -1), (1, 0)])]])
+        assert det == NovikovSeries.zero(F(-5, 6))
+
+    def test_solve_eliminates_unknown_entries(self):
+        # [[e1, 1], [1, e2]] x = [1, 0] with e1, e2 = O(T^(1/6)) gives
+        # x1 = 1 / (1 - e1 e2): known only modulo T^(1/3).
+        unknown, one = NovikovSeries.zero(F(1, 6)), NovikovSeries.one()
+        xs = solve_linear([[unknown, one], [one, unknown]],
+                          [one, NovikovSeries.zero()], F(25, 6))
+        assert xs == [unknown, NovikovSeries([(1, 0)], F(1, 3))]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bareiss_ignores_changes_at_or_above_precision(self, data):
+        # Exact, finite-precision and O(T^p) entries; the changed matrix
+        # may be fully exact, which takes the exact Bareiss quotients.
+        n = data.draw(st.integers(1, 3))
+        matrix = [[data.draw(series(max_terms=2)) for _ in range(n)]
+                  for _ in range(n)]
+        changed = [[data.draw(completions(e)) for e in row]
+                   for row in matrix]
+        det = det_bareiss(matrix)
+        assert det_bareiss(changed).eq_mod(det, det.precision)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_solve_ignores_changes_at_or_above_precision(self, data):
+        n = data.draw(st.integers(1, 3))
+        matrix = [[data.draw(series(max_terms=2)) for _ in range(n)]
+                  for _ in range(n)]
+        rhs = [data.draw(series(max_terms=2)) for _ in range(n)]
+        target = 4 + data.draw(positive_fractions)
+        try:
+            xs = solve_linear(matrix, rhs, target)
+        except SingularMatrixError:
+            assume(False)
+        ys = solve_linear([[data.draw(completions(e)) for e in row]
+                           for row in matrix],
+                          [data.draw(completions(e)) for e in rhs], target)
+        for x, y in zip(xs, ys):
+            assert y.eq_mod(x, x.precision)
 
 
 class TestSerialization:

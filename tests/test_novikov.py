@@ -6,7 +6,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from novlink.errors import InexactDivisionError, NotInvertibleError, PrecisionError
 from novlink.novikov import (
@@ -17,7 +18,8 @@ from novlink.novikov import (
     val,
 )
 
-from strategies import nonzero_series, series
+from oracles import long_divide
+from strategies import completions, nonzero_series, positive_fractions, series
 
 
 def S(*pairs, prec=INFINITY):
@@ -195,3 +197,54 @@ def test_invert_is_two_sided_inverse(x):
     goal = min(target, (x * inv).precision)
     assert (x * inv).eq_mod(1, goal)
     assert (inv * x).eq_mod(1, goal)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+@example(data=None)
+def test_divide_matches_long_division(data):
+    # Exact, finite-precision and O(T^p) dividends; single- and multi-term
+    # divisors; exact quotients by multiplying an exact dividend back in.
+    if data is None:
+        a, b = S((1, 0), (-1, 2)), S((1, 0), (-1, 1))
+    else:
+        b = data.draw(nonzero_series(max_terms=3))
+        a = data.draw(series(max_terms=3))
+        if a.is_exact() and b.is_exact() and data.draw(st.booleans()):
+            a = a * b
+    try:
+        want = long_divide(a, b)
+    except InexactDivisionError:
+        with pytest.raises(InexactDivisionError):
+            divide(a, b)
+        return
+    got = divide(a, b)
+    assert got.terms == want.terms
+    assert got.precision == want.precision
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_invert_ignores_changes_at_or_above_precision(data):
+    x = data.draw(nonzero_series())
+    assume(not x.is_exact())
+    target = -x.valuation() + data.draw(positive_fractions)
+    inv = x.invert(target)
+    changed = data.draw(completions(x)).invert(target)
+    assert changed.precision >= inv.precision
+    assert changed.eq_mod(inv, inv.precision)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_divide_ignores_changes_at_or_above_precision(data):
+    a = data.draw(series(max_terms=3))
+    b = data.draw(nonzero_series(max_terms=3))
+    assume(not (a.is_exact() and b.is_exact()))
+    q = divide(a, b)
+    # Exact completions of both operands would ask for an exact quotient.
+    a2 = data.draw(completions(a, exact=False))
+    b2 = data.draw(completions(b, exact=False))
+    q2 = divide(a2, b2)
+    assert q2.precision >= q.precision
+    assert q2.eq_mod(q, q.precision)

@@ -53,6 +53,12 @@ class TestEnumerate:
         with pytest.raises(ConfigError):
             SpectrumConfig(k=0, pi_generator=1, window=(0, 1))
 
+    @pytest.mark.parametrize("k", [2.5, F(2), True, "2"])
+    def test_non_integer_k_rejected(self, k):
+        # A period budget is a count: it is refused, not cut to an int.
+        with pytest.raises(ConfigError, match="positive integer"):
+            SpectrumConfig(k=k, pi_generator=1, window=(0, 1))
+
     def test_permutation_invariance(self):
         a = enumerate_spectrum(ModelOrbitSet([F(1, 3), F(-1), F(2)]),
                                cfg(3, 10, -4, 4))

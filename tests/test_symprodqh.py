@@ -120,6 +120,11 @@ class TestSymmetricAlgebra:
             x.k, x.omega)
         assert symk_multiply(x, y) == via_tensor
 
+    def test_tensor_oracle_needs_every_arrangement(self):
+        # m1 of Sym^2 has two arrangements; one alone is not symmetric.
+        with pytest.raises(AssertionError, match="not symmetric"):
+            tensor_to_sym({0b01: mono(1)}, 2, F(1))
+
     def test_k_or_omega_mismatch(self):
         with pytest.raises(AlgebraMismatchError):
             symk_multiply(SymQHElement.one(2, F(1)), SymQHElement.one(3, F(1)))
