@@ -36,11 +36,8 @@ from .cliffordtrace import (
     trace_Z,
 )
 from .symprodqh import (
-    QHP1Element,
     SymQHElement,
     grading,
-    qh1_idempotents,
-    qh1_multiply,
     symk_idempotents,
     symk_multiply,
 )
@@ -88,11 +85,8 @@ __all__ = [
     "defect_bound",
     "poincare_pairing",
     "trace_Z",
-    "QHP1Element",
     "SymQHElement",
     "grading",
-    "qh1_idempotents",
-    "qh1_multiply",
     "symk_idempotents",
     "symk_multiply",
     "ModelOrbitSet",

@@ -13,7 +13,7 @@ coordinates are algebraic but irrational are reported, never approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -168,7 +168,7 @@ def leading_solutions(W: LaurentPotential) -> List[UnitaryPoint]:
 
 
 def _leading_matrix(matrix):
-    """Lowest-valuation layer of a series matrix as a rational matrix.
+    """Lowest-valuation layer of a series matrix as exact constants.
 
     Returns ``(v0, rows)`` where entries with valuation above ``v0``
     contribute zero.
@@ -179,27 +179,9 @@ def _leading_matrix(matrix):
             v0 = min(v0, entry.val_lower_bound())
     if v0 is INFINITY:
         return INFINITY, None
-    rows = [[entry.coefficient(v0) for entry in row] for row in matrix]
+    rows = [[NovikovSeries.monomial(entry.coefficient(v0), 0)
+             for entry in row] for row in matrix]
     return v0, rows
-
-
-def _rational_det(rows) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return det
 
 
 def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
@@ -216,7 +198,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     target = cfg.target_precision
     _, h_matrix = W.log_jet(z0, target)
     v0, lead = _leading_matrix(h_matrix)
-    if v0 is INFINITY or _rational_det(lead) == 0:
+    if v0 is INFINITY or det_bareiss(lead).is_zero():
         raise NonMorseError("non-Morse: cannot lift")
 
     # Each Newton division costs the Hessian's leading valuation, so run
@@ -251,14 +233,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     z = [c.truncate(target) for c in z]
     point = UnitaryPoint(z)
     cert = certify_morse(W, point, target_precision=target)
-    return CriticalCertificate(
-        point=cert.point,
-        hessian_det=cert.hessian_det,
-        morse=cert.morse,
-        reason=cert.reason,
-        hessian=cert.hessian,
-        residual_valuations=tuple(residual_vals),
-    )
+    return replace(cert, residual_valuations=tuple(residual_vals))
 
 
 def certify_morse(W: LaurentPotential, z, target_precision=None

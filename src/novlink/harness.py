@@ -23,9 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import cliffordtrace
 from .errors import AreaError, ConfigError
-from .laurent import _is_json_int
 from .linkfam import BulkParameter, CircleLinkS2, critical_data
-from .novikov import _parse_json_number, as_fraction
+from .novikov import _parse_json_int, _parse_json_number, as_fraction
 from .symprodqh import SYMK_K_LIMIT, symk_idempotents
 
 
@@ -113,8 +112,8 @@ class AreaSchedule:
         return cls(
             kind=obj.get("type", "power"),
             beta=_rational(obj.get("beta", 1), "beta"),
-            power=_integer(obj.get("power", 2), "power"),
-            shift=_integer(obj.get("shift", 2), "shift"),
+            power=_parse_json_int(obj.get("power", 2), "power"),
+            shift=_parse_json_int(obj.get("shift", 2), "shift"),
             annulus_ratio=_rational(obj.get("annulus_ratio", "1/2"),
                                     "annulus_ratio"),
             total_area=(_rational(obj["total_area"], "total_area")
@@ -154,7 +153,8 @@ class ScanConfig:
         if not (isinstance(k_range, list) and len(k_range) == 2):
             raise ConfigError("config needs k_range: [lo, hi]")
         return cls(
-            k_range=tuple(_integer(x, "k_range entry") for x in k_range),
+            k_range=tuple(_parse_json_int(x, "k_range entry")
+                          for x in k_range),
             schedule=AreaSchedule.from_obj(obj.get("schedule", {})),
             c0=_rational(obj.get("c0", 1), "c0"),
             omega=_rational(obj.get("omega", 1), "omega"),
@@ -164,12 +164,6 @@ class ScanConfig:
 
 def _rational(x, what: str) -> Fraction:
     return _parse_json_number(x, what, as_fraction)
-
-
-def _integer(x, what: str) -> int:
-    if not _is_json_int(x):
-        raise ConfigError(f"{what} must be a JSON integer, got {x!r}")
-    return x
 
 
 WEYL_COLUMNS = ("k", "A", "B", "val_Z", "val_Z_over_k", "defect_bound")

@@ -26,6 +26,7 @@ from .errors import (
 from .novikov import (
     INFINITY,
     NovikovSeries,
+    _parse_json_int,
     as_precision,
     divide,
     is_unitary,
@@ -345,17 +346,16 @@ class LaurentPotential:
         terms: Dict[ExponentVector, NovikovSeries] = {}
         for item in items:
             m = item["m"] if isinstance(item, dict) else None
-            if not isinstance(m, list) or not all(map(_is_json_int, m)):
+            if not isinstance(m, list):
                 raise ConfigError(f"monomial exponents must be a list of "
                                   f"integers, got {m!r}")
-            m = tuple(m)
+            m = tuple(_parse_json_int(e, "monomial exponents") for e in m)
             coeff = NovikovSeries.from_obj(item["coeff"])
             terms[m] = terms.get(m, NovikovSeries.zero()) + coeff
         if num_vars is None:
             num_vars = len(next(iter(terms)))
-        elif not _is_json_int(num_vars):
-            raise ConfigError(f"num_vars must be an integer, got "
-                              f"{num_vars!r}")
+        else:
+            num_vars = _parse_json_int(num_vars, "num_vars")
         return cls(num_vars, terms)
 
     def __repr__(self):
@@ -363,18 +363,10 @@ class LaurentPotential:
         return f"LaurentPotential[{self._num_vars}]({body or '0'})"
 
 
-def _is_json_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _as_unitary_coords(point, num_vars):
-    if isinstance(point, UnitaryPoint):
-        coords = point.coords
-    else:
-        coords = tuple(NovikovSeries.from_scalar(c) for c in point)
-        for c in coords:
-            if not is_unitary(c):
-                raise NonUnitaryError("point not in unitary torus")
+    if not isinstance(point, UnitaryPoint):
+        point = UnitaryPoint(point)
+    coords = point.coords
     if len(coords) != num_vars:
         raise ConfigError(f"point has {len(coords)} coordinates, potential "
                           f"has {num_vars} variables")
@@ -490,13 +482,7 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     by_pivot = []
     for k in range(n):
-        best, best_val = None, None
-        for i in range(k, n):
-            if a[i][k].is_zero():
-                continue
-            v = a[i][k].valuation()
-            if best is None or v < best_val:
-                best, best_val = i, v
+        best = _pick_pivot(a, k)
         if best is None:
             raise SingularMatrixError("matrix is singular at the available "
                                       "precision")

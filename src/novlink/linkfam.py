@@ -36,9 +36,15 @@ from .errors import (
     AreaError,
     ConfigError,
     NotZeroDimensionalError,
+    PrecisionError,
 )
 from .laurent import LaurentPotential, UnitaryPoint
-from .novikov import INFINITY, NovikovSeries, as_fraction
+from .novikov import (
+    NovikovSeries,
+    _parse_json_int,
+    _parse_json_number,
+    as_fraction,
+)
 
 
 @dataclass(frozen=True)
@@ -202,11 +208,19 @@ def truncation_obstruction(W: LaurentPotential, cutoff) -> TruncationReport:
     A single surviving monomial in some variable can never have a critical
     point on the unit torus (its gradient is a unit multiple of the
     monomial), so the truncation is obstructed at that coefficient's
-    valuation.
+    valuation.  A coefficient known only as ``O(T^p)`` with
+    ``p <= cutoff`` may or may not survive the truncation, so it raises
+    ``PrecisionError``.
     """
     cutoff = as_fraction(cutoff)
-    kept = {m: c for m, c in W.items()
-            if c.valuation() is not INFINITY and c.valuation() <= cutoff}
+    kept = {}
+    for m, c in W.items():
+        if c.is_zero() and c.precision <= cutoff:
+            raise PrecisionError(
+                f"truncation at T^{cutoff} is unknown: the coefficient of "
+                f"z^{list(m)} is O(T^{c.precision})")
+        if c.valuation() <= cutoff:
+            kept[m] = c
     truncated = LaurentPotential(W.num_vars, kept)
     if truncated.is_zero():
         return TruncationReport(unobstructed=True, note="empty truncation")
@@ -237,23 +251,24 @@ def load_chain_config(obj) -> Tuple[CircleLinkS2, BulkParameter,
                                     Optional[LaurentPotential]]:
     """Parse the chain-link JSON schema.
 
-    Expected keys: ``k`` (int), ``A`` and ``B`` (rational strings), ``c0``
-    (rational string, default 1), optional ``total_area``, optional
-    ``c_tail`` (series object for the deformation tail) and optional
-    ``extra_terms`` (potential term list for higher-order monomials).
+    An object with keys ``k`` (JSON integer), ``A`` and ``B``, optional
+    ``c0`` (default 1) and ``total_area`` (each a JSON integer or ``"p/q"``
+    string), optional ``c_tail`` (series object for the deformation tail)
+    and optional ``extra_terms`` (potential term list for higher-order
+    monomials).  Anything else raises ``ConfigError``.
     """
-    try:
-        k = int(obj["k"])
-        A = as_fraction(obj["A"])
-        B = as_fraction(obj["B"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"chain config needs k, A, B: {exc}") from None
+    if not (isinstance(obj, dict) and {"k", "A", "B"} <= obj.keys()):
+        raise ConfigError(f"chain config needs an object with k, A, B, "
+                          f"got {obj!r}")
+    k = _parse_json_int(obj["k"], "k")
+    A = _parse_json_number(obj["A"], "A", as_fraction)
+    B = _parse_json_number(obj["B"], "B", as_fraction)
     total = obj.get("total_area")
-    link = CircleLinkS2(k, A, B,
-                        None if total is None else as_fraction(total))
+    link = CircleLinkS2(k, A, B, None if total is None else
+                        _parse_json_number(total, "total_area", as_fraction))
     tail = obj.get("c_tail")
     bulk = BulkParameter(
-        as_fraction(obj.get("c0", 1)),
+        _parse_json_number(obj.get("c0", 1), "c0", as_fraction),
         None if tail is None else NovikovSeries.from_obj(tail))
     extra = None
     if obj.get("extra_terms"):

@@ -503,6 +503,13 @@ def _parse_json_number(x, what: str, parse):
         raise ConfigError(f"{what} {x!r} is not a rational number") from exc
 
 
+def _parse_json_int(x, what: str) -> int:
+    """``x`` if it is a JSON integer (not a bool), else ``ConfigError``."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ConfigError(f"{what} must be a JSON integer, got {x!r}")
+    return x
+
+
 def _fmt_exp(e) -> str:
     s = str(e)
     return f"({s})" if "/" in s or s.startswith("-") else s

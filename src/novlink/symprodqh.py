@@ -1,7 +1,8 @@
 """The sphere quantum algebra, its symmetric tensor powers and idempotents.
 
 The rank-two algebra has basis ``1, H`` with the single relation
-``H^2 = T^omega`` (``omega`` the sphere area).  Its indecomposable
+``H^2 = T^omega`` (``omega > 0`` the sphere area).  It is the ``k = 1``
+case below: ``1`` is ``m_0`` and ``H`` is ``m_1``.  Its indecomposable
 idempotents are ``(1 +- T^(-omega/2) H) / 2``, each of valuation
 ``-omega/2``.
 
@@ -20,7 +21,6 @@ homogeneous and the idempotents degree zero simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import List, Optional, Tuple
@@ -35,77 +35,13 @@ from .novikov import INFINITY, NovikovSeries, as_fraction
 SYMK_K_LIMIT = 160
 
 
-@dataclass(frozen=True)
-class QHP1Element:
-    """Element ``a + b H`` of the rank-two sphere algebra."""
-
-    a: NovikovSeries
-    b: NovikovSeries
-    omega: Fraction
-
-    def __init__(self, a, b, omega):
-        object.__setattr__(self, "a", NovikovSeries.from_scalar(a))
-        object.__setattr__(self, "b", NovikovSeries.from_scalar(b))
-        omega = as_fraction(omega)
-        if omega <= 0:
-            raise ConfigError("omega must be positive")
-        object.__setattr__(self, "omega", omega)
-
-    @classmethod
-    def one(cls, omega) -> "QHP1Element":
-        return cls(NovikovSeries.one(), NovikovSeries.zero(), omega)
-
-    @classmethod
-    def H(cls, omega) -> "QHP1Element":
-        return cls(NovikovSeries.zero(), NovikovSeries.one(), omega)
-
-    def __add__(self, other):
-        _check_omega(self, other)
-        return QHP1Element(self.a + other.a, self.b + other.b, self.omega)
-
-    def __sub__(self, other):
-        _check_omega(self, other)
-        return QHP1Element(self.a - other.a, self.b - other.b, self.omega)
-
-    def __mul__(self, other):
-        return qh1_multiply(self, other)
-
-    def valuation(self):
-        return min(self.a.valuation(), self.b.valuation())
-
-    def __str__(self):
-        return f"({self.a}) + ({self.b})*H"
-
-
-def _check_omega(x: QHP1Element, y: QHP1Element):
-    if not isinstance(y, QHP1Element) or x.omega != y.omega:
-        raise AlgebraMismatchError("omega mismatch")
-
-
-def qh1_multiply(x: QHP1Element, y: QHP1Element) -> QHP1Element:
-    """Product under ``H^2 = T^omega``."""
-    _check_omega(x, y)
-    q = NovikovSeries.monomial(1, x.omega)
-    return QHP1Element(x.a * y.a + x.b * y.b * q,
-                       x.a * y.b + x.b * y.a,
-                       x.omega)
-
-
-def qh1_idempotents(omega) -> Tuple[QHP1Element, QHP1Element]:
-    """The two indecomposable idempotents ``(1 +- T^(-omega/2) H) / 2``."""
-    omega = as_fraction(omega)
-    half = Fraction(1, 2)
-    u = NovikovSeries.monomial(half, -omega / 2)
-    e_plus = QHP1Element(NovikovSeries.monomial(half, 0), u, omega)
-    e_minus = QHP1Element(NovikovSeries.monomial(half, 0), -u, omega)
-    return e_plus, e_minus
-
-
 class SymQHElement:
     """Element of the symmetric invariants of the k-fold tensor power.
 
     Coefficients are stored over the monomial basis ``m_0, ..., m_k``
     (``m_j`` sums the ``C(k, j)`` arrangements of ``j`` copies of ``H``).
+    ``k = 1`` is the rank-two algebra.  A ``k`` below 1 or an ``omega``
+    that is not positive raises ``ConfigError``.
     """
 
     __slots__ = ("k", "omega", "_coeffs")
@@ -117,8 +53,11 @@ class SymQHElement:
         if len(coeffs) != k + 1:
             raise ConfigError(f"need {k + 1} basis coefficients, "
                               f"got {len(coeffs)}")
+        omega = as_fraction(omega)
+        if omega <= 0:
+            raise ConfigError("omega must be positive")
         self.k = int(k)
-        self.omega = as_fraction(omega)
+        self.omega = omega
         self._coeffs = coeffs
 
     @property
@@ -271,8 +210,8 @@ def symk_idempotents(k: int, omega) -> List[SymQHElement]:
         ``alpha_{j,w} = sum_t (-1)^(w-t) C(w, t) C(k-w, j-t)``.
 
     They are pairwise orthogonal, sum to the unit, and each has valuation
-    exactly ``-k*omega/2``.  A ``k`` above ``SYMK_K_LIMIT`` raises
-    ``ConfigError``.
+    exactly ``-k*omega/2``.  A ``k`` above ``SYMK_K_LIMIT`` or an
+    ``omega`` that is not positive raises ``ConfigError``.
 
     ``alpha_{j,w}`` is the coefficient of ``s^j`` in
     ``(s - 1)^w (1 + s)^(k-w)``, so column ``w + 1`` is column ``w``
@@ -306,18 +245,12 @@ def grading(x) -> Optional[Fraction]:
     A term ``T^e`` on a basis element with ``w`` quantum-class factors has
     degree ``-4 e / omega - 2 w``.
     """
-    if isinstance(x, QHP1Element):
-        pieces = [(x.a, 0), (x.b, 1)]
-        omega = x.omega
-    elif isinstance(x, SymQHElement):
-        pieces = list(zip(x.coeffs, range(x.k + 1)))
-        omega = x.omega
-    else:
+    if not isinstance(x, SymQHElement):
         raise TypeError("grading expects a sphere-algebra element")
     degree = None
-    for series, w in pieces:
+    for w, series in enumerate(x.coeffs):
         for e, _ in series.terms:
-            d = Fraction(-4) * e / omega - 2 * w
+            d = Fraction(-4) * e / x.omega - 2 * w
             if degree is None:
                 degree = d
             elif degree != d:

@@ -157,6 +157,13 @@ class TestHenselLift:
         with pytest.raises(NonMorseError, match="non-Morse"):
             hensel_lift(cubic_potential(), ones(1), LiftConfig(F(2)))
 
+    def test_rank_one_leading_hessian_rejected(self):
+        # W = z1 z2 + 1/(z1 z2) is critical at (1, 1) with Hessian
+        # [[2, 2], [2, 2]]: nonzero but singular.
+        W = LaurentPotential(2, {(1, 1): mono(1), (-1, -1): mono(1)})
+        with pytest.raises(NonMorseError, match="non-Morse"):
+            hensel_lift(W, ones(2), LiftConfig(F(2)))
+
     def test_non_critical_seed_obstructed(self):
         W = LaurentPotential(1, {(1,): mono(1), (-1,): mono(4)})
         # Gradient z - 4/z does not vanish at z = 1 at order zero.

@@ -319,6 +319,16 @@ class TestCLI:
         err = capsys.readouterr().err
         assert str(SYMK_K_LIMIT) in err and str(SYMK_K_LIMIT + 1) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["qh", "idempotents", "--k", "2", "--omega", "0"],
+        ["scan", "nobulk", "--kmax", "3", "--omega", "-1"],
+    ])
+    def test_symmetric_power_nonpositive_omega_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "omega must be positive" in captured.err
+        assert captured.out == ""
+
     def test_spectrum_enum_over_size_limit_exits_2(self, capsys):
         assert main(["spectrum", "enum", "--values", "0", "--k", "1",
                      "--pi", "1/1000000", "--window", "-1000,1000"]) == 2

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from novlink.critlift import leading_solutions
-from novlink.errors import AreaError, ConfigError
+from novlink.errors import AreaError, ConfigError, PrecisionError
 from novlink.laurent import LaurentPotential
 from novlink.linkfam import (
     BulkParameter,
@@ -209,6 +209,23 @@ class TestTruncationObstruction:
         for p in report.points:
             assert p[1] == NovikovSeries.one()
 
+    def test_unknown_coefficient_below_cutoff_raises(self):
+        # T z + O(T^(1/2))/z: the completion T (z + 1/z) is critical at
+        # z = +-1, so the truncation cannot be called obstructed.
+        W = LaurentPotential(1, {(1,): mono(1, 1),
+                                 (-1,): NovikovSeries.zero(F(1, 2))})
+        with pytest.raises(PrecisionError, match=r"z\^\[-1\]"):
+            truncation_obstruction(W, 1)
+
+    def test_unknown_coefficient_above_cutoff_ignored(self):
+        a = F(1, 3)
+        W = LaurentPotential(1, {(1,): mono(1, a), (-1,): mono(1, a),
+                                 (2,): NovikovSeries.zero(1)})
+        report = truncation_obstruction(W, a)
+        assert report.unobstructed
+        assert sorted(p.leading_tuple() for p in report.points) == [(-1,),
+                                                                    (1,)]
+
     def test_empty_truncation_vacuous(self):
         W = LaurentPotential(1, {(1,): mono(1, 1)})
         report = truncation_obstruction(W, F(1, 2))
@@ -241,3 +258,26 @@ class TestChainConfig:
     def test_missing_keys_rejected(self):
         with pytest.raises(ConfigError, match="chain config"):
             load_chain_config({"k": 2})
+
+    @pytest.mark.parametrize("obj", [[2, "1/8", "1/4"], "k=2", None])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(ConfigError, match="chain config"):
+            load_chain_config(obj)
+
+    @pytest.mark.parametrize("k", [2.5, True, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ConfigError, match="k must be a JSON integer"):
+            load_chain_config({"k": k, "A": "1/8", "B": "1/4"})
+
+    @pytest.mark.parametrize("key", ["A", "B", "c0", "total_area"])
+    @pytest.mark.parametrize("bad", [0.5, False, [1], "1/0", "half"])
+    def test_malformed_rational_rejected(self, key, bad):
+        obj = {"k": 2, "A": "1/8", "B": "1/4", key: bad}
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            load_chain_config(obj)
+
+    def test_integer_areas_accepted(self):
+        link, bulk, _ = load_chain_config({"k": 2, "A": 1, "B": 2,
+                                           "total_area": 5, "c0": 3})
+        assert (link.A, link.B, link.total_area) == (1, 2, 5)
+        assert bulk.c0 == 3

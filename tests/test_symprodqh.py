@@ -8,14 +8,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from novlink.errors import AlgebraMismatchError
+from novlink.errors import AlgebraMismatchError, ConfigError
 from novlink.novikov import NovikovSeries
 from novlink.symprodqh import (
-    QHP1Element,
     SymQHElement,
     grading,
-    qh1_idempotents,
-    qh1_multiply,
     symk_idempotents,
     symk_multiply,
 )
@@ -33,48 +30,64 @@ def mono(c, e=0):
     return NovikovSeries.monomial(F(c), F(e))
 
 
+def rank_two(a, b, omega):
+    """``a + b H`` in the rank-two algebra, which is ``Sym^1``."""
+    return SymQHElement(1, omega, [a, b])
+
+
+def H(omega):
+    return SymQHElement.basis(1, omega, 1)
+
+
 class TestRankTwoAlgebra:
     def test_defining_relation(self):
-        H = QHP1Element.H(F(1))
-        HH = qh1_multiply(H, H)
-        assert HH.a == NovikovSeries.monomial(1, 1)
-        assert HH.b.is_zero()
+        a, b = symk_multiply(H(F(1)), H(F(1))).coeffs
+        assert a == NovikovSeries.monomial(1, 1)
+        assert b.is_zero()
 
     def test_unit(self):
-        one = QHP1Element.one(F(2))
-        x = QHP1Element(mono(3), mono(-1, F(1, 2)), F(2))
-        assert qh1_multiply(one, x) == x
+        one = SymQHElement.one(1, F(2))
+        x = rank_two(mono(3), mono(-1, F(1, 2)), F(2))
+        assert symk_multiply(one, x) == x
 
     def test_difference_of_squares(self):
         omega = F(1)
-        one, H = QHP1Element.one(omega), QHP1Element.H(omega)
-        prod = qh1_multiply(one + H, one - H)
-        assert prod.a == NovikovSeries([(1, 0), (-1, 1)])
-        assert prod.b.is_zero()
+        one = SymQHElement.one(1, omega)
+        a, b = symk_multiply(one + H(omega), one - H(omega)).coeffs
+        assert a == NovikovSeries([(1, 0), (-1, 1)])
+        assert b.is_zero()
 
     def test_omega_mismatch(self):
         with pytest.raises(AlgebraMismatchError, match="omega"):
-            qh1_multiply(QHP1Element.one(F(1)), QHP1Element.one(F(2)))
+            symk_multiply(SymQHElement.one(1, F(1)),
+                          SymQHElement.one(1, F(2)))
+
+    def test_omega_must_be_positive(self):
+        for omega in (0, F(-1, 2)):
+            with pytest.raises(ConfigError, match="omega must be positive"):
+                SymQHElement.one(1, omega)
+        with pytest.raises(ConfigError, match="omega must be positive"):
+            symk_idempotents(2, -1)
 
 
 class TestRankTwoIdempotents:
     def test_valuation(self):
         for omega in (F(1), F(2), F(3, 5)):
-            ep, em = qh1_idempotents(omega)
+            em, ep = symk_idempotents(1, omega)
             assert ep.valuation() == -omega / 2
             assert em.valuation() == -omega / 2
 
     def test_sum_is_unit(self):
-        ep, em = qh1_idempotents(F(1))
-        s = ep + em
-        assert s.a == NovikovSeries.one() and s.b.is_zero()
+        em, ep = symk_idempotents(1, F(1))
+        a, b = (ep + em).coeffs
+        assert a == NovikovSeries.one() and b.is_zero()
 
     def test_orthogonal_idempotents(self):
-        ep, em = qh1_idempotents(F(3, 2))
-        prod = qh1_multiply(ep, em)
-        assert prod.a.is_zero() and prod.b.is_zero()
-        assert qh1_multiply(ep, ep) == ep
-        assert qh1_multiply(em, em) == em
+        em, ep = symk_idempotents(1, F(3, 2))
+        a, b = symk_multiply(ep, em).coeffs
+        assert a.is_zero() and b.is_zero()
+        assert symk_multiply(ep, ep) == ep
+        assert symk_multiply(em, em) == em
 
 
 class TestSymmetricAlgebra:
@@ -131,11 +144,12 @@ class TestSymmetricAlgebra:
 
 
 class TestSymmetricIdempotents:
-    def test_k1_reduces_to_rank_two(self):
-        ep, em = qh1_idempotents(F(1))
-        e0, e1 = symk_idempotents(1, F(1))
-        assert e0.coeffs == (em.a, em.b)
-        assert e1.coeffs == (ep.a, ep.b)
+    def test_k1_closed_form(self):
+        # [(1 - T^(-omega/2) H)/2, (1 + T^(-omega/2) H)/2]
+        for omega in (F(1), F(3, 2)):
+            half = SymQHElement.one(1, omega).scale(F(1, 2))
+            u = H(omega).scale(NovikovSeries.monomial(F(1, 2), -omega / 2))
+            assert symk_idempotents(1, omega) == [half - u, half + u]
 
     def test_k2_three_idempotents_of_valuation_minus_omega(self):
         omega = F(1)
@@ -188,23 +202,23 @@ class TestSymmetricIdempotents:
 
 class TestGrading:
     def test_unit_degree_zero(self):
-        assert grading(QHP1Element.one(F(1))) == 0
+        assert grading(SymQHElement.one(1, F(1))) == 0
 
     def test_quantum_monomial_degree(self):
-        x = QHP1Element(NovikovSeries.monomial(1, 1), 0, F(1))
+        x = rank_two(NovikovSeries.monomial(1, 1), 0, F(1))
         assert grading(x) == -4
 
     def test_idempotents_homogeneous_degree_zero(self):
-        ep, em = qh1_idempotents(F(1))
+        em, ep = symk_idempotents(1, F(1))
         assert grading(ep) == 0
         assert grading(em) == 0
         for e in symk_idempotents(3, F(2)):
             assert grading(e) == 0
 
     def test_mixed_degree_detected(self):
-        x = QHP1Element(NovikovSeries([(1, 0), (1, 1)]), 0, F(1))
+        x = rank_two(NovikovSeries([(1, 0), (1, 1)]), 0, F(1))
         assert grading(x) is None
 
     def test_omega_scales_quantum_degree(self):
-        x = QHP1Element(NovikovSeries.monomial(1, F(3)), 0, F(3))
+        x = rank_two(NovikovSeries.monomial(1, F(3)), 0, F(3))
         assert grading(x) == -4
