@@ -60,8 +60,7 @@ def _cmd_crit_find(args) -> int:
 def _cmd_crit_lift(args) -> int:
     W = LaurentPotential.from_obj(_load_json(args.potential))
     seed = UnitaryPoint.from_obj(_load_json(args.seed))
-    cfg = LiftConfig(target_precision=as_fraction(args.prec),
-                     max_steps=args.max_steps)
+    cfg = LiftConfig(target_precision=as_fraction(args.prec))
     cert = hensel_lift(W, seed, cfg)
     print(json.dumps({
         "point": cert.point.to_obj(),
@@ -162,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     lift.add_argument("--potential", required=True, metavar="W.json")
     lift.add_argument("--seed", required=True, metavar="z.json")
     lift.add_argument("--prec", required=True, metavar="p/q")
-    lift.add_argument("--max-steps", type=int, default=64)
     lift.set_defaults(func=_cmd_crit_lift)
 
     trace = sub.add_parser("trace", help="Clifford trace checks")

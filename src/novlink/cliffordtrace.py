@@ -123,7 +123,7 @@ class CliffordAlgebraModel:
                 _accumulate(out, K, c if sign == 1 else -c)
             for pos, j in enumerate(J):
                 b = self._b[i - 1][j - 1]
-                if _is_exact_zero(b):
+                if b.is_exact_zero():
                     continue
                 K = tuple(x for x in J if x != j)
                 contrib = b * c
@@ -144,7 +144,7 @@ class CliffordAlgebraModel:
         acc = self._generator_times(i, self._basis_times(rest, coeffs))
         for pos, j in enumerate(rest):
             b = self._b[i - 1][j - 1]
-            if _is_exact_zero(b):
+            if b.is_exact_zero():
                 continue
             K = tuple(x for x in rest if x != j)
             sub = self._basis_times(K, coeffs)
@@ -178,7 +178,7 @@ class CliffordElement:
         for I, c in coeffs.items():
             I = tuple(sorted(I))
             c = NovikovSeries.from_scalar(c)
-            if not _is_exact_zero(c):
+            if not c.is_exact_zero():
                 cleaned[I] = c
         self._coeffs = cleaned
 
@@ -226,15 +226,10 @@ class CliffordElement:
         return f"CliffordElement({body})"
 
 
-def _is_exact_zero(c: NovikovSeries) -> bool:
-    # ``O(T^p)`` is unknown, not zero.
-    return c.is_zero() and c.is_exact()
-
-
 def _accumulate(d: Dict[Subset, NovikovSeries], I: Subset, c: NovikovSeries):
     cur = d.get(I)
     c = cur + c if cur is not None else c
-    if _is_exact_zero(c):
+    if c.is_exact_zero():
         d.pop(I, None)
     else:
         d[I] = c
@@ -304,7 +299,7 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
         for J, c in products[I[1:]].items():
             for pos, j in enumerate(J):
                 b = row[j - 1]
-                if _is_exact_zero(b):
+                if b.is_exact_zero():
                     continue
                 term = b * c
                 _accumulate(out, J[:pos] + J[pos + 1:],

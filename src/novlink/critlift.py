@@ -26,10 +26,14 @@ from .errors import (
     NonMorseError,
     NotZeroDimensionalError,
     ObstructedError,
-    PrecisionError,
 )
 from .laurent import LaurentPotential, UnitaryPoint, det_bareiss, solve_linear
 from .novikov import INFINITY, NovikovSeries, as_fraction, as_precision
+
+#: Newton steps a lift may take before it is reported obstructed.  The
+#: residual valuation climbs quadratically, so a converging lift needs far
+#: fewer.
+MAX_NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -41,15 +45,12 @@ class LiftConfig:
     """
 
     target_precision: Fraction
-    max_steps: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "target_precision",
                            as_fraction(self.target_precision))
         if self.target_precision <= 0:
             raise ConfigError("target_precision must be positive")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,8 @@ def _leading_polynomial(component: LaurentPotential, symbols):
     leaves layer ``v`` unknown and raises ``PrecisionError``.
     """
     v = component.min_coefficient_valuation()
-    monos = []
-    for m, coeff in component.items():
-        if coeff.is_zero() and coeff.precision <= v:
-            raise PrecisionError(
-                f"leading layer T^{v} is unknown: the coefficient of "
-                f"z^{list(m)} is O(T^{coeff.precision})")
-        if coeff.valuation() == v:
-            monos.append((m, coeff.leading_coefficient()))
+    monos = [(m, coeff.leading_coefficient())
+             for m, coeff in component.terms_through(v).items()]
     shift = [min(m[i] for m, _ in monos) for i in range(component.num_vars)]
     expr = sympy.Integer(0)
     for m, c in monos:
@@ -210,7 +205,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     z = [c.assume_precision(work) for c in z0.coords]
     residual_vals = []
     prev_val = None
-    for _ in range(cfg.max_steps):
+    for _ in range(MAX_NEWTON_STEPS):
         residual, h_now = W.log_jet(z, work)
         rv = min(r.val_lower_bound() for r in residual)
         residual_vals.append(rv)
@@ -226,8 +221,9 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
              for i in range(len(z))]
     else:
         rv = residual_vals[-1] if residual_vals else None
-        raise ObstructedError(f"obstructed at order {rv}: max_steps "
-                              "exhausted before reaching the target",
+        raise ObstructedError(f"obstructed at order {rv}: "
+                              f"{MAX_NEWTON_STEPS} Newton steps exhausted "
+                              "before reaching the target",
                               order=rv)
 
     z = [c.truncate(target) for c in z]

@@ -55,6 +55,8 @@ class AreaSchedule:
     total_area: Optional[Fraction] = None
 
     def __post_init__(self):
+        _parse_json_int(self.power, "power")
+        _parse_json_int(self.shift, "shift")
         object.__setattr__(self, "beta", as_fraction(self.beta))
         object.__setattr__(self, "annulus_ratio",
                            as_fraction(self.annulus_ratio))
@@ -112,8 +114,8 @@ class AreaSchedule:
         return cls(
             kind=obj.get("type", "power"),
             beta=_rational(obj.get("beta", 1), "beta"),
-            power=_parse_json_int(obj.get("power", 2), "power"),
-            shift=_parse_json_int(obj.get("shift", 2), "shift"),
+            power=obj.get("power", 2),
+            shift=obj.get("shift", 2),
             annulus_ratio=_rational(obj.get("annulus_ratio", "1/2"),
                                     "annulus_ratio"),
             total_area=(_rational(obj["total_area"], "total_area")
@@ -128,36 +130,35 @@ class ScanConfig:
     k_range: Tuple[int, int]
     schedule: AreaSchedule = field(default_factory=AreaSchedule)
     c0: Fraction = Fraction(1)
-    omega: Fraction = Fraction(1)
     output_format: str = "csv"
 
     def __post_init__(self):
-        lo, hi = self.k_range
+        lo, hi = (_parse_json_int(x, "k_range entry") for x in self.k_range)
         if lo < 1 or hi < lo:
             raise ConfigError("k_range must satisfy 1 <= lo <= hi")
-        object.__setattr__(self, "k_range", (int(lo), int(hi)))
+        object.__setattr__(self, "k_range", (lo, hi))
+        shift = self.schedule.shift
+        if self.schedule.kind != "constant" and lo <= -shift <= hi:
+            raise ConfigError(f"k = {-shift} has k + shift = 0 (shift = "
+                              f"{shift}), where the disc area "
+                              f"beta / (k + shift)^power is undefined")
         object.__setattr__(self, "c0", as_fraction(self.c0))
-        object.__setattr__(self, "omega", as_fraction(self.omega))
         if self.c0 == 0:
             raise ConfigError("c0 must be nonzero")
-        if self.omega <= 0:
-            raise ConfigError("omega must be positive")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format must be csv or json")
 
     @classmethod
     def from_obj(cls, obj) -> "ScanConfig":
-        """Parse a scan config: ``k_range`` is two JSON integers, ``c0`` and
-        ``omega`` JSON integers or ``"p/q"`` strings."""
+        """Parse a scan config: ``k_range`` is two JSON integers, ``c0`` a
+        JSON integer or ``"p/q"`` string."""
         k_range = obj.get("k_range") if isinstance(obj, dict) else None
         if not (isinstance(k_range, list) and len(k_range) == 2):
             raise ConfigError("config needs k_range: [lo, hi]")
         return cls(
-            k_range=tuple(_parse_json_int(x, "k_range entry")
-                          for x in k_range),
+            k_range=tuple(k_range),
             schedule=AreaSchedule.from_obj(obj.get("schedule", {})),
             c0=_rational(obj.get("c0", 1), "c0"),
-            omega=_rational(obj.get("omega", 1), "omega"),
             output_format=obj.get("output_format", "csv"),
         )
 

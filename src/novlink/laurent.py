@@ -26,9 +26,9 @@ from .errors import (
 from .novikov import (
     INFINITY,
     NovikovSeries,
+    _divider,
     _parse_json_int,
     as_precision,
-    divide,
     is_unitary,
 )
 
@@ -98,26 +98,29 @@ class UnitaryPoint:
 
 
 class LaurentPotential:
-    """Finite Laurent polynomial in ``num_vars`` variables over the series field."""
+    """Finite Laurent polynomial in ``num_vars`` variables over the series field.
+
+    ``num_vars`` and the exponents must be ints (a bool, float or string
+    raises ``ConfigError``).  Only an exact-zero coefficient is dropped.
+    """
 
     __slots__ = ("_num_vars", "_terms")
 
     def __init__(self, num_vars: int,
                  terms: Optional[Dict[ExponentVector, NovikovSeries]] = None):
-        if num_vars < 1:
+        if _parse_json_int(num_vars, "num_vars") < 1:
             raise ConfigError("num_vars must be a positive integer")
-        self._num_vars = int(num_vars)
+        self._num_vars = num_vars
         cleaned: Dict[ExponentVector, NovikovSeries] = {}
         for m, coeff in (terms or {}).items():
-            m = tuple(int(e) for e in m)
+            m = tuple(_parse_json_int(e, "monomial exponents") for e in m)
             if len(m) != self._num_vars:
                 raise ConfigError("exponent vector length does not match "
                                   "num_vars")
             coeff = NovikovSeries.from_scalar(coeff)
             if m in cleaned:
                 coeff = cleaned[m] + coeff
-            # ``O(T^p)`` is unknown, not zero: only an exact zero is dropped.
-            if coeff.is_zero() and coeff.is_exact():
+            if coeff.is_exact_zero():
                 cleaned.pop(m, None)
                 continue
             cleaned[m] = coeff
@@ -176,6 +179,23 @@ class LaurentPotential:
     def min_coefficient_valuation(self):
         vals = [c.valuation() for c in self._terms.values()]
         return min(vals) if vals else INFINITY
+
+    def terms_through(self, cutoff) -> Dict[ExponentVector, NovikovSeries]:
+        """The terms whose coefficient has valuation ``<= cutoff``.
+
+        A coefficient known only as ``O(T^p)`` with ``p <= cutoff`` may or
+        may not reach the layer ``T^cutoff``, which leaves that layer
+        unknown: it raises ``PrecisionError`` naming the monomial.
+        """
+        kept = {}
+        for m, c in sorted(self._terms.items()):
+            if c.is_zero() and c.precision <= cutoff:
+                raise PrecisionError(
+                    f"layer T^{cutoff} is unknown: the coefficient of "
+                    f"z^{list(m)} is O(T^{c.precision})")
+            if c.valuation() <= cutoff:
+                kept[m] = c
+        return kept
 
     # -- torus calculus ------------------------------------------------------
 
@@ -349,13 +369,12 @@ class LaurentPotential:
             if not isinstance(m, list):
                 raise ConfigError(f"monomial exponents must be a list of "
                                   f"integers, got {m!r}")
+            # Checked before merging: ``(1.0,)`` and ``(1,)`` are one key.
             m = tuple(_parse_json_int(e, "monomial exponents") for e in m)
             coeff = NovikovSeries.from_obj(item["coeff"])
             terms[m] = terms.get(m, NovikovSeries.zero()) + coeff
         if num_vars is None:
             num_vars = len(next(iter(terms)))
-        else:
-            num_vars = _parse_json_int(num_vars, "num_vars")
         return cls(num_vars, terms)
 
     def __repr__(self):
@@ -381,8 +400,8 @@ def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
 
     Row pivoting picks the lowest-valuation nonzero entry in each column;
     the Bareiss divisions are exact, so precision follows the adic rules
-    with no division loss.  Each step's divisor is inverted once (see
-    ``_divider``).  The empty matrix has determinant 1.
+    with no division loss.  Each step's divisor is inverted at most once
+    (see ``novikov._divider``).  The empty matrix has determinant 1.
     """
     n = len(matrix)
     if n == 0:
@@ -409,21 +428,6 @@ def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
         prev = m[k][k]
     out = m[n - 1][n - 1]
     return out if sign == 1 else -out
-
-
-def _divider(pivot: NovikovSeries):
-    """``x -> divide(x, pivot)`` for one pivot and many ``x``.
-
-    A monomial or finite-precision pivot is inverted once: ``x`` times
-    ``pivot.invert()`` has exactly the quotient's terms and its precision
-    ``val(x) - val(pivot) + min(relprec(x), relprec(pivot))``.  An exact
-    multi-term pivot has no finite inverse and keeps the exact quotient,
-    with its ``InexactDivisionError``.
-    """
-    if len(pivot.terms) == 1 or not pivot.is_exact():
-        inverse = pivot.invert()
-        return lambda x: x * inverse
-    return lambda x: divide(x, pivot)
 
 
 def _pick_pivot(m, k):
@@ -468,8 +472,8 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
     """Solve ``matrix @ x = rhs`` over the series field.
 
     Gaussian elimination with lowest-valuation pivoting; division precision
-    follows the adic rules, and each pivot is inverted once (see
-    ``_divider``).  The elimination divisions are generic, so with
+    follows the adic rules, and each pivot is inverted at most once (see
+    ``novikov._divider``).  The elimination divisions are generic, so with
     fully exact inputs a ``target_precision`` cap is required to keep the
     quotients finite.  Raises ``SingularMatrixError`` when no pivot with a
     nonzero leading term exists at the available precision.
@@ -490,8 +494,7 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
             a[k], a[best] = a[best], a[k]
         by_pivot.append(_divider(a[k][k]))
         for i in range(k + 1, n):
-            # ``O(T^p)`` is unknown, not zero: only an exact zero is skipped.
-            if a[i][k].is_zero() and a[i][k].is_exact():
+            if a[i][k].is_exact_zero():
                 continue
             factor = by_pivot[k](a[i][k])
             for j in range(k, n + 1):

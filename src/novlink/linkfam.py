@@ -32,12 +32,7 @@ from .critlift import (
     _solve_leading_system,
     hensel_lift,
 )
-from .errors import (
-    AreaError,
-    ConfigError,
-    NotZeroDimensionalError,
-    PrecisionError,
-)
+from .errors import AreaError, ConfigError, NotZeroDimensionalError
 from .laurent import LaurentPotential, UnitaryPoint
 from .novikov import (
     NovikovSeries,
@@ -49,7 +44,10 @@ from .novikov import (
 
 @dataclass(frozen=True)
 class CircleLinkS2:
-    """Parallel-circle chain data: counts and exact region areas."""
+    """Parallel-circle chain data: counts and exact region areas.
+
+    ``k`` must be an int (a bool or float raises ``ConfigError``).
+    """
 
     k: int
     A: Fraction
@@ -57,6 +55,7 @@ class CircleLinkS2:
     total_area: Fraction
 
     def __init__(self, k: int, A, B, total_area=None):
+        k = _parse_json_int(k, "k")
         A = as_fraction(A)
         B = as_fraction(B)
         derived = (k - 1) * A + 2 * B
@@ -70,7 +69,7 @@ class CircleLinkS2:
             raise AreaError("not η-monotone")
         if total_area != derived:
             raise AreaError("areas inconsistent")
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "total_area", total_area)
@@ -212,16 +211,8 @@ def truncation_obstruction(W: LaurentPotential, cutoff) -> TruncationReport:
     ``p <= cutoff`` may or may not survive the truncation, so it raises
     ``PrecisionError``.
     """
-    cutoff = as_fraction(cutoff)
-    kept = {}
-    for m, c in W.items():
-        if c.is_zero() and c.precision <= cutoff:
-            raise PrecisionError(
-                f"truncation at T^{cutoff} is unknown: the coefficient of "
-                f"z^{list(m)} is O(T^{c.precision})")
-        if c.valuation() <= cutoff:
-            kept[m] = c
-    truncated = LaurentPotential(W.num_vars, kept)
+    truncated = LaurentPotential(W.num_vars,
+                                 W.terms_through(as_fraction(cutoff)))
     if truncated.is_zero():
         return TruncationReport(unobstructed=True, note="empty truncation")
     min_val = truncated.min_coefficient_valuation()
@@ -260,11 +251,10 @@ def load_chain_config(obj) -> Tuple[CircleLinkS2, BulkParameter,
     if not (isinstance(obj, dict) and {"k", "A", "B"} <= obj.keys()):
         raise ConfigError(f"chain config needs an object with k, A, B, "
                           f"got {obj!r}")
-    k = _parse_json_int(obj["k"], "k")
     A = _parse_json_number(obj["A"], "A", as_fraction)
     B = _parse_json_number(obj["B"], "B", as_fraction)
     total = obj.get("total_area")
-    link = CircleLinkS2(k, A, B, None if total is None else
+    link = CircleLinkS2(obj["k"], A, B, None if total is None else
                         _parse_json_number(total, "total_area", as_fraction))
     tail = obj.get("c_tail")
     bulk = BulkParameter(
@@ -273,7 +263,7 @@ def load_chain_config(obj) -> Tuple[CircleLinkS2, BulkParameter,
     extra = None
     if obj.get("extra_terms"):
         extra = LaurentPotential.from_obj(
-            {"num_vars": k, "terms": obj["extra_terms"]})
+            {"num_vars": link.k, "terms": obj["extra_terms"]})
     return link, bulk, extra
 
 

@@ -187,6 +187,11 @@ class NovikovSeries:
     def is_exact(self) -> bool:
         return self._precision is INFINITY
 
+    def is_exact_zero(self) -> bool:
+        """True only for the exact zero: ``O(T^p)`` is unknown, not zero,
+        so it is the one zero a container may drop."""
+        return not self._terms and self._precision is INFINITY
+
     def valuation(self):
         """Smallest stored exponent; ``INFINITY`` when the term list is empty.
 
@@ -252,8 +257,7 @@ class NovikovSeries:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prec = min(self._precision + other.val_lower_bound(),
-                   other._precision + self.val_lower_bound())
+        prec = _product_precision(self, other)
         t1, t2 = self._terms, other._terms
         if not t1 or not t2:
             return NovikovSeries._raw((), prec)
@@ -267,28 +271,13 @@ class NovikovSeries:
                 out = tuple((e + e0, c * c0) for e, c in t1
                             if e + e0 < prec)
             return NovikovSeries._raw(out, prec)
-        # Integer convolution: exponents and coefficients are put over
-        # common denominators so the inner loop touches no Fractions.
-        de = 1
-        dc = 1
-        for e, c in t1:
-            de = de * e.denominator // math.gcd(de, e.denominator)
-            dc = dc * c.denominator // math.gcd(dc, c.denominator)
-        dc1 = dc
-        dc = 1
-        for e, c in t2:
-            de = de * e.denominator // math.gcd(de, e.denominator)
-            dc = dc * c.denominator // math.gcd(dc, c.denominator)
-        dc2 = dc
-        n1 = [(e.numerator * (de // e.denominator),
-               c.numerator * (dc1 // c.denominator)) for e, c in t1]
-        n2 = [(e.numerator * (de // e.denominator),
-               c.numerator * (dc2 // c.denominator)) for e, c in t2]
-        if prec is INFINITY:
-            bound = None
-        else:
-            scaled = prec * de
-            bound = math.ceil(scaled)
+        # Integer convolution: the inner loop touches no Fractions.
+        de1, dc1 = _denominators(t1)
+        de2, dc2 = _denominators(t2)
+        de = math.lcm(de1, de2)
+        n1 = _int_terms(t1, de, dc1)
+        n2 = _int_terms(t2, de, dc2)
+        bound = None if prec is INFINITY else math.ceil(prec * de)
         merged: dict = {}
         get = merged.get
         for ea, ca in n1:
@@ -298,10 +287,7 @@ class NovikovSeries:
                     break  # second factor ascending: rest only larger
                 cur = get(e)
                 merged[e] = ca * cb if cur is None else cur + ca * cb
-        denom = dc1 * dc2
-        pairs = [(Fraction(e, de), Fraction(c, denom))
-                 for e, c in sorted(merged.items()) if c != 0]
-        return NovikovSeries._raw(tuple(pairs), prec)
+        return _from_ints(merged, de, dc1 * dc2, prec)
 
     __rmul__ = __mul__
 
@@ -525,6 +511,42 @@ def _chop(x: "NovikovSeries", bound) -> "NovikovSeries":
                               INFINITY)
 
 
+def _product_precision(x: "NovikovSeries", y: "NovikovSeries"):
+    """``min(prec x + val y, prec y + val x)``, where a term-free operand's
+    valuation is bounded below by its precision; ``INFINITY`` at once when
+    both operands are exact."""
+    if x._precision is INFINITY and y._precision is INFINITY:
+        return INFINITY
+    return min(x._precision + y.val_lower_bound(),
+               y._precision + x.val_lower_bound())
+
+
+def _denominators(terms):
+    """``(de, dc)``: least common denominators of the exponents and of the
+    coefficients of ``(exponent, coefficient)`` pairs (1 for none)."""
+    return (math.lcm(*(e.denominator for e, _ in terms)),
+            math.lcm(*(c.denominator for _, c in terms)))
+
+
+def _int_terms(terms, de: int, dc: int):
+    """The pairs as ``(e * de, c * dc)`` integers; ``de`` and ``dc`` must be
+    multiples of every exponent and coefficient denominator."""
+    return [(e.numerator * (de // e.denominator),
+             c.numerator * (dc // c.denominator)) for e, c in terms]
+
+
+def _from_ints(merged: dict, de: int, dc: int, prec) -> "NovikovSeries":
+    """The series ``sum (c / dc) T^(e / de)`` over an integer ``{e: c}``
+    dict, known modulo ``T^prec``: zero coefficients and terms at or above
+    ``prec`` are dropped."""
+    # ``e / de < prec`` on integers; Python compares ints with ``inf``
+    # exactly.
+    bound = math.inf if prec is INFINITY else math.ceil(prec * de)
+    return NovikovSeries._raw(
+        tuple((Fraction(e, de), Fraction(c, dc))
+              for e, c in sorted(merged.items()) if c and e < bound), prec)
+
+
 def _merge_sorted(t1, t2, prec):
     """Merge two ascending term tuples, cancelling equal exponents."""
     finite = prec is not INFINITY
@@ -568,28 +590,41 @@ def val(x: NovikovSeries):
 
 
 def divide(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
-    """Quotient ``a / b`` with adic precision tracking.
+    """Quotient ``a / b`` with adic precision tracking (see ``_divider``).
 
     With an inexact operand the quotient carries the relative precision
     ``min(relprec(a), relprec(b))`` above its valuation, which is the best
-    knowable; it is ``a`` times the Newton inverse of ``b`` taken to
-    ``relprec - val(b)``, which makes the product's precision exactly that.
-    With exact operands the division must be exact (finite quotient) and is
-    long division on integers (``_exact_quotient``); used by fraction-free
-    elimination, where divisions are exact by construction.
+    knowable.  With exact operands the quotient must be finite, or
+    ``InexactDivisionError`` is raised; fraction-free elimination divides
+    exactly by construction.
     """
-    if not b._terms:
-        raise NotInvertibleError("not invertible at this precision")
+    return _divider(b)(a)
+
+
+def _divider(b: NovikovSeries):
+    """``a -> a / b`` for one divisor ``b`` and any number of dividends.
+
+    A monomial or finite-precision divisor is inverted once: ``a`` times
+    ``b.invert()`` has exactly the quotient's terms and precision
+    ``val(a) - val(b) + min(relprec(a), relprec(b))``.  An exact multi-term
+    divisor has no finite inverse: an exact dividend takes the exact
+    quotient (``_exact_quotient``), and a finite-precision one is multiplied
+    by the inverse taken to its own relative precision, which gives it that
+    precision.
+    """
+    if len(b._terms) < 2 or b._precision is not INFINITY:
+        inverse = b.invert()  # raises for a term-free divisor
+        return lambda a: a * inverse
     vb = b._terms[0][0]
-    if not a._terms:
-        prec = INFINITY if a._precision is INFINITY else a._precision - vb
-        return NovikovSeries.zero(prec)
-    if a._precision is INFINITY and b._precision is INFINITY:
-        return _exact_quotient(a._terms, b._terms)
-    va = a._terms[0][0]
-    rel = min(a._precision - va, b._precision - vb)
-    qprec = va - vb + rel
-    return (a * b.invert(rel - vb)).truncate(qprec)
+
+    def quotient(a: NovikovSeries) -> NovikovSeries:
+        if not a._terms:
+            return NovikovSeries.zero(a._precision - vb)
+        if a._precision is INFINITY:
+            return _exact_quotient(a._terms, b._terms)
+        return a * b.invert(a._precision - a._terms[0][0] - vb)
+
+    return quotient
 
 
 def _exact_quotient(ta, tb) -> NovikovSeries:
@@ -603,20 +638,17 @@ def _exact_quotient(ta, tb) -> NovikovSeries:
     ``top(a) - top(b)``.  The remainder is an ``{exponent: coefficient}``
     dict on integers whose exponents wait in a heap.
     """
-    de = math.lcm(*(e.denominator for e, _ in ta),
-                  *(e.denominator for e, _ in tb))
-    dca = math.lcm(*(c.denominator for _, c in ta))
-    dcb = math.lcm(*(c.denominator for _, c in tb))
-    nb = [(e.numerator * (de // e.denominator),
-           c.numerator * (dcb // c.denominator)) for e, c in tb]
+    dea, dca = _denominators(ta)
+    deb, dcb = _denominators(tb)
+    de = math.lcm(dea, deb)
+    nb = _int_terms(tb, de, dcb)
     g = math.gcd(*(c for _, c in nb))
     vb, lead = nb[0][0], nb[0][1] // g
     tail = [(f - vb, c // g) for f, c in nb[1:]]
-    rem = {e.numerator * (de // e.denominator):
-           c.numerator * (dca // c.denominator) for e, c in ta}
+    rem = dict(_int_terms(ta, de, dca))
     qtop = max(rem) - nb[-1][0]
     heap = sorted(rem)
-    quotient = []
+    quotient = {}
     while rem:
         x = heapq.heappop(heap)
         c = rem.pop(x, 0)
@@ -627,7 +659,7 @@ def _exact_quotient(ta, tb) -> NovikovSeries:
         if r or e > qtop:
             raise InexactDivisionError("division of exact series is not "
                                        "exact")
-        quotient.append((e, q))
+        quotient[e] = q * dcb
         # Tail gaps are positive, so every key touched lies above ``x``.
         for f, cb in tail:
             y, d = x + f, q * cb
@@ -639,9 +671,7 @@ def _exact_quotient(ta, tb) -> NovikovSeries:
                 rem[y] = cur - d
             else:
                 del rem[y]
-    den = dca * g
-    return NovikovSeries._raw(tuple((Fraction(e, de), Fraction(q * dcb, den))
-                                    for e, q in quotient), INFINITY)
+    return _from_ints(quotient, de, dca * g, INFINITY)
 
 
 def is_unitary(x: NovikovSeries) -> bool:

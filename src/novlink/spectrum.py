@@ -40,9 +40,6 @@ class ModelOrbitSet:
         vals = tuple(sorted({as_fraction(v) for v in values}))
         object.__setattr__(self, "values", vals)
 
-    def merged(self, other: "ModelOrbitSet") -> "ModelOrbitSet":
-        return ModelOrbitSet(self.values + other.values)
-
 
 @dataclass(frozen=True)
 class SpectrumConfig:

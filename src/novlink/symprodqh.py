@@ -26,7 +26,15 @@ from math import comb, lcm
 from typing import List, Optional, Tuple
 
 from .errors import AlgebraMismatchError, ConfigError
-from .novikov import INFINITY, NovikovSeries, as_fraction
+from .novikov import (
+    INFINITY,
+    NovikovSeries,
+    _denominators,
+    _from_ints,
+    _int_terms,
+    _product_precision,
+    as_fraction,
+)
 
 #: Largest ``k`` the idempotents are computed for.  Their ``(k+1)^2``
 #: coefficients have ``k``-bit numerators, so memory grows about as
@@ -141,31 +149,24 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
     """
     x._check(y)
     k, omega = x.k, x.omega
-    # ``O(T^p)`` coefficients contribute no terms but still their precision.
-    xs = [(i, ci) for i, ci in enumerate(x.coeffs)
-          if not (ci.is_zero() and ci.is_exact())]
-    ys = [(j, cj) for j, cj in enumerate(y.coeffs)
-          if not (cj.is_zero() and cj.is_exact())]
-    de = lcm(omega.denominator,
-             *(e.denominator for _, s in xs + ys for e, _ in s.terms))
-    dcx = lcm(*(c.denominator for _, s in xs for _, c in s.terms))
-    dcy = lcm(*(c.denominator for _, s in ys for _, c in s.terms))
-    ny = [(j, cj, _scaled_terms(cj, de, dcy)) for j, cj in ys]
+    xs = [(i, ci) for i, ci in enumerate(x.coeffs) if not ci.is_exact_zero()]
+    ys = [(j, cj) for j, cj in enumerate(y.coeffs) if not cj.is_exact_zero()]
+    dex, dcx = _denominators([t for _, s in xs for t in s.terms])
+    dey, dcy = _denominators([t for _, s in ys for t in s.terms])
+    de = lcm(omega.denominator, dex, dey)
+    ny = [(j, cj, _int_terms(cj.terms, de, dcy)) for j, cj in ys]
     step = omega.numerator * (de // omega.denominator)
-    exact = all(s.is_exact() for _, s in xs + ys)
     acc = [{} for _ in range(k + 1)]
     prec = [INFINITY] * (k + 1)
     for i, ci in xs:
-        ti = _scaled_terms(ci, de, dcx)
+        ti = _int_terms(ci.terms, de, dcx)
         for j, cj, tj in ny:
             prod: dict = {}
             for ea, ca in ti:
                 for eb, cb in tj:
                     e = ea + eb
                     prod[e] = prod.get(e, 0) + ca * cb
-            base = INFINITY if exact else min(
-                ci.precision + cj.val_lower_bound(),
-                cj.precision + ci.val_lower_bound())
+            base = _product_precision(ci, cj)
             for c in range(max(0, i + j - k), min(i, j) + 1):
                 l = i + j - 2 * c
                 mult = comb(l, i - c) * comb(k - l, c)
@@ -177,26 +178,8 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
                     slot[e] = get(e, 0) + v * mult
                 if base is not INFINITY:
                     prec[l] = min(prec[l], base + c * omega)
-    denom = dcx * dcy
-    out = []
-    for slot, p in zip(acc, prec):
-        if p is INFINITY:
-            pairs = [(e, v) for e, v in sorted(slot.items()) if v]
-        else:
-            # ``e / de < p`` on integers.
-            bound_num, bound_den = p.numerator * de, p.denominator
-            pairs = [(e, v) for e, v in sorted(slot.items())
-                     if v and e * bound_den < bound_num]
-        out.append(NovikovSeries._raw(
-            tuple((Fraction(e, de), Fraction(v, denom)) for e, v in pairs),
-            p))
-    return SymQHElement(k, omega, out)
-
-
-def _scaled_terms(s: NovikovSeries, de: int, dc: int):
-    """The terms as ``(e * de, c * dc)`` integer pairs."""
-    return [(e.numerator * (de // e.denominator),
-             c.numerator * (dc // c.denominator)) for e, c in s.terms]
+    return SymQHElement(k, omega, [_from_ints(slot, de, dcx * dcy, p)
+                                   for slot, p in zip(acc, prec)])
 
 
 def symk_idempotents(k: int, omega) -> List[SymQHElement]:

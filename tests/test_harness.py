@@ -60,6 +60,26 @@ class TestSchedules:
         assert cfg.k_range == (1, 12)
         assert cfg.schedule.disc_area(1) == F(1, 9)
 
+    @pytest.mark.parametrize("kw", [{"power": 2.5}, {"power": True},
+                                    {"shift": 1.5}, {"shift": True}])
+    def test_non_integer_power_or_shift_rejected(self, kw):
+        with pytest.raises(ConfigError, match="must be a JSON integer"):
+            AreaSchedule(**kw)
+
+    def test_non_integer_k_range_rejected(self):
+        with pytest.raises(ConfigError, match="k_range entry"):
+            ScanConfig(k_range=(F(3, 2), 2))
+        with pytest.raises(ConfigError, match="k_range entry"):
+            ScanConfig(k_range=(1.5, 2))
+
+    def test_vanishing_k_plus_shift_rejected(self):
+        with pytest.raises(ConfigError, match=r"k = 2 .*shift = -2"):
+            ScanConfig(k_range=(1, 3), schedule=AreaSchedule(shift=-2))
+        # Outside the range, or with constant discs, nothing divides by 0.
+        ScanConfig(k_range=(3, 4), schedule=AreaSchedule(shift=-2))
+        ScanConfig(k_range=(1, 2),
+                   schedule=AreaSchedule(kind="constant", shift=-1))
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             ScanConfig.from_obj({})
@@ -275,8 +295,9 @@ class TestCLI:
         ({}, {"k_range": [1, True]}),
         ({}, {"k_range": [1, 2, 3]}),
         ({}, {"c0": 0.5}),
-        ({}, {"omega": "1/0"}),
         ([], {}),
+        ({"shift": -2, "type": "power_fixed_total", "total_area": 1},
+         {"k_range": [2, 3]}),
     ])
     def test_malformed_scan_number_exits_2(self, tmp_path, capsys,
                                            schedule, top):
@@ -288,13 +309,22 @@ class TestCLI:
         assert "config error" in captured.err
         assert captured.out == ""
 
+    def test_vanishing_k_plus_shift_exits_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "scan.json",
+                          {"k_range": [1, 2], "schedule": {"shift": -1}})
+        assert main(["scan", "weyl", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "k = 1" in captured.err and "shift = -1" in captured.err
+        assert captured.out == ""
+
     def test_scan_config_rationals_parse(self):
         cfg = ScanConfig.from_obj({
-            "k_range": [1, 3], "c0": "-2", "omega": 3,
+            "k_range": [1, 3], "c0": "-2",
             "schedule": {"type": "power_fixed_total", "beta": "1/2",
                          "power": 1, "shift": 0, "annulus_ratio": "1/3",
                          "total_area": 1}})
-        assert cfg.c0 == -2 and cfg.omega == 3
+        assert cfg.c0 == -2
         assert cfg.schedule.beta == F(1, 2)
         assert cfg.schedule.annulus_ratio == F(1, 3)
         assert cfg.schedule.total_area == 1

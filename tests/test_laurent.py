@@ -70,6 +70,12 @@ class TestEvaluate:
         # z + 1/z = (1+T) + (1 - T + T^2 - ...) = 2 + T^2 - T^3 ...
         assert out == NovikovSeries([(2, 0), (1, 2)], 3)
 
+    @pytest.mark.parametrize("num_vars, terms", [
+        (2.5, {}), (True, {}), (1, {(1.5,): 1}), (1, {(True,): 1})])
+    def test_non_integer_arguments_rejected(self, num_vars, terms):
+        with pytest.raises(ConfigError, match="must be a JSON integer"):
+            LaurentPotential(num_vars, terms)
+
     def test_zero_modulo_precision_coefficient_kept(self):
         W = LaurentPotential(1, {(1,): NovikovSeries.zero(3), (0,): 1})
         assert W.evaluate([1]) == NovikovSeries([(1, 0)], 3)
@@ -172,6 +178,28 @@ class TestLogJet:
         assert hessian == [[expected(h) for h in row]
                            for row in W.log_hessian()]
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ignores_changes_at_or_above_precision(self, data):
+        # Coefficients (exact, finite-precision and O(T^p)) and coordinates
+        # changed only at or above their precision: every gradient and
+        # Hessian entry is unchanged modulo that entry's precision.
+        n = data.draw(st.integers(1, 2))
+        W = data.draw(laurent_potentials(n))
+        # Coordinates known only to below the target, where an
+        # over-claimed precision would show.
+        z = [data.draw(unitary_series(min_terms=2)).truncate(
+            data.draw(positive_fractions)) for _ in range(n)]
+        target = 2 + data.draw(positive_fractions)
+        changed = LaurentPotential(n, {m: data.draw(completions(c))
+                                       for m, c in W.items()})
+        z2 = [data.draw(completions(c)) for c in z]
+        gradient, hessian = W.log_jet(z, target)
+        gradient2, hessian2 = changed.log_jet(z2, target)
+        for x, y in zip(gradient + sum(hessian, []),
+                        gradient2 + sum(hessian2, [])):
+            assert y.eq_mod(x, x.precision)
+
     def test_exact_needs_exact_monomial_coordinates(self):
         # 1 + O(T^5) is a monomial, but not an exact one.
         z = [NovikovSeries([(1, 0)], 5)]
@@ -179,6 +207,20 @@ class TestLogJet:
             W_zplus1overz().log_jet(z)
         with pytest.raises(PrecisionError):
             W_zplus1overz().evaluate(z)
+
+
+class TestTermsThrough:
+    def test_keeps_layers_up_to_the_cutoff(self):
+        W = LaurentPotential(1, {(1,): mono(1, 1), (-1,): mono(1, 2),
+                                 (2,): NovikovSeries.zero(3)})
+        assert W.terms_through(F(3, 2)) == {(1,): mono(1, 1)}
+
+    def test_unknown_coefficient_at_the_cutoff_raises(self):
+        W = LaurentPotential(1, {(1,): mono(1, 1),
+                                 (2,): NovikovSeries.zero(3)})
+        with pytest.raises(PrecisionError,
+                           match=r"T\^3 is unknown.*z\^\[2\] is O\(T\^3\)"):
+            W.terms_through(3)
 
 
 class TestDualNumberGradientCheck:

@@ -42,6 +42,11 @@ class TestCircleLink:
         with pytest.raises(AreaError, match="inconsistent"):
             CircleLinkS2(2, F(1, 8), F(1, 4), total_area=F(1))
 
+    @pytest.mark.parametrize("k", [F(27, 10), 2.7, True, "2"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ConfigError, match="k must be a JSON integer"):
+            CircleLinkS2(k, F(1, 8), F(1, 4))
+
     def test_zero_bulk_rejected(self):
         with pytest.raises(ConfigError):
             BulkParameter(F(0))

@@ -44,6 +44,13 @@ class TestValuation:
         assert z.val_lower_bound() == 5
 
 
+class TestExactZero:
+    def test_only_the_exact_zero(self):
+        assert NovikovSeries.zero().is_exact_zero()
+        assert not NovikovSeries.zero(2).is_exact_zero()  # O(T^2)
+        assert not NovikovSeries.monomial(1, 1).is_exact_zero()  # T
+
+
 class TestArithmetic:
     def test_add_cancels_constant(self):
         assert S((1, 0), (1, 1)) + S((-1, 0)) == S((1, 1))

@@ -70,7 +70,7 @@ class TestEnumerate:
         w = cfg(2, 50, -6, 6)
         s1 = ModelOrbitSet([F(1, 2)])
         s2 = ModelOrbitSet([F(-1, 3), F(1)])
-        both = enumerate_spectrum(s1.merged(s2), w)
+        both = enumerate_spectrum(ModelOrbitSet(s1.values + s2.values), w)
         assert set(enumerate_spectrum(s1, w)) <= set(both)
         assert set(enumerate_spectrum(s2, w)) <= set(both)
 
