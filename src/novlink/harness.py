@@ -75,6 +75,10 @@ class AreaSchedule:
     def disc_area(self, k: int) -> Fraction:
         if self.kind == "constant":
             return self.beta
+        if k + self.shift == 0:
+            raise ConfigError(f"k = {k} has k + shift = 0 (shift = "
+                              f"{self.shift}), where the disc area "
+                              f"beta / (k + shift)^power is undefined")
         return self.beta / Fraction(k + self.shift) ** self.power
 
     def link(self, k: int) -> CircleLinkS2:
@@ -137,11 +141,8 @@ class ScanConfig:
         if lo < 1 or hi < lo:
             raise ConfigError("k_range must satisfy 1 <= lo <= hi")
         object.__setattr__(self, "k_range", (lo, hi))
-        shift = self.schedule.shift
-        if self.schedule.kind != "constant" and lo <= -shift <= hi:
-            raise ConfigError(f"k = {-shift} has k + shift = 0 (shift = "
-                              f"{shift}), where the disc area "
-                              f"beta / (k + shift)^power is undefined")
+        if lo <= -self.schedule.shift <= hi:
+            self.schedule.disc_area(-self.schedule.shift)  # refuses 0
         object.__setattr__(self, "c0", as_fraction(self.c0))
         if self.c0 == 0:
             raise ConfigError("c0 must be nonzero")

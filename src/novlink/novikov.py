@@ -15,15 +15,17 @@ Precision propagates adically:
   where a term-free operand contributes its precision as the valuation
   lower bound.
 
-Exponents are plain ``fractions.Fraction`` values.  No discreteness is
-imposed on the exponent group: callers that need a fixed lattice enforce it
-themselves.
+Exponents and coefficients are exact rationals, stored as integers over
+one denominator each.  No discreteness is imposed on the exponent group:
+callers that need a fixed lattice enforce it themselves.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -115,36 +117,44 @@ def as_precision(x: PrecisionLike) -> Union[Fraction, _Infinity]:
 class NovikovSeries:
     """A formal sum ``sum a_i T^(b_i)`` known modulo ``T^precision``.
 
-    Invariants: exponents strictly increasing, all below ``precision``; no
-    zero coefficients stored.  The empty term list with infinite precision
-    is the exact zero.  Instances are immutable and hashable.
+    Stored on integers: ``b_i = E[i] / de`` and ``a_i = C[i] / dc`` with
+    ``de`` and ``dc`` the least common denominators (1 without terms), ``E``
+    strictly increasing and below ``precision``, no zero in ``C``.  The form
+    is canonical, so equal series have equal fields; ``terms`` is the
+    Fraction view.  The empty term list with infinite precision is the exact
+    zero.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_precision")
+    __slots__ = ("_de", "_dc", "_E", "_C", "_precision")
 
     def __init__(self, terms: Iterable = (), precision: PrecisionLike = INFINITY):
         prec = as_precision(precision)
-        # Merge on cheap (num, den) keys; Fraction hashing is expensive.
-        merged: dict = {}
+        es, cs = [], []
         for coeff, exp in terms:
-            c = as_fraction(coeff)
-            if c == 0:
-                continue
-            e = as_fraction(exp)
-            key = (e.numerator, e.denominator)
-            cur = merged.get(key)
-            merged[key] = (e, c) if cur is None else (e, cur[1] + c)
-        pairs = [(e, c) for e, c in merged.values()
-                 if c != 0 and (prec is INFINITY or e < prec)]
-        pairs.sort(key=_first)
-        self._terms = tuple(pairs)
+            c = coeff if type(coeff) is int else as_fraction(coeff)
+            if c:
+                es.append(exp if type(exp) is int else as_fraction(exp))
+                cs.append(c)
+        # ``int`` has ``numerator`` and ``denominator`` too.
+        de = math.lcm(*[e.denominator for e in es])
+        dc = math.lcm(*[c.denominator for c in cs])
+        E = [e.numerator * (de // e.denominator) for e in es]
+        C = [c.numerator * (dc // c.denominator) for c in cs]
+        if any(a >= b for a, b in zip(E, E[1:])):
+            merged = defaultdict(int)
+            for e, c in zip(E, C):
+                merged[e] += c
+            E = sorted(e for e, c in merged.items() if c)
+            C = [merged[e] for e in E]
+        self._de, self._dc, self._E, self._C = _canonical(de, dc, E, C, prec)
         self._precision = prec
 
     @classmethod
-    def _raw(cls, terms: tuple, precision) -> "NovikovSeries":
-        """Trusted constructor: terms sorted, nonzero, below precision."""
+    def _raw(cls, de: int, dc: int, E, C, precision) -> "NovikovSeries":
+        """Trusted constructor from an integer form with ``E`` strictly
+        ascending (see ``_canonical``)."""
         s = object.__new__(cls)
-        s._terms = terms
+        s._de, s._dc, s._E, s._C = _canonical(de, dc, E, C, precision)
         s._precision = precision
         return s
 
@@ -152,11 +162,11 @@ class NovikovSeries:
 
     @classmethod
     def zero(cls, precision: PrecisionLike = INFINITY) -> "NovikovSeries":
-        return cls((), precision)
+        return cls._raw(1, 1, (), (), as_precision(precision))
 
     @classmethod
     def one(cls) -> "NovikovSeries":
-        return cls.monomial(1, 0)
+        return cls._raw(1, 1, (0,), (1,), INFINITY)
 
     @classmethod
     def monomial(cls, coeff: RationalLike, exp: RationalLike,
@@ -165,16 +175,23 @@ class NovikovSeries:
 
     @classmethod
     def from_scalar(cls, value) -> "NovikovSeries":
-        if isinstance(value, NovikovSeries):
-            return value
-        return cls.monomial(as_fraction(value), 0)
+        return (value if isinstance(value, NovikovSeries)
+                else cls.monomial(value, 0))
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self):
-        """Tuple of ``(exponent, coefficient)`` pairs, exponents increasing."""
-        return self._terms
+        """``(exponent, coefficient)`` Fraction pairs, exponents increasing."""
+        de, dc = self._de, self._dc
+        return tuple((Fraction(e, de), Fraction(c, dc))
+                     for e, c in zip(self._E, self._C))
+
+    @property
+    def integer_form(self):
+        """``(de, dc, E, C)``: the terms are ``(C[i] / dc) T^(E[i] / de)``,
+        with ``de`` and ``dc`` the least common denominators."""
+        return self._de, self._dc, self._E, self._C
 
     @property
     def precision(self):
@@ -182,7 +199,7 @@ class NovikovSeries:
 
     def is_zero(self) -> bool:
         """True when no term is known, i.e. zero modulo the precision."""
-        return not self._terms
+        return not self._E
 
     def is_exact(self) -> bool:
         return self._precision is INFINITY
@@ -190,7 +207,7 @@ class NovikovSeries:
     def is_exact_zero(self) -> bool:
         """True only for the exact zero: ``O(T^p)`` is unknown, not zero,
         so it is the one zero a container may drop."""
-        return not self._terms and self._precision is INFINITY
+        return not self._E and self._precision is INFINITY
 
     def valuation(self):
         """Smallest stored exponent; ``INFINITY`` when the term list is empty.
@@ -198,104 +215,57 @@ class NovikovSeries:
         For a term-free series of finite precision the honest statement is
         only ``val >= precision``; the INFINITY return carries that caveat.
         """
-        if self._terms:
-            return self._terms[0][0]
-        return INFINITY
+        return Fraction(self._E[0], self._de) if self._E else INFINITY
 
     def val_lower_bound(self):
         """Valuation if a term exists, otherwise the precision bound."""
-        if self._terms:
-            return self._terms[0][0]
-        return self._precision
+        return Fraction(self._E[0], self._de) if self._E else self._precision
 
     def leading_coefficient(self) -> Fraction:
-        if not self._terms:
+        if not self._E:
             raise PrecisionError("series is zero modulo its precision")
-        return self._terms[0][1]
+        return Fraction(self._C[0], self._dc)
 
     def coefficient(self, exp: RationalLike) -> Fraction:
-        e = as_fraction(exp)
-        for te, tc in self._terms:
-            if te == e:
-                return tc
-            if te > e:
-                break
+        e = as_fraction(exp) * self._de
+        i = bisect_left(self._E, e)
+        if i < len(self._E) and self._E[i] == e:
+            return Fraction(self._C[i], self._dc)
         return Fraction(0)
 
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self):
-        return NovikovSeries._raw(tuple((e, -c) for e, c in self._terms),
-                                  self._precision)
+        return NovikovSeries._raw(self._de, self._dc, self._E,
+                                  tuple(-c for c in self._C), self._precision)
 
     def __add__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = min(self._precision, other._precision)
-        out = _merge_sorted(self._terms, other._terms, prec)
-        return NovikovSeries._raw(out, prec)
+        return other if other is NotImplemented else _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = min(self._precision, other._precision)
-        neg = tuple((e, -c) for e, c in other._terms)
-        return NovikovSeries._raw(_merge_sorted(self._terms, neg, prec),
-                                  prec)
+        return other if other is NotImplemented else _sum(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return other if other is NotImplemented else _sum(other, self, -1)
 
     def __mul__(self, other):
+        if type(other) is int and other:  # an exact scalar scales C alone
+            return NovikovSeries._raw(self._de, self._dc, self._E,
+                                      tuple(c * other for c in self._C),
+                                      self._precision)
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = _product_precision(self, other)
-        t1, t2 = self._terms, other._terms
-        if not t1 or not t2:
-            return NovikovSeries._raw((), prec)
-        if len(t1) == 1:
-            t1, t2 = t2, t1
-        if len(t2) == 1:
-            e0, c0 = t2[0]
-            if prec is INFINITY:
-                out = tuple((e + e0, c * c0) for e, c in t1)
-            else:
-                out = tuple((e + e0, c * c0) for e, c in t1
-                            if e + e0 < prec)
-            return NovikovSeries._raw(out, prec)
-        # Integer convolution: the inner loop touches no Fractions.
-        de1, dc1 = _denominators(t1)
-        de2, dc2 = _denominators(t2)
-        de = math.lcm(de1, de2)
-        n1 = _int_terms(t1, de, dc1)
-        n2 = _int_terms(t2, de, dc2)
-        bound = None if prec is INFINITY else math.ceil(prec * de)
-        merged: dict = {}
-        get = merged.get
-        for ea, ca in n1:
-            for eb, cb in n2:
-                e = ea + eb
-                if bound is not None and e >= bound:
-                    break  # second factor ascending: rest only larger
-                cur = get(e)
-                merged[e] = ca * cb if cur is None else cur + ca * cb
-        return _from_ints(merged, de, dc1 * dc2, prec)
+        return other if other is NotImplemented else _product(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return divide(self, other)
+        return other if other is NotImplemented else divide(self, other)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -330,16 +300,20 @@ class NovikovSeries:
         input precision already bounds what is knowable:
         ``prec(1/x) = min(target, prec(x) - 2 val(x))``.
         """
-        if not self._terms:
+        if not self._E:
             raise NotInvertibleError("not invertible at this precision")
-        v, c0 = self._terms[0]
+        v = self.valuation()
+        # ``lead = 1 / (c0 T^v)`` on integers, where ``c0 = C[0] / dc``.
+        E, C, c0 = self._E, self._C, self._C[0]
+        sign = 1 if c0 > 0 else -1
+        lead = NovikovSeries._raw(self._de, abs(c0), (-E[0],),
+                                  (sign * self._dc,), INFINITY)
         rel_in = (INFINITY if self._precision is INFINITY
                   else self._precision - v)
-        if len(self._terms) == 1 and self._precision is INFINITY:
-            inv = NovikovSeries.monomial(1 / c0, -v)
+        if len(E) == 1 and self._precision is INFINITY:
             if target_precision is not None:
-                inv = inv.truncate(target_precision)
-            return inv
+                return lead.truncate(target_precision)
+            return lead
         if target_precision is None:
             if rel_in is INFINITY:
                 raise PrecisionError(
@@ -355,29 +329,27 @@ class NovikovSeries:
         if out_prec <= -v:
             raise PrecisionError("target precision does not reach the "
                                  "leading term of the inverse")
-        if len(self._terms) == 1:
-            return NovikovSeries._raw(((-v, 1 / c0),), out_prec)
+        if len(E) == 1:
+            return lead.assume_precision(out_prec)
         # Normalize to s = 1 + u with val(u) > 0, then Newton-iterate
         # y <- y (2 - s y); the congruence s*y = 1 doubles in depth per
         # step.  Intermediates are chopped as exact polynomials: the
         # iteration self-corrects, so no precision metadata is carried
         # (the input's true precision is already folded into out_prec).
         rel_out = out_prec + v
-        s = NovikovSeries._raw(
-            tuple((e - v, c / c0) for e, c in self._terms), INFINITY)
-        gap = s._terms[1][0]
+        s = NovikovSeries._raw(self._de, abs(c0), [e - E[0] for e in E],
+                               [sign * c for c in C], INFINITY)
+        gap = Fraction(s._E[1], s._de)
         y = NovikovSeries.one()
         reach = gap + gap
-        two = NovikovSeries.monomial(2, 0)
+        two = NovikovSeries._raw(1, 1, (0,), (2,), INFINITY)
         while True:
             cur = min(reach, rel_out)
-            t = _chop(s * y, cur)
-            y = _chop(y * (two - t), cur)
+            y = _product(y, two - _product(s, y, cur), cur)
             if cur == rel_out:
                 break
             reach = reach + reach
-        pairs = tuple((e - v, c / c0) for e, c in y.terms)
-        return NovikovSeries._raw(pairs, out_prec)
+        return _product(y, lead).assume_precision(out_prec)
 
     # -- precision management ---------------------------------------------
 
@@ -386,8 +358,7 @@ class NovikovSeries:
         prec = min(self._precision, as_precision(precision))
         if prec is self._precision:
             return self
-        out = tuple((e, c) for e, c in self._terms if e < prec)
-        return NovikovSeries._raw(out, prec)
+        return NovikovSeries._raw(self._de, self._dc, self._E, self._C, prec)
 
     def assume_precision(self, precision: PrecisionLike) -> "NovikovSeries":
         """Reinterpret the stored terms as valid modulo ``T^precision``.
@@ -396,10 +367,8 @@ class NovikovSeries:
         asserts the terms are trustworthy up to the new bound.  Used by
         self-correcting iterations that re-verify their output.
         """
-        prec = as_precision(precision)
-        out = tuple(p for p in self._terms
-                    if prec is INFINITY or p[0] < prec)
-        return NovikovSeries._raw(out, prec)
+        return NovikovSeries._raw(self._de, self._dc, self._E, self._C,
+                                  as_precision(precision))
 
     def eq_mod(self, other, precision: PrecisionLike) -> bool:
         """Equality of the parts below ``T^precision``."""
@@ -412,18 +381,20 @@ class NovikovSeries:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self._terms == other._terms
-                and self._precision == other._precision)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self._terms, self._precision))
+        return hash(self._key())
+
+    def _key(self):
+        return self._de, self._dc, self._E, self._C, self._precision
 
     # -- serialization -----------------------------------------------------
 
     def to_obj(self) -> dict:
         """JSON-ready dict: terms as ``{"c": "p/q", "e": "p/q"}`` strings."""
         return {
-            "terms": [{"c": str(c), "e": str(e)} for e, c in self._terms],
+            "terms": [{"c": str(c), "e": str(e)} for e, c in self.terms],
             "prec": ("inf" if self._precision is INFINITY
                      else str(self._precision)),
         }
@@ -456,12 +427,12 @@ class NovikovSeries:
         return f"NovikovSeries({self})"
 
     def __str__(self):
-        if not self._terms:
+        if not self._E:
             if self._precision is INFINITY:
                 return "0"
             return f"O(T^{_fmt_exp(self._precision)})"
         parts = []
-        for i, (e, c) in enumerate(self._terms):
+        for i, (e, c) in enumerate(self.terms):
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -501,14 +472,39 @@ def _fmt_exp(e) -> str:
     return f"({s})" if "/" in s or s.startswith("-") else s
 
 
-def _first(pair):
-    return pair[0]
+def _canonical(de: int, dc: int, E, C, prec):
+    """``(de, dc, E, C)`` less the terms at or above ``T^prec`` and the zero
+    coefficients, reduced to the least denominators (one C-level ``gcd``
+    each), lists as tuples."""
+    if prec is not INFINITY and E:
+        n = bisect_left(E, _bound(prec, de))
+        E, C = E[:n], C[:n]
+    if 0 in C:  # terms cancelled
+        E = [e for e, c in zip(E, C) if c]
+        C = [c for c in C if c]
+    if not C:
+        return 1, 1, (), ()
+    if len(C) == 1:  # most series are monomials: no lists to build
+        g, h = math.gcd(dc, C[0]), math.gcd(de, E[0])
+        return de // h, dc // g, (E[0] // h,), (C[0] // g,)
+    g = math.gcd(dc, *C)
+    if g != 1:
+        dc //= g
+        C = [c // g for c in C]
+    g = math.gcd(de, *E)
+    if g != 1:
+        de //= g
+        E = [e // g for e in E]
+    return de, dc, tuple(E), tuple(C)
 
 
-def _chop(x: "NovikovSeries", bound) -> "NovikovSeries":
-    """Drop terms at or above ``bound`` without recording a precision."""
-    return NovikovSeries._raw(tuple(p for p in x._terms if p[0] < bound),
-                              INFINITY)
+def _bound(prec: Fraction, de: int) -> int:
+    """``ceil(prec * de)``: ``e / de < prec`` exactly when ``e < bound``."""
+    return -(-prec.numerator * de // prec.denominator)
+
+
+def _rescale(E, m: int):
+    return E if m == 1 else [e * m for e in E]
 
 
 def _product_precision(x: "NovikovSeries", y: "NovikovSeries"):
@@ -517,63 +513,60 @@ def _product_precision(x: "NovikovSeries", y: "NovikovSeries"):
     both operands are exact."""
     if x._precision is INFINITY and y._precision is INFINITY:
         return INFINITY
-    return min(x._precision + y.val_lower_bound(),
-               y._precision + x.val_lower_bound())
+    return min(_shifted(x._precision, y), _shifted(y._precision, x))
 
 
-def _denominators(terms):
-    """``(de, dc)``: least common denominators of the exponents and of the
-    coefficients of ``(exponent, coefficient)`` pairs (1 for none)."""
-    return (math.lcm(*(e.denominator for e, _ in terms)),
-            math.lcm(*(c.denominator for _, c in terms)))
+def _shifted(p, s: "NovikovSeries"):
+    """``p + s.val_lower_bound()`` as one ``Fraction`` built from ints."""
+    if p is INFINITY or not s._E:
+        return p + s._precision
+    d = p.denominator
+    return Fraction(p.numerator * s._de + s._E[0] * d, d * s._de)
 
 
-def _int_terms(terms, de: int, dc: int):
-    """The pairs as ``(e * de, c * dc)`` integers; ``de`` and ``dc`` must be
-    multiples of every exponent and coefficient denominator."""
-    return [(e.numerator * (de // e.denominator),
-             c.numerator * (dc // c.denominator)) for e, c in terms]
+def _product(x: "NovikovSeries", y: "NovikovSeries", cap=INFINITY
+             ) -> "NovikovSeries":
+    """``x * y`` with its adic precision, less every term at or above
+    ``T^cap`` (which leaves the precision alone).
+
+    Exponents go over one common denominator and coefficients multiply as
+    integers over ``dc(x) * dc(y)``.
+    """
+    prec = _product_precision(x, y)
+    E1, E2 = x._E, y._E
+    if not E1 or not E2:
+        return NovikovSeries._raw(1, 1, (), (), prec)
+    de = math.lcm(x._de, y._de)
+    E1, E2 = _rescale(E1, de // x._de), _rescale(E2, de // y._de)
+    C1, C2 = x._C, y._C
+    hi = E1[-1] + E2[-1] + 1
+    for p in (prec, cap):
+        if p is not INFINITY:
+            hi = min(hi, _bound(p, de))
+    acc: dict = {}
+    for ea, ca in zip(E1, C1):
+        for eb, cb in zip(E2, C2):
+            e = ea + eb
+            if e >= hi:
+                break  # second factor ascending: the rest only larger
+            acc[e] = acc.get(e, 0) + ca * cb
+    E = sorted(acc)
+    return NovikovSeries._raw(de, x._dc * y._dc, E, [acc[e] for e in E], prec)
 
 
-def _from_ints(merged: dict, de: int, dc: int, prec) -> "NovikovSeries":
-    """The series ``sum (c / dc) T^(e / de)`` over an integer ``{e: c}``
-    dict, known modulo ``T^prec``: zero coefficients and terms at or above
-    ``prec`` are dropped."""
-    # ``e / de < prec`` on integers; Python compares ints with ``inf``
-    # exactly.
-    bound = math.inf if prec is INFINITY else math.ceil(prec * de)
-    return NovikovSeries._raw(
-        tuple((Fraction(e, de), Fraction(c, dc))
-              for e, c in sorted(merged.items()) if c and e < bound), prec)
-
-
-def _merge_sorted(t1, t2, prec):
-    """Merge two ascending term tuples, cancelling equal exponents."""
-    finite = prec is not INFINITY
-    out = []
-    i = j = 0
-    n1, n2 = len(t1), len(t2)
-    while i < n1 and j < n2:
-        e1, c1 = t1[i]
-        e2, c2 = t2[j]
-        if e1 < e2:
-            out.append((e1, c1))
-            i += 1
-        elif e2 < e1:
-            out.append((e2, c2))
-            j += 1
-        else:
-            c = c1 + c2
-            if c != 0:
-                out.append((e1, c))
-            i += 1
-            j += 1
-    out.extend(t1[i:])
-    out.extend(t2[j:])
-    if finite:
-        while out and out[-1][0] >= prec:
-            out.pop()
-    return tuple(out)
+def _sum(x: "NovikovSeries", y: "NovikovSeries", sign: int
+         ) -> "NovikovSeries":
+    """``x + sign * y`` known modulo the lesser precision."""
+    prec = min(x._precision, y._precision)
+    de, dc = math.lcm(x._de, y._de), math.lcm(x._dc, y._dc)
+    acc: dict = {}
+    for s, m in ((x, dc // x._dc), (y, sign * (dc // y._dc))):
+        f = de // s._de
+        for e, c in zip(s._E, s._C):
+            e *= f
+            acc[e] = acc.get(e, 0) + c * m
+    E = sorted(acc)
+    return NovikovSeries._raw(de, dc, E, [acc[e] for e in E], prec)
 
 
 def _coerce(x):
@@ -612,43 +605,41 @@ def _divider(b: NovikovSeries):
     by the inverse taken to its own relative precision, which gives it that
     precision.
     """
-    if len(b._terms) < 2 or b._precision is not INFINITY:
+    if len(b._E) < 2 or b._precision is not INFINITY:
         inverse = b.invert()  # raises for a term-free divisor
         return lambda a: a * inverse
-    vb = b._terms[0][0]
+    vb = b.valuation()
 
     def quotient(a: NovikovSeries) -> NovikovSeries:
-        if not a._terms:
+        if not a._E:
             return NovikovSeries.zero(a._precision - vb)
         if a._precision is INFINITY:
-            return _exact_quotient(a._terms, b._terms)
-        return a * b.invert(a._precision - a._terms[0][0] - vb)
+            return _exact_quotient(a, b)
+        return a * b.invert(a._precision - a.valuation() - vb)
 
     return quotient
 
 
-def _exact_quotient(ta, tb) -> NovikovSeries:
-    """Exact quotient of two exact term tuples by long division.
+def _exact_quotient(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
+    """Exact quotient of two exact series by long division on integers.
 
-    Exponents go over one common denominator, the dividend's coefficients
-    over theirs, and the divisor's are made primitive integers.  By Gauss's
-    lemma an exact quotient by a primitive integer divisor has integer
-    coefficients, so ``InexactDivisionError`` is raised as soon as a
-    quotient coefficient is not an integer or a quotient term passes
+    Exponents go over one common denominator, the dividend keeps its
+    integer coefficients, and the divisor's are made primitive.  By
+    Gauss's lemma an exact quotient by a primitive integer divisor has
+    integer coefficients, so ``InexactDivisionError`` is raised as soon as
+    a quotient coefficient is not an integer or a quotient term passes
     ``top(a) - top(b)``.  The remainder is an ``{exponent: coefficient}``
-    dict on integers whose exponents wait in a heap.
+    dict whose exponents wait in a heap.
     """
-    dea, dca = _denominators(ta)
-    deb, dcb = _denominators(tb)
-    de = math.lcm(dea, deb)
-    nb = _int_terms(tb, de, dcb)
-    g = math.gcd(*(c for _, c in nb))
-    vb, lead = nb[0][0], nb[0][1] // g
-    tail = [(f - vb, c // g) for f, c in nb[1:]]
-    rem = dict(_int_terms(ta, de, dca))
-    qtop = max(rem) - nb[-1][0]
-    heap = sorted(rem)
-    quotient = {}
+    de = math.lcm(a._de, b._de)
+    eb = _rescale(b._E, de // b._de)
+    g = math.gcd(*b._C)
+    vb, lead = eb[0], b._C[0] // g
+    tail = [(f - vb, c // g) for f, c in zip(eb[1:], b._C[1:])]
+    heap = list(_rescale(a._E, de // a._de))  # ascending, so a heap
+    rem = dict(zip(heap, a._C))
+    qtop = heap[-1] - eb[-1]
+    E, C = [], []
     while rem:
         x = heapq.heappop(heap)
         c = rem.pop(x, 0)
@@ -659,7 +650,8 @@ def _exact_quotient(ta, tb) -> NovikovSeries:
         if r or e > qtop:
             raise InexactDivisionError("division of exact series is not "
                                        "exact")
-        quotient[e] = q * dcb
+        E.append(e)  # popped in ascending order
+        C.append(q * b._dc)
         # Tail gaps are positive, so every key touched lies above ``x``.
         for f, cb in tail:
             y, d = x + f, q * cb
@@ -671,7 +663,7 @@ def _exact_quotient(ta, tb) -> NovikovSeries:
                 rem[y] = cur - d
             else:
                 del rem[y]
-    return _from_ints(quotient, de, dca * g, INFINITY)
+    return NovikovSeries._raw(de, a._dc * g, E, C, INFINITY)
 
 
 def is_unitary(x: NovikovSeries) -> bool:
@@ -681,4 +673,4 @@ def is_unitary(x: NovikovSeries) -> bool:
     (valuation-0 elements with nonzero lead); coefficients live in a field,
     so a nonzero lead is always invertible.
     """
-    return bool(x.terms) and x.terms[0][0] == 0
+    return bool(x._E) and x._E[0] == 0

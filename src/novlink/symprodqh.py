@@ -29,9 +29,7 @@ from .errors import AlgebraMismatchError, ConfigError
 from .novikov import (
     INFINITY,
     NovikovSeries,
-    _denominators,
-    _from_ints,
-    _int_terms,
+    _parse_json_int,
     _product_precision,
     as_fraction,
 )
@@ -48,14 +46,14 @@ class SymQHElement:
 
     Coefficients are stored over the monomial basis ``m_0, ..., m_k``
     (``m_j`` sums the ``C(k, j)`` arrangements of ``j`` copies of ``H``).
-    ``k = 1`` is the rank-two algebra.  A ``k`` below 1 or an ``omega``
-    that is not positive raises ``ConfigError``.
+    ``k = 1`` is the rank-two algebra.  A ``k`` that is not a positive
+    integer or an ``omega`` that is not positive raises ``ConfigError``.
     """
 
     __slots__ = ("k", "omega", "_coeffs")
 
     def __init__(self, k: int, omega, coeffs):
-        if k < 1:
+        if _parse_json_int(k, "k") < 1:
             raise ConfigError("k must be a positive integer")
         coeffs = tuple(NovikovSeries.from_scalar(c) for c in coeffs)
         if len(coeffs) != k + 1:
@@ -64,7 +62,7 @@ class SymQHElement:
         omega = as_fraction(omega)
         if omega <= 0:
             raise ConfigError("omega must be positive")
-        self.k = int(k)
+        self.k = k
         self.omega = omega
         self._coeffs = coeffs
 
@@ -141,9 +139,9 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
     with ``c = (i + j - l)/2`` running over ``max(0, i + j - k) <= c <=
     min(i, j)``, the range where both binomials are nonzero.
 
-    The sum runs on integers: exponents and ``omega`` share one
-    denominator, each operand's coefficients have their own.  A slot's
-    precision is the least over its contributions of
+    The sum runs on the operands' integer forms: exponents and ``omega``
+    share one denominator, each operand's coefficients have their own.  A
+    slot's precision is the least over its contributions of
     ``min(p_i + val_j, p_j + val_i) + c*omega``, exactly what series
     arithmetic would give; a slot nothing reaches stays an exact ``0``.
     """
@@ -151,15 +149,20 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
     k, omega = x.k, x.omega
     xs = [(i, ci) for i, ci in enumerate(x.coeffs) if not ci.is_exact_zero()]
     ys = [(j, cj) for j, cj in enumerate(y.coeffs) if not cj.is_exact_zero()]
-    dex, dcx = _denominators([t for _, s in xs for t in s.terms])
-    dey, dcy = _denominators([t for _, s in ys for t in s.terms])
-    de = lcm(omega.denominator, dex, dey)
-    ny = [(j, cj, _int_terms(cj.terms, de, dcy)) for j, cj in ys]
+    de = lcm(omega.denominator, *(c.integer_form[0] for _, c in xs + ys))
+    dcx = lcm(*(c.integer_form[1] for _, c in xs))
+    dcy = lcm(*(c.integer_form[1] for _, c in ys))
+
+    def scaled(series, dc):
+        sde, sdc, E, C = series.integer_form
+        return [(e * (de // sde), c * (dc // sdc)) for e, c in zip(E, C)]
+
+    ny = [(j, cj, scaled(cj, dcy)) for j, cj in ys]
     step = omega.numerator * (de // omega.denominator)
     acc = [{} for _ in range(k + 1)]
     prec = [INFINITY] * (k + 1)
     for i, ci in xs:
-        ti = _int_terms(ci.terms, de, dcx)
+        ti = scaled(ci, dcx)
         for j, cj, tj in ny:
             prod: dict = {}
             for ea, ca in ti:
@@ -178,8 +181,12 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
                     slot[e] = get(e, 0) + v * mult
                 if base is not INFINITY:
                     prec[l] = min(prec[l], base + c * omega)
-    return SymQHElement(k, omega, [_from_ints(slot, de, dcx * dcy, p)
-                                   for slot, p in zip(acc, prec)])
+    out = []
+    for slot, p in zip(acc, prec):
+        E = sorted(slot)
+        out.append(NovikovSeries._raw(de, dcx * dcy, E, [slot[e] for e in E],
+                                      p))
+    return SymQHElement(k, omega, out)
 
 
 def symk_idempotents(k: int, omega) -> List[SymQHElement]:
@@ -193,22 +200,22 @@ def symk_idempotents(k: int, omega) -> List[SymQHElement]:
         ``alpha_{j,w} = sum_t (-1)^(w-t) C(w, t) C(k-w, j-t)``.
 
     They are pairwise orthogonal, sum to the unit, and each has valuation
-    exactly ``-k*omega/2``.  A ``k`` above ``SYMK_K_LIMIT`` or an
-    ``omega`` that is not positive raises ``ConfigError``.
+    exactly ``-k*omega/2``.  A ``k`` that is not a positive integer up to
+    ``SYMK_K_LIMIT``, or an ``omega`` that is not positive, raises
+    ``ConfigError``.
 
     ``alpha_{j,w}`` is the coefficient of ``s^j`` in
     ``(s - 1)^w (1 + s)^(k-w)``, so column ``w + 1`` is column ``w``
     divided by ``1 + s`` and multiplied by ``s - 1``, both exact on
     integers: ``O(k^2)`` operations in all.
     """
-    if k < 1:
+    if _parse_json_int(k, "k") < 1:
         raise ConfigError("k must be a positive integer")
     if k > SYMK_K_LIMIT:
         raise ConfigError(f"k = {k} is above the limit SYMK_K_LIMIT = "
                           f"{SYMK_K_LIMIT}")
     omega = as_fraction(omega)
     denom = 2 ** k
-    zero = NovikovSeries.zero()
     cols = [[comb(k, j) for j in range(k + 1)]]
     for _ in range(k):
         quot, q = [], 0
@@ -216,10 +223,10 @@ def symk_idempotents(k: int, omega) -> List[SymQHElement]:
             q = a - q
             quot.append(q)
         cols.append([b - a for a, b in zip(quot + [0], [0] + quot)])
-    exps = [-Fraction(w) * omega / 2 for w in range(k + 1)]
+    num, de = omega.numerator, 2 * omega.denominator
     return [SymQHElement(k, omega, [
-        NovikovSeries._raw(((e, Fraction(a, denom)),), INFINITY) if a
-        else zero for a, e in zip(row, exps)]) for row in zip(*cols)]
+        NovikovSeries._raw(de, denom, (-w * num,), (a,), INFINITY)
+        for w, a in enumerate(row)]) for row in zip(*cols)]
 
 
 def grading(x) -> Optional[Fraction]:

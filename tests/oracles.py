@@ -6,6 +6,9 @@ Everything here deliberately avoids the code path it verifies:
   Bareiss route);
 * ``long_divide``: schoolbook long division on Fraction dicts (checks the
   series quotient, precision included);
+* ``series_product`` and ``series_sum``: term-by-term arithmetic on
+  ``{exponent: coefficient}`` Fraction dicts, the adic precision rule
+  written out (checks the integer-form series arithmetic);
 * ``evaluate_dual``: first-order dual-number evaluation (checks symbolic
   multiplicative gradients);
 * ``one_exponent_lift``: kill the residual one exponent layer at a time
@@ -103,6 +106,55 @@ def long_divide(a, b):
             else:
                 rem.pop(x, None)
     return NovikovSeries(quotient, qprec)
+
+
+# -- products and sums -----------------------------------------------------------
+
+
+def _dict_and_precision(x):
+    """``({exponent: coefficient}, precision)`` with ``None`` for an exact
+    series, read off the public ``terms`` and ``precision``."""
+    return dict(x.terms), None if x.precision is INFINITY else x.precision
+
+
+def _series_from_dict(terms, prec):
+    """The result: nonzero terms below ``prec`` (``None``: exact)."""
+    kept = [(c, e) for e, c in sorted(terms.items())
+            if c != 0 and (prec is None or e < prec)]
+    return NovikovSeries(kept, INFINITY if prec is None else prec)
+
+
+def series_product(x, y):
+    """``x * y`` by the schoolbook double sum over Fraction dicts.
+
+    With ``p`` a precision (``None`` when exact) and ``v`` the valuation,
+    or the precision for a term-free operand, the product is known modulo
+    ``T^min(p_x + v_y, p_y + v_x)``, a ``None`` summand dropping its
+    candidate; no candidate left means the product is exact.
+    """
+    tx, px = _dict_and_precision(x)
+    ty, py = _dict_and_precision(y)
+    vx = min(tx) if tx else px
+    vy = min(ty) if ty else py
+    bounds = [p + v for p, v in ((px, vy), (py, vx))
+              if p is not None and v is not None]
+    out = {}
+    for ex, cx in tx.items():
+        for ey, cy in ty.items():
+            out[ex + ey] = out.get(ex + ey, 0) + cx * cy
+    return _series_from_dict(out, min(bounds) if bounds else None)
+
+
+def series_sum(x, y, sign=1):
+    """``x + sign * y`` over Fraction dicts, known modulo the lesser of the
+    two precisions (exact when both are)."""
+    tx, px = _dict_and_precision(x)
+    ty, py = _dict_and_precision(y)
+    out = dict(tx)
+    for e, c in ty.items():
+        out[e] = out.get(e, 0) + sign * c
+    finite = [p for p in (px, py) if p is not None]
+    return _series_from_dict(out, min(finite) if finite else None)
 
 
 # -- dual numbers --------------------------------------------------------------

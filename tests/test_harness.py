@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,15 @@ from novlink.harness import (
 )
 from novlink.linkfam import BulkParameter, CircleLinkS2, critical_data
 from novlink.symprodqh import SYMK_K_LIMIT, symk_idempotents
+
+
+# Inputs and outputs of two CLI calls, written by the Fraction-tuple series
+# arithmetic that preceded the integer form: ``crit lift`` of the k = 3 chain
+# link (A = 1/8, B = 1/4, bulk 1) with three extra monomials of valuation
+# B + 1/16, B + 1/8 and B + 3/16, from its all-plus seed to precision 3/2,
+# and ``scan weyl`` for k = 1..6 on the power schedule (beta 1, power 2,
+# shift 2).  Any change in these bytes is a change in results.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def power_config(lo=2, hi=6, **kw):
@@ -79,6 +89,15 @@ class TestSchedules:
         ScanConfig(k_range=(3, 4), schedule=AreaSchedule(shift=-2))
         ScanConfig(k_range=(1, 2),
                    schedule=AreaSchedule(kind="constant", shift=-1))
+
+    def test_disc_area_refuses_vanishing_k_plus_shift(self):
+        sched = AreaSchedule(shift=-1)
+        with pytest.raises(ConfigError, match=r"k = 1 .*shift = -1"):
+            sched.disc_area(1)
+        with pytest.raises(ConfigError, match=r"k = 1 .*shift = -1"):
+            sched.link(1)
+        assert sched.disc_area(2) == 1
+        assert AreaSchedule(kind="constant", shift=-1).disc_area(1) == 1
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -178,6 +197,19 @@ class TestCLI:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "1,2,-1/2,-1/2"
         assert lines[3] == "3,4,-3/2,-1/2"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["crit", "lift", "--potential", "lift_k3_potential.json",
+          "--seed", "lift_k3_seed.json", "--prec", "3/2"],
+         "lift_k3_prec_3_2.json"),
+        (["scan", "weyl", "--config", "weyl_k1_6_config.json"],
+         "weyl_k1_6.csv"),
+    ])
+    def test_output_matches_golden(self, argv, expected, capsys):
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv) == 0
+        assert (capsys.readouterr().out.encode("utf-8")
+                == (GOLDEN / expected).read_bytes())
 
     def test_crit_find_and_lift(self, tmp_path, capsys):
         link = CircleLinkS2(2, F(1, 8), F(1, 4))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,8 +19,14 @@ from novlink.novikov import (
     val,
 )
 
-from oracles import long_divide
-from strategies import completions, nonzero_series, positive_fractions, series
+from oracles import long_divide, series_product, series_sum
+from strategies import (
+    completions,
+    nonzero_series,
+    positive_fractions,
+    series,
+    small_fractions,
+)
 
 
 def S(*pairs, prec=INFINITY):
@@ -255,3 +262,73 @@ def test_divide_ignores_changes_at_or_above_precision(data):
     q2 = divide(a2, b2)
     assert q2.precision >= q.precision
     assert q2.eq_mod(q, q.precision)
+
+
+# -- the integer form ---------------------------------------------------------
+
+
+def assert_same_fields(u, v):
+    assert u.integer_form == v.integer_form
+    assert u.precision == v.precision
+    assert hash(u) == hash(v)
+
+
+class TestConstructorInput:
+    @pytest.mark.parametrize("bad, error", [(1.5, TypeError),
+                                            ("abc", ValueError),
+                                            ("1/0", ZeroDivisionError)])
+    def test_inexact_or_malformed_refused_in_either_slot(self, bad, error):
+        with pytest.raises(error):
+            NovikovSeries([(bad, 0)])
+        with pytest.raises(error):
+            NovikovSeries([(1, bad)])
+
+    def test_bool_read_as_its_integer(self):
+        assert NovikovSeries([(True, 0), (1, True)]) == S((1, 0), (1, 1))
+
+    def test_unsorted_duplicate_and_cancelling_terms(self):
+        x = NovikovSeries([(1, 3), (2, "2/4"), (-1, 3), (1, F(1, 2)), (5, 9)],
+                          4)
+        assert x.terms == ((F(1, 2), F(3)),)
+        assert x.integer_form == (2, 1, (1,), (3,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=series(), y=series(), m=st.integers(-6, 6))
+def test_products_and_sums_match_dict_oracle(x, y, m):
+    for got, want in ((x * y, series_product(x, y)),
+                      (x + y, series_sum(x, y)),
+                      (x - y, series_sum(x, y, -1)),
+                      (x * m, series_product(x, S((m, 0))))):
+        assert got.terms == want.terms
+        assert got.precision == want.precision
+        assert_same_fields(got, want)
+
+
+@given(x=series())
+def test_integer_form_has_least_denominators(x):
+    de, dc, E, C = x.integer_form
+    assert de == math.lcm(*(e.denominator for e, _ in x.terms))
+    assert dc == math.lcm(*(c.denominator for _, c in x.terms))
+    assert x.terms == tuple((F(e, de), F(c, dc)) for e, c in zip(E, C))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=series(), b=series(), cut=small_fractions, data=st.data())
+def test_equal_series_by_different_routes_have_equal_fields(a, b, cut, data):
+    # The constructor from split, zero, unreduced and shuffled terms, plus
+    # one term at the precision that has to be dropped.
+    pieces = [(0, data.draw(small_fractions))]
+    for e, c in a.terms:
+        part = data.draw(small_fractions)
+        pieces += [(part, f"{3 * e.numerator}/{3 * e.denominator}"),
+                   (c - part, e)]
+    if not a.is_exact():
+        pieces.append((1, a.precision))
+    pieces = data.draw(st.permutations(pieces))
+    assert_same_fields(NovikovSeries(pieces, a.precision), a)
+    assert_same_fields(a * b, b * a)
+    assert_same_fields((a + b) - b, a.truncate(b.precision))
+    assert_same_fields(a.truncate(cut),
+                       NovikovSeries([(c, e) for e, c in a.terms if e < cut],
+                                     min(a.precision, cut)))

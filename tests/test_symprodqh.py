@@ -69,6 +69,13 @@ class TestRankTwoAlgebra:
         with pytest.raises(ConfigError, match="omega must be positive"):
             symk_idempotents(2, -1)
 
+    @pytest.mark.parametrize("k", [True, 2.5, F(3, 2), "2"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ConfigError, match="k must be a JSON integer"):
+            SymQHElement(k, 1, [1, 0])
+        with pytest.raises(ConfigError, match="k must be a JSON integer"):
+            symk_idempotents(k, 1)
+
 
 class TestRankTwoIdempotents:
     def test_valuation(self):
