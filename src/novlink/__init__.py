@@ -8,7 +8,15 @@ symmetric sphere quantum algebra with its idempotents, and exact action
 spectrum enumeration with rigidity and homogenization utilities.
 """
 
-from .novikov import INFINITY, Exponent, NovikovSeries, as_fraction, divide, val
+from .novikov import (
+    INFINITY,
+    Exponent,
+    NovikovSeries,
+    as_fraction,
+    divide,
+    linear_combination,
+    val,
+)
 from .laurent import LaurentPotential, UnitaryPoint, det_bareiss, solve_linear
 from .critlift import (
     CriticalCertificate,
@@ -61,6 +69,7 @@ __all__ = [
     "NovikovSeries",
     "as_fraction",
     "divide",
+    "linear_combination",
     "val",
     "LaurentPotential",
     "UnitaryPoint",

@@ -72,9 +72,19 @@ def _cmd_crit_lift(args) -> int:
     return 0
 
 
+def _hessian_entries(obj):
+    """The rows of a ``trace check`` input: a list of lists, or an object
+    whose ``entries`` is one; anything else raises ``ConfigError``."""
+    entries = obj.get("entries") if isinstance(obj, dict) else obj
+    if not (isinstance(entries, list)
+            and all(isinstance(row, list) for row in entries)):
+        raise ConfigError("a Hessian must be a list of rows (lists of "
+                          "series) or an object whose \"entries\" is one")
+    return entries
+
+
 def _cmd_trace_check(args) -> int:
-    obj = _load_json(args.hessian)
-    entries = obj["entries"] if isinstance(obj, dict) else obj
+    entries = _hessian_entries(_load_json(args.hessian))
     matrix = [[NovikovSeries.from_obj(e) for e in row] for row in entries]
     alg = cliffordtrace.CliffordAlgebraModel(matrix)
     Z = cliffordtrace.trace_Z(alg)

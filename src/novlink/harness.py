@@ -177,9 +177,14 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
 
     Each row lifts the chain critical point, rebuilds the Clifford algebra
     from the evaluated Hessian, and reports ``val_Z`` from the trace; the
-    determinant route must agree and is asserted on every row.
+    determinant route must agree and is asserted on every row.  The chain
+    Hessian at ``k`` has ``k`` rows, so a range reaching above
+    ``TRACE_N_LIMIT`` raises ``ConfigError`` before any row is computed.
     """
     lo, hi = cfg.k_range
+    if hi > cliffordtrace.TRACE_N_LIMIT:
+        raise ConfigError(f"k = {hi} is above the limit TRACE_N_LIMIT = "
+                          f"{cliffordtrace.TRACE_N_LIMIT}")
     rows = []
     for k in range(lo, hi + 1):
         link = cfg.schedule.link(k)

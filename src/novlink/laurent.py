@@ -30,6 +30,7 @@ from .novikov import (
     _parse_json_int,
     as_precision,
     is_unitary,
+    linear_combination,
 )
 
 ExponentVector = Tuple[int, ...]
@@ -260,10 +261,8 @@ class LaurentPotential:
         (constant points qualify); otherwise a target must be supplied.
         """
         prec, table = self._monomial_table(point, target_precision)
-        total = NovikovSeries.zero(prec)
-        for _, value in table:
-            total = total + value
-        return total
+        return linear_combination((1, value)
+                                  for _, value in table).truncate(prec)
 
     def log_jet(self, point, target_precision=None):
         """Log-gradient and log-Hessian at a unitary point in one pass.

@@ -569,6 +569,29 @@ def _sum(x: "NovikovSeries", y: "NovikovSeries", sign: int
     return NovikovSeries._raw(de, dc, E, [acc[e] for e in E], prec)
 
 
+def linear_combination(pairs) -> "NovikovSeries":
+    """``sum w * x`` over ``(int w, NovikovSeries x)`` pairs.
+
+    One common exponent and one common coefficient denominator, one
+    ``{exponent: coefficient}`` accumulator and one canonical form.  The
+    result is known modulo the least precision of all summands, so an
+    ``O(T^p)`` summand bounds it even where its terms cancel; no pairs give
+    the exact zero.
+    """
+    pairs = list(pairs)
+    prec = min((x._precision for _, x in pairs), default=INFINITY)
+    de = math.lcm(*{x._de for _, x in pairs})
+    dc = math.lcm(*{x._dc for _, x in pairs})
+    acc: dict = {}
+    for w, x in pairs:
+        f, m = de // x._de, w * (dc // x._dc)
+        for e, c in zip(x._E, x._C):
+            e *= f
+            acc[e] = acc.get(e, 0) + c * m
+    E = sorted(acc)
+    return NovikovSeries._raw(de, dc, E, [acc[e] for e in E], prec)
+
+
 def _coerce(x):
     if isinstance(x, NovikovSeries):
         return x

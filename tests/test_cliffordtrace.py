@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from novlink.cliffordtrace import (
     KAPPA,
+    TRACE_N_LIMIT,
     CliffordAlgebraModel,
+    _shuffle_parity,
     clifford_product,
     defect_bound,
     poincare_pairing,
@@ -19,6 +21,7 @@ from novlink.cliffordtrace import (
 )
 from novlink.errors import (
     AlgebraMismatchError,
+    ConfigError,
     DegenerateTraceError,
     PrecisionError,
 )
@@ -195,6 +198,22 @@ class TestTraceIdentity:
         Z = trace_Z(CliffordAlgebraModel(form))
         assert Z.eq_mod(det_minor_expansion(completed), Z.precision)
 
+    @given(form=symmetric_forms())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_clifford_product_oracle(self, form):
+        # The definition itself: Clifford products with the volume class,
+        # the Poincare pairing and the tuple shuffle signs, term by term.
+        Z = trace_Z(CliffordAlgebraModel(form))
+        want = trace_with_conventions(form, KAPPA, True, True)
+        assert Z.integer_form == want.integer_form
+        assert Z.precision == want.precision
+
+    def test_size_limit_refused_before_any_work(self):
+        alg = diag_algebra(*[mono(1)] * (TRACE_N_LIMIT + 1))
+        with pytest.raises(ConfigError, match=f"TRACE_N_LIMIT = "
+                                              f"{TRACE_N_LIMIT}"):
+            trace_Z(alg)
+
     def test_chain_link_trace_valuation_is_kB(self):
         for k in (1, 2, 3):
             link = CircleLinkS2(k, F(1, 8), F(1, 4))
@@ -214,6 +233,20 @@ class TestTraceIdentity:
         assert Zu.valuation() == Z.valuation() + shift
         lead_ratio = Zu.leading_coefficient() / Z.leading_coefficient()
         assert lead_ratio == u.leading_coefficient() ** n
+
+
+class TestMaskSigns:
+    @pytest.mark.parametrize("n", range(9))
+    def test_popcount_parity_is_inversion_count(self, n):
+        # The shuffle of K followed by its complement in {1..n}, with its
+        # inversions counted pair by pair.
+        for K in range(1 << n):
+            inside = [i + 1 for i in range(n) if K >> i & 1]
+            outside = [i + 1 for i in range(n) if not K >> i & 1]
+            seq = inside + outside
+            inversions = sum(1 for a in range(n) for b in range(a + 1, n)
+                             if seq[a] > seq[b])
+            assert _shuffle_parity(K) == inversions % 2
 
 
 class TestCalibration:

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from novlink import harness
 from novlink.cli import main
+from novlink.cliffordtrace import TRACE_N_LIMIT
 from novlink.errors import AreaError, ConfigError
 from novlink.harness import (
     NOBULK_COLUMNS,
@@ -28,7 +30,9 @@ from novlink.symprodqh import SYMK_K_LIMIT, symk_idempotents
 # link (A = 1/8, B = 1/4, bulk 1) with three extra monomials of valuation
 # B + 1/16, B + 1/8 and B + 3/16, from its all-plus seed to precision 3/2,
 # and ``scan weyl`` for k = 1..6 on the power schedule (beta 1, power 2,
-# shift 2).  Any change in these bytes is a change in results.
+# shift 2).  ``weyl_k1_12.csv`` is the same scan for k = 1..12, the
+# benchmark's size, written by the tuple-keyed trace that preceded the
+# bitmask one.  Any change in these bytes is a change in results.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -137,6 +141,15 @@ class TestWeylScan:
             cert = critical_data(link, BulkParameter(cfg.c0))
             assert cert.det_valuation() == row["val_Z"]
 
+    def test_trace_size_limit_refused_before_any_row(self, monkeypatch):
+        def no_lift(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(harness, "critical_data", no_lift)
+        with pytest.raises(ConfigError, match=f"TRACE_N_LIMIT = "
+                                              f"{TRACE_N_LIMIT}"):
+            weyl_scan(power_config(1, TRACE_N_LIMIT + 1))
+
     def test_csv_determinism(self):
         cfg1 = power_config(2, 8)
         cfg2 = power_config(2, 8)
@@ -204,6 +217,8 @@ class TestCLI:
          "lift_k3_prec_3_2.json"),
         (["scan", "weyl", "--config", "weyl_k1_6_config.json"],
          "weyl_k1_6.csv"),
+        (["scan", "weyl", "--config", "weyl_k1_12_config.json"],
+         "weyl_k1_12.csv"),
     ])
     def test_output_matches_golden(self, argv, expected, capsys):
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
@@ -244,6 +259,35 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "Z = O(T^2)" in captured.out
         assert "degenerate" not in captured.out + captured.err
+
+    def test_trace_check_over_size_limit_exits_2(self, tmp_path, capsys):
+        n = TRACE_N_LIMIT + 1
+        one = {"terms": [{"c": "1", "e": "0"}]}
+        hpath = self._write(tmp_path, "H.json", [
+            [one if i == j else [] for j in range(n)] for i in range(n)])
+        assert main(["trace", "check", "--hessian", hpath]) == 2
+        captured = capsys.readouterr()
+        assert f"TRACE_N_LIMIT = {TRACE_N_LIMIT}" in captured.err
+        assert captured.out == ""
+
+    def test_scan_weyl_over_size_limit_exits_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "scan.json",
+                          {"k_range": [1, TRACE_N_LIMIT + 1]})
+        assert main(["scan", "weyl", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"TRACE_N_LIMIT = {TRACE_N_LIMIT}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("bad", [
+        [1, 2], {"entries": 5}, {"x": 1}, "abc", {"entries": [[], 1]}])
+    def test_trace_check_malformed_hessian_exits_2(self, tmp_path, capsys,
+                                                   bad):
+        hpath = self._write(tmp_path, "H.json", bad)
+        assert main(["trace", "check", "--hessian", hpath]) == 2
+        captured = capsys.readouterr()
+        assert "config error: a Hessian must be a list of rows" \
+            in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("bad", [
         {"c": 0.5, "e": "0"},

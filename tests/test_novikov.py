@@ -16,6 +16,7 @@ from novlink.novikov import (
     NovikovSeries,
     as_fraction,
     divide,
+    linear_combination,
     val,
 )
 
@@ -332,3 +333,44 @@ def test_equal_series_by_different_routes_have_equal_fields(a, b, cut, data):
     assert_same_fields(a.truncate(cut),
                        NovikovSeries([(c, e) for e, c in a.terms if e < cut],
                                      min(a.precision, cut)))
+
+
+def fold_series_sum(pairs):
+    """``sum w * x`` as ``|w|`` oracle sums of ``x`` with the sign of ``w``."""
+    total = NovikovSeries.zero()
+    for w, x in pairs:
+        for _ in range(abs(w)):
+            total = series_sum(total, x, 1 if w > 0 else -1)
+    return total
+
+
+class TestLinearCombination:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.sampled_from((-2, -1, 1, 2)),
+                                    series()), max_size=5))
+    def test_matches_oracle_fold(self, pairs):
+        got = linear_combination(pairs)
+        want = fold_series_sum(pairs)
+        assert got.terms == want.terms
+        assert got.precision == want.precision
+        assert_same_fields(got, want)
+
+    def test_empty_is_exact_zero(self):
+        assert linear_combination([]).is_exact_zero()
+        assert linear_combination(iter(())) == NovikovSeries.zero()
+
+    def test_cancellation_keeps_least_precision(self):
+        x = S((3, F(1, 2)), (1, 2), prec=5)
+        y = S((-3, F(1, 2)), (-1, 2))
+        got = linear_combination([(2, x), (2, y), (1, NovikovSeries.zero(4))])
+        assert got == NovikovSeries.zero(4)
+        assert not got.is_exact_zero()
+        assert got == fold_series_sum([(2, x), (2, y),
+                                       (1, NovikovSeries.zero(4))])
+
+    def test_weights_scale_and_mixed_denominators(self):
+        x = S((F(1, 3), F(1, 2)))
+        y = S((F(1, 4), F(2, 3)), prec=3)
+        got = linear_combination([(-2, x), (1, y), (2, x)])
+        assert got == y
+        assert linear_combination([(2, x), (-1, y)]) == x + x - y
