@@ -47,9 +47,11 @@ Subset = Tuple[int, ...]
 #: Frozen calibration scalar for the anticommutation relation.
 KAPPA = Fraction(1)
 
-#: Most generators ``trace_Z`` accepts.  Its ``2^n`` subsets took 6.3 s
-#: and 221 MB at 18 on a diagonal (chain-link) form, 14 s at 19, under
-#: Python 3.11 on a 2-core x86-64 machine; dense forms grow faster.
+#: Most generators ``trace_Z`` accepts.  It bounds ``n`` only and is
+#: calibrated on diagonal (chain-link) forms: their ``2^n`` subsets took
+#: 6.5 s and 179 MB at 18, 14 s at 19, under Python 3.11 on a 2-core
+#: x86-64 machine.  Dense forms grow about 8x per step of ``n``, so one
+#: far below the limit (a dense 12 x 12 form) can still run for hours.
 TRACE_N_LIMIT = 18
 
 # Bits at odd 0-based positions: generators 2, 4, 6, ...
@@ -296,7 +298,9 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
     Sums ``(-1)^{|I|} g^{IJ} <m2(e_I, vol), m2(e_J, vol)>`` over the basis,
     with the frozen graded-inversion signs; for an algebra built from a
     Hessian matrix this equals the Hessian determinant.  More than
-    ``TRACE_N_LIMIT`` generators raise ``ConfigError`` before any work.
+    ``TRACE_N_LIMIT`` generators raise ``ConfigError`` before any work;
+    the limit bounds ``n`` only, so a dense form below it can still run
+    for hours (see ``TRACE_N_LIMIT``).
 
     Subsets are int masks, bit ``i - 1`` standing for generator ``i``, and
     the complement of ``K`` is ``full ^ K``.
@@ -328,9 +332,10 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
       2 (weight 1 when ``n = 0``, where ``I = J``).  This rewrites the
       definition term by term; it does not use ``Z = det``.
 
-    The weighted terms go through one ``linear_combination``.  A form
-    entry is skipped, and a sum dropped, only when it is an exact zero, so
-    entries known only as ``O(T^p)`` bound the precision.
+    The weighted terms stream through one ``linear_combination``, which
+    folds each into its accumulator as it comes, so no term list is held.
+    A form entry is skipped, and a sum dropped, only when it is an exact
+    zero, so entries known only as ``O(T^p)`` bound the precision.
     """
     n = alg.n
     if n > TRACE_N_LIMIT:
@@ -354,16 +359,17 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
         products.append(out)
     twist = (n * (n - 1) // 2) & 1
     weight = 2 if n else 1
-    terms = []
-    for I in range(1 << max(n - 1, 0)):
-        right = products[full ^ I]
-        base = twist ^ _shuffle_parity(full ^ I)
-        for K, c in products[I].items():
-            d = right.get(full ^ K)
-            if d is not None:
-                terms.append((-weight if base ^ _shuffle_parity(K)
-                              else weight, c * d))
-    return linear_combination(terms)
+
+    def terms():
+        for I in range(1 << max(n - 1, 0)):
+            right = products[full ^ I]
+            base = twist ^ _shuffle_parity(full ^ I)
+            for K, c in products[I].items():
+                d = right.get(full ^ K)
+                if d is not None:
+                    yield (-weight if base ^ _shuffle_parity(K)
+                           else weight, c * d)
+    return linear_combination(terms())
 
 
 def defect_bound(Z: NovikovSeries) -> Exponent:

@@ -557,33 +557,35 @@ def _product(x: "NovikovSeries", y: "NovikovSeries", cap=INFINITY
 def _sum(x: "NovikovSeries", y: "NovikovSeries", sign: int
          ) -> "NovikovSeries":
     """``x + sign * y`` known modulo the lesser precision."""
-    prec = min(x._precision, y._precision)
-    de, dc = math.lcm(x._de, y._de), math.lcm(x._dc, y._dc)
-    acc: dict = {}
-    for s, m in ((x, dc // x._dc), (y, sign * (dc // y._dc))):
-        f = de // s._de
-        for e, c in zip(s._E, s._C):
-            e *= f
-            acc[e] = acc.get(e, 0) + c * m
-    E = sorted(acc)
-    return NovikovSeries._raw(de, dc, E, [acc[e] for e in E], prec)
+    return linear_combination(((1, x), (sign, y)))
 
 
 def linear_combination(pairs) -> "NovikovSeries":
     """``sum w * x`` over ``(int w, NovikovSeries x)`` pairs.
 
-    One common exponent and one common coefficient denominator, one
-    ``{exponent: coefficient}`` accumulator and one canonical form.  The
-    result is known modulo the least precision of all summands, so an
+    The pairs are read once, each folded into one ``{exponent:
+    coefficient}`` accumulator over a running common exponent denominator
+    and coefficient denominator, which are widened (and the accumulator
+    rescaled) only when a summand needs it; one canonical form at the end.
+    The result is known modulo the least precision of all summands, so an
     ``O(T^p)`` summand bounds it even where its terms cancel; no pairs give
     the exact zero.
     """
-    pairs = list(pairs)
-    prec = min((x._precision for _, x in pairs), default=INFINITY)
-    de = math.lcm(*{x._de for _, x in pairs})
-    dc = math.lcm(*{x._dc for _, x in pairs})
+    prec, de, dc = INFINITY, 1, 1
     acc: dict = {}
     for w, x in pairs:
+        if prec is INFINITY or x._precision < prec:
+            prec = x._precision
+        if de % x._de:
+            f = x._de // math.gcd(de, x._de)
+            if acc:
+                acc = {e * f: c for e, c in acc.items()}
+            de *= f
+        if dc % x._dc:
+            m = x._dc // math.gcd(dc, x._dc)
+            if acc:
+                acc = {e: c * m for e, c in acc.items()}
+            dc *= m
         f, m = de // x._de, w * (dc // x._dc)
         for e, c in zip(x._E, x._C):
             e *= f

@@ -354,6 +354,7 @@ class TestLinearCombination:
         assert got.terms == want.terms
         assert got.precision == want.precision
         assert_same_fields(got, want)
+        assert_same_fields(linear_combination(iter(pairs)), want)
 
     def test_empty_is_exact_zero(self):
         assert linear_combination([]).is_exact_zero()
