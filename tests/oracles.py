@@ -13,6 +13,9 @@ Everything here deliberately avoids the code path it verifies:
   multiplicative gradients);
 * ``one_exponent_lift``: kill the residual one exponent layer at a time
   with a constant leading Hessian (checks Newton lifting);
+* ``full_precision_lift``: the Newton loop with every step at the full
+  working precision (checks the doubling-precision ``hensel_lift``
+  certificate by certificate, residual valuations and errors included);
 * ``tensor_multiply`` and friends: full tensor-basis arithmetic with
   explicit arrangements (checks the symmetric structure constants);
 * ``symk_idempotents_triple_sum``: the idempotents' closed-form triple sum
@@ -26,16 +29,20 @@ Everything here deliberately avoids the code path it verifies:
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 from novlink.cliffordtrace import CliffordAlgebraModel, clifford_product, poincare_pairing
+from novlink.critlift import MAX_NEWTON_STEPS, certify_morse
 from novlink.errors import (
+    ConfigError,
     InexactDivisionError,
+    NonMorseError,
     NotInvertibleError,
     ObstructedError,
 )
-from novlink.laurent import LaurentPotential, UnitaryPoint
+from novlink.laurent import LaurentPotential, UnitaryPoint, det_bareiss, solve_linear
 from novlink.novikov import INFINITY, NovikovSeries
 
 
@@ -269,6 +276,56 @@ def one_exponent_lift(W: LaurentPotential, z0: UnitaryPoint, target):
                     x[i], e - v0)
                 z[i] = (z[i] * bump).truncate(work)
     raise AssertionError("one_exponent_lift failed to terminate")
+
+
+def full_precision_lift(W: LaurentPotential, z0: UnitaryPoint, target):
+    """Newton lift with every step at the full working precision.
+
+    The loop ``hensel_lift`` ran before it lifted at doubling precision:
+    each step evaluates the residual and Hessian modulo ``work = target +
+    max(v0, 0)``, solves ``H delta = -grad`` and keeps the whole updated
+    point.  Same checks, same errors, same certificate.
+    """
+    if len(z0) != W.num_vars:
+        raise ConfigError("seed point has the wrong number of coordinates")
+    _, h_matrix = W.log_jet(z0, target)
+    v0 = INFINITY
+    for row in h_matrix:
+        for entry in row:
+            v0 = min(v0, entry.val_lower_bound())
+    if v0 is INFINITY or det_bareiss(
+            [[NovikovSeries.monomial(e.coefficient(v0), 0) for e in row]
+             for row in h_matrix]).is_zero():
+        raise NonMorseError("non-Morse: cannot lift")
+
+    work = target + max(v0, 0)
+    z = [c.assume_precision(work) for c in z0.coords]
+    residual_vals = []
+    prev_val = None
+    for _ in range(MAX_NEWTON_STEPS):
+        residual, h_now = W.log_jet(z, work)
+        rv = min(r.val_lower_bound() for r in residual)
+        residual_vals.append(rv)
+        if all(r.is_zero() for r in residual):
+            break
+        if rv <= v0:
+            raise ObstructedError(f"obstructed at order {rv}", order=rv)
+        if prev_val is not None and rv <= prev_val:
+            raise ObstructedError(f"obstructed at order {rv}", order=rv)
+        prev_val = rv
+        delta = solve_linear(h_now, [-r for r in residual])
+        z = [(z[i] * (NovikovSeries.one() + delta[i])).truncate(work)
+             for i in range(len(z))]
+    else:
+        rv = residual_vals[-1] if residual_vals else None
+        raise ObstructedError(f"obstructed at order {rv}: "
+                              f"{MAX_NEWTON_STEPS} Newton steps exhausted "
+                              "before reaching the target",
+                              order=rv)
+
+    point = UnitaryPoint([c.truncate(target) for c in z])
+    cert = certify_morse(W, point, target_precision=target)
+    return replace(cert, residual_valuations=tuple(residual_vals))
 
 
 # -- tensor-basis arithmetic ----------------------------------------------------

@@ -32,7 +32,9 @@ from novlink.symprodqh import SYMK_K_LIMIT, symk_idempotents
 # and ``scan weyl`` for k = 1..6 on the power schedule (beta 1, power 2,
 # shift 2).  ``weyl_k1_12.csv`` is the same scan for k = 1..12, the
 # benchmark's size, written by the tuple-keyed trace that preceded the
-# bitmask one.  Any change in these bytes is a change in results.
+# bitmask one.  ``lift_k3_find.json`` is ``crit find`` on the same k = 3
+# potential, written when sympy solved every leading system whole.  Any
+# change in these bytes is a change in results.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -219,6 +221,8 @@ class TestCLI:
          "weyl_k1_6.csv"),
         (["scan", "weyl", "--config", "weyl_k1_12_config.json"],
          "weyl_k1_12.csv"),
+        (["crit", "find", "--potential", "lift_k3_potential.json"],
+         "lift_k3_find.json"),
     ])
     def test_output_matches_golden(self, argv, expected, capsys):
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
@@ -241,6 +245,24 @@ class TestCLI:
         lifted = json.loads(capsys.readouterr().out)
         assert lifted["morse"] is True
         assert lifted["det_valuation"] == "1/2"
+
+    def test_crit_find_above_solution_limit_exits_2(self, tmp_path, capsys,
+                                                     monkeypatch):
+        from novlink import critlift
+        from novlink.linkfam import build_chain_potential
+
+        def refuse(*args):
+            raise AssertionError("a block was solved")
+
+        monkeypatch.setattr(critlift, "_solve_univariate", refuse)
+        k = critlift.LEADING_SOLUTION_LIMIT.bit_length()
+        W = build_chain_potential(CircleLinkS2(k, F(1, 8), F(1, 4)),
+                                  BulkParameter(F(1)))
+        wpath = self._write(tmp_path, "W.json", W.to_obj())
+        assert main(["crit", "find", "--potential", wpath]) == 2
+        err = capsys.readouterr().err
+        assert f"up to {2 ** k} solutions" in err
+        assert "LEADING_SOLUTION_LIMIT" in err
 
     def test_trace_check(self, tmp_path, capsys):
         link = CircleLinkS2(2, F(1, 8), F(1, 4))
