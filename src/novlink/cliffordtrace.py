@@ -5,11 +5,11 @@ The algebra on ``n`` generators is presented on the wedge-compatible basis
 the cohomology basis of an n-torus).  Products follow the quantized
 relation
 
-    ``e_i e_j + e_j e_i = kappa * form[i][j]``,
+    ``e_i e_j + e_j e_i = KAPPA * form[i][j]``,
 
 realized on the wedge basis by the contraction rule: left multiplication
 by a generator is "wedge plus contraction against the bilinear form
-``kappa/2 * form``".
+``KAPPA/2 * form``".
 
 The pairing is the integration pairing of the torus: ``<e_I, e_J>`` is the
 shuffle sign when ``J`` complements ``I`` and zero otherwise, so the Gram
@@ -18,7 +18,7 @@ matrix ``g`` is a signed permutation.  The trace
     ``Z = sum_{I,J} (-1)^{|I|} g^{IJ} <m2(e_I, vol), m2(e_J, vol)>``
 
 uses the graded inverse ``g^{IJ} = (-1)^{|I| + n(n-1)/2} (g^{-1})_{IJ}``;
-with ``kappa = 1`` these conventions are the unique calibration (fixed
+with ``KAPPA = 1`` these conventions are the unique calibration (fixed
 once on the two-element basis, with the quadratic twist pinned by the
 rank-4 diagonal case) under which ``Z`` reproduces the determinant of the
 form exactly.  Both constants are frozen below and never re-tuned.
@@ -38,7 +38,6 @@ from .errors import (
 from .novikov import (
     Exponent,
     NovikovSeries,
-    as_fraction,
     linear_combination,
 )
 
@@ -79,8 +78,7 @@ def _shuffle_parity(K: int) -> int:
 class CliffordAlgebraModel:
     """Rank ``2^n`` algebra built from a symmetric series-valued form."""
 
-    def __init__(self, form: Sequence[Sequence[NovikovSeries]],
-                 kappa: Fraction = KAPPA):
+    def __init__(self, form: Sequence[Sequence[NovikovSeries]]):
         n = len(form)
         rows = []
         for row in form:
@@ -94,9 +92,8 @@ class CliffordAlgebraModel:
                     raise ConfigError("form matrix is not symmetric")
         self.n = n
         self.form = tuple(rows)
-        self.kappa = as_fraction(kappa)
-        # Contraction form B = (kappa/2) * form, the square of a generator.
-        half = Fraction(self.kappa, 2)
+        # Contraction form B = (KAPPA/2) * form, the square of a generator.
+        half = KAPPA / 2
         self._b = tuple(tuple(entry * half for entry in row) for row in rows)
 
     # -- elements ------------------------------------------------------------
@@ -258,14 +255,13 @@ def _check_same_algebra(a: CliffordElement, b: CliffordElement):
     if a.algebra is b.algebra:
         return
     if (a.algebra.n != b.algebra.n
-            or a.algebra.form != b.algebra.form
-            or a.algebra.kappa != b.algebra.kappa):
+            or a.algebra.form != b.algebra.form):
         raise AlgebraMismatchError("algebra mismatch")
 
 
 def clifford_product(alg: CliffordAlgebraModel, a: CliffordElement,
                      b: CliffordElement) -> CliffordElement:
-    """Bilinear product obeying ``e_i e_j + e_j e_i = kappa * form[i][j]``."""
+    """Bilinear product obeying ``e_i e_j + e_j e_i = KAPPA * form[i][j]``."""
     _check_same_algebra(a, b)
     if a.algebra is not alg and a.algebra.form != alg.form:
         raise AlgebraMismatchError("algebra mismatch")
@@ -306,7 +302,7 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
     the complement of ``K`` is ``full ^ K``.
 
     * ``vol`` holds every index, so ``e_I vol`` has no wedge part: it is
-      ``vol`` contracted against the rows ``I`` of ``B = (kappa/2) form``,
+      ``vol`` contracted against the rows ``I`` of ``B = (KAPPA/2) form``,
       least index last.  ``products[I]`` is one contraction of
       ``products[I ^ (I & -I)]`` by the row of the least index of ``I``.
       The contraction walks that row's entries that are not exact zeros;

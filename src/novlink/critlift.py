@@ -14,7 +14,8 @@ variable, and its solutions are the product of the blocks' solutions.  A
 block in one variable is solved on integers: the roots of the gcd of its
 polynomials, rational ones by the rational-root theorem, the distinct
 nonzero ones counted by the degree of the squarefree part.  Only a block
-that couples two or more variables goes to sympy's ``solve_poly_system``.
+that couples two or more variables goes to sympy's ``solve_poly_system``,
+and one with a root not in radicals is refused with ``ConfigError``.
 A system whose Bezout bound (the product of the blocks' bounds) exceeds
 ``LEADING_SOLUTION_LIMIT`` is refused with ``ConfigError`` up front.
 
@@ -31,6 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import sympy
+from sympy.polys.polyerrors import UnsolvableFactorError
 from sympy.solvers.polysys import solve_poly_system
 
 from .errors import (
@@ -153,6 +155,8 @@ def _solve_polynomials(polys: List[Polynomial], k: int):
     solutions.  The polynomials split into blocks that share no variable,
     and the solutions are the product of the blocks' solutions.  A system
     with no solution at all (over the complex numbers) gives ``([], 0)``.
+    A coupled block whose roots cannot all be written in radicals raises
+    ``ConfigError``.
     """
     blocks = []  # (variables, ascending indices of their polynomials)
     for n, poly in enumerate(polys):
@@ -173,17 +177,19 @@ def _solve_polynomials(polys: List[Polynomial], k: int):
             f"the leading system may have up to {bound} solutions, above "
             f"LEADING_SOLUTION_LIMIT = {LEADING_SOLUTION_LIMIT}")
 
-    solved, not_finite = [], None
+    # A block with no solution settles the system even when another block
+    # cannot be solved.
+    solved, unsolved = [], None
     for vs, ps in blocks:
         try:
             solved.append((vs, _solve_univariate(vs[0], ps) if len(vs) == 1
                            else _solve_coupled(vs, ps)))
-        except NotZeroDimensionalError as exc:
-            not_finite = exc
+        except (NotZeroDimensionalError, ConfigError) as exc:
+            unsolved = exc
     if any(sols is None for _, sols in solved):
         return [], 0
-    if not_finite is not None:
-        raise not_finite
+    if unsolved is not None:
+        raise unsolved
     rational = []
     for combo in itertools.product(*(roots for _, (roots, _) in solved)):
         tup = [None] * k
@@ -209,7 +215,9 @@ def _solve_coupled(variables: List[int], polys: List[Polynomial]):
 
     Returns ``(rational, count)``: the rational solutions as tuples over
     ``variables`` and the number of solutions with no zero coordinate.
-    ``None`` means the block has no solution at all.
+    ``None`` means the block has no solution at all.  A block with a root
+    that cannot be written in radicals raises ``ConfigError``, since its
+    solutions could be neither listed nor counted.
     """
     symbols = [sympy.Symbol(f"z{v + 1}") for v in variables]
     exprs = [sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
@@ -217,7 +225,12 @@ def _solve_coupled(variables: List[int], polys: List[Polynomial]):
                                        for s, v in zip(symbols, variables)))
                          for m, c in p.items())) for p in polys]
     try:
-        sols = solve_poly_system(exprs, *symbols)
+        sols = solve_poly_system(exprs, *symbols, strict=True)
+    except UnsolvableFactorError as exc:
+        raise ConfigError(
+            f"the roots of the leading block in "
+            f"{', '.join(map(str, symbols))} cannot all be written in "
+            f"radicals") from exc
     except NotImplementedError as exc:
         raise NotZeroDimensionalError(
             "leading system not zero-dimensional") from exc

@@ -97,14 +97,6 @@ class AreaSchedule:
         A = B * self.annulus_ratio
         return CircleLinkS2(k, A, B)
 
-    def to_obj(self) -> dict:
-        obj = {"type": self.kind, "beta": str(self.beta),
-               "power": self.power, "shift": self.shift,
-               "annulus_ratio": str(self.annulus_ratio)}
-        if self.total_area is not None:
-            obj["total_area"] = str(self.total_area)
-        return obj
-
     @classmethod
     def from_obj(cls, obj) -> "AreaSchedule":
         """Parse a schedule object.
@@ -239,23 +231,19 @@ def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
     return rows
 
 
-def _cell(value) -> str:
-    return str(value)
-
-
 def rows_to_csv(rows: List[Dict[str, object]],
                 columns: Tuple[str, ...]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+        writer.writerow([str(row[c]) for c in columns])
     return buf.getvalue()
 
 
 def rows_to_json(rows: List[Dict[str, object]],
                  columns: Tuple[str, ...]) -> str:
-    out = [{c: _cell(row[c]) for c in columns} for row in rows]
+    out = [{c: str(row[c]) for c in columns} for row in rows]
     return json.dumps(out, indent=2) + "\n"
 
 

@@ -320,16 +320,6 @@ class LaurentPotential:
             rows.append(row)
         return rows
 
-    def log_hessian_det_at(self, point, target_precision=None):
-        """Hessian matrix and determinant at a unitary point.
-
-        Returns ``(matrix, det)`` where ``matrix[i][j]`` is the evaluated
-        second multiplicative derivative and ``det`` is its fraction-free
-        Bareiss determinant, both modulo ``T^target_precision``.
-        """
-        _, matrix = self.log_jet(point, target_precision)
-        return matrix, det_bareiss(matrix)
-
     # -- serialization -------------------------------------------------------
 
     def to_obj(self) -> dict:

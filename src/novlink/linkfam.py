@@ -37,7 +37,6 @@ from .laurent import LaurentPotential, UnitaryPoint
 from .novikov import (
     NovikovSeries,
     _parse_json_int,
-    _parse_json_number,
     as_fraction,
 )
 
@@ -46,7 +45,8 @@ from .novikov import (
 class CircleLinkS2:
     """Parallel-circle chain data: counts and exact region areas.
 
-    ``k`` must be an int (a bool or float raises ``ConfigError``).
+    ``k`` must be an int (a bool or float raises ``ConfigError``).  The
+    sphere's area ``total_area`` is derived, ``(k - 1) * A + 2 * B``.
     """
 
     k: int
@@ -54,25 +54,18 @@ class CircleLinkS2:
     B: Fraction
     total_area: Fraction
 
-    def __init__(self, k: int, A, B, total_area=None):
+    def __init__(self, k: int, A, B):
         k = _parse_json_int(k, "k")
         A = as_fraction(A)
         B = as_fraction(B)
-        derived = (k - 1) * A + 2 * B
-        if total_area is None:
-            total_area = derived
-        else:
-            total_area = as_fraction(total_area)
         if k < 1:
             raise ConfigError("k must be a positive integer")
         if not (0 < A < B):
             raise AreaError("not η-monotone")
-        if total_area != derived:
-            raise AreaError("areas inconsistent")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "total_area", total_area)
+        object.__setattr__(self, "total_area", (k - 1) * A + 2 * B)
 
 
 @dataclass(frozen=True)
@@ -122,23 +115,12 @@ def build_chain_potential(link: CircleLinkS2, bulk: BulkParameter,
     c2TA = c * c * NovikovSeries.monomial(1, A)
     TB = NovikovSeries.monomial(1, B)
 
-    terms = {}
-
-    def _add(m: Tuple[int, ...], coeff: NovikovSeries):
-        if m in terms:
-            terms[m] = terms[m] + coeff
-        else:
-            terms[m] = coeff
-
-    e1 = tuple(1 if i == 0 else 0 for i in range(k))
-    ek_inv = tuple(-1 if i == k - 1 else 0 for i in range(k))
-    _add(e1, TB)
-    _add(ek_inv, TB)
+    # The chain's 2k monomials are distinct.
+    terms = {tuple(1 if i == 0 else 0 for i in range(k)): TB,
+             tuple(-1 if i == k - 1 else 0 for i in range(k)): TB}
     for j in range(k - 1):
-        m_inv = tuple(-1 if i == j else 0 for i in range(k))
-        m_next = tuple(1 if i == j + 1 else 0 for i in range(k))
-        _add(m_inv, c2TA)
-        _add(m_next, c2TA)
+        terms[tuple(-1 if i == j else 0 for i in range(k))] = c2TA
+        terms[tuple(1 if i == j + 1 else 0 for i in range(k))] = c2TA
     W = LaurentPotential(k, terms)
     if extra_terms is not None:
         if extra_terms.num_vars != k:
@@ -165,19 +147,16 @@ def preferred_branch_leads(link: CircleLinkS2,
     return tuple(leads)
 
 
-def critical_data(link: CircleLinkS2, bulk: BulkParameter,
-                  cfg: Optional[LiftConfig] = None,
-                  extra_terms: Optional[LaurentPotential] = None
+def critical_data(link: CircleLinkS2, bulk: BulkParameter
                   ) -> CriticalCertificate:
     """Certificate for the default branch of the chain potential.
 
     The certificate's Hessian determinant has valuation exactly
-    ``k * B``.  With no config the lift targets precision ``(k + 4) * B``,
-    comfortably above the determinant valuation.
+    ``k * B``.  The lift targets precision ``(k + 4) * B``, comfortably
+    above the determinant valuation.
     """
-    W = build_chain_potential(link, bulk, extra_terms)
-    if cfg is None:
-        cfg = LiftConfig(target_precision=(link.k + 4) * link.B)
+    W = build_chain_potential(link, bulk)
+    cfg = LiftConfig(target_precision=(link.k + 4) * link.B)
     # The decoupled leading system makes the all-plus branch explicit;
     # building it directly avoids enumerating all 2^k sign choices.
     z0 = UnitaryPoint([NovikovSeries.monomial(c, 0)
@@ -236,35 +215,6 @@ def truncation_obstruction(W: LaurentPotential, cutoff) -> TruncationReport:
     note = (f"{irrational} non-rational branch(es) dropped"
             if irrational else "")
     return TruncationReport(unobstructed=True, points=full_points, note=note)
-
-
-def load_chain_config(obj) -> Tuple[CircleLinkS2, BulkParameter,
-                                    Optional[LaurentPotential]]:
-    """Parse the chain-link JSON schema.
-
-    An object with keys ``k`` (JSON integer), ``A`` and ``B``, optional
-    ``c0`` (default 1) and ``total_area`` (each a JSON integer or ``"p/q"``
-    string), optional ``c_tail`` (series object for the deformation tail)
-    and optional ``extra_terms`` (potential term list for higher-order
-    monomials).  Anything else raises ``ConfigError``.
-    """
-    if not (isinstance(obj, dict) and {"k", "A", "B"} <= obj.keys()):
-        raise ConfigError(f"chain config needs an object with k, A, B, "
-                          f"got {obj!r}")
-    A = _parse_json_number(obj["A"], "A", as_fraction)
-    B = _parse_json_number(obj["B"], "B", as_fraction)
-    total = obj.get("total_area")
-    link = CircleLinkS2(obj["k"], A, B, None if total is None else
-                        _parse_json_number(total, "total_area", as_fraction))
-    tail = obj.get("c_tail")
-    bulk = BulkParameter(
-        _parse_json_number(obj.get("c0", 1), "c0", as_fraction),
-        None if tail is None else NovikovSeries.from_obj(tail))
-    extra = None
-    if obj.get("extra_terms"):
-        extra = LaurentPotential.from_obj(
-            {"num_vars": link.k, "terms": obj["extra_terms"]})
-    return link, bulk, extra
 
 
 def _restrict_to_variables(W: LaurentPotential,

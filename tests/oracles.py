@@ -439,8 +439,10 @@ def trace_with_conventions(form, kappa, parity_twist, quadratic_twist):
 
     ``parity_twist`` toggles the ``(-1)^{|I|}`` carried by the inverse
     pairing matrix; ``quadratic_twist`` toggles its ``(-1)^{n(n-1)/2}``.
+    The algebra of ``kappa * form`` obeys ``e_i e_j + e_j e_i = kappa *
+    form[i][j]``.
     """
-    alg = CliffordAlgebraModel(form, kappa=kappa)
+    alg = CliffordAlgebraModel([[kappa * x for x in row] for row in form])
     n = alg.n
     full = tuple(range(1, n + 1))
     vol = alg.vol

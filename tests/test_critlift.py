@@ -412,6 +412,28 @@ class TestBlockSolver:
                                   sympy.Symbol("z")).all_roots())) == 6
         assert whole_system_by_sympy([univariate(q)], 1) == ([(1,)], 0)
 
+    def test_coupled_block_not_in_radicals_is_refused(self):
+        # sympy's own example x^5 - x + y^3, y^2 - 1 has ten solutions, but
+        # at y = 1 the quintic x^5 - x + 1 has none in radicals.
+        polys = [{(5, 0): F(1), (1, 0): F(-1), (0, 3): F(1)},
+                 {(0, 2): F(1), (0, 0): F(-1)}]
+        with pytest.raises(ConfigError, match="leading block in z1, z2 "
+                                              "cannot all be written in "
+                                              "radicals"):
+            _solve_polynomials(polys, 2)
+        # Beside a block with no root the system has no solution at all.
+        none = [univariate([-1, 1], 2, 3), univariate([-2, 1], 2, 3)]
+        assert _solve_polynomials([{m + (0,): c for m, c in p.items()}
+                                   for p in polys] + none, 3) == ([], 0)
+        # z1^6 + 6 z1 + 6 z1 z2 + 3 z2^2: the z2 layer gives z2 = -z1, and
+        # the z1 layer then 6 (z1^5 - z1 + 1).
+        W = LaurentPotential(2, {(6, 0): mono(1), (1, 0): mono(6),
+                                 (1, 1): mono(6), (0, 2): mono(3)})
+        for solve in (lambda W: lift_all(W, LiftConfig(F(1))),
+                      lambda W: truncation_obstruction(W, 0)):
+            with pytest.raises(ConfigError, match="radicals"):
+                solve(W)
+
     def test_rational_roots_with_large_coefficients(self):
         # Roots p/q with p and q prime near 10^18 and 10^9: found without
         # factoring either.

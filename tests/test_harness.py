@@ -33,8 +33,11 @@ from novlink.symprodqh import SYMK_K_LIMIT, symk_idempotents
 # shift 2).  ``weyl_k1_12.csv`` is the same scan for k = 1..12, the
 # benchmark's size, written by the tuple-keyed trace that preceded the
 # bitmask one.  ``lift_k3_find.json`` is ``crit find`` on the same k = 3
-# potential, written when sympy solved every leading system whole.  Any
-# change in these bytes is a change in results.
+# potential, written when sympy solved every leading system whole.  The
+# README's other CLI examples have goldens too: ``trace check`` on the
+# Hessian of the README's k = 3 chain link (``trace_k3_hessian.json``),
+# ``qh idempotents``, ``spectrum enum`` and ``scan nobulk``.  Any change in
+# these bytes is a change in results.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -223,6 +226,13 @@ class TestCLI:
          "weyl_k1_12.csv"),
         (["crit", "find", "--potential", "lift_k3_potential.json"],
          "lift_k3_find.json"),
+        (["trace", "check", "--hessian", "trace_k3_hessian.json"],
+         "trace_k3_check.txt"),
+        (["qh", "idempotents", "--k", "5", "--omega", "1"],
+         "qh_idempotents_k5.txt"),
+        (["spectrum", "enum", "--values", "0,1", "--k", "2", "--pi", "100",
+          "--window", "-5,5"], "spectrum_enum_k2.json"),
+        (["scan", "nobulk", "--kmax", "8", "--omega", "1"], "nobulk_k1_8.csv"),
     ])
     def test_output_matches_golden(self, argv, expected, capsys):
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
@@ -263,6 +273,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"up to {2 ** k} solutions" in err
         assert "LEADING_SOLUTION_LIMIT" in err
+
+    def test_crit_find_block_not_in_radicals_exits_2(self, tmp_path,
+                                                     capsys):
+        # z1^6 + 6 z1 + 6 z1 z2 + 3 z2^2: its leading block reduces to
+        # z1^5 - z1 + 1 = 0, which has no root in radicals.
+        W = {"num_vars": 2, "terms": [
+            {"m": m, "coeff": {"terms": [{"c": c, "e": "0"}]}}
+            for m, c in (([6, 0], "1"), ([1, 0], "6"), ([1, 1], "6"),
+                         ([0, 2], "3"))]}
+        wpath = self._write(tmp_path, "W.json", W)
+        assert main(["crit", "find", "--potential", wpath]) == 2
+        captured = capsys.readouterr()
+        assert "cannot all be written in radicals" in captured.err
+        assert captured.out == ""
 
     def test_trace_check(self, tmp_path, capsys):
         link = CircleLinkS2(2, F(1, 8), F(1, 4))

@@ -119,8 +119,9 @@ class TestLogGradient:
 
 class TestHessian:
     def test_one_variable_at_one(self):
-        matrix, det = W_zplus1overz().log_hessian_det_at(
+        _, matrix = W_zplus1overz().log_jet(
             UnitaryPoint([NovikovSeries.one()]))
+        det = det_bareiss(matrix)
         assert matrix[0][0] == mono(2)
         assert det == mono(2)
 
@@ -131,7 +132,7 @@ class TestHessian:
         hess = W.log_hessian()
         assert hess[0][1].is_zero() and hess[1][0].is_zero()
         pt = UnitaryPoint([NovikovSeries.one(), NovikovSeries.one()])
-        _, det = W.log_hessian_det_at(pt)
+        det = det_bareiss(W.log_jet(pt)[1])
         d1 = hess[0][0].evaluate(pt)
         d2 = hess[1][1].evaluate(pt)
         assert det == d1 * d2
@@ -141,7 +142,7 @@ class TestHessian:
         c0 = F(2)
         W = build_chain_potential(link, BulkParameter(c0))
         pt = UnitaryPoint([mono(c0), mono(1), mono(1 / c0)])
-        _, det = W.log_hessian_det_at(pt)
+        det = det_bareiss(W.log_jet(pt)[1])
         assert det == NovikovSeries.monomial(8 * c0 ** 4, 3 * link.B)
 
     def test_diagonal_det_valuation_sums_rows(self):

@@ -15,7 +15,6 @@ from novlink.linkfam import (
     CircleLinkS2,
     build_chain_potential,
     critical_data,
-    load_chain_config,
     truncation_obstruction,
 )
 from novlink.novikov import NovikovSeries
@@ -37,10 +36,6 @@ class TestCircleLink:
     def test_annulus_wider_than_disc_rejected(self):
         with pytest.raises(AreaError, match="monotone"):
             CircleLinkS2(2, F(1, 2), F(1, 4))
-
-    def test_inconsistent_total_rejected(self):
-        with pytest.raises(AreaError, match="inconsistent"):
-            CircleLinkS2(2, F(1, 8), F(1, 4), total_area=F(1))
 
     @pytest.mark.parametrize("k", [F(27, 10), 2.7, True, "2"])
     def test_non_integer_k_rejected(self, k):
@@ -236,53 +231,3 @@ class TestTruncationObstruction:
         report = truncation_obstruction(W, F(1, 2))
         assert report.unobstructed
         assert report.points == ()
-
-
-class TestChainConfig:
-    def test_full_schema(self):
-        obj = {
-            "k": 2, "A": "1/8", "B": "1/4", "c0": "3/2",
-            "c_tail": {"terms": [{"c": "1", "e": "1/4"}], "prec": "inf"},
-            "extra_terms": [{"m": [1, 1],
-                             "coeff": {"terms": [{"c": "7", "e": "1/2"}],
-                                       "prec": "inf"}}],
-        }
-        link, bulk, extra = load_chain_config(obj)
-        assert link.k == 2 and link.B == F(1, 4)
-        assert bulk.c0 == F(3, 2)
-        assert bulk.higher_terms == mono(1, F(1, 4))
-        assert extra.coefficient((1, 1)) == mono(7, F(1, 2))
-        W = build_chain_potential(link, bulk, extra)
-        assert W.coefficient((1, 1)) == mono(7, F(1, 2))
-
-    def test_minimal_schema_defaults(self):
-        link, bulk, extra = load_chain_config({"k": 1, "A": "1/8",
-                                               "B": "1/4"})
-        assert bulk.c0 == 1 and bulk.higher_terms is None and extra is None
-
-    def test_missing_keys_rejected(self):
-        with pytest.raises(ConfigError, match="chain config"):
-            load_chain_config({"k": 2})
-
-    @pytest.mark.parametrize("obj", [[2, "1/8", "1/4"], "k=2", None])
-    def test_non_object_rejected(self, obj):
-        with pytest.raises(ConfigError, match="chain config"):
-            load_chain_config(obj)
-
-    @pytest.mark.parametrize("k", [2.5, True, "2", None])
-    def test_non_integer_k_rejected(self, k):
-        with pytest.raises(ConfigError, match="k must be a JSON integer"):
-            load_chain_config({"k": k, "A": "1/8", "B": "1/4"})
-
-    @pytest.mark.parametrize("key", ["A", "B", "c0", "total_area"])
-    @pytest.mark.parametrize("bad", [0.5, False, [1], "1/0", "half"])
-    def test_malformed_rational_rejected(self, key, bad):
-        obj = {"k": 2, "A": "1/8", "B": "1/4", key: bad}
-        with pytest.raises(ConfigError, match=f"^{key} "):
-            load_chain_config(obj)
-
-    def test_integer_areas_accepted(self):
-        link, bulk, _ = load_chain_config({"k": 2, "A": 1, "B": 2,
-                                           "total_area": 5, "c0": 3})
-        assert (link.A, link.B, link.total_area) == (1, 2, 5)
-        assert bulk.c0 == 3
