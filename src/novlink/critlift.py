@@ -394,8 +394,11 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     Precision doubles with the accuracy (von zur Gathen & Gerhard, *Modern
     Computer Algebra*, ch. 9).  Let ``v0`` be the valuation of the leading
     Hessian, ``work = target + max(v0, 0)``, and ``eps = 1/D`` with ``D``
-    the least common exponent denominator of ``W``'s coefficients and the
-    seed, so that every exponent the loop meets is a multiple of ``eps``.
+    the least common denominator of the exponents and the precisions of
+    ``W``'s coefficients and the seed (the lcm of their ``integer_form[0]``),
+    so that every exponent the loop meets is a multiple of ``eps``.  The
+    precisions only make ``eps`` finer, which keeps the same terms: none
+    lies strictly between two multiples of the exponents' own step.
     Step ``t`` evaluates residual and Hessian modulo ``T^p``, with ``p =
     work`` at the first step.  A residual of valuation ``rv`` puts the
     point within relative order ``g = rv - v0`` of the critical point, and

@@ -16,8 +16,9 @@ Precision propagates adically:
   lower bound.
 
 Exponents and coefficients are exact rationals, stored as integers over
-one denominator each.  No discreteness is imposed on the exponent group:
-callers that need a fixed lattice enforce it themselves.
+one denominator each; the precision is an integer over the exponents'
+denominator.  No discreteness is imposed on the exponent group: callers
+that need a fixed lattice enforce it themselves.
 """
 
 from __future__ import annotations
@@ -117,15 +118,17 @@ def as_precision(x: PrecisionLike) -> Union[Fraction, _Infinity]:
 class NovikovSeries:
     """A formal sum ``sum a_i T^(b_i)`` known modulo ``T^precision``.
 
-    Stored on integers: ``b_i = E[i] / de`` and ``a_i = C[i] / dc`` with
-    ``de`` and ``dc`` the least common denominators (1 without terms), ``E``
-    strictly increasing and below ``precision``, no zero in ``C``.  The form
-    is canonical, so equal series have equal fields; ``terms`` is the
-    Fraction view.  The empty term list with infinite precision is the exact
-    zero.  Instances are immutable and hashable.
+    Stored on integers: ``b_i = E[i] / de``, ``a_i = C[i] / dc`` and the
+    precision ``P / de`` (``P`` is ``None`` for ``INFINITY``), with ``de``
+    the least common denominator of the exponents and the precision and
+    ``dc`` that of the coefficients (each 1 when there is nothing to
+    cover), ``E`` strictly increasing and below ``P``, no zero in ``C``.
+    The form is canonical, so equal series have equal fields; ``terms`` and
+    ``precision`` are the Fraction view.  The empty term list with infinite
+    precision is the exact zero.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_de", "_dc", "_E", "_C", "_precision")
+    __slots__ = ("_de", "_dc", "_E", "_C", "_P")
 
     def __init__(self, terms: Iterable = (), precision: PrecisionLike = INFINITY):
         prec = as_precision(precision)
@@ -136,7 +139,7 @@ class NovikovSeries:
                 es.append(exp if type(exp) is int else as_fraction(exp))
                 cs.append(c)
         # ``int`` has ``numerator`` and ``denominator`` too.
-        de = math.lcm(*[e.denominator for e in es])
+        de, P = _over(prec, math.lcm(*[e.denominator for e in es]))
         dc = math.lcm(*[c.denominator for c in cs])
         E = [e.numerator * (de // e.denominator) for e in es]
         C = [c.numerator * (dc // c.denominator) for c in cs]
@@ -146,27 +149,36 @@ class NovikovSeries:
                 merged[e] += c
             E = sorted(e for e, c in merged.items() if c)
             C = [merged[e] for e in E]
-        self._de, self._dc, self._E, self._C = _canonical(de, dc, E, C, prec)
-        self._precision = prec
+        self._de, self._dc, self._E, self._C, self._P = _canonical(
+            de, dc, E, C, P)
 
     @classmethod
-    def _raw(cls, de: int, dc: int, E, C, precision) -> "NovikovSeries":
+    def _raw(cls, de: int, dc: int, E, C, P) -> "NovikovSeries":
         """Trusted constructor from an integer form with ``E`` strictly
-        ascending (see ``_canonical``)."""
+        ascending and ``P`` an int over ``de`` or ``None`` (see
+        ``_canonical``)."""
         s = object.__new__(cls)
-        s._de, s._dc, s._E, s._C = _canonical(de, dc, E, C, precision)
-        s._precision = precision
+        s._de, s._dc, s._E, s._C, s._P = _canonical(de, dc, E, C, P)
         return s
+
+    def _at(self, de: int, P) -> "NovikovSeries":
+        """The same terms read modulo ``T^(P / de)`` (``None``: exactly),
+        for ``de`` a multiple of the series' own; terms at or above the
+        precision are dropped."""
+        return NovikovSeries._raw(de, self._dc,
+                                  _rescale(self._E, de // self._de), self._C,
+                                  P)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, precision: PrecisionLike = INFINITY) -> "NovikovSeries":
-        return cls._raw(1, 1, (), (), as_precision(precision))
+        de, P = _over(as_precision(precision), 1)
+        return cls._raw(de, 1, (), (), P)
 
     @classmethod
     def one(cls) -> "NovikovSeries":
-        return cls._raw(1, 1, (0,), (1,), INFINITY)
+        return cls._raw(1, 1, (0,), (1,), None)
 
     @classmethod
     def monomial(cls, coeff: RationalLike, exp: RationalLike,
@@ -190,24 +202,25 @@ class NovikovSeries:
     @property
     def integer_form(self):
         """``(de, dc, E, C)``: the terms are ``(C[i] / dc) T^(E[i] / de)``,
-        with ``de`` and ``dc`` the least common denominators."""
+        with ``de`` the least common denominator of the exponents and the
+        precision and ``dc`` that of the coefficients."""
         return self._de, self._dc, self._E, self._C
 
     @property
     def precision(self):
-        return self._precision
+        return INFINITY if self._P is None else Fraction(self._P, self._de)
 
     def is_zero(self) -> bool:
         """True when no term is known, i.e. zero modulo the precision."""
         return not self._E
 
     def is_exact(self) -> bool:
-        return self._precision is INFINITY
+        return self._P is None
 
     def is_exact_zero(self) -> bool:
         """True only for the exact zero: ``O(T^p)`` is unknown, not zero,
         so it is the one zero a container may drop."""
-        return not self._E and self._precision is INFINITY
+        return not self._E and self._P is None
 
     def valuation(self):
         """Smallest stored exponent; ``INFINITY`` when the term list is empty.
@@ -219,7 +232,7 @@ class NovikovSeries:
 
     def val_lower_bound(self):
         """Valuation if a term exists, otherwise the precision bound."""
-        return Fraction(self._E[0], self._de) if self._E else self._precision
+        return Fraction(self._E[0], self._de) if self._E else self.precision
 
     def leading_coefficient(self) -> Fraction:
         if not self._E:
@@ -237,7 +250,7 @@ class NovikovSeries:
 
     def __neg__(self):
         return NovikovSeries._raw(self._de, self._dc, self._E,
-                                  tuple(-c for c in self._C), self._precision)
+                                  tuple(-c for c in self._C), self._P)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -257,7 +270,7 @@ class NovikovSeries:
         if type(other) is int and other:  # an exact scalar scales C alone
             return NovikovSeries._raw(self._de, self._dc, self._E,
                                       tuple(c * other for c in self._C),
-                                      self._precision)
+                                      self._P)
         other = _coerce(other)
         return other if other is NotImplemented else _product(self, other)
 
@@ -302,63 +315,60 @@ class NovikovSeries:
         """
         if not self._E:
             raise NotInvertibleError("not invertible at this precision")
-        v = self.valuation()
-        # ``lead = 1 / (c0 T^v)`` on integers, where ``c0 = C[0] / dc``.
-        E, C, c0 = self._E, self._C, self._C[0]
-        sign = 1 if c0 > 0 else -1
-        lead = NovikovSeries._raw(self._de, abs(c0), (-E[0],),
-                                  (sign * self._dc,), INFINITY)
-        rel_in = (INFINITY if self._precision is INFINITY
-                  else self._precision - v)
-        if len(E) == 1 and self._precision is INFINITY:
-            if target_precision is not None:
-                return lead.truncate(target_precision)
-            return lead
-        if target_precision is None:
-            if rel_in is INFINITY:
-                raise PrecisionError(
-                    "inverse of a multi-term exact series is infinite; "
-                    "pass target_precision")
-            out_prec = -v + rel_in
-        else:
-            out_prec = min(as_precision(target_precision), -v + rel_in)
-        if out_prec is INFINITY:
+        target = (INFINITY if target_precision is None
+                  else as_precision(target_precision))
+        # Exponents and precisions over one denominator that covers the
+        # target; ``lead = 1 / (c0 T^v)``, where ``c0 = C[0] / dc``.
+        de, t = _over(target, self._de)
+        E, C, c0 = _rescale(self._E, de // self._de), self._C, self._C[0]
+        v, sign = E[0], 1 if c0 > 0 else -1
+        lead = NovikovSeries._raw(de, abs(c0), (-v,), (sign * self._dc,),
+                                  None)
+        if len(E) == 1 and self._P is None:
+            return lead._at(de, t)
+        out = None if self._P is None else self._P * (de // self._de) - 2 * v
+        if t is not None and (out is None or t < out):
+            out = t
+        if out is None:
             raise PrecisionError(
-                "inverse of a multi-term exact series is infinite; "
-                "pass a finite target_precision")
-        if out_prec <= -v:
+                "inverse of a multi-term exact series is infinite; pass "
+                + ("target_precision" if target_precision is None
+                   else "a finite target_precision"))
+        if out <= -v:
             raise PrecisionError("target precision does not reach the "
                                  "leading term of the inverse")
         if len(E) == 1:
-            return lead.assume_precision(out_prec)
+            return lead._at(de, out)
         # Normalize to s = 1 + u with val(u) > 0, then Newton-iterate
         # y <- y (2 - s y); the congruence s*y = 1 doubles in depth per
-        # step.  Intermediates are chopped as exact polynomials: the
-        # iteration self-corrects, so no precision metadata is carried
-        # (the input's true precision is already folded into out_prec).
-        rel_out = out_prec + v
-        s = NovikovSeries._raw(self._de, abs(c0), [e - E[0] for e in E],
-                               [sign * c for c in C], INFINITY)
-        gap = Fraction(s._E[1], s._de)
+        # step.  Each step reads the iterate modulo ``T^cur``, so every
+        # product stops there; the iteration self-corrects, so the next
+        # step reads it as exact up to its own ``cur`` (the input's true
+        # precision is already folded into ``out``).
+        rel = out + v
+        s = NovikovSeries._raw(de, abs(c0), [e - v for e in E],
+                               [sign * c for c in C], None)
+        two = NovikovSeries._raw(1, 1, (0,), (2,), None)
         y = NovikovSeries.one()
-        reach = gap + gap
-        two = NovikovSeries._raw(1, 1, (0,), (2,), INFINITY)
+        reach = 2 * (E[1] - v)
         while True:
-            cur = min(reach, rel_out)
-            y = _product(y, two - _product(s, y, cur), cur)
-            if cur == rel_out:
+            cur = min(reach, rel)
+            y = y._at(de, cur)
+            y = _product(y, two - _product(s, y))
+            if cur == rel:
                 break
-            reach = reach + reach
-        return _product(y, lead).assume_precision(out_prec)
+            reach += reach
+        return _product(y, lead)
 
     # -- precision management ---------------------------------------------
 
     def truncate(self, precision: PrecisionLike) -> "NovikovSeries":
         """Forget everything at or above ``T^precision``."""
-        prec = min(self._precision, as_precision(precision))
-        if prec is self._precision:
+        de, P = _over(as_precision(precision), self._de)
+        if P is None or (self._P is not None
+                         and self._P * (de // self._de) <= P):
             return self
-        return NovikovSeries._raw(self._de, self._dc, self._E, self._C, prec)
+        return self._at(de, P)
 
     def assume_precision(self, precision: PrecisionLike) -> "NovikovSeries":
         """Reinterpret the stored terms as valid modulo ``T^precision``.
@@ -367,8 +377,7 @@ class NovikovSeries:
         asserts the terms are trustworthy up to the new bound.  Used by
         self-correcting iterations that re-verify their output.
         """
-        return NovikovSeries._raw(self._de, self._dc, self._E, self._C,
-                                  as_precision(precision))
+        return self._at(*_over(as_precision(precision), self._de))
 
     def eq_mod(self, other, precision: PrecisionLike) -> bool:
         """Equality of the parts below ``T^precision``."""
@@ -387,7 +396,7 @@ class NovikovSeries:
         return hash(self._key())
 
     def _key(self):
-        return self._de, self._dc, self._E, self._C, self._precision
+        return self._de, self._dc, self._E, self._C, self._P
 
     # -- serialization -----------------------------------------------------
 
@@ -395,8 +404,7 @@ class NovikovSeries:
         """JSON-ready dict: terms as ``{"c": "p/q", "e": "p/q"}`` strings."""
         return {
             "terms": [{"c": str(c), "e": str(e)} for e, c in self.terms],
-            "prec": ("inf" if self._precision is INFINITY
-                     else str(self._precision)),
+            "prec": "inf" if self._P is None else str(self.precision),
         }
 
     @classmethod
@@ -428,9 +436,9 @@ class NovikovSeries:
 
     def __str__(self):
         if not self._E:
-            if self._precision is INFINITY:
+            if self._P is None:
                 return "0"
-            return f"O(T^{_fmt_exp(self._precision)})"
+            return f"O(T^{_fmt_exp(self.precision)})"
         parts = []
         for i, (e, c) in enumerate(self.terms):
             mag = abs(c)
@@ -444,8 +452,8 @@ class NovikovSeries:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        if self._precision is not INFINITY:
-            parts.append(f"+ O(T^{_fmt_exp(self._precision)})")
+        if self._P is not None:
+            parts.append(f"+ O(T^{_fmt_exp(self.precision)})")
         return " ".join(parts)
 
 
@@ -472,77 +480,92 @@ def _fmt_exp(e) -> str:
     return f"({s})" if "/" in s or s.startswith("-") else s
 
 
-def _canonical(de: int, dc: int, E, C, prec):
-    """``(de, dc, E, C)`` less the terms at or above ``T^prec`` and the zero
-    coefficients, reduced to the least denominators (one C-level ``gcd``
-    each), lists as tuples."""
-    if prec is not INFINITY and E:
-        n = bisect_left(E, _bound(prec, de))
+def _over(prec, de: int):
+    """``(D, P)``: ``D`` the least multiple of ``de`` over which the
+    precision is an integer, and ``P`` that integer (``None`` for
+    ``INFINITY``)."""
+    if prec is INFINITY:
+        return de, None
+    q = prec.denominator
+    if de % q:
+        de = math.lcm(de, q)
+    return de, prec.numerator * (de // q)
+
+
+def _canonical(de: int, dc: int, E, C, P):
+    """``(de, dc, E, C, P)`` less the terms at or above ``T^(P / de)`` and
+    the zero coefficients, reduced to the least denominators (one C-level
+    ``gcd`` each, ``P`` folded into that of ``E``), lists as tuples."""
+    if P is not None and E:
+        n = bisect_left(E, P)
         E, C = E[:n], C[:n]
     if 0 in C:  # terms cancelled
         E = [e for e, c in zip(E, C) if c]
         C = [c for c in C if c]
     if not C:
-        return 1, 1, (), ()
+        if P is None:
+            return 1, 1, (), (), None
+        h = math.gcd(de, P)
+        return de // h, 1, (), (), P // h
     if len(C) == 1:  # most series are monomials: no lists to build
-        g, h = math.gcd(dc, C[0]), math.gcd(de, E[0])
-        return de // h, dc // g, (E[0] // h,), (C[0] // g,)
+        g = math.gcd(dc, C[0])
+        h = math.gcd(de, E[0]) if P is None else math.gcd(de, E[0], P)
+        return (de // h, dc // g, (E[0] // h,), (C[0] // g,),
+                None if P is None else P // h)
     g = math.gcd(dc, *C)
     if g != 1:
         dc //= g
         C = [c // g for c in C]
-    g = math.gcd(de, *E)
+    g = math.gcd(de, *E) if P is None else math.gcd(de, P, *E)
     if g != 1:
         de //= g
         E = [e // g for e in E]
-    return de, dc, tuple(E), tuple(C)
-
-
-def _bound(prec: Fraction, de: int) -> int:
-    """``ceil(prec * de)``: ``e / de < prec`` exactly when ``e < bound``."""
-    return -(-prec.numerator * de // prec.denominator)
+        if P is not None:
+            P //= g
+    return de, dc, tuple(E), tuple(C), P
 
 
 def _rescale(E, m: int):
     return E if m == 1 else [e * m for e in E]
 
 
-def _product_precision(x: "NovikovSeries", y: "NovikovSeries"):
-    """``min(prec x + val y, prec y + val x)``, where a term-free operand's
-    valuation is bounded below by its precision; ``INFINITY`` at once when
-    both operands are exact."""
-    if x._precision is INFINITY and y._precision is INFINITY:
-        return INFINITY
-    return min(_shifted(x._precision, y), _shifted(y._precision, x))
+def _product_precision(x: "NovikovSeries", y: "NovikovSeries", de: int):
+    """``min(prec x + val y, prec y + val x)`` as an int over ``de``, a
+    multiple of both operands' own, where a term-free operand's valuation
+    is bounded below by its precision; ``None`` (``INFINITY``) when no
+    candidate is finite, at once when both operands are exact."""
+    px, py = x._P, y._P
+    if px is None and py is None:
+        return None
+    vx = x._E[0] if x._E else px
+    vy = y._E[0] if y._E else py
+    mx, my = de // x._de, de // y._de
+    prec = None
+    if px is not None and vy is not None:
+        prec = px * mx + vy * my
+    if py is not None and vx is not None:
+        p = py * my + vx * mx
+        if prec is None or p < prec:
+            prec = p
+    return prec
 
 
-def _shifted(p, s: "NovikovSeries"):
-    """``p + s.val_lower_bound()`` as one ``Fraction`` built from ints."""
-    if p is INFINITY or not s._E:
-        return p + s._precision
-    d = p.denominator
-    return Fraction(p.numerator * s._de + s._E[0] * d, d * s._de)
+def _product(x: "NovikovSeries", y: "NovikovSeries") -> "NovikovSeries":
+    """``x * y`` with its adic precision.
 
-
-def _product(x: "NovikovSeries", y: "NovikovSeries", cap=INFINITY
-             ) -> "NovikovSeries":
-    """``x * y`` with its adic precision, less every term at or above
-    ``T^cap`` (which leaves the precision alone).
-
-    Exponents go over one common denominator and coefficients multiply as
-    integers over ``dc(x) * dc(y)``.
+    Exponents and precisions go over one common denominator and
+    coefficients multiply as integers over ``dc(x) * dc(y)``.
     """
-    prec = _product_precision(x, y)
+    de = x._de if x._de == y._de else math.lcm(x._de, y._de)
+    prec = _product_precision(x, y, de)
     E1, E2 = x._E, y._E
     if not E1 or not E2:
-        return NovikovSeries._raw(1, 1, (), (), prec)
-    de = math.lcm(x._de, y._de)
+        return NovikovSeries._raw(de, 1, (), (), prec)
     E1, E2 = _rescale(E1, de // x._de), _rescale(E2, de // y._de)
     C1, C2 = x._C, y._C
     hi = E1[-1] + E2[-1] + 1
-    for p in (prec, cap):
-        if p is not INFINITY:
-            hi = min(hi, _bound(p, de))
+    if prec is not None and prec < hi:
+        hi = prec
     acc: dict = {}
     for ea, ca in zip(E1, C1):
         for eb, cb in zip(E2, C2):
@@ -565,21 +588,21 @@ def linear_combination(pairs) -> "NovikovSeries":
 
     The pairs are read once, each folded into one ``{exponent:
     coefficient}`` accumulator over a running common exponent denominator
-    and coefficient denominator, which are widened (and the accumulator
-    rescaled) only when a summand needs it; one canonical form at the end.
-    The result is known modulo the least precision of all summands, so an
-    ``O(T^p)`` summand bounds it even where its terms cancel; no pairs give
-    the exact zero.
+    and coefficient denominator, which are widened (and the accumulator and
+    running precision rescaled) only when a summand needs it; one canonical
+    form at the end.  The result is known modulo the least precision of all
+    summands, so an ``O(T^p)`` summand bounds it even where its terms
+    cancel; no pairs give the exact zero.
     """
-    prec, de, dc = INFINITY, 1, 1
+    P, de, dc = None, 1, 1
     acc: dict = {}
     for w, x in pairs:
-        if prec is INFINITY or x._precision < prec:
-            prec = x._precision
         if de % x._de:
             f = x._de // math.gcd(de, x._de)
             if acc:
                 acc = {e * f: c for e, c in acc.items()}
+            if P is not None:
+                P *= f
             de *= f
         if dc % x._dc:
             m = x._dc // math.gcd(dc, x._dc)
@@ -587,11 +610,13 @@ def linear_combination(pairs) -> "NovikovSeries":
                 acc = {e: c * m for e, c in acc.items()}
             dc *= m
         f, m = de // x._de, w * (dc // x._dc)
+        if x._P is not None and (P is None or x._P * f < P):
+            P = x._P * f
         for e, c in zip(x._E, x._C):
             e *= f
             acc[e] = acc.get(e, 0) + c * m
     E = sorted(acc)
-    return NovikovSeries._raw(de, dc, E, [acc[e] for e in E], prec)
+    return NovikovSeries._raw(de, dc, E, [acc[e] for e in E], P)
 
 
 def _coerce(x):
@@ -630,17 +655,17 @@ def _divider(b: NovikovSeries):
     by the inverse taken to its own relative precision, which gives it that
     precision.
     """
-    if len(b._E) < 2 or b._precision is not INFINITY:
+    if len(b._E) < 2 or b._P is not None:
         inverse = b.invert()  # raises for a term-free divisor
         return lambda a: a * inverse
     vb = b.valuation()
 
     def quotient(a: NovikovSeries) -> NovikovSeries:
         if not a._E:
-            return NovikovSeries.zero(a._precision - vb)
-        if a._precision is INFINITY:
+            return NovikovSeries.zero(a.precision - vb)
+        if a._P is None:
             return _exact_quotient(a, b)
-        return a * b.invert(a._precision - a.valuation() - vb)
+        return a * b.invert(a.precision - a.valuation() - vb)
 
     return quotient
 
@@ -688,7 +713,7 @@ def _exact_quotient(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
                 rem[y] = cur - d
             else:
                 del rem[y]
-    return NovikovSeries._raw(de, a._dc * g, E, C, INFINITY)
+    return NovikovSeries._raw(de, a._dc * g, E, C, None)
 
 
 def is_unitary(x: NovikovSeries) -> bool:

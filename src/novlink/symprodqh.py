@@ -139,9 +139,9 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
     with ``c = (i + j - l)/2`` running over ``max(0, i + j - k) <= c <=
     min(i, j)``, the range where both binomials are nonzero.
 
-    The sum runs on the operands' integer forms: exponents and ``omega``
-    share one denominator, each operand's coefficients have their own.  A
-    slot's precision is the least over its contributions of
+    The sum runs on the operands' integer forms: exponents, precisions and
+    ``omega`` share one denominator, each operand's coefficients have their
+    own.  A slot's precision is the least over its contributions of
     ``min(p_i + val_j, p_j + val_i) + c*omega``, exactly what series
     arithmetic would give; a slot nothing reaches stays an exact ``0``.
     """
@@ -160,7 +160,7 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
     ny = [(j, cj, scaled(cj, dcy)) for j, cj in ys]
     step = omega.numerator * (de // omega.denominator)
     acc = [{} for _ in range(k + 1)]
-    prec = [INFINITY] * (k + 1)
+    prec = [None] * (k + 1)  # ints over ``de``; ``None`` is ``INFINITY``
     for i, ci in xs:
         ti = scaled(ci, dcx)
         for j, cj, tj in ny:
@@ -169,7 +169,7 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
                 for eb, cb in tj:
                     e = ea + eb
                     prod[e] = prod.get(e, 0) + ca * cb
-            base = _product_precision(ci, cj)
+            base = _product_precision(ci, cj, de)
             for c in range(max(0, i + j - k), min(i, j) + 1):
                 l = i + j - 2 * c
                 mult = comb(l, i - c) * comb(k - l, c)
@@ -179,8 +179,9 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
                 for e, v in prod.items():
                     e += shift
                     slot[e] = get(e, 0) + v * mult
-                if base is not INFINITY:
-                    prec[l] = min(prec[l], base + c * omega)
+                if base is not None and (prec[l] is None
+                                         or base + shift < prec[l]):
+                    prec[l] = base + shift
     out = []
     for slot, p in zip(acc, prec):
         E = sorted(slot)
@@ -225,7 +226,7 @@ def symk_idempotents(k: int, omega) -> List[SymQHElement]:
         cols.append([b - a for a, b in zip(quot + [0], [0] + quot)])
     num, de = omega.numerator, 2 * omega.denominator
     return [SymQHElement(k, omega, [
-        NovikovSeries._raw(de, denom, (-w * num,), (a,), INFINITY)
+        NovikovSeries._raw(de, denom, (-w * num,), (a,), None)
         for w, a in enumerate(row)]) for row in zip(*cols)]
 
 

@@ -18,6 +18,8 @@ Everything here deliberately avoids the code path it verifies:
   certificate by certificate, residual valuations and errors included);
 * ``tensor_multiply`` and friends: full tensor-basis arithmetic with
   explicit arrangements (checks the symmetric structure constants);
+* ``int_tensor_multiply``: the same product for exact elements on plain
+  integer dicts, with no series arithmetic (criterion 3 up to k = 8);
 * ``symk_idempotents_triple_sum``: the idempotents' closed-form triple sum
   (checks the column recurrence);
 * ``spectrum_brute_force``: every multiset of values walked along the
@@ -392,6 +394,46 @@ def tensor_to_sym(t, k, omega):
     assert all(count[j] == comb(k, j) for j in seen), \
         "tensor element is not symmetric"
     return SymQHElement(k, omega, coeffs)
+
+
+def int_tensor(t, de, dc):
+    """An ``{arrangement: exact series}`` tensor as plain integer dicts
+    ``{arrangement: {E: C}}``, the series being ``sum (C/dc) T^(E/de)``;
+    exact zeros are left out.  ``de`` and ``dc`` must clear every exponent
+    and coefficient, which are read off the public ``terms``."""
+    out = {}
+    for S, x in t.items():
+        assert x.is_exact(), "the integer tensor oracle takes exact series"
+        terms = {}
+        for e, c in x.terms:
+            E, C = e * de, c * dc
+            assert E.denominator == 1 and C.denominator == 1, \
+                "denominators do not clear the series"
+            terms[E.numerator] = C.numerator
+        if terms:
+            out[S] = terms
+    return out
+
+
+def int_tensor_multiply(t1, t2, step):
+    """The slotwise product of two ``int_tensor`` dicts, over the exponent
+    denominator ``de`` of both and the squared coefficient denominator.
+
+    An overlap of ``n`` quantum factors adds ``n * step`` to the exponent,
+    where ``step = omega * de`` is an integer.  Every pair of arrangements
+    and every pair of terms is multiplied out; zero sums are dropped.
+    """
+    out = {}
+    for S1, a in t1.items():
+        for S2, b in t2.items():
+            shift = (S1 & S2).bit_count() * step
+            acc = out.setdefault(S1 ^ S2, {})
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2 + shift
+                    acc[e] = acc.get(e, 0) + c1 * c2
+    out = {S: {e: c for e, c in acc.items() if c} for S, acc in out.items()}
+    return {S: acc for S, acc in out.items() if acc}
 
 
 def symk_idempotents_triple_sum(k, omega):

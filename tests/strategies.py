@@ -79,15 +79,17 @@ def symmetric_forms(draw, max_n=4):
 
 
 @st.composite
-def sym_element_pairs(draw, max_k=4):
+def sym_element_pairs(draw, max_k=4, exact_only=False):
     """Two elements of one symmetric algebra (``k <= max_k``) whose
-    coefficients mix exact, finite-precision and ``O(T^p)`` series."""
+    coefficients mix exact, finite-precision and ``O(T^p)`` series, or are
+    all exact."""
     k = draw(st.integers(1, max_k))
     omega = draw(positive_fractions)
 
     def element():
-        return SymQHElement(k, omega, [draw(series(max_terms=2))
-                                       for _ in range(k + 1)])
+        return SymQHElement(k, omega, [
+            draw(series(max_terms=2, exact_only=exact_only))
+            for _ in range(k + 1)])
 
     return element(), element()
 

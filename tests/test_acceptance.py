@@ -34,10 +34,10 @@ from novlink.spectrum import (
 from novlink.symprodqh import SymQHElement, symk_idempotents, symk_multiply
 
 from oracles import (
+    int_tensor,
+    int_tensor_multiply,
     one_exponent_lift,
     sym_to_tensor,
-    tensor_multiply,
-    tensor_to_sym,
     trace_with_conventions,
 )
 
@@ -130,6 +130,10 @@ def test_criterion_3_no_bulk_obstruction():
     omega = F(1)
     for k in range(1, 9):
         idems = symk_idempotents(k, omega)
+        # The idempotents' exponents -w*omega/2 are integers over de, and
+        # their coefficients over dc = 2^k.
+        de, dc = 2 * omega.denominator, 2 ** k
+        tensors = [int_tensor(sym_to_tensor(e), de, dc) for e in idems]
         if len(idems) != k + 1:
             failures.append(f"k={k}: {len(idems)} idempotents")
         total = idems[0]
@@ -145,10 +149,10 @@ def test_criterion_3_no_bulk_obstruction():
                 failures.append(f"k={k}, e[{i}]: val/k not -1/2")
             for j, ej in enumerate(idems):
                 direct = symk_multiply(ei, ej)
-                via_tensor = tensor_to_sym(
-                    tensor_multiply(sym_to_tensor(ei), sym_to_tensor(ej),
-                                    omega), k, omega)
-                if direct != via_tensor:
+                via_tensor = int_tensor_multiply(tensors[i], tensors[j],
+                                                 int(omega * de))
+                if int_tensor(sym_to_tensor(direct), de, dc * dc) \
+                        != via_tensor:
                     failures.append(f"k={k}: tensor oracle disagrees at "
                                     f"({i}, {j})")
                 expected = ei if i == j else None

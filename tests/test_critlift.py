@@ -570,6 +570,21 @@ class TestDoublingPrecision:
         assert lift_outcome(doubling_lift, W, seed, target) == \
             lift_outcome(full_precision_lift, W, seed, target)
 
+    @pytest.mark.parametrize("prec, target", [
+        (F(9, 5), F(3, 2)), (F(9, 5), F(5, 4)), (F(9, 5), F(1)),
+        (F(8, 5), F(5, 4)), (F(23, 14), F(1)), (F(23, 14), F(5, 4))])
+    def test_off_lattice_coefficient_precision_matches_full_precision_lift(
+            self, prec, target):
+        # The extra coefficient T^(5/16) + O(T^prec) has a precision
+        # denominator off the 1/16 exponent lattice, so eps is finer than
+        # the exponents need; the certificate, residual valuations included,
+        # is still the full-precision loop's.
+        W = build_chain_potential(LINK2, BulkParameter(F(1)), LaurentPotential(
+            2, {(1, 0): NovikovSeries.monomial(1, B + F(1, 16), prec)}))
+        cert = doubling_lift(W, ones(2), target)
+        assert cert == full_precision_lift(W, ones(2), target)
+        assert cert.morse and len(cert.residual_valuations) >= 5
+
     def test_precision_doubles_with_the_residual(self, monkeypatch):
         # The perturbed chain's gaps rv - B go 1/16, 1/8, 1/4, 1/2, 1, so
         # the residuals are taken modulo 7/4 (the seed), then 9/16, 13/16,

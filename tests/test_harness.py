@@ -33,11 +33,16 @@ from novlink.symprodqh import SYMK_K_LIMIT, symk_idempotents
 # shift 2).  ``weyl_k1_12.csv`` is the same scan for k = 1..12, the
 # benchmark's size, written by the tuple-keyed trace that preceded the
 # bitmask one.  ``lift_k3_find.json`` is ``crit find`` on the same k = 3
-# potential, written when sympy solved every leading system whole.  The
-# README's other CLI examples have goldens too: ``trace check`` on the
-# Hessian of the README's k = 3 chain link (``trace_k3_hessian.json``),
-# ``qh idempotents``, ``spectrum enum`` and ``scan nobulk``.  Any change in
-# these bytes is a change in results.
+# potential, written when sympy solved every leading system whole.
+# ``lift_k3_potential_prec.json`` is that potential with three coefficients
+# known only modulo T^(25/14), T^(13/7) and T^(9/5): precision denominators
+# off the 1/16 exponent lattice.  Its ``crit lift`` golden was written while
+# the series precision was still a Fraction; as every one of those
+# precisions lies above the working precision 7/4, it has the exact
+# potential's bytes.  The README's other CLI examples have goldens too:
+# ``trace check`` on the Hessian of the README's k = 3 chain link
+# (``trace_k3_hessian.json``), ``qh idempotents``, ``spectrum enum`` and
+# ``scan nobulk``.  Any change in these bytes is a change in results.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -233,6 +238,9 @@ class TestCLI:
         (["spectrum", "enum", "--values", "0,1", "--k", "2", "--pi", "100",
           "--window", "-5,5"], "spectrum_enum_k2.json"),
         (["scan", "nobulk", "--kmax", "8", "--omega", "1"], "nobulk_k1_8.csv"),
+        (["crit", "lift", "--potential", "lift_k3_potential_prec.json",
+          "--seed", "lift_k3_seed.json", "--prec", "3/2"],
+         "lift_k3_potential_prec_3_2.json"),
     ])
     def test_output_matches_golden(self, argv, expected, capsys):
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]

@@ -308,10 +308,48 @@ def test_products_and_sums_match_dict_oracle(x, y, m):
 
 @given(x=series())
 def test_integer_form_has_least_denominators(x):
+    # ``de`` covers the precision too, which is stored as ``P / de``.
     de, dc, E, C = x.integer_form
-    assert de == math.lcm(*(e.denominator for e, _ in x.terms))
+    finite = [] if x.is_exact() else [x.precision.denominator]
+    assert de == math.lcm(*(e.denominator for e, _ in x.terms), *finite)
     assert dc == math.lcm(*(c.denominator for _, c in x.terms))
     assert x.terms == tuple((F(e, de), F(c, dc)) for e, c in zip(E, C))
+    if x.is_exact():
+        assert x._P is None
+    else:
+        assert x.precision == F(x._P, de)
+
+
+# Operands whose precision denominators lie off their exponent lattice, an
+# ``O(T^p)`` of either sign, an exact series and the exact zero.
+OFF_LATTICE = [
+    S((1, F(1, 4)), prec=F(1, 3)),
+    S((1, F(1, 6)), prec=F(5, 7)),
+    S((-1, F(1, 4)), (F(5, 3), F(1, 2)), prec=F(9, 8)),
+    S((2, F(-1, 2)), (3, F(1, 9))),
+    NovikovSeries.zero(F(2, 5)),
+    NovikovSeries.zero(F(-3, 11)),
+    NovikovSeries.zero(),
+]
+
+
+def test_off_lattice_precisions_match_dict_oracle():
+    # min(1/3 + 1/6, 5/7 + 1/4) = 1/2, so the product's de is 12.
+    got = OFF_LATTICE[0] * OFF_LATTICE[1]
+    assert got == S((1, F(5, 12)), prec=F(1, 2))
+    assert got.integer_form == (12, 1, (5,), (1,))
+    for x in OFF_LATTICE:
+        for y in OFF_LATTICE:
+            for got, want in ((x * y, series_product(x, y)),
+                              (x + y, series_sum(x, y)),
+                              (x - y, series_sum(x, y, -1))):
+                assert got.terms == want.terms
+                assert got.precision == want.precision
+                assert_same_fields(got, want)
+            for z in OFF_LATTICE:
+                pairs = [(2, x), (-1, y), (3, z)]
+                assert_same_fields(linear_combination(pairs),
+                                   fold_series_sum(pairs))
 
 
 @settings(max_examples=100, deadline=None)

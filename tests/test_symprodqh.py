@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from novlink.symprodqh import (
 )
 
 from oracles import (
+    int_tensor,
+    int_tensor_multiply,
     sym_to_tensor,
     symk_idempotents_triple_sum,
     tensor_multiply,
@@ -139,6 +142,19 @@ class TestSymmetricAlgebra:
             tensor_multiply(sym_to_tensor(x), sym_to_tensor(y), x.omega),
             x.k, x.omega)
         assert symk_multiply(x, y) == via_tensor
+
+    @settings(max_examples=100, deadline=None)
+    @given(sym_element_pairs(exact_only=True))
+    def test_integer_tensor_oracle_matches_series_one(self, pair):
+        x, y = pair
+        terms = [t for z in pair for c in z.coeffs for t in c.terms]
+        de = lcm(x.omega.denominator, *(e.denominator for e, _ in terms))
+        dc = lcm(*(c.denominator for _, c in terms))
+        tx, ty = sym_to_tensor(x), sym_to_tensor(y)
+        assert int_tensor_multiply(int_tensor(tx, de, dc),
+                                   int_tensor(ty, de, dc),
+                                   int(x.omega * de)) == \
+            int_tensor(tensor_multiply(tx, ty, x.omega), de, dc * dc)
 
     def test_tensor_oracle_needs_every_arrangement(self):
         # m1 of Sym^2 has two arrangements; one alone is not symmetric.
