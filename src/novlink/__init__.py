@@ -15,7 +15,6 @@ from .novikov import (
     as_fraction,
     divide,
     linear_combination,
-    val,
 )
 from .laurent import LaurentPotential, UnitaryPoint, det_bareiss, solve_linear
 from .critlift import (
@@ -70,7 +69,6 @@ __all__ = [
     "as_fraction",
     "divide",
     "linear_combination",
-    "val",
     "LaurentPotential",
     "UnitaryPoint",
     "det_bareiss",

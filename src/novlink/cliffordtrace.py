@@ -196,10 +196,6 @@ class CliffordElement:
                 cleaned[I] = c
         self._coeffs = cleaned
 
-    @property
-    def coeffs(self) -> Dict[Subset, NovikovSeries]:
-        return dict(self._coeffs)
-
     def coefficient(self, I: Iterable[int]) -> NovikovSeries:
         return self._coeffs.get(tuple(sorted(I)), NovikovSeries.zero())
 
@@ -213,18 +209,6 @@ class CliffordElement:
         for I, c in other._coeffs.items():
             _accumulate(out, I, c)
         return CliffordElement(self.algebra, out)
-
-    def __neg__(self):
-        return CliffordElement(self.algebra,
-                               {I: -c for I, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, u) -> "CliffordElement":
-        u = NovikovSeries.from_scalar(u)
-        return CliffordElement(self.algebra,
-                               {I: c * u for I, c in self._coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, CliffordElement):

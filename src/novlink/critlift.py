@@ -450,7 +450,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     z = [c.assume_precision(work) for c in z0.coords]
     p = work
     residual_vals = []
-    prev_val = None
+    bound = v0  # each residual valuation must pass v0 and the one before
     for _ in range(MAX_NEWTON_STEPS):
         residual, h_now = W.log_jet(z, p)
         if p < work and all(r.is_zero() for r in residual):
@@ -462,11 +462,9 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
         residual_vals.append(rv)
         if all(r.is_zero() for r in residual):
             break
-        if rv <= v0:
+        if rv <= bound:
             raise ObstructedError(f"obstructed at order {rv}", order=rv)
-        if prev_val is not None and rv <= prev_val:
-            raise ObstructedError(f"obstructed at order {rv}", order=rv)
-        prev_val = rv
+        bound = rv
         delta = solve_linear(h_now, [-r for r in residual])
         g = rv - v0
         keep = min(work, 2 * g + eps)
@@ -474,7 +472,6 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
         z = [(z[i] * (NovikovSeries.one() + delta[i])).truncate(keep)
              .assume_precision(p) for i in range(len(z))]
     else:
-        rv = residual_vals[-1] if residual_vals else None
         raise ObstructedError(f"obstructed at order {rv}: "
                               f"{MAX_NEWTON_STEPS} Newton steps exhausted "
                               "before reaching the target",

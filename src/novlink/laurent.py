@@ -162,21 +162,6 @@ class LaurentPotential:
             return LaurentPotential(self._num_vars, merged)
         return NotImplemented
 
-    def __neg__(self):
-        return LaurentPotential(
-            self._num_vars, {m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, LaurentPotential):
-            return self + (-other)
-        return NotImplemented
-
-    def scale(self, u) -> "LaurentPotential":
-        """Multiply every coefficient by the scalar ``u``."""
-        u = NovikovSeries.from_scalar(u)
-        return LaurentPotential(
-            self._num_vars, {m: c * u for m, c in self._terms.items()})
-
     def min_coefficient_valuation(self):
         vals = [c.valuation() for c in self._terms.values()]
         return min(vals) if vals else INFINITY
@@ -456,22 +441,18 @@ def _singular_det(m, k, prev):
 
 
 def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
-                 rhs: Sequence[NovikovSeries],
-                 target_precision=None) -> List[NovikovSeries]:
+                 rhs: Sequence[NovikovSeries]) -> List[NovikovSeries]:
     """Solve ``matrix @ x = rhs`` over the series field.
 
     Gaussian elimination with lowest-valuation pivoting; division precision
     follows the adic rules, and each pivot is inverted at most once (see
     ``novikov._divider``).  The elimination divisions are generic, so with
-    fully exact inputs a ``target_precision`` cap is required to keep the
-    quotients finite.  Raises ``SingularMatrixError`` when no pivot with a
-    nonzero leading term exists at the available precision.
+    fully exact inputs a quotient that is not finite raises
+    ``InexactDivisionError``; truncate the inputs to keep it finite.  Raises
+    ``SingularMatrixError`` when no pivot with a nonzero leading term exists
+    at the available precision.
     """
     n = len(matrix)
-    if target_precision is not None:
-        tp = as_precision(target_precision)
-        matrix = [[e.truncate(tp) for e in row] for row in matrix]
-        rhs = [e.truncate(tp) for e in rhs]
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     by_pivot = []
     for k in range(n):

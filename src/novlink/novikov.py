@@ -276,35 +276,6 @@ class NovikovSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        return other if other is NotImplemented else divide(self, other)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative powers need a precision target; "
-                             "use power(n, target_precision)")
-        return self.power(n)
-
-    def power(self, n: int, target_precision: PrecisionLike = None
-              ) -> "NovikovSeries":
-        """``self**n`` for any integer n; negative n inverts first."""
-        if n < 0:
-            return self.invert(target_precision).power(-n)
-        result = NovikovSeries.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        if target_precision is not None:
-            result = result.truncate(target_precision)
-        return result
-
     def invert(self, target_precision: PrecisionLike = None) -> "NovikovSeries":
         """Multiplicative inverse, valid modulo ``T^target_precision``.
 
@@ -625,11 +596,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return NovikovSeries.monomial(x, 0)
     return NotImplemented
-
-
-def val(x: NovikovSeries):
-    """Valuation: the smallest exponent, or ``INFINITY`` for (mod-)zero."""
-    return x.valuation()
 
 
 def divide(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:

@@ -93,9 +93,6 @@ class SymQHElement:
                             [a - b for a, b in zip(self._coeffs,
                                                    other._coeffs)])
 
-    def __mul__(self, other):
-        return symk_multiply(self, other)
-
     def scale(self, u) -> "SymQHElement":
         u = NovikovSeries.from_scalar(u)
         return SymQHElement(self.k, self.omega,

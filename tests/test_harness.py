@@ -44,6 +44,7 @@ from novlink.symprodqh import SYMK_K_LIMIT, symk_idempotents
 # (``trace_k3_hessian.json``), ``qh idempotents``, ``spectrum enum`` and
 # ``scan nobulk``.  Any change in these bytes is a change in results.
 GOLDEN = Path(__file__).parent / "golden"
+ONE = {"terms": [{"c": "1", "e": "0"}]}
 
 
 def power_config(lo=2, hi=6, **kw):
@@ -411,6 +412,78 @@ class TestCLI:
         })
         assert main(["scan", "weyl", "--config", cfg]) == 3
         assert "k = 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("total, code", [("2/9", 0), ("1", 3),
+                                             ("1/9", 3)])
+    def test_fixed_total_schedule_at_k_1(self, tmp_path, capsys, total,
+                                         code):
+        # B_1 = 1/9 on this schedule; a lone link needs total_area = 2 B_1.
+        cfg = self._write(tmp_path, "scan.json", {
+            "k_range": [1, 1],
+            "schedule": {"type": "power_fixed_total", "beta": "1",
+                         "power": 2, "shift": 2, "total_area": total},
+        })
+        assert main(["scan", "weyl", "--config", cfg]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.splitlines() == [
+                ",".join(WEYL_COLUMNS), "1,1/18,1/9,1/9,1/9,1/9"]
+        else:
+            assert "k = 1" in captured.err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["scan", "weyl", "--config", str(GOLDEN / "weyl_k1_6_config.json")],
+         "weyl_k1_6.csv"),
+        (["scan", "nobulk", "--kmax", "8", "--omega", "1"],
+         "nobulk_k1_8.csv"),
+    ])
+    def test_scan_out_writes_the_golden_bytes(self, tmp_path, capsys, argv,
+                                              expected):
+        out = tmp_path / expected
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == (GOLDEN / expected).read_bytes()
+
+    @pytest.mark.parametrize("command, obj, message", [
+        (["trace", "check", "--hessian"], [[ONE, ONE]],
+         "form matrix is not square"),
+        (["trace", "check", "--hessian"], [[ONE, ONE], [[], ONE]],
+         "form matrix is not symmetric"),
+        (["scan", "weyl", "--config"],
+         {"k_range": [1, 2], "schedule": {"type": "power_fixed_total"}},
+         "power_fixed_total needs total_area"),
+        (["scan", "weyl", "--config"],
+         {"k_range": [1, 2], "schedule": {"annulus_ratio": 1}},
+         "annulus_ratio must lie in (0, 1)"),
+        (["scan", "weyl", "--config"],
+         {"k_range": [1, 2], "schedule": {"beta": 0}},
+         "beta must be positive"),
+        (["scan", "weyl", "--config"], {"k_range": [1, 2], "c0": 0},
+         "c0 must be nonzero"),
+        (["crit", "find", "--potential"], {"num_vars": 0, "terms": []},
+         "num_vars must be a positive integer"),
+    ])
+    def test_malformed_input_file_exits_2(self, tmp_path, capsys, command,
+                                          obj, message):
+        path = self._write(tmp_path, "input.json", obj)
+        assert main(command + [path]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--window", "1,2,3", "window must be lo,hi"),
+        ("--pi", "0", "pi_generator must be positive"),
+    ])
+    def test_spectrum_enum_malformed_option_exits_2(self, capsys, option,
+                                                    value, message):
+        argv = ["spectrum", "enum", "--values", "0,1", "--k", "2",
+                "--pi", "100", "--window", "-5,5"]
+        argv[argv.index(option) + 1] = value
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("schedule, top", [
         ({"beta": 0.5}, {}),

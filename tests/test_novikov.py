@@ -17,7 +17,6 @@ from novlink.novikov import (
     as_fraction,
     divide,
     linear_combination,
-    val,
 )
 
 from oracles import long_divide, series_product, series_sum
@@ -36,19 +35,19 @@ def S(*pairs, prec=INFINITY):
 
 class TestValuation:
     def test_min_of_exponents(self):
-        assert val(S((3, F(1, 2)), (-1, 2))) == F(1, 2)
+        assert S((3, F(1, 2)), (-1, 2)).valuation() == F(1, 2)
 
     def test_exact_zero_is_infinity(self):
-        assert val(NovikovSeries.zero()) is INFINITY
+        assert NovikovSeries.zero().valuation() is INFINITY
 
     def test_monomial_product_adds_valuations(self):
         x = NovikovSeries.monomial(1, F(1, 3))
         y = NovikovSeries.monomial(1, F(2, 3))
-        assert val(x * y) == 1
+        assert (x * y).valuation() == 1
 
     def test_zero_mod_precision_reports_infinity_with_bound(self):
         z = NovikovSeries.zero(5)
-        assert val(z) is INFINITY
+        assert z.valuation() is INFINITY
         assert z.val_lower_bound() == 5
 
 
@@ -83,9 +82,20 @@ class TestArithmetic:
         assert 1 + S((1, 1)) == S((1, 0), (1, 1))
         assert S((1, 1)) * 3 == S((3, 1))
 
+    @pytest.mark.parametrize("x", [
+        S((1, 0), (3, F(1, 2))),                              # exact
+        NovikovSeries([(2, 0), (-1, F(2, 3))], F(5, 4)),      # finite prec
+        NovikovSeries.zero(F(3, 2)),                          # O(T^(3/2))
+    ])
+    def test_scalar_minus_series_negates_series_minus_scalar(self, x):
+        for scalar in (2, F(1, 2)):
+            got, want = scalar - x, -(x - scalar)
+            assert got.integer_form == want.integer_form
+            assert got.precision == want.precision
+
     def test_negative_exponents_allowed(self):
         s = S((1, F(-1, 2)), (2, 1))
-        assert val(s) == F(-1, 2)
+        assert s.valuation() == F(-1, 2)
 
 
 class TestInvert:
@@ -107,7 +117,7 @@ class TestInvert:
 
     def test_valuation_negated(self):
         x = S((2, F(3, 2)), (1, 2))
-        assert val(x.invert(4)) == F(-3, 2)
+        assert x.invert(4).valuation() == F(-3, 2)
 
     def test_finite_precision_limits_inverse(self):
         x = NovikovSeries([(1, 1)], 3)  # T + O(T^3): relative precision 2
@@ -172,7 +182,7 @@ class TestSerialization:
 
 @given(x=nonzero_series(), y=nonzero_series())
 def test_val_additive_on_products(x, y):
-    assert val(x * y) == val(x) + val(y)
+    assert (x * y).valuation() == x.valuation() + y.valuation()
 
 
 @given(x=series(), y=series())
@@ -181,8 +191,9 @@ def test_ultrametric_inequality(x, y):
     lo = min(x.val_lower_bound(), y.val_lower_bound())
     assert s.val_lower_bound() >= lo
     if (not x.is_zero() and not y.is_zero()
-            and val(x) != val(y) and min(val(x), val(y)) < s.precision):
-        assert val(s) == min(val(x), val(y))
+            and x.valuation() != y.valuation()
+            and min(x.valuation(), y.valuation()) < s.precision):
+        assert s.valuation() == min(x.valuation(), y.valuation())
 
 
 @given(x=series(), y=series())
