@@ -34,8 +34,9 @@ from .errors import (
     ObstructedError,
     SpectrumError,
 )
+from .harness import _rational
 from .laurent import LaurentPotential, UnitaryPoint
-from .novikov import NovikovSeries, as_fraction
+from .novikov import NovikovSeries
 from .spectrum import ModelOrbitSet, SpectrumConfig, enumerate_spectrum
 
 _CONFIG_ERRORS = (ConfigError, json.JSONDecodeError, OSError, KeyError,
@@ -60,7 +61,7 @@ def _cmd_crit_find(args) -> int:
 def _cmd_crit_lift(args) -> int:
     W = LaurentPotential.from_obj(_load_json(args.potential))
     seed = UnitaryPoint.from_obj(_load_json(args.seed))
-    cfg = LiftConfig(target_precision=as_fraction(args.prec))
+    cfg = LiftConfig(target_precision=_rational(args.prec, "--prec"))
     cert = hensel_lift(W, seed, cfg)
     print(json.dumps({
         "point": cert.point.to_obj(),
@@ -107,7 +108,7 @@ def _cmd_trace_check(args) -> int:
 
 def _cmd_qh_idempotents(args) -> int:
     from .symprodqh import symk_idempotents
-    omega = as_fraction(args.omega)
+    omega = _rational(args.omega, "--omega")
     idems = symk_idempotents(args.k, omega)
     for j, e in enumerate(idems):
         v = e.valuation()
@@ -119,11 +120,12 @@ def _cmd_qh_idempotents(args) -> int:
 
 
 def _cmd_spectrum_enum(args) -> int:
-    values = [as_fraction(v) for v in args.values.split(",") if v.strip()]
-    lo_hi = [as_fraction(v) for v in args.window.split(",")]
+    values = [_rational(v, "--values") for v in args.values.split(",")
+              if v.strip()]
+    lo_hi = [_rational(v, "--window") for v in args.window.split(",")]
     if len(lo_hi) != 2:
         raise ConfigError("window must be lo,hi")
-    cfg = SpectrumConfig(k=args.k, pi_generator=as_fraction(args.pi),
+    cfg = SpectrumConfig(k=args.k, pi_generator=_rational(args.pi, "--pi"),
                          window=(lo_hi[0], lo_hi[1]))
     spec = enumerate_spectrum(ModelOrbitSet(values), cfg)
     print(json.dumps([str(x) for x in spec]))
@@ -140,7 +142,7 @@ def _cmd_scan_weyl(args) -> int:
 
 def _cmd_scan_nobulk(args) -> int:
     rows = harness.nobulk_scan((args.kmin, args.kmax),
-                               as_fraction(args.omega))
+                               _rational(args.omega, "--omega"))
     text = harness.render_rows(rows, harness.NOBULK_COLUMNS, args.format)
     _emit(text, args.out)
     return 0

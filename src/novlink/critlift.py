@@ -142,7 +142,7 @@ def _solve_leading_system(W: LaurentPotential):
         polys.append(poly)
     rational, irrational = _solve_polynomials(polys, W.num_vars)
     # Few distinct coordinates recur across the 2^k-style product.
-    leads = {c: NovikovSeries.monomial(c, 0) for tup in rational for c in tup}
+    leads = {c: NovikovSeries.monomial(c, 0) for c in set().union(*rational)}
     points = [UnitaryPoint([leads[c] for c in tup]) for tup in rational]
     return points, irrational
 

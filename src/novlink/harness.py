@@ -1,7 +1,7 @@
 """Scan driver: sweeps link families over k and tabulates the asymptotics.
 
-``weyl_scan`` builds one chain link per ``k`` from an area schedule, lifts
-its critical point, and reports the trace valuation per row; the
+``weyl_scan`` builds one chain link per ``k`` from an area schedule,
+certifies its critical point, and reports the trace valuation per row; the
 normalized column ``val_Z / k`` equals the disc area exactly, so a
 schedule with shrinking discs exhibits the sublinear growth and a constant
 schedule exhibits its failure.  ``nobulk_scan`` tabulates the counter
@@ -167,9 +167,9 @@ NOBULK_COLUMNS = ("k", "idempotent_count", "val_e", "val_e_over_k")
 def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
     """One row per ``k``: areas, trace valuation and defect bound.
 
-    Each row lifts the chain critical point, rebuilds the Clifford algebra
-    from the evaluated Hessian, and reports ``val_Z`` from the trace; the
-    determinant route must agree and is asserted on every row.  The chain
+    Each row certifies the chain critical point, rebuilds the Clifford
+    algebra from the evaluated Hessian, and reports ``val_Z`` from the
+    trace; the determinant route must agree and is asserted on every row.  The chain
     Hessian at ``k`` has ``k`` rows, so a range reaching above
     ``TRACE_N_LIMIT`` raises ``ConfigError`` before any row is computed.
     """
@@ -183,7 +183,7 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
         bulk = BulkParameter(cfg.c0)
         cert = critical_data(link, bulk)
         if not cert.morse:
-            raise AreaError(f"lift at k = {k} is not Morse: {cert.reason}")
+            raise AreaError(f"critical point at k = {k} is not Morse: {cert.reason}")
         Z = cliffordtrace.trace_Z(
             cliffordtrace.CliffordAlgebraModel(cert.hessian))
         val_z = Z.valuation()

@@ -14,7 +14,8 @@ the square of a deformation parameter ``c`` of valuation ``(B - A)/2``:
 
 Every coefficient then has valuation exactly ``B``, the leading gradient
 system decouples into one quadratic per variable, and the Hessian
-determinant at any lifted branch has valuation exactly ``k * B``.
+determinant at any of its branches has valuation exactly ``k * B``.  Each
+branch is an exact critical point of this potential.
 
 Only these lowest-order terms are constructed; higher corrections enter as
 caller-supplied extra monomials and are handled by the lifting machinery.
@@ -28,9 +29,8 @@ from typing import List, Optional, Tuple
 
 from .critlift import (
     CriticalCertificate,
-    LiftConfig,
     _solve_leading_system,
-    hensel_lift,
+    certify_morse,
 )
 from .errors import AreaError, ConfigError, NotZeroDimensionalError
 from .laurent import LaurentPotential, UnitaryPoint
@@ -70,35 +70,20 @@ class CircleLinkS2:
 
 @dataclass(frozen=True)
 class BulkParameter:
-    """Deformation weight ``c``: leading coefficient plus optional tail.
+    """Deformation weight ``c = c0 T^((B - A)/2)``.
 
     The valuation of ``c`` is pinned to ``(B - A)/2`` by the link geometry,
-    so only the leading rational coefficient ``c0`` and an optional
-    higher-order tail are free.  The tail, when present, must sit strictly
-    above the base valuation.
+    so only the leading rational coefficient ``c0`` is free.  Higher-order
+    corrections to ``c`` enter ``build_chain_potential`` as extra monomials.
     """
 
     c0: Fraction
-    higher_terms: Optional[NovikovSeries] = None
 
-    def __init__(self, c0=Fraction(1), higher_terms=None):
+    def __init__(self, c0=Fraction(1)):
         c0 = as_fraction(c0)
         if c0 == 0:
             raise ConfigError("c0 must be a nonzero rational")
         object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "higher_terms", higher_terms)
-
-    def series(self, base_val) -> NovikovSeries:
-        """The full parameter ``c = c0 T^base_val + tail``."""
-        base_val = as_fraction(base_val)
-        c = NovikovSeries.monomial(self.c0, base_val)
-        if self.higher_terms is not None:
-            tail = self.higher_terms
-            if not tail.is_zero() and tail.valuation() <= base_val:
-                raise ConfigError("bulk tail must have valuation above "
-                                  "(B - A)/2")
-            c = c + tail
-        return c
 
 
 def build_chain_potential(link: CircleLinkS2, bulk: BulkParameter,
@@ -109,10 +94,8 @@ def build_chain_potential(link: CircleLinkS2, bulk: BulkParameter,
     For ``k = 1`` the annulus sum is empty and the result is
     ``T^B (z + 1/z)``, the equatorial-circle potential.
     """
-    k, A, B = link.k, link.A, link.B
-    base_val = (B - A) / 2
-    c = bulk.series(base_val)
-    c2TA = c * c * NovikovSeries.monomial(1, A)
+    k, B = link.k, link.B
+    c2TA = NovikovSeries.monomial(bulk.c0 * bulk.c0, B)  # c^2 T^A
     TB = NovikovSeries.monomial(1, B)
 
     # The chain's 2k monomials are distinct.
@@ -131,12 +114,13 @@ def build_chain_potential(link: CircleLinkS2, bulk: BulkParameter,
 
 def preferred_branch_leads(link: CircleLinkS2,
                            bulk: BulkParameter) -> Tuple[Fraction, ...]:
-    """Leading coordinates of the all-positive branch.
+    """Coordinates of the all-positive branch, an exact critical point.
 
     The decoupled leading system forces ``z_1 = +-c0``, middle coordinates
-    ``+-1`` and ``z_k = +-1/c0``; the all-plus sign choice is the default
-    lift target.  For ``k = 1`` both disc terms fall on the single variable
-    and the branch is ``z = 1``.
+    ``+-1`` and ``z_k = +-1/c0``.  Each gradient component of the chain
+    potential is a single leading layer, so these constants solve the full
+    system, not just its leading order.  For ``k = 1`` both disc terms fall
+    on the single variable and the branch is ``z = 1``.
     """
     k = link.k
     if k == 1:
@@ -149,19 +133,18 @@ def preferred_branch_leads(link: CircleLinkS2,
 
 def critical_data(link: CircleLinkS2, bulk: BulkParameter
                   ) -> CriticalCertificate:
-    """Certificate for the default branch of the chain potential.
+    """Certificate for the all-plus branch of the chain potential.
 
-    The certificate's Hessian determinant has valuation exactly
-    ``k * B``.  The lift targets precision ``(k + 4) * B``, comfortably
-    above the determinant valuation.
+    The branch is exact, so no Newton step is needed: the point is
+    certified as it stands, known modulo ``T^((k + 4) B)``, comfortably
+    above the determinant valuation ``k * B``.  That is the point and
+    precision a lift to that target would hand to ``certify_morse``;
+    ``residual_valuations`` is empty.
     """
-    W = build_chain_potential(link, bulk)
-    cfg = LiftConfig(target_precision=(link.k + 4) * link.B)
-    # The decoupled leading system makes the all-plus branch explicit;
-    # building it directly avoids enumerating all 2^k sign choices.
-    z0 = UnitaryPoint([NovikovSeries.monomial(c, 0)
+    target = (link.k + 4) * link.B
+    z0 = UnitaryPoint([NovikovSeries.monomial(c, 0, target)
                        for c in preferred_branch_leads(link, bulk)])
-    return hensel_lift(W, z0, cfg)
+    return certify_morse(build_chain_potential(link, bulk), z0, target)
 
 
 @dataclass(frozen=True)

@@ -75,12 +75,6 @@ class SymQHElement:
         coeffs = [NovikovSeries.one()] + [NovikovSeries.zero()] * k
         return cls(k, omega, coeffs)
 
-    @classmethod
-    def basis(cls, k: int, omega, j: int) -> "SymQHElement":
-        coeffs = [NovikovSeries.one() if i == j else NovikovSeries.zero()
-                  for i in range(k + 1)]
-        return cls(k, omega, coeffs)
-
     def __add__(self, other):
         self._check(other)
         return SymQHElement(self.k, self.omega,
@@ -92,11 +86,6 @@ class SymQHElement:
         return SymQHElement(self.k, self.omega,
                             [a - b for a, b in zip(self._coeffs,
                                                    other._coeffs)])
-
-    def scale(self, u) -> "SymQHElement":
-        u = NovikovSeries.from_scalar(u)
-        return SymQHElement(self.k, self.omega,
-                            [c * u for c in self._coeffs])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self._coeffs)

@@ -518,13 +518,23 @@ def perturbed_chain_lifts(draw):
         lambda j: NovikovSeries.monomial(1, (link.B - link.A) / 2
                                          + F(j, 16)))))
     bulk = BulkParameter(draw(st.sampled_from(
-        [F(1), F(2), F(1, 2), F(3, 2), F(-1), F(-2, 3)])), tail)
+        [F(1), F(2), F(1, 2), F(3, 2), F(-1), F(-2, 3)])))
     extra = {}
     for _ in range(draw(st.integers(0, k))):
         m = draw(st.tuples(*[st.integers(-1, 1)] * k).filter(any))
         delta = F(draw(st.integers(-2, 7)), 16)
         coeff = F(draw(small_ints.filter(bool)), draw(st.integers(1, 3)))
         extra[m] = NovikovSeries.monomial(coeff, B + delta)
+    if tail is not None:
+        # c = c0 T^b + tail turns each annulus coefficient c^2 T^A into
+        # c0^2 T^B plus (2 c0 T^b tail + tail^2) T^A.
+        b = (link.B - link.A) / 2
+        shift = ((2 * NovikovSeries.monomial(bulk.c0, b) * tail + tail * tail)
+                 * NovikovSeries.monomial(1, link.A))
+        for j in range(k - 1):
+            for m in (tuple(-1 if i == j else 0 for i in range(k)),
+                      tuple(1 if i == j + 1 else 0 for i in range(k))):
+                extra[m] = extra.get(m, NovikovSeries.zero()) + shift
     W = build_chain_potential(link, bulk,
                               LaurentPotential(k, extra) if extra else None)
     leads = [draw(st.sampled_from([1, -1])) * c

@@ -32,8 +32,10 @@ from novlink.symprodqh import SYMK_K_LIMIT, symk_idempotents
 # and ``scan weyl`` for k = 1..6 on the power schedule (beta 1, power 2,
 # shift 2).  ``weyl_k1_12.csv`` is the same scan for k = 1..12, the
 # benchmark's size, written by the tuple-keyed trace that preceded the
-# bitmask one.  ``lift_k3_find.json`` is ``crit find`` on the same k = 3
-# potential, written when sympy solved every leading system whole.
+# bitmask one, and ``weyl_k13_16.csv`` continues it to k = 16 on the same
+# schedule, written while ``critical_data`` still ran ``hensel_lift``.
+# ``lift_k3_find.json`` is ``crit find`` on the same k = 3 potential,
+# written when sympy solved every leading system whole.
 # ``lift_k3_potential_prec.json`` is that potential with three coefficients
 # known only modulo T^(25/14), T^(13/7) and T^(9/5): precision denominators
 # off the 1/16 exponent lattice.  Its ``crit lift`` golden was written while
@@ -242,6 +244,8 @@ class TestCLI:
         (["crit", "lift", "--potential", "lift_k3_potential_prec.json",
           "--seed", "lift_k3_seed.json", "--prec", "3/2"],
          "lift_k3_potential_prec_3_2.json"),
+        (["scan", "weyl", "--config", "weyl_k13_16_config.json"],
+         "weyl_k13_16.csv"),
     ])
     def test_output_matches_golden(self, argv, expected, capsys):
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
@@ -483,6 +487,25 @@ class TestCLI:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert f"config error: {message}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "enum", "--values", "0,1", "--k", "2", "--pi", "1/0",
+         "--window", "-5,5"],
+        ["spectrum", "enum", "--values", "0,1/0", "--k", "2", "--pi", "100",
+         "--window", "-5,5"],
+        ["spectrum", "enum", "--values", "0,1", "--k", "2", "--pi", "100",
+         "--window", "-5,5/0"],
+        ["qh", "idempotents", "--k", "2", "--omega", "1/0"],
+        ["scan", "nobulk", "--kmax", "3", "--omega", "2/0"],
+        ["crit", "lift", "--potential", str(GOLDEN / "lift_k3_potential.json"),
+         "--seed", str(GOLDEN / "lift_k3_seed.json"), "--prec", "1/0"],
+    ])
+    def test_zero_denominator_option_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert "is not a rational number" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("schedule, top", [

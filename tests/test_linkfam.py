@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from novlink.critlift import leading_solutions
+from novlink.critlift import LiftConfig, hensel_lift, leading_solutions
 from novlink.errors import AreaError, ConfigError, PrecisionError
-from novlink.laurent import LaurentPotential
+from novlink.laurent import LaurentPotential, UnitaryPoint
 from novlink.linkfam import (
     BulkParameter,
     CircleLinkS2,
     build_chain_potential,
     critical_data,
+    preferred_branch_leads,
     truncation_obstruction,
 )
 from novlink.novikov import NovikovSeries
@@ -45,12 +47,6 @@ class TestCircleLink:
     def test_zero_bulk_rejected(self):
         with pytest.raises(ConfigError):
             BulkParameter(F(0))
-
-    def test_bulk_tail_below_base_rejected(self):
-        bulk = BulkParameter(F(1), higher_terms=mono(1, F(1, 100)))
-        link = CircleLinkS2(2, F(1, 8), F(1, 4))
-        with pytest.raises(ConfigError, match="tail"):
-            build_chain_potential(link, bulk)
 
 
 class TestBuildChainPotential:
@@ -102,15 +98,6 @@ class TestBuildChainPotential:
         W = build_chain_potential(link, BulkParameter(F(1)), extra)
         assert W.coefficient((1, 1)) == mono(7, F(1, 2))
 
-    def test_bulk_tail_shifts_coefficients(self):
-        link = CircleLinkS2(2, F(1, 8), F(1, 4))
-        tail = mono(1, F(1, 4))  # above (B-A)/2 = 1/16
-        W = build_chain_potential(link, BulkParameter(F(1), tail))
-        # c^2 T^A = (T^{1/16} + T^{1/4})^2 T^{1/8}
-        c2TA = W.coefficient((0, 1))
-        assert c2TA.valuation() == F(1, 4)
-        assert len(c2TA.terms) == 3
-
 
 class TestCriticalData:
     def test_k2_reference_values(self):
@@ -160,10 +147,34 @@ class TestCriticalData:
             W = build_chain_potential(link, BulkParameter(F(1)))
             assert len(leading_solutions(W)) == 2 ** k
 
+    def test_equals_the_lift_from_its_branch(self):
+        # The all-plus branch is exact: certifying it gives the lift's
+        # certificate, with no Newton step recorded.
+        rng = random.Random(17)
+        for k in range(1, 13):
+            B = F(rng.randint(2, 40), 120)
+            A = B * F(rng.randint(1, 9), 10)
+            c0 = F(rng.randint(-8, 8) or 3, rng.randint(1, 4))
+            link, bulk = CircleLinkS2(k, A, B), BulkParameter(c0)
+            z0 = UnitaryPoint([mono(c) for c in
+                               preferred_branch_leads(link, bulk)])
+            lifted = hensel_lift(build_chain_potential(link, bulk), z0,
+                                 LiftConfig((k + 4) * B))
+            cert = critical_data(link, bulk)
+            assert cert.residual_valuations == ()
+            assert cert == replace(lifted, residual_valuations=())
+
     def test_bulk_tail_forces_genuine_lift(self):
+        # A tail on c = T^(1/16) + 3 T^(1/8) adds
+        # (2 T^(1/16) tail + tail^2) T^A to each annulus coefficient.
         link = CircleLinkS2(2, F(1, 8), F(1, 4))
         tail = mono(3, F(1, 8))
-        cert = critical_data(link, BulkParameter(F(1), tail))
+        shift = (2 * mono(1, (link.B - link.A) / 2) * tail + tail * tail) \
+            * mono(1, link.A)
+        W = build_chain_potential(link, BulkParameter(F(1)), LaurentPotential(
+            2, {(-1, 0): shift, (0, 1): shift}))
+        cert = hensel_lift(W, UnitaryPoint([mono(1)] * 2),
+                           LiftConfig(6 * link.B))
         assert cert.morse
         assert cert.det_valuation() == 2 * link.B
         moved = [c - NovikovSeries.one() for c in cert.point]

@@ -39,7 +39,7 @@ def rank_two(a, b, omega):
 
 
 def H(omega):
-    return SymQHElement.basis(1, omega, 1)
+    return SymQHElement(1, omega, [0, 1])
 
 
 class TestRankTwoAlgebra:
@@ -124,7 +124,7 @@ class TestSymmetricAlgebra:
 
     def test_unit_element(self):
         one = SymQHElement.one(4, F(1))
-        x = SymQHElement.basis(4, F(1), 2)
+        x = SymQHElement(4, F(1), [0, 0, 1, 0, 0])
         assert symk_multiply(one, x) == x
 
     def test_zero_modulo_precision_coefficient_kept(self):
@@ -170,8 +170,9 @@ class TestSymmetricIdempotents:
     def test_k1_closed_form(self):
         # [(1 - T^(-omega/2) H)/2, (1 + T^(-omega/2) H)/2]
         for omega in (F(1), F(3, 2)):
-            half = SymQHElement.one(1, omega).scale(F(1, 2))
-            u = H(omega).scale(NovikovSeries.monomial(F(1, 2), -omega / 2))
+            half = SymQHElement(1, omega, [F(1, 2), 0])
+            u = SymQHElement(1, omega,
+                             [0, NovikovSeries.monomial(F(1, 2), -omega / 2)])
             assert symk_idempotents(1, omega) == [half - u, half + u]
 
     def test_k2_three_idempotents_of_valuation_minus_omega(self):
