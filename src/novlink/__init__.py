@@ -23,7 +23,6 @@ from .critlift import (
     certify_morse,
     hensel_lift,
     leading_solutions,
-    lift_all,
 )
 from .linkfam import (
     BulkParameter,
@@ -78,7 +77,6 @@ __all__ = [
     "certify_morse",
     "hensel_lift",
     "leading_solutions",
-    "lift_all",
     "BulkParameter",
     "CircleLinkS2",
     "TruncationReport",

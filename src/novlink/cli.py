@@ -27,7 +27,6 @@ from .errors import (
     AreaError,
     ConfigError,
     DegenerateTraceError,
-    ExtensionFieldError,
     NonMorseError,
     NotZeroDimensionalError,
     NovlinkError,
@@ -35,15 +34,15 @@ from .errors import (
     SpectrumError,
 )
 from .harness import _rational
-from .laurent import LaurentPotential, UnitaryPoint
+from .laurent import LaurentPotential, UnitaryPoint, det_bareiss
 from .novikov import NovikovSeries
 from .spectrum import ModelOrbitSet, SpectrumConfig, enumerate_spectrum
+from .symprodqh import symk_idempotents
 
 _CONFIG_ERRORS = (ConfigError, json.JSONDecodeError, OSError, KeyError,
                   ValueError)
 _MATH_ERRORS = (NonMorseError, ObstructedError, NotZeroDimensionalError,
-                DegenerateTraceError, ExtensionFieldError, AreaError,
-                SpectrumError)
+                DegenerateTraceError, AreaError, SpectrumError)
 
 
 def _load_json(path: str):
@@ -89,7 +88,6 @@ def _cmd_trace_check(args) -> int:
     matrix = [[NovikovSeries.from_obj(e) for e in row] for row in entries]
     alg = cliffordtrace.CliffordAlgebraModel(matrix)
     Z = cliffordtrace.trace_Z(alg)
-    from .laurent import det_bareiss
     det = det_bareiss(matrix)
     print(f"Z = {Z}")
     print(f"det = {det}")
@@ -107,7 +105,6 @@ def _cmd_trace_check(args) -> int:
 
 
 def _cmd_qh_idempotents(args) -> int:
-    from .symprodqh import symk_idempotents
     omega = _rational(args.omega, "--omega")
     idems = symk_idempotents(args.k, omega)
     for j, e in enumerate(idems):

@@ -37,7 +37,6 @@ from sympy.solvers.polysys import solve_poly_system
 
 from .errors import (
     ConfigError,
-    ExtensionFieldError,
     NonMorseError,
     NotZeroDimensionalError,
     ObstructedError,
@@ -355,8 +354,8 @@ def leading_solutions(W: LaurentPotential) -> List[UnitaryPoint]:
     """Rational solutions of the leading-order gradient system.
 
     The points are constant (order-zero) and sorted lexicographically by
-    coordinate tuple; irrational branches are dropped here (see
-    ``lift_all`` for how they are surfaced).
+    coordinate tuple; irrational branches are dropped, and
+    ``truncation_obstruction`` counts them.  ``hensel_lift`` lifts a point.
     """
     points, _ = _solve_leading_system(W)
     return points
@@ -520,21 +519,3 @@ def certify_morse(W: LaurentPotential, z, target_precision=None
         reason="; ".join(reasons),
         hessian=tuple(tuple(row) for row in matrix),
     )
-
-
-def lift_all(W: LaurentPotential, cfg: LiftConfig
-             ) -> List[CriticalCertificate]:
-    """Find and lift every rational leading branch of the potential.
-
-    Raises ``ExtensionFieldError`` when the leading system has solutions
-    but none with rational coordinates.
-    """
-    points, irrational = _solve_leading_system(W)
-    if not points:
-        if irrational:
-            raise ExtensionFieldError(
-                "requires extension field: leading solutions exist but "
-                "none are rational")
-        return []
-    return [hensel_lift(W, p, cfg) for p in points]
-

@@ -59,10 +59,6 @@ class ObstructedError(NovlinkError):
         self.order = order
 
 
-class ExtensionFieldError(NovlinkError):
-    """A branch needs algebraic (non-rational) leading coefficients."""
-
-
 class DegenerateTraceError(NovlinkError):
     """Trace vanishes; the underlying critical point is not Morse."""
 

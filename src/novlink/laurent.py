@@ -192,24 +192,18 @@ class LaurentPotential:
         coordinate power comes from one memo, built by repeated
         multiplication at the factor precision
         ``prec - min(min coefficient valuation, 0)``, which is enough for
-        every coefficient to reach ``T^prec``.  Without a target the table
-        is exact, which requires every coordinate raised to a negative
-        power to be an exact monomial.
+        every coefficient to reach ``T^prec``.  A negative power starts
+        from ``invert`` at the factor precision, so its rule applies: with
+        no target an exact monomial coordinate inverts exactly, a
+        finite-precision one keeps the precision it carries, and a
+        multi-term exact one raises ``PrecisionError``.
         """
         coords = _as_unitary_coords(point, self._num_vars)
-        exact = target_precision is None
-        prec = INFINITY if exact else as_precision(target_precision)
+        prec = (INFINITY if target_precision is None
+                else as_precision(target_precision))
         min_cval = min((c.val_lower_bound() for c in self._terms.values()),
                        default=Fraction(0))
         factor_prec = prec - min(min_cval, Fraction(0))
-
-        def inverse(c):
-            # ``invert`` alone would accept a finite-precision monomial.
-            if exact and (len(c.terms) != 1 or not c.is_exact()):
-                raise PrecisionError(
-                    "exact evaluation needs monomial coordinates for "
-                    "negative powers; pass target_precision")
-            return c.invert(factor_prec)
 
         powers: Dict[Tuple[int, int], NovikovSeries] = {}
 
@@ -218,7 +212,8 @@ class LaurentPotential:
             step = 1 if e > 0 else -1
             base = powers.get((i, step))
             if base is None:
-                base = coords[i] if step > 0 else inverse(coords[i])
+                base = (coords[i] if step > 0
+                        else coords[i].invert(factor_prec))
                 base = powers[(i, step)] = base.truncate(factor_prec)
             n = e
             while (i, n) not in powers:
@@ -241,9 +236,11 @@ class LaurentPotential:
     def evaluate(self, point, target_precision=None) -> NovikovSeries:
         """Value at a unitary point, modulo ``T^target_precision``.
 
-        Without a target the evaluation is exact, which requires every
-        coordinate raised to a negative power to be an exact monomial
-        (constant points qualify); otherwise a target must be supplied.
+        Without a target nothing is truncated: the value keeps the
+        precision the coefficients and coordinates carry, and is exact
+        when they are exact monomials (constant points qualify).  A
+        coordinate raised to a negative power follows ``invert``'s rule,
+        so a multi-term exact one needs a target.
         """
         prec, table = self._monomial_table(point, target_precision)
         return linear_combination((1, value)
@@ -255,7 +252,7 @@ class LaurentPotential:
         Returns ``(gradient, hessian)``: entry by entry the values of
         ``log_gradient()`` and ``log_hessian()`` at the point modulo
         ``T^target_precision``, read off one monomial table as sums
-        weighted by ``m_i`` and ``m_i * m_j``.  The exactness rules are
+        weighted by ``m_i`` and ``m_i * m_j``.  The precision rules are
         those of ``evaluate``.  An entry that no monomial reaches is
         identically zero and comes out as an exact zero, which keeps
         Hessians sparse.

@@ -208,8 +208,7 @@ def _restrict_to_variables(W: LaurentPotential,
         mm = [0] * len(keep)
         for v, i in index.items():
             mm[i] = m[v]
-        mm = tuple(mm)
-        terms[mm] = terms.get(mm, NovikovSeries.zero()) + c
+        terms[tuple(mm)] = c
     return LaurentPotential(len(keep), terms)
 
 

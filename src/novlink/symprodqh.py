@@ -70,11 +70,6 @@ class SymQHElement:
     def coeffs(self) -> Tuple[NovikovSeries, ...]:
         return self._coeffs
 
-    @classmethod
-    def one(cls, k: int, omega) -> "SymQHElement":
-        coeffs = [NovikovSeries.one()] + [NovikovSeries.zero()] * k
-        return cls(k, omega, coeffs)
-
     def __add__(self, other):
         self._check(other)
         return SymQHElement(self.k, self.omega,

@@ -139,7 +139,7 @@ def test_criterion_3_no_bulk_obstruction():
         total = idems[0]
         for e in idems[1:]:
             total = total + e
-        if total != SymQHElement.one(k, omega):
+        if total != SymQHElement(k, omega, [1] + [0] * k):
             failures.append(f"k={k}: idempotents do not sum to 1")
         for i, ei in enumerate(idems):
             if ei.valuation() != -F(k, 2):

@@ -21,11 +21,9 @@ from novlink.critlift import (
     certify_morse,
     hensel_lift,
     leading_solutions,
-    lift_all,
 )
 from novlink.errors import (
     ConfigError,
-    ExtensionFieldError,
     NonMorseError,
     NotZeroDimensionalError,
     ObstructedError,
@@ -128,8 +126,6 @@ class TestLeadingSolutions:
                                  (-1,): mono(1, 2), (1,): mono(1, 2)})
         with pytest.raises(PrecisionError, match="unknown"):
             leading_solutions(W)
-        with pytest.raises(PrecisionError, match="unknown"):
-            lift_all(W, LiftConfig(F(4)))
 
     # The next tests pin the answers the leading solve gave when it sent
     # every system to sympy's ``solve_poly_system``.
@@ -174,8 +170,7 @@ class TestLeadingSolutions:
         # z + 2/z: critical points z^2 = 2.
         W = LaurentPotential(1, {(1,): mono(1), (-1,): mono(2)})
         assert leading_solutions(W) == []
-        with pytest.raises(ExtensionFieldError):
-            lift_all(W, LiftConfig(F(1)))
+        assert solved(W) == ([], 2)
 
 
 class TestHenselLift:
@@ -291,9 +286,10 @@ class TestCertifyMorse:
 
 
 class TestBranchSelection:
-    def test_lift_all_covers_every_branch(self):
+    def test_every_leading_branch_lifts(self):
         W = build_chain_potential(LINK2, BulkParameter(F(1)))
-        certs = lift_all(W, LiftConfig(F(1)))
+        certs = [hensel_lift(W, p, LiftConfig(F(1)))
+                 for p in leading_solutions(W)]
         assert len(certs) == 4
         assert all(c.morse for c in certs)
 
@@ -429,7 +425,7 @@ class TestBlockSolver:
         # the z1 layer then 6 (z1^5 - z1 + 1).
         W = LaurentPotential(2, {(6, 0): mono(1), (1, 0): mono(6),
                                  (1, 1): mono(6), (0, 2): mono(3)})
-        for solve in (lambda W: lift_all(W, LiftConfig(F(1))),
+        for solve in (leading_solutions,
                       lambda W: truncation_obstruction(W, 0)):
             with pytest.raises(ConfigError, match="radicals"):
                 solve(W)
@@ -482,12 +478,10 @@ class TestLeadingSolutionLimit:
         monkeypatch.setattr(critlift, "_solve_univariate", refuse)
         monkeypatch.setattr(critlift, "_solve_coupled", refuse)
         W = self.chain(LEADING_SOLUTION_LIMIT.bit_length())
-        for solve in (leading_solutions,
-                      lambda W: lift_all(W, LiftConfig(F(1)))):
-            with pytest.raises(ConfigError,
-                               match="LEADING_SOLUTION_LIMIT = "
-                                     f"{LEADING_SOLUTION_LIMIT}"):
-                solve(W)
+        with pytest.raises(ConfigError,
+                           match="LEADING_SOLUTION_LIMIT = "
+                                 f"{LEADING_SOLUTION_LIMIT}"):
+            leading_solutions(W)
 
 
 # -- doubling precision against the full-precision loop ------------------------

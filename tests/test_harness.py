@@ -21,6 +21,7 @@ from novlink.harness import (
     render_rows,
     weyl_scan,
 )
+from novlink.laurent import LaurentPotential
 from novlink.linkfam import BulkParameter, CircleLinkS2, critical_data
 from novlink.symprodqh import SYMK_K_LIMIT, symk_idempotents
 
@@ -268,6 +269,15 @@ class TestCLI:
         lifted = json.loads(capsys.readouterr().out)
         assert lifted["morse"] is True
         assert lifted["det_valuation"] == "1/2"
+
+    def test_crit_find_irrational_branches_only(self, tmp_path, capsys):
+        # z + 2/z: its critical points z^2 = 2 are irrational.
+        W = LaurentPotential(1, {(1,): 1, (-1,): 2})
+        wpath = self._write(tmp_path, "W.json", W.to_obj())
+        assert main(["crit", "find", "--potential", wpath]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"points": []}
+        assert captured.err == ""
 
     def test_crit_find_above_solution_limit_exits_2(self, tmp_path, capsys,
                                                      monkeypatch):

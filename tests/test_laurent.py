@@ -204,13 +204,15 @@ class TestLogJet:
                         gradient2 + sum(hessian2, [])):
             assert y.eq_mod(x, x.precision)
 
-    def test_exact_needs_exact_monomial_coordinates(self):
-        # 1 + O(T^5) is a monomial, but not an exact one.
+    def test_untargeted_monomial_coordinate_keeps_its_precision(self):
+        # 1 + O(T^5) is a monomial, but not an exact one; 1/z is 1 + O(T^5).
         z = [NovikovSeries([(1, 0)], 5)]
-        with pytest.raises(PrecisionError):
-            W_zplus1overz().log_jet(z)
-        with pytest.raises(PrecisionError):
-            W_zplus1overz().evaluate(z)
+        value = W_zplus1overz().evaluate(z)
+        assert value == NovikovSeries([(2, 0)], 5)
+        assert value == W_zplus1overz().evaluate(z, 5)
+        gradient, hessian = W_zplus1overz().log_jet(z)
+        assert gradient == [NovikovSeries.zero(5)]
+        assert hessian == [[NovikovSeries([(2, 0)], 5)]]
 
 
 class TestTermsThrough:
