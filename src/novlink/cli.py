@@ -33,14 +33,12 @@ from .errors import (
     ObstructedError,
     SpectrumError,
 )
-from .harness import _rational
 from .laurent import LaurentPotential, UnitaryPoint, det_bareiss
-from .novikov import NovikovSeries
+from .novikov import NovikovSeries, as_fraction
 from .spectrum import ModelOrbitSet, SpectrumConfig, enumerate_spectrum
 from .symprodqh import symk_idempotents
 
-_CONFIG_ERRORS = (ConfigError, json.JSONDecodeError, OSError, KeyError,
-                  ValueError)
+_CONFIG_ERRORS = (ConfigError, json.JSONDecodeError, OSError, ValueError)
 _MATH_ERRORS = (NonMorseError, ObstructedError, NotZeroDimensionalError,
                 DegenerateTraceError, AreaError, SpectrumError)
 
@@ -60,7 +58,7 @@ def _cmd_crit_find(args) -> int:
 def _cmd_crit_lift(args) -> int:
     W = LaurentPotential.from_obj(_load_json(args.potential))
     seed = UnitaryPoint.from_obj(_load_json(args.seed))
-    cfg = LiftConfig(target_precision=_rational(args.prec, "--prec"))
+    cfg = LiftConfig(target_precision=as_fraction(args.prec, "--prec"))
     cert = hensel_lift(W, seed, cfg)
     print(json.dumps({
         "point": cert.point.to_obj(),
@@ -105,7 +103,7 @@ def _cmd_trace_check(args) -> int:
 
 
 def _cmd_qh_idempotents(args) -> int:
-    omega = _rational(args.omega, "--omega")
+    omega = as_fraction(args.omega, "--omega")
     idems = symk_idempotents(args.k, omega)
     for j, e in enumerate(idems):
         v = e.valuation()
@@ -117,12 +115,12 @@ def _cmd_qh_idempotents(args) -> int:
 
 
 def _cmd_spectrum_enum(args) -> int:
-    values = [_rational(v, "--values") for v in args.values.split(",")
+    values = [as_fraction(v, "--values") for v in args.values.split(",")
               if v.strip()]
-    lo_hi = [_rational(v, "--window") for v in args.window.split(",")]
+    lo_hi = [as_fraction(v, "--window") for v in args.window.split(",")]
     if len(lo_hi) != 2:
         raise ConfigError("window must be lo,hi")
-    cfg = SpectrumConfig(k=args.k, pi_generator=_rational(args.pi, "--pi"),
+    cfg = SpectrumConfig(k=args.k, pi_generator=as_fraction(args.pi, "--pi"),
                          window=(lo_hi[0], lo_hi[1]))
     spec = enumerate_spectrum(ModelOrbitSet(values), cfg)
     print(json.dumps([str(x) for x in spec]))
@@ -139,7 +137,7 @@ def _cmd_scan_weyl(args) -> int:
 
 def _cmd_scan_nobulk(args) -> int:
     rows = harness.nobulk_scan((args.kmin, args.kmax),
-                               _rational(args.omega, "--omega"))
+                               as_fraction(args.omega, "--omega"))
     text = harness.render_rows(rows, harness.NOBULK_COLUMNS, args.format)
     _emit(text, args.out)
     return 0

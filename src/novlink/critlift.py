@@ -70,10 +70,10 @@ class LiftConfig:
     target_precision: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "target_precision",
-                           as_fraction(self.target_precision))
-        if self.target_precision <= 0:
+        target = as_fraction(self.target_precision, "target_precision")
+        if target <= 0:
             raise ConfigError("target_precision must be positive")
+        object.__setattr__(self, "target_precision", target)
 
 
 @dataclass(frozen=True)
@@ -498,7 +498,7 @@ def certify_morse(W: LaurentPotential, z, target_precision=None
         prec = z.precision()
         target = None if prec is INFINITY else prec
     else:
-        target = as_precision(target_precision)
+        target = as_precision(target_precision, "target_precision")
 
     reasons = []
     residual, matrix = W.log_jet(z, target)

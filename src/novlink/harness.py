@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from . import cliffordtrace
 from .errors import AreaError, ConfigError
 from .linkfam import BulkParameter, CircleLinkS2, critical_data
-from .novikov import _parse_json_int, _parse_json_number, as_fraction
+from .novikov import _parse_json_int, as_fraction
 from .symprodqh import SYMK_K_LIMIT, symk_idempotents
 
 
@@ -57,12 +57,12 @@ class AreaSchedule:
     def __post_init__(self):
         _parse_json_int(self.power, "power")
         _parse_json_int(self.shift, "shift")
-        object.__setattr__(self, "beta", as_fraction(self.beta))
+        object.__setattr__(self, "beta", as_fraction(self.beta, "beta"))
         object.__setattr__(self, "annulus_ratio",
-                           as_fraction(self.annulus_ratio))
+                           as_fraction(self.annulus_ratio, "annulus_ratio"))
         if self.total_area is not None:
             object.__setattr__(self, "total_area",
-                               as_fraction(self.total_area))
+                               as_fraction(self.total_area, "total_area"))
         if self.kind not in ("power", "constant", "power_fixed_total"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "power_fixed_total" and self.total_area is None:
@@ -109,12 +109,11 @@ class AreaSchedule:
             raise ConfigError(f"schedule must be an object, got {obj!r}")
         return cls(
             kind=obj.get("type", "power"),
-            beta=_rational(obj.get("beta", 1), "beta"),
+            beta=obj.get("beta", 1),
             power=obj.get("power", 2),
             shift=obj.get("shift", 2),
-            annulus_ratio=_rational(obj.get("annulus_ratio", "1/2"),
-                                    "annulus_ratio"),
-            total_area=(_rational(obj["total_area"], "total_area")
+            annulus_ratio=obj.get("annulus_ratio", "1/2"),
+            total_area=(as_fraction(obj["total_area"], "total_area")
                         if "total_area" in obj else None),
         )
 
@@ -135,7 +134,7 @@ class ScanConfig:
         object.__setattr__(self, "k_range", (lo, hi))
         if lo <= -self.schedule.shift <= hi:
             self.schedule.disc_area(-self.schedule.shift)  # refuses 0
-        object.__setattr__(self, "c0", as_fraction(self.c0))
+        object.__setattr__(self, "c0", as_fraction(self.c0, "c0"))
         if self.c0 == 0:
             raise ConfigError("c0 must be nonzero")
         if self.output_format not in ("csv", "json"):
@@ -151,13 +150,9 @@ class ScanConfig:
         return cls(
             k_range=tuple(k_range),
             schedule=AreaSchedule.from_obj(obj.get("schedule", {})),
-            c0=_rational(obj.get("c0", 1), "c0"),
+            c0=obj.get("c0", 1),
             output_format=obj.get("output_format", "csv"),
         )
-
-
-def _rational(x, what: str) -> Fraction:
-    return _parse_json_number(x, what, as_fraction)
 
 
 WEYL_COLUMNS = ("k", "A", "B", "val_Z", "val_Z_over_k", "defect_bound")
@@ -210,7 +205,7 @@ def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
     range reaching above ``SYMK_K_LIMIT`` raises ``ConfigError`` before any
     row is computed.
     """
-    omega = as_fraction(omega)
+    omega = as_fraction(omega, "omega")
     lo, hi = k_range
     if hi > SYMK_K_LIMIT:
         raise ConfigError(f"k = {hi} is above the limit SYMK_K_LIMIT = "

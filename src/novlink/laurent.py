@@ -27,6 +27,7 @@ from .novikov import (
     INFINITY,
     NovikovSeries,
     _divider,
+    _json_key,
     _parse_json_int,
     as_precision,
     is_unitary,
@@ -200,7 +201,7 @@ class LaurentPotential:
         """
         coords = _as_unitary_coords(point, self._num_vars)
         prec = (INFINITY if target_precision is None
-                else as_precision(target_precision))
+                else as_precision(target_precision, "target_precision"))
         min_cval = min((c.val_lower_bound() for c in self._terms.values()),
                        default=Fraction(0))
         factor_prec = prec - min(min_cval, Fraction(0))
@@ -336,13 +337,15 @@ class LaurentPotential:
             raise ConfigError("potential terms must be a list")
         terms: Dict[ExponentVector, NovikovSeries] = {}
         for item in items:
-            m = item["m"] if isinstance(item, dict) else None
+            m = (_json_key(item, "m", "potential term")
+                 if isinstance(item, dict) else None)
             if not isinstance(m, list):
                 raise ConfigError(f"monomial exponents must be a list of "
                                   f"integers, got {m!r}")
             # Checked before merging: ``(1.0,)`` and ``(1,)`` are one key.
             m = tuple(_parse_json_int(e, "monomial exponents") for e in m)
-            coeff = NovikovSeries.from_obj(item["coeff"])
+            coeff = NovikovSeries.from_obj(
+                _json_key(item, "coeff", "potential term"))
             terms[m] = terms.get(m, NovikovSeries.zero()) + coeff
         if num_vars is None:
             num_vars = len(next(iter(terms)))

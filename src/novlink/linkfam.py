@@ -56,8 +56,8 @@ class CircleLinkS2:
 
     def __init__(self, k: int, A, B):
         k = _parse_json_int(k, "k")
-        A = as_fraction(A)
-        B = as_fraction(B)
+        A = as_fraction(A, "A")
+        B = as_fraction(B, "B")
         if k < 1:
             raise ConfigError("k must be a positive integer")
         if not (0 < A < B):
@@ -80,7 +80,7 @@ class BulkParameter:
     c0: Fraction
 
     def __init__(self, c0=Fraction(1)):
-        c0 = as_fraction(c0)
+        c0 = as_fraction(c0, "c0")
         if c0 == 0:
             raise ConfigError("c0 must be a nonzero rational")
         object.__setattr__(self, "c0", c0)
@@ -173,8 +173,8 @@ def truncation_obstruction(W: LaurentPotential, cutoff) -> TruncationReport:
     ``p <= cutoff`` may or may not survive the truncation, so it raises
     ``PrecisionError``.
     """
-    truncated = LaurentPotential(W.num_vars,
-                                 W.terms_through(as_fraction(cutoff)))
+    cutoff = as_fraction(cutoff, "cutoff")
+    truncated = LaurentPotential(W.num_vars, W.terms_through(cutoff))
     if truncated.is_zero():
         return TruncationReport(unobstructed=True, note="empty truncation")
     min_val = truncated.min_coefficient_valuation()

@@ -96,23 +96,29 @@ INFINITY = _Infinity()
 RationalLike = Union[int, str, Fraction]
 PrecisionLike = Union[Fraction, int, str, _Infinity]
 
-def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce ints, ``"p/q"`` strings and Fractions to an exact Fraction."""
-    if isinstance(x, Fraction):
+def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
+    """``x`` as an exact Fraction: a Fraction, an int (not a bool) or a
+    string ``Fraction`` parses; anything else raises ``ConfigError``
+    naming ``what``."""
+    if type(x) is Fraction:
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
-    if isinstance(x, str):
+    if type(x) is not str:
+        raise ConfigError(f"{what} must be an integer or a \"p/q\" string, "
+                          f"got {x!r}")
+    try:
         return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{what} {x!r} is not a rational number") from exc
 
 
-def as_precision(x: PrecisionLike) -> Union[Fraction, _Infinity]:
-    if x is INFINITY:
-        return x
-    if isinstance(x, str) and x.strip().lower() in ("inf", "infinity", "+inf"):
+def as_precision(x: PrecisionLike, what: str = "precision"
+                 ) -> Union[Fraction, _Infinity]:
+    """``INFINITY`` for itself or ``"inf"``, else ``as_fraction(x, what)``."""
+    if x is INFINITY or (type(x) is str and x == "inf"):
         return INFINITY
-    return as_fraction(x)
+    return as_fraction(x, what)
 
 
 class NovikovSeries:
@@ -134,9 +140,11 @@ class NovikovSeries:
         prec = as_precision(precision)
         es, cs = [], []
         for coeff, exp in terms:
-            c = coeff if type(coeff) is int else as_fraction(coeff)
+            c = (coeff if type(coeff) is int
+                 else as_fraction(coeff, "coefficient"))
+            e = exp if type(exp) is int else as_fraction(exp, "exponent")
             if c:
-                es.append(exp if type(exp) is int else as_fraction(exp))
+                es.append(e)
                 cs.append(c)
         # ``int`` has ``numerator`` and ``denominator`` too.
         de, P = _over(prec, math.lcm(*[e.denominator for e in es]))
@@ -183,7 +191,7 @@ class NovikovSeries:
     @classmethod
     def monomial(cls, coeff: RationalLike, exp: RationalLike,
                  precision: PrecisionLike = INFINITY) -> "NovikovSeries":
-        return cls(((as_fraction(coeff), as_fraction(exp)),), precision)
+        return cls(((coeff, exp),), precision)
 
     @classmethod
     def from_scalar(cls, value) -> "NovikovSeries":
@@ -240,7 +248,7 @@ class NovikovSeries:
         return Fraction(self._C[0], self._dc)
 
     def coefficient(self, exp: RationalLike) -> Fraction:
-        e = as_fraction(exp) * self._de
+        e = as_fraction(exp, "exponent") * self._de
         i = bisect_left(self._E, e)
         if i < len(self._E) and self._E[i] == e:
             return Fraction(self._C[i], self._dc)
@@ -287,7 +295,7 @@ class NovikovSeries:
         if not self._E:
             raise NotInvertibleError("not invertible at this precision")
         target = (INFINITY if target_precision is None
-                  else as_precision(target_precision))
+                  else as_precision(target_precision, "target_precision"))
         # Exponents and precisions over one denominator that covers the
         # target; ``lead = 1 / (c0 T^v)``, where ``c0 = C[0] / dc``.
         de, t = _over(target, self._de)
@@ -383,7 +391,8 @@ class NovikovSeries:
         """Parse ``to_obj`` output, or a bare term list for an exact series.
 
         Coefficients, exponents and the precision must be JSON integers or
-        strings; a float or bool raises ``ConfigError``.
+        strings; a float or bool, or a term without ``"c"`` or ``"e"``,
+        raises ``ConfigError``.
         """
         if isinstance(obj, list):
             terms = obj
@@ -397,10 +406,8 @@ class NovikovSeries:
         if not isinstance(terms, list) or not all(isinstance(t, dict)
                                                   for t in terms):
             raise ConfigError("series terms must be a list of objects")
-        return cls([(_parse_json_number(t["c"], "coefficient", as_fraction),
-                     _parse_json_number(t["e"], "exponent", as_fraction))
-                    for t in terms],
-                   _parse_json_number(prec, "precision", as_precision))
+        return cls([(_json_key(t, "c", "series term"),
+                     _json_key(t, "e", "series term")) for t in terms], prec)
 
     def __repr__(self):
         return f"NovikovSeries({self})"
@@ -428,22 +435,18 @@ class NovikovSeries:
         return " ".join(parts)
 
 
-def _parse_json_number(x, what: str, parse):
-    """``parse(x)`` for a JSON integer or string, else ``ConfigError``."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ConfigError(f"{what} must be an integer or a \"p/q\" string, "
-                          f"got {x!r}")
-    try:
-        return parse(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{what} {x!r} is not a rational number") from exc
-
-
 def _parse_json_int(x, what: str) -> int:
     """``x`` if it is a JSON integer (not a bool), else ``ConfigError``."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise ConfigError(f"{what} must be a JSON integer, got {x!r}")
     return x
+
+
+def _json_key(obj: dict, key: str, what: str):
+    """``obj[key]``, or ``ConfigError`` naming the missing key."""
+    if key not in obj:
+        raise ConfigError(f"{what} {obj!r} has no \"{key}\"")
+    return obj[key]
 
 
 def _fmt_exp(e) -> str:
@@ -593,7 +596,7 @@ def linear_combination(pairs) -> "NovikovSeries":
 def _coerce(x):
     if isinstance(x, NovikovSeries):
         return x
-    if isinstance(x, (int, Fraction)):
+    if type(x) in (int, Fraction):
         return NovikovSeries.monomial(x, 0)
     return NotImplemented
 

@@ -37,7 +37,7 @@ class ModelOrbitSet:
     values: Tuple[Fraction, ...]
 
     def __init__(self, values: Sequence):
-        vals = tuple(sorted({as_fraction(v) for v in values}))
+        vals = tuple(sorted({as_fraction(v, "values") for v in values}))
         object.__setattr__(self, "values", vals)
 
 
@@ -52,10 +52,10 @@ class SpectrumConfig:
     def __init__(self, k: int, pi_generator, window):
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ConfigError(f"k must be a positive integer, got {k!r}")
-        pi_generator = as_fraction(pi_generator)
+        pi_generator = as_fraction(pi_generator, "pi_generator")
         if pi_generator <= 0:
             raise ConfigError("pi_generator must be positive")
-        lo, hi = (as_fraction(window[0]), as_fraction(window[1]))
+        lo, hi = (as_fraction(window[i], "window") for i in (0, 1))
         if lo > hi:
             raise ConfigError("window must satisfy lo <= hi")
         object.__setattr__(self, "k", k)
@@ -109,7 +109,7 @@ def fekete_homogenize(c_values: Sequence) -> Tuple[Fraction,
     raises with the offending pair.  Returns ``(estimate, bracket)`` with
     ``estimate = min_m c_m / m`` and ``bracket = (estimate, c_M / M)``.
     """
-    c = [as_fraction(v) for v in c_values]
+    c = [as_fraction(v, "c_values") for v in c_values]
     M = len(c)
     if M == 0:
         raise ConfigError("need at least one sequence value")
@@ -139,7 +139,7 @@ class RigidityResult:
 
 def spectrum_gap(spectrum: Sequence[Fraction]) -> Optional[Fraction]:
     """Minimal distance between distinct consecutive spectrum points."""
-    pts = sorted({as_fraction(x) for x in spectrum})
+    pts = sorted({as_fraction(x, "spectrum") for x in spectrum})
     gaps = [b - a for a, b in zip(pts, pts[1:])]
     return min(gaps) if gaps else None
 
@@ -153,12 +153,12 @@ def rigidity_check(spectrum: Sequence, path_samples: Sequence,
     than ``step_bound`` per sample cannot jump between spectrum points, so
     any consecutive difference is reported as a violation.
     """
-    step_bound = as_fraction(step_bound)
-    pts = sorted({as_fraction(x) for x in spectrum})
+    step_bound = as_fraction(step_bound, "step_bound")
+    pts = sorted({as_fraction(x, "spectrum") for x in spectrum})
     gap = spectrum_gap(pts)
     if gap is not None and gap <= step_bound:
         raise SpectrumError("insufficient separation")
-    samples = [as_fraction(s) for s in path_samples]
+    samples = [as_fraction(s, "path_samples") for s in path_samples]
     members = set(pts)
     for i, s in enumerate(samples):
         if s not in members:

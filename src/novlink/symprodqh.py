@@ -59,7 +59,7 @@ class SymQHElement:
         if len(coeffs) != k + 1:
             raise ConfigError(f"need {k + 1} basis coefficients, "
                               f"got {len(coeffs)}")
-        omega = as_fraction(omega)
+        omega = as_fraction(omega, "omega")
         if omega <= 0:
             raise ConfigError("omega must be positive")
         self.k = k
@@ -196,7 +196,7 @@ def symk_idempotents(k: int, omega) -> List[SymQHElement]:
     if k > SYMK_K_LIMIT:
         raise ConfigError(f"k = {k} is above the limit SYMK_K_LIMIT = "
                           f"{SYMK_K_LIMIT}")
-    omega = as_fraction(omega)
+    omega = as_fraction(omega, "omega")
     denom = 2 ** k
     cols = [[comb(k, j) for j in range(k + 1)]]
     for _ in range(k):

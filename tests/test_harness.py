@@ -11,6 +11,7 @@ import pytest
 from novlink import harness
 from novlink.cli import main
 from novlink.cliffordtrace import TRACE_N_LIMIT
+from novlink.critlift import LiftConfig
 from novlink.errors import AreaError, ConfigError
 from novlink.harness import (
     NOBULK_COLUMNS,
@@ -22,8 +23,20 @@ from novlink.harness import (
     weyl_scan,
 )
 from novlink.laurent import LaurentPotential
-from novlink.linkfam import BulkParameter, CircleLinkS2, critical_data
-from novlink.symprodqh import SYMK_K_LIMIT, symk_idempotents
+from novlink.linkfam import (
+    BulkParameter,
+    CircleLinkS2,
+    critical_data,
+    truncation_obstruction,
+)
+from novlink.novikov import NovikovSeries
+from novlink.spectrum import (
+    ModelOrbitSet,
+    SpectrumConfig,
+    fekete_homogenize,
+    rigidity_check,
+)
+from novlink.symprodqh import SYMK_K_LIMIT, SymQHElement, symk_idempotents
 
 
 # Inputs and outputs of two CLI calls, written by the Fraction-tuple series
@@ -201,6 +214,45 @@ class TestNobulkScan:
         out = json.loads(render_rows(rows, NOBULK_COLUMNS, "json"))
         assert out[0] == {"k": "1", "idempotent_count": "2",
                           "val_e": "-1/2", "val_e_over_k": "-1/2"}
+
+
+# Every public entry that takes a rational, with the bad value in that slot.
+RATIONAL_ENTRIES = {
+    "series precision": lambda x: NovikovSeries([(1, 0)], x),
+    "monomial coefficient": lambda x: NovikovSeries.monomial(x, 0),
+    "monomial exponent": lambda x: NovikovSeries.monomial(1, x),
+    "truncate": lambda x: NovikovSeries.one().truncate(x),
+    "assume_precision": lambda x: NovikovSeries.one().assume_precision(x),
+    "invert target": lambda x: NovikovSeries.one().invert(x),
+    "CircleLinkS2 A": lambda x: CircleLinkS2(2, x, 1),
+    "CircleLinkS2 B": lambda x: CircleLinkS2(2, F(1, 8), x),
+    "BulkParameter": lambda x: BulkParameter(x),
+    "LiftConfig": lambda x: LiftConfig(x),
+    "AreaSchedule beta": lambda x: AreaSchedule(beta=x),
+    "AreaSchedule annulus_ratio": lambda x: AreaSchedule(annulus_ratio=x),
+    "AreaSchedule total_area": lambda x: AreaSchedule(
+        kind="power_fixed_total", total_area=x),
+    "ScanConfig c0": lambda x: ScanConfig((1, 2), c0=x),
+    "SymQHElement omega": lambda x: SymQHElement(1, x, (1, 0)),
+    "symk_idempotents omega": lambda x: symk_idempotents(2, x),
+    "nobulk_scan omega": lambda x: nobulk_scan((1, 2), x),
+    "ModelOrbitSet": lambda x: ModelOrbitSet([0, x]),
+    "SpectrumConfig pi_generator": lambda x: SpectrumConfig(2, x, (0, 1)),
+    "SpectrumConfig window": lambda x: SpectrumConfig(2, 1, (0, x)),
+    "fekete_homogenize": lambda x: fekete_homogenize([1, x]),
+    "rigidity_check step_bound": lambda x: rigidity_check([0, 2], [0], x),
+    "rigidity_check spectrum": lambda x: rigidity_check([0, x], [0], 1),
+    "rigidity_check sample": lambda x: rigidity_check([0, 2], [x], 1),
+    "truncation_obstruction cutoff": lambda x: truncation_obstruction(
+        LaurentPotential(1, {(1,): 1, (-1,): 1}), x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "abc", "1/0"])
+@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRIES))
+def test_every_rational_entry_refuses_non_rationals(entry, bad):
+    with pytest.raises(ConfigError):
+        RATIONAL_ENTRIES[entry](bad)
 
 
 class TestCLI:
@@ -384,6 +436,27 @@ class TestCLI:
             "terms": [{"m": m, "coeff": one}, {"m": [-1], "coeff": one}]})
         assert main(["crit", "find", "--potential", wpath]) == 2
         assert "monomial exponents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["find", "lift"])
+    @pytest.mark.parametrize("key", ["m", "coeff", "c", "e"])
+    def test_potential_term_missing_key_exits_2(self, tmp_path, capsys,
+                                                command, key):
+        term = {"m": [1], "coeff": {"terms": [{"c": "1", "e": "0"}]}}
+        if key in ("c", "e"):
+            del term["coeff"]["terms"][0][key]
+        else:
+            del term[key]
+        wpath = self._write(tmp_path, "W.json", {
+            "num_vars": 1, "terms": [term, {"m": [-1], "coeff": ONE}]})
+        zpath = self._write(tmp_path, "z.json", {"coords": [ONE]})
+        argv = ["crit", command, "--potential", wpath]
+        if command == "lift":
+            argv += ["--seed", zpath, "--prec", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error: " in captured.err
+        assert f'has no "{key}"' in captured.err
+        assert captured.out == ""
 
     def test_qh_idempotents(self, capsys):
         assert main(["qh", "idempotents", "--k", "5", "--omega", "1"]) == 0

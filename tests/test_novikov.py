@@ -10,11 +10,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from novlink.errors import InexactDivisionError, NotInvertibleError, PrecisionError
+from novlink.errors import (
+    ConfigError,
+    InexactDivisionError,
+    NotInvertibleError,
+    PrecisionError,
+)
 from novlink.novikov import (
     INFINITY,
     NovikovSeries,
     as_fraction,
+    as_precision,
     divide,
     linear_combination,
 )
@@ -286,17 +292,30 @@ def assert_same_fields(u, v):
 
 
 class TestConstructorInput:
-    @pytest.mark.parametrize("bad, error", [(1.5, TypeError),
-                                            ("abc", ValueError),
-                                            ("1/0", ZeroDivisionError)])
-    def test_inexact_or_malformed_refused_in_either_slot(self, bad, error):
-        with pytest.raises(error):
+    @pytest.mark.parametrize("bad", [1.5, "abc", "1/0"])
+    def test_inexact_or_malformed_refused_in_either_slot(self, bad):
+        with pytest.raises(ConfigError):
             NovikovSeries([(bad, 0)])
-        with pytest.raises(error):
+        with pytest.raises(ConfigError):
             NovikovSeries([(1, bad)])
 
-    def test_bool_read_as_its_integer(self):
-        assert NovikovSeries([(True, 0), (1, True)]) == S((1, 0), (1, 1))
+    def test_bool_refused(self):
+        with pytest.raises(ConfigError):
+            NovikovSeries([(True, 0)])
+        with pytest.raises(ConfigError):
+            NovikovSeries([(1, True)])
+
+    @pytest.mark.parametrize("op", [lambda x: x + True, lambda x: True + x,
+                                    lambda x: x * True, lambda x: True * x])
+    def test_bool_operand_refused(self, op):
+        with pytest.raises(TypeError):
+            op(S((1, 0), (2, 1)))
+
+    def test_inf_is_the_one_infinite_precision_spelling(self):
+        assert as_precision("inf") is INFINITY
+        for bad in ("infinity", "+inf", " INF "):
+            with pytest.raises(ConfigError, match="not a rational number"):
+                as_precision(bad)
 
     def test_unsorted_duplicate_and_cancelling_terms(self):
         x = NovikovSeries([(1, 3), (2, "2/4"), (-1, 3), (1, F(1, 2)), (5, 9)],
