@@ -27,6 +27,7 @@ form exactly.  Both constants are frozen below and never re-tuned.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (
@@ -35,6 +36,7 @@ from .errors import (
     DegenerateTraceError,
     PrecisionError,
 )
+from .laurent import _components
 from .novikov import (
     Exponent,
     NovikovSeries,
@@ -46,12 +48,21 @@ Subset = Tuple[int, ...]
 #: Frozen calibration scalar for the anticommutation relation.
 KAPPA = Fraction(1)
 
-#: Most generators ``trace_Z`` accepts.  It bounds ``n`` only and is
-#: calibrated on diagonal (chain-link) forms: their ``2^n`` subsets took
-#: 6.5 s and 179 MB at 18, 14 s at 19, under Python 3.11 on a 2-core
-#: x86-64 machine.  Dense forms grow about 8x per step of ``n``, so one
-#: far below the limit (a dense 12 x 12 form) can still run for hours.
+#: Most generators in one component of the form that ``trace_Z`` accepts.
+#: A component of ``m`` generators visits ``2^m`` masks whatever its
+#: entries: ``2^18`` masks of one key each took 6.5 s and 179 MB,
+#: ``2^19`` took 14 s, under Python 3.11 on a 2-core x86-64 machine.  The
+#: number of components is not bounded; a diagonal form has one generator
+#: in each.
 TRACE_N_LIMIT = 18
+
+#: Most weighted series products ``trace_Z`` accepts, as bounded from the
+#: supports of the form alone (see ``_trace_work``).  Dense forms of
+#: two-term entries have the bound 48 034 at 7 generators and took 1.2 s,
+#: and 205 904 at 8, which took 15 s; tridiagonal ones have 39 940 at 8
+#: (0.2 s) and 503 452 at 10 (3.0 s), same machine.  A diagonal form has
+#: the bound ``n`` for one-term entries.
+TRACE_WORK_LIMIT = 10 ** 5
 
 # Bits at odd 0-based positions: generators 2, 4, 6, ...
 _ODD_BITS = int("10" * TRACE_N_LIMIT, 2)
@@ -277,13 +288,30 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
 
     Sums ``(-1)^{|I|} g^{IJ} <m2(e_I, vol), m2(e_J, vol)>`` over the basis,
     with the frozen graded-inversion signs; for an algebra built from a
-    Hessian matrix this equals the Hessian determinant.  More than
-    ``TRACE_N_LIMIT`` generators raise ``ConfigError`` before any work;
-    the limit bounds ``n`` only, so a dense form below it can still run
-    for hours (see ``TRACE_N_LIMIT``).
+    Hessian matrix this equals the Hessian determinant.
 
-    Subsets are int masks, bit ``i - 1`` standing for generator ``i``, and
-    the complement of ``K`` is ``full ^ K``.
+    The trace is the product of the traces of the form's components (see
+    ``laurent._components``): when the generators split into two sets with
+    ``B = 0`` between them, the algebra is the graded tensor product of the
+    two sets' algebras (Chevalley; Lawson-Michelsohn, *Spin Geometry*,
+    ch. I, section 1).  There ``e_I vol`` is, up to sign, the product of
+    the two factors' ``e_{I1} vol1`` and ``e_{I2} vol2``, and the pairing
+    and ``g^{IJ}`` factor likewise; the reordering signs cancel between
+    the ``I`` and ``J`` sides of each term, so each term is a term of one
+    factor's trace times a term of the other's.  The tests check the
+    product against the definition, precision included, on block forms
+    whose indices are interleaved.  Each component is traced by the mask loop below on its own generators,
+    renumbered in increasing order; a form of one component runs the loop
+    on the whole form.  An entry known only as ``O(T^p)`` joins its
+    component, so it still bounds the precision.
+
+    Two stated limits are checked before any series product, and either
+    raises ``ConfigError``: a component of more than ``TRACE_N_LIMIT``
+    generators, and a bound, read off the supports alone, of more than
+    ``TRACE_WORK_LIMIT`` weighted series products (see ``_trace_work``).
+
+    In the mask loop, subsets are int masks, bit ``i - 1`` standing for
+    generator ``i``, and the complement of ``K`` is ``full ^ K``.
 
     * ``vol`` holds every index, so ``e_I vol`` has no wedge part: it is
       ``vol`` contracted against the rows ``I`` of ``B = (KAPPA/2) form``,
@@ -317,14 +345,61 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
     A form entry is skipped, and a sum dropped, only when it is an exact
     zero, so entries known only as ``O(T^p)`` bound the precision.
     """
-    n = alg.n
-    if n > TRACE_N_LIMIT:
-        raise ConfigError(f"the trace of {n} generators is above the limit "
-                          f"TRACE_N_LIMIT = {TRACE_N_LIMIT}")
+    blocks = []
+    for comp in _components(alg._b):
+        if len(comp) > TRACE_N_LIMIT:
+            raise ConfigError(f"the trace of a component of {len(comp)} "
+                              f"generators is above the limit "
+                              f"TRACE_N_LIMIT = {TRACE_N_LIMIT}")
+        # Row i of B on the component, less its exact zeros, as
+        # (bit of j, bits below j, B_ij) in the component's numbering.
+        blocks.append([[(1 << a, (1 << a) - 1, alg._b[i][j])
+                        for a, j in enumerate(comp)
+                        if not alg._b[i][j].is_exact_zero()]
+                       for i in comp])
+    work = 0
+    for rows in blocks:
+        work += _trace_work(rows, TRACE_WORK_LIMIT - work)
+        if work > TRACE_WORK_LIMIT:
+            raise ConfigError(f"the trace needs more than TRACE_WORK_LIMIT "
+                              f"= {TRACE_WORK_LIMIT} weighted series "
+                              f"products")
+    Z = None
+    for rows in blocks:
+        z = _trace_loop(rows)
+        Z = z if Z is None else Z * z
+    return NovikovSeries.one() if Z is None else Z
+
+
+def _trace_work(rows, budget: int) -> int:
+    """A bound on the series products of ``_trace_loop`` over ``rows``.
+
+    ``N(I) = N(I ^ low) | supp(row low)``, with ``low`` the least bit of
+    ``I``, holds every generator that contracting by the rows ``I`` can
+    remove, so ``products[I]`` has at most ``C(|N(I)|, |I|)`` keys and each
+    comes from at most one product per entry of row ``low``.  An entry is
+    weighted by its term count (at least 1).  The sum stops once it passes
+    ``budget``.
+    """
+    supp = [sum(bit for bit, _, _ in row) for row in rows]
+    weight = [sum(max(1, len(b.integer_form[2])) for _, _, b in row)
+              for row in rows]
+    reach = [0]
+    work = 0
+    for I in range(1, 1 << len(rows)):
+        low = I & -I
+        r = low.bit_length() - 1
+        reach.append(reach[I ^ low] | supp[r])
+        work += comb(reach[I].bit_count(), I.bit_count()) * weight[r]
+        if work > budget:
+            break
+    return work
+
+
+def _trace_loop(rows) -> NovikovSeries:
+    """The mask loop of ``trace_Z`` on one component's rows of ``B``."""
+    n = len(rows)
     full = (1 << n) - 1
-    # Row i of B less its exact zeros, as (bit of j, bits below j, B_ij).
-    rows = [[(1 << j, (1 << j) - 1, b) for j, b in enumerate(row)
-             if not b.is_exact_zero()] for row in alg._b]
     products: List[Dict[int, NovikovSeries]] = [{full: NovikovSeries.one()}]
     for I in range(1, 1 << n):
         low = I & -I

@@ -369,8 +369,40 @@ def _as_unitary_coords(point, num_vars):
 # -- series matrices ---------------------------------------------------------
 
 
+def _components(matrix: Sequence[Sequence[NovikovSeries]]
+                ) -> List[List[int]]:
+    """The index sets of the diagonal blocks of a square matrix.
+
+    A union-find over the entries that are not exact zeros: entry
+    ``(i, j)`` joins ``i`` and ``j``, so an entry known only as ``O(T^p)``
+    joins its rows too.  Every entry between two different blocks is an
+    exact zero, so the matrix is block diagonal once its rows and columns
+    are permuted alike.  The blocks come sorted, each by its least index.
+    """
+    parent = list(range(len(matrix)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            if j != i and not x.is_exact_zero():
+                parent[root(i)] = root(j)
+    blocks: Dict[int, List[int]] = {}
+    for i in range(len(matrix)):
+        blocks.setdefault(root(i), []).append(i)
+    return list(blocks.values())
+
+
 def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     """Determinant by fraction-free Bareiss elimination.
+
+    A matrix that is block diagonal up to a permutation of its indices (see
+    ``_components``) has the product of its blocks' determinants: the
+    permutation acts on rows and columns alike, so it carries no sign.
+    Each block is eliminated on its own.
 
     Row pivoting picks the lowest-valuation nonzero entry in each column;
     the Bareiss divisions are exact, so precision follows the adic rules
@@ -378,12 +410,25 @@ def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     (see ``novikov._divider``).  The empty matrix has determinant 1.
     """
     n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise ConfigError("matrix is not square")
+    blocks = _components(matrix)
+    if len(blocks) <= 1:
+        return _bareiss(matrix)
+    det = None
+    for block in blocks:
+        d = _bareiss([[matrix[i][j] for j in block] for i in block])
+        det = d if det is None else det * d
+    return det
+
+
+def _bareiss(matrix):
+    """Bareiss elimination of one square block (see ``det_bareiss``)."""
+    n = len(matrix)
     if n == 0:
         return NovikovSeries.one()
     m = [list(row) for row in matrix]
-    for row in m:
-        if len(row) != n:
-            raise ConfigError("matrix is not square")
     sign = 1
     prev = NovikovSeries.one()
     for k in range(n - 1):

@@ -32,18 +32,29 @@ SPECTRUM_POINT_LIMIT = 10 ** 6
 
 @dataclass(frozen=True)
 class ModelOrbitSet:
-    """Deduplicated, sorted list of per-period orbit actions."""
+    """Deduplicated, sorted list of per-period orbit actions.
+
+    ``values`` must be a list, tuple or set; anything else (a string
+    included) raises ``ConfigError``.
+    """
 
     values: Tuple[Fraction, ...]
 
     def __init__(self, values: Sequence):
+        if not isinstance(values, (list, tuple, set, frozenset)):
+            raise ConfigError(f"values must be a list, tuple or set of "
+                              f"rationals, got {values!r}")
         vals = tuple(sorted({as_fraction(v, "values") for v in values}))
         object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
 class SpectrumConfig:
-    """Total period ``k``, lattice generator and enumeration window."""
+    """Total period ``k``, lattice generator and enumeration window.
+
+    ``window`` must be a list or tuple ``(lo, hi)``; anything else raises
+    ``ConfigError``.
+    """
 
     k: int
     pi_generator: Fraction
@@ -55,7 +66,10 @@ class SpectrumConfig:
         pi_generator = as_fraction(pi_generator, "pi_generator")
         if pi_generator <= 0:
             raise ConfigError("pi_generator must be positive")
-        lo, hi = (as_fraction(window[i], "window") for i in (0, 1))
+        if not (isinstance(window, (list, tuple)) and len(window) == 2):
+            raise ConfigError(f"window must be a pair (lo, hi), got "
+                              f"{window!r}")
+        lo, hi = (as_fraction(x, "window") for x in window)
         if lo > hi:
             raise ConfigError("window must satisfy lo <= hi")
         object.__setattr__(self, "k", k)

@@ -79,6 +79,27 @@ def symmetric_forms(draw, max_n=4):
 
 
 @st.composite
+def block_forms(draw, exact_only=False):
+    """Symmetric forms of 1-3 diagonal blocks of size 1-3, the indices
+    shuffled by a random permutation; the blocks' entries mix exact,
+    finite-precision and ``O(T^p)`` series, or are all exact, and every
+    entry between two blocks is an exact zero."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    form = [[NovikovSeries.zero()] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        block = perm[start:start + size]
+        start += size
+        for a, i in enumerate(block):
+            for j in block[a:]:
+                form[i][j] = form[j][i] = draw(
+                    series(max_terms=2, exact_only=exact_only))
+    return form
+
+
+@st.composite
 def sym_element_pairs(draw, max_k=4, exact_only=False):
     """Two elements of one symmetric algebra (``k <= max_k``) whose
     coefficients mix exact, finite-precision and ``O(T^p)`` series, or are

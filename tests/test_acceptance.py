@@ -70,22 +70,9 @@ def test_criterion_1_chain_hessian_valuation():
     _verdict(1, "chain-link Hessian valuation k*B_k", failures)
 
 
-def test_criterion_2_trace_identity():
-    """Trace equals the Hessian determinant in leading term, ranks 1..5."""
-    failures = []
-
-    # One-time calibration on the two-element basis: enumerate the
-    # candidate grid and require the frozen constants to be the survivors.
-    h = NovikovSeries([(5, F(1, 3))])
-    survivors = set()
-    for kappa in (F(2), F(1), F(1, 2), F(-1), F(-2)):
-        for parity in (False, True):
-            for quad in (False, True):
-                if trace_with_conventions([[h]], kappa, parity, quad) == h:
-                    survivors.add((kappa, parity))
-    if survivors != {(KAPPA, True)}:
-        failures.append(f"calibration grid left {survivors}")
-
+def criterion_2_cases():
+    """Criterion 2's forms as ``(n, diagonal, form)``: ten diagonal forms
+    of each rank 1..5, then five dense ones of each rank 2..5."""
     rng = random.Random(2024)
 
     def random_form(n, diagonal):
@@ -106,9 +93,29 @@ def test_criterion_2_trace_identity():
 
     cases = [(n, True) for n in (1, 2, 3, 4, 5) for _ in range(10)]
     cases += [(n, False) for n in (2, 3, 4, 5) for _ in range(5)]
+    return [(n, diagonal, random_form(n, diagonal))
+            for n, diagonal in cases]
+
+
+def test_criterion_2_trace_identity():
+    """Trace equals the Hessian determinant in leading term, ranks 1..5."""
+    failures = []
+
+    # One-time calibration on the two-element basis: enumerate the
+    # candidate grid and require the frozen constants to be the survivors.
+    h = NovikovSeries([(5, F(1, 3))])
+    survivors = set()
+    for kappa in (F(2), F(1), F(1, 2), F(-1), F(-2)):
+        for parity in (False, True):
+            for quad in (False, True):
+                if trace_with_conventions([[h]], kappa, parity, quad) == h:
+                    survivors.add((kappa, parity))
+    if survivors != {(KAPPA, True)}:
+        failures.append(f"calibration grid left {survivors}")
+
+    cases = criterion_2_cases()
     assert len(cases) == 70
-    for idx, (n, diagonal) in enumerate(cases):
-        form = random_form(n, diagonal)
+    for idx, (n, diagonal, form) in enumerate(cases):
         Z = trace_Z(CliffordAlgebraModel(form))
         det = det_bareiss(form)
         if det.is_zero():

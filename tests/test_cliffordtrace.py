@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from novlink import cliffordtrace
 from novlink.cliffordtrace import (
     KAPPA,
     TRACE_N_LIMIT,
+    TRACE_WORK_LIMIT,
     CliffordAlgebraModel,
     _shuffle_parity,
+    _trace_loop,
     clifford_product,
     defect_bound,
     poincare_pairing,
@@ -25,12 +29,13 @@ from novlink.errors import (
     DegenerateTraceError,
     PrecisionError,
 )
-from novlink.laurent import det_bareiss
+from novlink.laurent import _components, det_bareiss
 from novlink.linkfam import BulkParameter, CircleLinkS2, critical_data
 from novlink.novikov import NovikovSeries
 
 from oracles import det_minor_expansion, trace_with_conventions
-from strategies import nonzero_fractions, symmetric_forms
+from strategies import block_forms, nonzero_fractions, symmetric_forms
+from test_acceptance import criterion_2_cases
 
 
 def mono(c, e=0):
@@ -42,6 +47,24 @@ def diag_algebra(*entries):
     form = [[entries[i] if i == j else NovikovSeries.zero()
              for j in range(n)] for i in range(n)]
     return CliffordAlgebraModel(form)
+
+
+def no_loop(*args):
+    raise AssertionError("the trace was started")
+
+
+def two_term(i, j):
+    return NovikovSeries([(i + 2, F(i + j, 3)), (j - 3 or 1, F(i + j + 1))])
+
+
+def dense_form(n):
+    return [[two_term(min(i, j), max(i, j)) for j in range(n)]
+            for i in range(n)]
+
+
+def tridiagonal_form(n):
+    return [[two_term(min(i, j), max(i, j)) if abs(i - j) <= 1
+             else NovikovSeries.zero() for j in range(n)] for i in range(n)]
 
 
 def random_symmetric_form(rng, n, diagonal=False):
@@ -208,11 +231,23 @@ class TestTraceIdentity:
         assert Z.integer_form == want.integer_form
         assert Z.precision == want.precision
 
-    def test_size_limit_refused_before_any_work(self):
-        alg = diag_algebra(*[mono(1)] * (TRACE_N_LIMIT + 1))
+    def test_size_limit_refused_before_any_work(self, monkeypatch):
+        # One tridiagonal component, one generator above the limit.
+        monkeypatch.setattr(cliffordtrace, "_trace_loop", no_loop)
+        monkeypatch.setattr(cliffordtrace, "_trace_work", no_loop)
+        alg = CliffordAlgebraModel(tridiagonal_form(TRACE_N_LIMIT + 1))
         with pytest.raises(ConfigError, match=f"TRACE_N_LIMIT = "
                                               f"{TRACE_N_LIMIT}"):
             trace_Z(alg)
+
+    def test_work_limit_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(cliffordtrace, "_trace_loop", no_loop)
+        alg = CliffordAlgebraModel(dense_form(12))
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=f"TRACE_WORK_LIMIT = "
+                                              f"{TRACE_WORK_LIMIT}"):
+            trace_Z(alg)
+        assert time.perf_counter() - start < 1
 
     def test_chain_link_trace_valuation_is_kB(self):
         for k in (1, 2, 3):
@@ -233,6 +268,50 @@ class TestTraceIdentity:
         assert Zu.valuation() == Z.valuation() + shift
         lead_ratio = Zu.leading_coefficient() / Z.leading_coefficient()
         assert lead_ratio == u.leading_coefficient() ** n
+
+
+class TestComponents:
+    def test_exact_zeros_split_and_unknowns_join(self):
+        zero, unknown, one = (NovikovSeries.zero(), NovikovSeries.zero(2),
+                              NovikovSeries.one())
+        form = [[one, zero, unknown, zero],
+                [zero, zero, zero, zero],
+                [unknown, zero, one, zero],
+                [zero, zero, zero, one]]
+        assert _components(form) == [[0, 2], [1], [3]]
+
+    @given(form=block_forms())
+    @settings(max_examples=150, deadline=None)
+    def test_factored_trace_matches_loop_and_definition(self, form):
+        alg = CliffordAlgebraModel(form)
+        Z = trace_Z(alg)
+        whole = _trace_loop([[(1 << j, (1 << j) - 1, b)
+                              for j, b in enumerate(row)
+                              if not b.is_exact_zero()] for row in alg._b])
+        want = trace_with_conventions(form, KAPPA, True, True)
+        for other in (whole, want):
+            assert Z.integer_form == other.integer_form
+            assert Z.precision == other.precision
+
+    def test_chain_trace_is_the_product_of_its_entries(self):
+        # A diagonal form far above TRACE_N_LIMIT: one component per entry.
+        link = CircleLinkS2(64, F(1, 8), F(1, 4))
+        cert = critical_data(link, BulkParameter(F(2)))
+        Z = trace_Z(CliffordAlgebraModel(cert.hessian))
+        want = NovikovSeries.one()
+        for i, row in enumerate(cert.hessian):
+            want = want * row[i]
+        assert Z == want == cert.hessian_det
+        assert Z.valuation() == 64 * link.B
+
+    def test_criterion_2_dense_cases_are_single_components(self):
+        # The acceptance suite's dense forms still run the definition's
+        # loop on the whole form, not a product of smaller traces.
+        dense = [form for n, diagonal, form in criterion_2_cases()
+                 if not diagonal]
+        assert len(dense) == 20
+        for form in dense:
+            assert len(_components(form)) == 1
 
 
 class TestMaskSigns:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,12 +11,13 @@ import pytest
 
 from novlink import harness
 from novlink.cli import main
-from novlink.cliffordtrace import TRACE_N_LIMIT
+from novlink.cliffordtrace import TRACE_N_LIMIT, TRACE_WORK_LIMIT
 from novlink.critlift import LiftConfig
 from novlink.errors import AreaError, ConfigError
 from novlink.harness import (
     NOBULK_COLUMNS,
     WEYL_COLUMNS,
+    WEYL_K_LIMIT,
     AreaSchedule,
     ScanConfig,
     nobulk_scan,
@@ -48,6 +50,8 @@ from novlink.symprodqh import SYMK_K_LIMIT, SymQHElement, symk_idempotents
 # benchmark's size, written by the tuple-keyed trace that preceded the
 # bitmask one, and ``weyl_k13_16.csv`` continues it to k = 16 on the same
 # schedule, written while ``critical_data`` still ran ``hensel_lift``.
+# ``weyl_k17_24.csv`` continues it to k = 24, written from the closed forms
+# B = 1/(k+2)^2, A = B/2 and val_Z = defect_bound = k B, not by novlink.
 # ``lift_k3_find.json`` is ``crit find`` on the same k = 3 potential,
 # written when sympy solved every leading system whole.
 # ``lift_k3_potential_prec.json`` is that potential with three coefficients
@@ -173,9 +177,19 @@ class TestWeylScan:
             raise AssertionError("a row was computed")
 
         monkeypatch.setattr(harness, "critical_data", no_lift)
-        with pytest.raises(ConfigError, match=f"TRACE_N_LIMIT = "
-                                              f"{TRACE_N_LIMIT}"):
-            weyl_scan(power_config(1, TRACE_N_LIMIT + 1))
+        with pytest.raises(ConfigError, match=f"WEYL_K_LIMIT = "
+                                              f"{WEYL_K_LIMIT}"):
+            weyl_scan(power_config(1, WEYL_K_LIMIT + 1))
+
+    @pytest.mark.parametrize("k", [17, 32, 64])
+    def test_rows_above_the_old_trace_limit(self, k):
+        # The diagonal chain Hessian factors into k one-generator traces.
+        start = time.perf_counter()
+        rows = weyl_scan(power_config(k, k))
+        assert time.perf_counter() - start < 1
+        B = F(1, (k + 2) ** 2)
+        assert rows == [{"k": k, "A": B / 2, "B": B, "val_Z": k * B,
+                         "val_Z_over_k": B, "defect_bound": k * B}]
 
     def test_csv_determinism(self):
         cfg1 = power_config(2, 8)
@@ -299,6 +313,8 @@ class TestCLI:
          "lift_k3_potential_prec_3_2.json"),
         (["scan", "weyl", "--config", "weyl_k13_16_config.json"],
          "weyl_k13_16.csv"),
+        (["scan", "weyl", "--config", "weyl_k17_24_config.json"],
+         "weyl_k17_24.csv"),
     ])
     def test_output_matches_golden(self, argv, expected, capsys):
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
@@ -382,21 +398,35 @@ class TestCLI:
         assert "degenerate" not in captured.out + captured.err
 
     def test_trace_check_over_size_limit_exits_2(self, tmp_path, capsys):
+        # One tridiagonal component, one generator above the limit.
         n = TRACE_N_LIMIT + 1
         one = {"terms": [{"c": "1", "e": "0"}]}
         hpath = self._write(tmp_path, "H.json", [
-            [one if i == j else [] for j in range(n)] for i in range(n)])
+            [one if abs(i - j) <= 1 else {"terms": []} for j in range(n)]
+            for i in range(n)])
         assert main(["trace", "check", "--hessian", hpath]) == 2
         captured = capsys.readouterr()
         assert f"TRACE_N_LIMIT = {TRACE_N_LIMIT}" in captured.err
         assert captured.out == ""
 
+    def test_trace_check_over_work_limit_exits_2(self, tmp_path, capsys):
+        # Dense and of two-term entries: hours of work if it were started.
+        n = 12
+        entry = {"terms": [{"c": "1", "e": "0"}, {"c": "2", "e": "1/2"}]}
+        hpath = self._write(tmp_path, "H.json", [[entry] * n] * n)
+        start = time.perf_counter()
+        assert main(["trace", "check", "--hessian", hpath]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert f"TRACE_WORK_LIMIT = {TRACE_WORK_LIMIT}" in captured.err
+        assert captured.out == ""
+
     def test_scan_weyl_over_size_limit_exits_2(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "scan.json",
-                          {"k_range": [1, TRACE_N_LIMIT + 1]})
+                          {"k_range": [1, WEYL_K_LIMIT + 1]})
         assert main(["scan", "weyl", "--config", cfg]) == 2
         captured = capsys.readouterr()
-        assert f"TRACE_N_LIMIT = {TRACE_N_LIMIT}" in captured.err
+        assert f"WEYL_K_LIMIT = {WEYL_K_LIMIT}" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("bad", [

@@ -18,6 +18,7 @@ from novlink.errors import (
 from novlink.laurent import (
     LaurentPotential,
     UnitaryPoint,
+    _bareiss,
     det_bareiss,
     solve_linear,
 )
@@ -26,6 +27,7 @@ from novlink.novikov import NovikovSeries
 
 from oracles import det_minor_expansion, evaluate_dual
 from strategies import (
+    block_forms,
     completions,
     laurent_potentials,
     positive_fractions,
@@ -317,6 +319,42 @@ class TestMatrixHelpers:
         n = data.draw(st.integers(1, 3))
         matrix = [[data.draw(series(max_terms=2)) for _ in range(n)]
                   for _ in range(n)]
+        changed = [[data.draw(completions(e)) for e in row]
+                   for row in matrix]
+        det = det_bareiss(matrix)
+        assert det_bareiss(changed).eq_mod(det, det.precision)
+
+    @given(form=block_forms(exact_only=True))
+    @settings(max_examples=60, deadline=None)
+    def test_factored_bareiss_matches_minor_expansion(self, form):
+        got = det_bareiss(form)
+        want = det_minor_expansion(form)
+        assert got.integer_form == want.integer_form
+        assert got.precision == want.precision
+
+    @given(form=block_forms())
+    @settings(max_examples=150, deadline=None)
+    def test_factored_bareiss_is_never_looser_than_one_elimination(self,
+                                                                   form):
+        # Each block is eliminated on its own, so a block whose
+        # determinant vanishes modulo its precision gets its own bound;
+        # the product claims at least the precision that eliminating the
+        # whole matrix claims, and agrees with it and with the minor
+        # expansion modulo the lesser precision.
+        got = det_bareiss(form)
+        whole = _bareiss(form)
+        want = det_minor_expansion(form)
+        assert got.precision >= whole.precision
+        assert got.eq_mod(whole, whole.precision)
+        assert got.eq_mod(want, min(got.precision, want.precision))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_factored_bareiss_ignores_changes_at_or_above_precision(
+            self, data):
+        # The completion check of the test above, on block forms: the
+        # factored determinant claims no more precision than it has.
+        matrix = data.draw(block_forms())
         changed = [[data.draw(completions(e)) for e in row]
                    for row in matrix]
         det = det_bareiss(matrix)

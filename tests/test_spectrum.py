@@ -53,6 +53,16 @@ class TestEnumerate:
         with pytest.raises(ConfigError):
             SpectrumConfig(k=0, pi_generator=1, window=(0, 1))
 
+    @pytest.mark.parametrize("window", [5, (0,), (0, 1, 2), "01", None])
+    def test_malformed_window_rejected(self, window):
+        with pytest.raises(ConfigError, match="window must be a pair"):
+            SpectrumConfig(2, 1, window)
+
+    @pytest.mark.parametrize("values", [5, "01", None, {0: 1}])
+    def test_malformed_values_rejected(self, values):
+        with pytest.raises(ConfigError, match="values must be a list"):
+            ModelOrbitSet(values)
+
     @pytest.mark.parametrize("k", [2.5, F(2), True, "2"])
     def test_non_integer_k_rejected(self, k):
         # A period budget is a count: it is refused, not cut to an int.
