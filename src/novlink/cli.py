@@ -17,6 +17,7 @@ seed, obstructed lift, degenerate trace, area violation).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -216,9 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call.
+
+    Parsing leaves it unchanged, and building the tree costs about as much
+    as a small command and leaves reference cycles for the collector.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _MATH_ERRORS as exc:

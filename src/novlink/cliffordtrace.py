@@ -98,14 +98,16 @@ class CliffordAlgebraModel:
                 raise ConfigError("form matrix is not square")
             rows.append(tuple(row))
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise ConfigError("form matrix is not symmetric")
         self.n = n
         self.form = tuple(rows)
         # Contraction form B = (KAPPA/2) * form, the square of a generator.
+        # An exact zero stays as it is: its product would be the same zero.
         half = KAPPA / 2
-        self._b = tuple(tuple(entry * half for entry in row) for row in rows)
+        self._b = tuple(tuple(entry if entry.is_exact_zero() else entry * half
+                              for entry in row) for row in rows)
 
     # -- elements ------------------------------------------------------------
 

@@ -41,7 +41,14 @@ from .errors import (
     NotZeroDimensionalError,
     ObstructedError,
 )
-from .laurent import LaurentPotential, UnitaryPoint, det_bareiss, solve_linear
+from .laurent import (
+    LaurentPotential,
+    UnitaryPoint,
+    _table_gradient,
+    _table_hessian,
+    det_bareiss,
+    solve_linear,
+)
 from .novikov import INFINITY, NovikovSeries, as_fraction, as_precision
 
 #: Newton steps a lift may take before it is reported obstructed.  The
@@ -398,20 +405,35 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     so that every exponent the loop meets is a multiple of ``eps``.  The
     precisions only make ``eps`` finer, which keeps the same terms: none
     lies strictly between two multiples of the exponents' own step.
-    Step ``t`` evaluates residual and Hessian modulo ``T^p``, with ``p =
-    work`` at the first step.  A residual of valuation ``rv`` puts the
-    point within relative order ``g = rv - v0`` of the critical point, and
-    the Newton update within ``2g``.  The step keeps the updated point's
-    terms below ``min(work, 2g + eps)`` and asserts them exact modulo the
-    next ``p = min(work, v0 + 4g + eps)``: the residual modulo that ``p``
-    fixes the next update below ``2g' + eps`` when ``g' = 2g``.  A residual
-    that is zero modulo a ``p`` below ``work`` is evaluated again at
-    ``work``, and the loop stops only on a residual that is zero modulo
+    Step ``t`` evaluates the residual modulo ``T^p`` from the point's
+    monomial table, with ``p = work`` at the first step.  A residual of
+    valuation ``rv`` puts the point within relative order ``g = rv - v0``
+    of the critical point, and the Newton update within ``2g``.  Only a
+    residual that is not zero goes on to a solve, against the Hessian
+    built from the same table modulo ``T^(v0 + g + eps)``; the check that
+    ends the loop builds no Hessian.  The step keeps the updated point's
+    terms below ``min(work, 2g + eps)`` and asserts them exact modulo
+    ``min(work, p - min(v0, 0))`` for the next ``p = min(work, v0 + 4g +
+    eps)``: the residual modulo that ``p`` fixes the next update below
+    ``2g' + eps`` when ``g' = 2g``.  The residual's precision is absolute
+    and the point's is relative to its valuation 0; a point error at
+    ``T^x`` moves the residual at ``T^(v0 + x)``, so ``p - v0`` is enough,
+    and at ``v0 >= 0`` the point is asserted modulo ``p`` itself.  A
+    residual that is zero modulo a ``p`` below ``work`` is evaluated again
+    at ``work``, and the loop stops only on a residual that is zero modulo
     ``T^work``.
 
     Why the certificate is the one a loop at the full precision ``work``
     gives:
 
+    * The solve's Hessian.  Its leading layer at ``v0`` is invertible, so
+      ``H^-1`` has valuation ``-v0`` and the update ``delta = -H^-1 r``
+      valuation at least ``g``.  An error ``E`` in ``H`` at ``T^(v0 + g +
+      eps)`` changes ``H^-1`` by ``H^-1 E (H + E)^-1``, of valuation at
+      least ``g + eps - v0``, so it moves ``delta`` only at ``T^(2g +
+      eps)``, which the step truncates away: the kept point is the one the
+      full Hessian gives.  The pivots keep valuation ``v0 < v0 + g + eps``,
+      so the solve fails no more often than with the full Hessian.
     * Point, Hessian and determinant.  The final point is critical modulo
       ``T^work`` and the leading Hessian is invertible, so by Hensel
       uniqueness it equals the full-precision loop's point modulo
@@ -428,6 +450,9 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
       cancels; that step may record a different valuation (never on the
       chain families of the tests), while the point and certificate stay
       equal.
+    * ``v0 < 0``.  The point stays asserted modulo at least ``2g + eps >
+      0``, above its unit terms, and the final check at ``work`` asserts
+      it modulo ``work``, as the full-precision loop holds it.
     """
     if len(z0) != W.num_vars:
         raise ConfigError("seed point has the wrong number of coordinates")
@@ -450,13 +475,16 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     p = work
     residual_vals = []
     bound = v0  # each residual valuation must pass v0 and the one before
+    n = W.num_vars
     for _ in range(MAX_NEWTON_STEPS):
-        residual, h_now = W.log_jet(z, p)
+        _, table = W._monomial_table(z, p)
+        residual = _table_gradient(table, n)
         if p < work and all(r.is_zero() for r in residual):
             # Zero below p says nothing about the orders up to work.
             p = work
             z = [c.assume_precision(work) for c in z]
-            residual, h_now = W.log_jet(z, p)
+            _, table = W._monomial_table(z, p)
+            residual = _table_gradient(table, n)
         rv = min(r.val_lower_bound() for r in residual)
         residual_vals.append(rv)
         if all(r.is_zero() for r in residual):
@@ -464,12 +492,15 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
         if rv <= bound:
             raise ObstructedError(f"obstructed at order {rv}", order=rv)
         bound = rv
+        h_now = _table_hessian(table, n, rv + eps)
         delta = solve_linear(h_now, [-r for r in residual])
         g = rv - v0
         keep = min(work, 2 * g + eps)
         p = min(work, v0 + 4 * g + eps)
+        # p is absolute; the point's precision is relative to valuation 0.
+        held = min(work, p - min(v0, 0))
         z = [(z[i] * (NovikovSeries.one() + delta[i])).truncate(keep)
-             .assume_precision(p) for i in range(len(z))]
+             .assume_precision(held) for i in range(n)]
     else:
         raise ObstructedError(f"obstructed at order {rv}: "
                               f"{MAX_NEWTON_STEPS} Newton steps exhausted "

@@ -259,22 +259,8 @@ class LaurentPotential:
         Hessians sparse.
         """
         _, table = self._monomial_table(point, target_precision)
-        n = self._num_vars
-        gradient = [NovikovSeries.zero()] * n
-        hessian = [[NovikovSeries.zero()] * n for _ in range(n)]
-        # Only entries with j >= i are summed; m_i m_j = m_j m_i and the
-        # monomials come in one order, so the mirror is the same series.
-        for m, value in table:
-            live = [(i, mi) for i, mi in enumerate(m) if mi]
-            for a, (i, mi) in enumerate(live):
-                gradient[i] = gradient[i] + value * mi
-                row = hessian[i]
-                for j, mj in live[a:]:
-                    row[j] = row[j] + value * (mi * mj)
-        for i in range(n):
-            for j in range(i + 1, n):
-                hessian[j][i] = hessian[i][j]
-        return gradient, hessian
+        return (_table_gradient(table, self._num_vars),
+                _table_hessian(table, self._num_vars))
 
     def log_gradient(self) -> List["LaurentPotential"]:
         """Multiplicative gradient: component ``i`` is ``sum m_i coeff z^m``."""
@@ -366,6 +352,43 @@ def _as_unitary_coords(point, num_vars):
     return coords
 
 
+def _table_gradient(table, n) -> List[NovikovSeries]:
+    """Log-gradient from a monomial table: entry ``i`` sums ``m_i value``.
+
+    An entry that no monomial reaches is an exact zero.
+    """
+    gradient = [NovikovSeries.zero()] * n
+    for m, value in table:
+        for i, mi in enumerate(m):
+            if mi:
+                gradient[i] = gradient[i] + value * mi
+    return gradient
+
+
+def _table_hessian(table, n, precision=INFINITY
+                   ) -> List[List[NovikovSeries]]:
+    """Log-Hessian from a monomial table, modulo ``T^precision``.
+
+    Entry ``(i, j)`` sums ``m_i m_j value`` over the values truncated at
+    ``precision``, so it is the full entry truncated there.  An entry that
+    no monomial reaches is an exact zero, which keeps Hessians sparse.
+    """
+    hessian = [[NovikovSeries.zero()] * n for _ in range(n)]
+    # Only entries with j >= i are summed; m_i m_j = m_j m_i and the
+    # monomials come in one order, so the mirror is the same series.
+    for m, value in table:
+        value = value.truncate(precision)
+        live = [(i, mi) for i, mi in enumerate(m) if mi]
+        for a, (i, mi) in enumerate(live):
+            row = hessian[i]
+            for j, mj in live[a:]:
+                row[j] = row[j] + value * (mi * mj)
+    for i in range(n):
+        for j in range(i + 1, n):
+            hessian[j][i] = hessian[i][j]
+    return hessian
+
+
 # -- series matrices ---------------------------------------------------------
 
 
@@ -434,7 +457,7 @@ def _bareiss(matrix):
     for k in range(n - 1):
         pivot_row = _pick_pivot(m, k)
         if pivot_row is None:
-            return _singular_det(m, k, prev)
+            return _singular_det(matrix, m, k, prev)
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
@@ -462,8 +485,9 @@ def _pick_pivot(m, k):
     return best
 
 
-def _singular_det(m, k, prev):
-    """The determinant once column ``k`` vanishes mod precision below row k.
+def _singular_det(matrix, m, k, prev):
+    """The determinant of ``matrix`` once column ``k`` of its elimination
+    ``m`` vanishes mod precision below row k.
 
     Sylvester's identity gives ``det = +-det(M) / prev^(n-k-1)`` for the
     block ``M`` left at rows and columns ``k..n-1``.  Expanding ``det(M)``
@@ -471,7 +495,11 @@ def _singular_det(m, k, prev):
     valuation at least the sum, over the other rows, of each row's least
     valuation bound in columns ``k+1..n-1``.  The least ``p_i`` plus that
     sum, less ``(n-k-1) val(prev)``, is how far the determinant is known to
-    be zero.
+    be zero.  The division by ``prev`` can lose more than the elimination
+    gained, so the determinant is also bounded on ``matrix`` itself: each
+    of its terms takes one entry from every row and one from every column,
+    so its valuation is at least the sum over rows, and the sum over
+    columns, of their least valuation bound.  The largest bound holds.
     """
     n = len(m)
     low = {r: min(m[r][j].val_lower_bound() for j in range(k + 1, n))
@@ -482,7 +510,10 @@ def _singular_det(m, k, prev):
         prec = min(prec, m[i][k].precision + cofactor)
     if prec is not INFINITY:
         prec = prec - (n - k - 1) * prev.valuation()
-    return NovikovSeries.zero(prec)
+    rows = sum(min(x.val_lower_bound() for x in row) for row in matrix)
+    cols = sum(min(row[j].val_lower_bound() for row in matrix)
+               for j in range(n))
+    return NovikovSeries.zero(max(prec, rows, cols))
 
 
 def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],

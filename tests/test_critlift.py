@@ -547,6 +547,13 @@ def landing_potential(tail):
     return LaurentPotential(1, {(1,): TB, (-1,): c * c * TB})
 
 
+def scaled(W, s):
+    """``T^s W``: the same critical points, the Hessian's valuation moved
+    by ``s`` (below zero for ``s = -1``)."""
+    TS = NovikovSeries.monomial(1, s)
+    return LaurentPotential(W.num_vars, {m: c * TS for m, c in W.items()})
+
+
 class TestDoublingPrecision:
     @given(perturbed_chain_lifts())
     @settings(max_examples=100, deadline=None)
@@ -568,6 +575,13 @@ class TestDoublingPrecision:
         # Obstructed at the first step, and a non-Morse seed.
         (LaurentPotential(1, {(1,): mono(1), (-1,): mono(4)}), ones(1)),
         (cubic_potential(), ones(1)),
+    ] + [
+        # Scaled by T^s: the Hessian's valuation v0 falls to -3/4 and 0.
+        (scaled(W, s), ones(W.num_vars))
+        for W in (landing_potential([(1, F(1, 16))]),
+                  landing_potential([(1, F(1, 16)), (F(-3, 2), F(3, 16))]),
+                  perturbed_chain(F(1, 16)))
+        for s in (F(-1), F(-1, 4))
     ])
     @pytest.mark.parametrize("target", [F(3, 4), F(3, 2), F(2)])
     def test_edge_cases_match_full_precision_lift(self, W, seed, target):
@@ -590,21 +604,35 @@ class TestDoublingPrecision:
         assert cert.morse and len(cert.residual_valuations) >= 5
 
     def test_precision_doubles_with_the_residual(self, monkeypatch):
-        # The perturbed chain's gaps rv - B go 1/16, 1/8, 1/4, 1/2, 1, so
-        # the residuals are taken modulo 7/4 (the seed), then 9/16, 13/16,
-        # 21/16 and 7/4 = work twice.
-        precisions = []
-        log_jet = LaurentPotential.log_jet
+        # The perturbed chain's gaps g = rv - B go 1/16, 1/8, 1/4, 1/2, 1,
+        # so the residuals are taken modulo 7/4 (the seed), then 9/16,
+        # 13/16, 21/16 and 7/4 = work twice, and each solve gets the
+        # Hessian modulo B + g + 1/16.  The closing check, whose residual
+        # is zero, builds no Hessian.
+        calls = []
+        table = LaurentPotential._monomial_table
+        hessian = critlift._table_hessian
 
-        def spy(self, point, target_precision=None):
-            precisions.append(target_precision)
-            return log_jet(self, point, target_precision)
+        def table_spy(self, point, target_precision):
+            calls.append(("table", target_precision))
+            return table(self, point, target_precision)
 
-        monkeypatch.setattr(LaurentPotential, "log_jet", spy)
+        def hessian_spy(table, n, precision):
+            calls.append(("hessian", precision))
+            return hessian(table, n, precision)
+
+        monkeypatch.setattr(LaurentPotential, "_monomial_table", table_spy)
+        monkeypatch.setattr(critlift, "_table_hessian", hessian_spy)
         cert = hensel_lift(perturbed_chain(F(1, 16)), ones(2),
                            LiftConfig(6 * B))
         assert [str(v) for v in cert.residual_valuations] == \
             ["5/16", "3/8", "1/2", "3/4", "5/4", "7/4"]
-        # The first call finds v0 at the target, the last certifies.
-        assert precisions[1:-1] == [F(7, 4), F(9, 16), F(13, 16), F(21, 16),
-                                    F(7, 4), F(7, 4)]
+        # The first table finds v0 at the target, the last certifies.
+        assert calls[0] == calls[-1] == ("table", 6 * B)
+        assert calls[1:-1] == [
+            ("table", F(7, 4)), ("hessian", F(3, 8)),
+            ("table", F(9, 16)), ("hessian", F(7, 16)),
+            ("table", F(13, 16)), ("hessian", F(9, 16)),
+            ("table", F(21, 16)), ("hessian", F(13, 16)),
+            ("table", F(7, 4)), ("hessian", F(21, 16)),
+            ("table", F(7, 4))]

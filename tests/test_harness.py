@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from novlink import harness
+from novlink import cli, harness
 from novlink.cli import main
 from novlink.cliffordtrace import TRACE_N_LIMIT, TRACE_WORK_LIMIT
 from novlink.critlift import LiftConfig
@@ -315,12 +315,49 @@ class TestCLI:
          "weyl_k13_16.csv"),
         (["scan", "weyl", "--config", "weyl_k17_24_config.json"],
          "weyl_k17_24.csv"),
+        (["crit", "lift", "--potential", "lift_k3_potential.json",
+          "--seed", "lift_k3_seed.json", "--prec", "6"],
+         "lift_k3_prec_6.json"),
     ])
     def test_output_matches_golden(self, argv, expected, capsys):
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
         assert main(argv) == 0
         assert (capsys.readouterr().out.encode("utf-8")
                 == (GOLDEN / expected).read_bytes())
+
+    def test_parser_is_built_once_and_reused(self, monkeypatch, capsys):
+        commands = [
+            ["crit", "lift",
+             "--potential", str(GOLDEN / "lift_k3_potential.json"),
+             "--seed", str(GOLDEN / "lift_k3_seed.json"), "--prec", "3/2"],
+            ["qh", "idempotents", "--k", "3", "--omega", "1"],
+            ["spectrum", "enum", "--values", "0,1", "--k", "2", "--pi", "100",
+             "--window", "-5,5"],
+            ["scan", "nobulk", "--kmax", "4", "--omega", "1", "--format",
+             "json"],
+        ]
+
+        def run(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out.encode("utf-8")
+
+        fresh = []
+        for argv in commands:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
+        assert [run(argv) for argv in commands] == fresh
+        # An argparse error exits 2 and leaves later calls as they were.
+        with pytest.raises(SystemExit) as exc:
+            main(["qh", "idempotents", "--k", "x", "--omega", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert [run(argv) for argv in commands] == fresh
+        assert builds == [1]
 
     def test_crit_find_and_lift(self, tmp_path, capsys):
         link = CircleLinkS2(2, F(1, 8), F(1, 4))

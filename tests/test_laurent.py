@@ -301,6 +301,24 @@ class TestMatrixHelpers:
                            [unknown, NovikovSeries([(1, -1), (1, 0)])]])
         assert det == NovikovSeries.zero(F(-5, 6))
 
+    def test_singular_block_bound_counts_every_row(self):
+        # Under the pivot T the rest of the block is O(T^(1/3)), and
+        # dividing by T left the elimination's bound at O(T^(-1/3)); every
+        # term of the determinant takes one O(T^(1/6)) entry per row, so
+        # it is O(T^(1/2)), as the minor expansion says.  With it as one
+        # block of a 7 x 7 form, the factored determinant claims what one
+        # elimination of the whole form claims.
+        unknown, zero = NovikovSeries.zero(F(1, 6)), NovikovSeries.zero()
+        block = [[NovikovSeries([(1, 1)], F(7, 6)), unknown, unknown],
+                 [unknown] * 3, [unknown] * 3]
+        assert det_bareiss(block) == det_minor_expansion(block) \
+            == NovikovSeries.zero(F(1, 2))
+        form = ([[unknown] + [zero] * 6]
+                + [[zero] + [unknown] * 3 + [zero] * 3] * 3
+                + [[zero] * 4 + row for row in block])
+        assert det_bareiss(form) == _bareiss(form) \
+            == NovikovSeries.zero(F(7, 6))
+
     def test_solve_eliminates_unknown_entries(self):
         # [[e1, 1], [1, e2]] x = [1, 0] with e1, e2 = O(T^(1/6)) gives
         # x1 = 1 / (1 - e1 e2): known only modulo T^(1/3).
