@@ -392,6 +392,8 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
                 cfg: LiftConfig) -> CriticalCertificate:
     """Lift a leading-order solution to a critical point mod the target.
 
+    ``z0`` is a ``UnitaryPoint`` or a sequence of its coordinates.
+
     Newton iteration: solve ``H(z) delta = -grad(z)`` and update
     ``z <- z * (1 + delta)`` componentwise.  Requires the Hessian at the
     seed to be invertible at leading order; the correction acquired over
@@ -447,13 +449,17 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
       then agrees with the full-precision one above its own valuation
       ``v0 + g'``: the truncation sits above what that residual can see.
       A step gains more than ``2g`` only if its order-``2g`` error
-      cancels; that step may record a different valuation (never on the
-      chain families of the tests), while the point and certificate stay
-      equal.
+      cancels; the two loops may then record different valuations, while
+      the point and certificate stay equal.  The chain families never
+      cancel it.  A potential whose second and third log-derivatives agree
+      at its critical point does, and the loop then lands on that point
+      while ``p`` is below ``work``.
     * ``v0 < 0``.  The point stays asserted modulo at least ``2g + eps >
       0``, above its unit terms, and the final check at ``work`` asserts
       it modulo ``work``, as the full-precision loop holds it.
     """
+    if not isinstance(z0, UnitaryPoint):
+        z0 = UnitaryPoint(z0)
     if len(z0) != W.num_vars:
         raise ConfigError("seed point has the wrong number of coordinates")
     target = cfg.target_precision

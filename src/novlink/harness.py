@@ -208,13 +208,14 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
 def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
     """One row per ``k``: idempotent count and (normalized) valuation.
 
+    ``k_range`` holds two ints, checked as ``ScanConfig`` checks its own.
     Empty ranges give empty tables.  The valuations are read off the
     computed idempotents, not the closed formula, and must all agree.  A
     range reaching above ``SYMK_K_LIMIT`` raises ``ConfigError`` before any
     row is computed.
     """
     omega = as_fraction(omega, "omega")
-    lo, hi = k_range
+    lo, hi = (_parse_json_int(x, "k_range entry") for x in k_range)
     if hi > SYMK_K_LIMIT:
         raise ConfigError(f"k = {hi} is above the limit SYMK_K_LIMIT = "
                           f"{SYMK_K_LIMIT}")

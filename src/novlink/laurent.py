@@ -355,37 +355,38 @@ def _as_unitary_coords(point, num_vars):
 def _table_gradient(table, n) -> List[NovikovSeries]:
     """Log-gradient from a monomial table: entry ``i`` sums ``m_i value``.
 
-    An entry that no monomial reaches is an exact zero.
+    Each entry is one ``linear_combination`` of its ``(m_i, value)`` pairs;
+    an entry that no monomial reaches folds no pairs and is an exact zero.
     """
-    gradient = [NovikovSeries.zero()] * n
+    pairs = [[] for _ in range(n)]
     for m, value in table:
         for i, mi in enumerate(m):
             if mi:
-                gradient[i] = gradient[i] + value * mi
-    return gradient
+                pairs[i].append((mi, value))
+    return [linear_combination(p) for p in pairs]
 
 
 def _table_hessian(table, n, precision=INFINITY
                    ) -> List[List[NovikovSeries]]:
     """Log-Hessian from a monomial table, modulo ``T^precision``.
 
-    Entry ``(i, j)`` sums ``m_i m_j value`` over the values truncated at
-    ``precision``, so it is the full entry truncated there.  An entry that
-    no monomial reaches is an exact zero, which keeps Hessians sparse.
+    Entry ``(i, j)`` is one ``linear_combination`` of the pairs ``(m_i m_j,
+    value)``, each value truncated once at ``precision``, so it is the full
+    entry truncated there.  Only the pairs of each monomial's nonzero
+    exponents are visited.  An entry that no monomial reaches is an exact
+    zero, which keeps Hessians sparse.
     """
-    hessian = [[NovikovSeries.zero()] * n for _ in range(n)]
-    # Only entries with j >= i are summed; m_i m_j = m_j m_i and the
-    # monomials come in one order, so the mirror is the same series.
+    pairs: Dict[Tuple[int, int], list] = {}
     for m, value in table:
         value = value.truncate(precision)
         live = [(i, mi) for i, mi in enumerate(m) if mi]
         for a, (i, mi) in enumerate(live):
-            row = hessian[i]
             for j, mj in live[a:]:
-                row[j] = row[j] + value * (mi * mj)
-    for i in range(n):
-        for j in range(i + 1, n):
-            hessian[j][i] = hessian[i][j]
+                pairs.setdefault((i, j), []).append((mi * mj, value))
+    hessian = [[NovikovSeries.zero()] * n for _ in range(n)]
+    # m_i m_j = m_j m_i, so the mirror of entry (i, j) is the same series.
+    for (i, j), p in pairs.items():
+        hessian[i][j] = hessian[j][i] = linear_combination(p)
     return hessian
 
 
@@ -526,10 +527,16 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
     fully exact inputs a quotient that is not finite raises
     ``InexactDivisionError``; truncate the inputs to keep it finite.  Raises
     ``SingularMatrixError`` when no pivot with a nonzero leading term exists
-    at the available precision.
+    at the available precision, and ``ConfigError`` when the matrix is
+    not square or ``rhs`` does not have one entry per row.
     """
     n = len(matrix)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    if any(len(row) != n for row in matrix):
+        raise ConfigError("matrix is not square")
+    if len(rhs) != n:
+        raise ConfigError(f"rhs has {len(rhs)} entries for {n} rows")
+    a = [list(row) + [NovikovSeries.from_scalar(rhs[i])]
+         for i, row in enumerate(matrix)]
     by_pivot = []
     for k in range(n):
         best = _pick_pivot(a, k)
@@ -547,8 +554,6 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
                 a[i][j] = a[i][j] - factor * a[k][j]
     xs: List[NovikovSeries] = [NovikovSeries.zero()] * n
     for k in range(n - 1, -1, -1):
-        acc = a[k][n]
-        for j in range(k + 1, n):
-            acc = acc - a[k][j] * xs[j]
-        xs[k] = by_pivot[k](acc)
+        xs[k] = by_pivot[k](linear_combination(
+            [(1, a[k][n])] + [(-1, a[k][j] * xs[j]) for j in range(k + 1, n)]))
     return xs

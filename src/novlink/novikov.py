@@ -262,17 +262,20 @@ class NovikovSeries:
 
     def __add__(self, other):
         other = _coerce(other)
-        return other if other is NotImplemented else _sum(self, other, 1)
+        return (other if other is NotImplemented
+                else linear_combination(((1, self), (1, other))))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        return other if other is NotImplemented else _sum(self, other, -1)
+        return (other if other is NotImplemented
+                else linear_combination(((1, self), (-1, other))))
 
     def __rsub__(self, other):
         other = _coerce(other)
-        return other if other is NotImplemented else _sum(other, self, -1)
+        return (other if other is NotImplemented
+                else linear_combination(((1, other), (-1, self))))
 
     def __mul__(self, other):
         if type(other) is int and other:  # an exact scalar scales C alone
@@ -549,12 +552,6 @@ def _product(x: "NovikovSeries", y: "NovikovSeries") -> "NovikovSeries":
             acc[e] = acc.get(e, 0) + ca * cb
     E = sorted(acc)
     return NovikovSeries._raw(de, x._dc * y._dc, E, [acc[e] for e in E], prec)
-
-
-def _sum(x: "NovikovSeries", y: "NovikovSeries", sign: int
-         ) -> "NovikovSeries":
-    """``x + sign * y`` known modulo the lesser precision."""
-    return linear_combination(((1, x), (sign, y)))
 
 
 def linear_combination(pairs) -> "NovikovSeries":

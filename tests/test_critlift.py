@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -248,6 +249,17 @@ class TestHenselLift:
         W = build_chain_potential(LINK2, BulkParameter(F(1)))
         with pytest.raises(ConfigError):
             hensel_lift(W, ones(3), LiftConfig(F(1)))
+
+    def test_coordinate_list_seed_accepted(self):
+        W = perturbed_chain(F(1, 16))
+        cfg = LiftConfig(4 * B)
+        assert hensel_lift(W, list(ones(2)), cfg) == \
+            hensel_lift(W, ones(2), cfg)
+
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_non_positive_target_rejected(self, target):
+        with pytest.raises(ConfigError, match="must be positive"):
+            LiftConfig(target)
 
 
 class TestCertifyMorse:
@@ -541,10 +553,23 @@ def perturbed_chain_lifts(draw):
 
 def landing_potential(tail):
     """``T^(1/4) (z + c^2 / z)`` with ``c = 1 + tail``: its critical point
-    ``c`` is a finite series, which a truncated iterate can hit exactly."""
+    ``c`` is a finite series.  Newton's error stays quadratic, so no
+    truncated iterate reaches ``c`` below the working precision: the loop
+    ends on a residual zero modulo ``T^work``, found at ``work`` itself."""
     c = NovikovSeries([(1, 0)] + tail)
     TB = NovikovSeries.monomial(1, F(1, 4))
     return LaurentPotential(1, {(1,): TB, (-1,): c * c * TB})
+
+
+def snapping_potential():
+    """``T^(1/4) (z^2 + 2 c^3 / z)`` with ``c = 1 + T^(1/16)``.  Its second
+    and third log-derivatives agree at the critical point ``c``, which
+    cancels the quadratic error of the multiplicative step ``z (1 +
+    delta)``.  The error is cubic, so truncating the update at ``2g + eps``
+    puts the iterate on ``c`` while ``p`` is still below ``work``."""
+    c = NovikovSeries([(1, 0), (1, F(1, 16))])
+    TB = NovikovSeries.monomial(1, F(1, 4))
+    return LaurentPotential(1, {(2,): TB, (-1,): 2 * c * c * c * TB})
 
 
 def scaled(W, s):
@@ -568,7 +593,7 @@ class TestDoublingPrecision:
         (build_chain_potential(CircleLinkS2(3, F(1, 8), F(1, 4)),
                                BulkParameter(F(3, 2))),
          UnitaryPoint([mono(F(3, 2)), mono(1), mono(F(2, 3))])),
-        # Newton lands on a finite critical point.
+        # Newton reaches a finite critical point, at the working precision.
         (landing_potential([(1, F(1, 16))]), ones(1)),
         (landing_potential([(1, F(1, 16)), (F(-3, 2), F(3, 16))]), ones(1)),
         (landing_potential([(2, F(3, 16))]), ones(1)),
@@ -587,6 +612,33 @@ class TestDoublingPrecision:
     def test_edge_cases_match_full_precision_lift(self, W, seed, target):
         assert lift_outcome(doubling_lift, W, seed, target) == \
             lift_outcome(full_precision_lift, W, seed, target)
+
+    @pytest.mark.parametrize("target", [F(1), F(3, 2), F(2)])
+    def test_landing_below_work_is_checked_again_at_work(self, monkeypatch,
+                                                         target):
+        # The first update lands on c: the next residual is zero modulo
+        # p = 9/16, which says nothing about the orders up to work, so the
+        # table is taken again at work before the loop stops.
+        work = target + F(1, 4)
+        calls = []
+        table = LaurentPotential._monomial_table
+
+        def table_spy(self, point, target_precision):
+            calls.append(target_precision)
+            return table(self, point, target_precision)
+
+        monkeypatch.setattr(LaurentPotential, "_monomial_table", table_spy)
+        W = snapping_potential()
+        cert = doubling_lift(W, ones(1), target)
+        assert calls == [target, work, F(9, 16), work, target]
+        assert cert.residual_valuations == (F(5, 16), work)
+        # The full-precision loop takes more steps (residual valuations
+        # 5/16, 7/16, 13/16 and 5/4 at target 1): the step that gains more
+        # than 2g records a different valuation, and nothing else differs.
+        oracle = full_precision_lift(W, ones(1), target)
+        assert len(oracle.residual_valuations) > 2
+        assert replace(cert, residual_valuations=oracle.residual_valuations) \
+            == oracle
 
     @pytest.mark.parametrize("prec, target", [
         (F(9, 5), F(3, 2)), (F(9, 5), F(5, 4)), (F(9, 5), F(1)),

@@ -141,6 +141,8 @@ class TestSchedules:
             ScanConfig.from_obj({"k_range": [3, 1]})
         with pytest.raises(ConfigError):
             AreaSchedule(kind="nope")
+        with pytest.raises(ConfigError, match="c0 must be nonzero"):
+            ScanConfig(k_range=(1, 2), c0=0)
 
 
 class TestWeylScan:
@@ -214,6 +216,11 @@ class TestNobulkScan:
 
     def test_empty_range(self):
         assert nobulk_scan((5, 4), F(1)) == []
+
+    @pytest.mark.parametrize("lo", [True, "1", 1.0])
+    def test_non_integer_k_range_rejected(self, lo):
+        with pytest.raises(ConfigError, match="k_range entry"):
+            nobulk_scan((lo, 2), 1)
 
     def test_size_limit(self):
         assert len(symk_idempotents(SYMK_K_LIMIT, F(1))) == SYMK_K_LIMIT + 1
@@ -433,6 +440,14 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "Z = O(T^2)" in captured.out
         assert "degenerate" not in captured.out + captured.err
+
+    def test_trace_check_exact_zero_hessian_exits_3(self, tmp_path, capsys):
+        hpath = self._write(tmp_path, "H.json", [[[]]])
+        assert main(["trace", "check", "--hessian", hpath]) == 3
+        out = capsys.readouterr().out
+        for line in ("Z = 0", "det = 0", "val(Z) = +inf (degenerate)",
+                     "leading terms match: no"):
+            assert line in out.splitlines()
 
     def test_trace_check_over_size_limit_exits_2(self, tmp_path, capsys):
         # One tridiagonal component, one generator above the limit.

@@ -78,6 +78,12 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="must be a JSON integer"):
             LaurentPotential(num_vars, terms)
 
+    def test_mismatched_variable_counts_rejected(self):
+        with pytest.raises(ConfigError, match="does not match num_vars"):
+            LaurentPotential(2, {(1,): 1})
+        with pytest.raises(ConfigError, match="different variable counts"):
+            W_zplus1overz() + LaurentPotential(2, {(1, 0): 1})
+
     def test_zero_modulo_precision_coefficient_kept(self):
         W = LaurentPotential(1, {(1,): NovikovSeries.zero(3), (0,): 1})
         assert W.evaluate([1]) == NovikovSeries([(1, 0)], 3)
@@ -292,6 +298,22 @@ class TestMatrixHelpers:
                                [e.truncate(12) for e in rhs])
             for got, want in zip(sol, xs):
                 assert got.eq_mod(want, got.precision)
+
+    @pytest.mark.parametrize("rows, rhs, match", [
+        # Each row's third entry would be read as the right-hand side.
+        ([[1, 0, 2], [0, 1, 2]], [1, 1], "not square"),
+        ([[1, 0], [0, 1]], [1], "1 entries for 2 rows"),
+        # The third entry would be dropped.
+        ([[1, 0], [0, 1]], [1, 1, 1], "3 entries for 2 rows"),
+    ])
+    def test_solve_refuses_malformed_shapes(self, rows, rhs, match):
+        with pytest.raises(ConfigError, match=match):
+            solve_linear([[mono(x) for x in row] for row in rows],
+                         [mono(x) for x in rhs])
+
+    def test_bareiss_refuses_a_non_square_matrix(self):
+        with pytest.raises(ConfigError, match="not square"):
+            det_bareiss([[mono(1), mono(2)]])
 
     def test_singular_column_bound_counts_cofactor_valuation(self):
         # Column 0 is O(T^(1/6)), but the cofactor T^-1 + 1 of its lower

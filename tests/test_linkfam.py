@@ -44,6 +44,10 @@ class TestCircleLink:
         with pytest.raises(ConfigError, match="k must be a JSON integer"):
             CircleLinkS2(k, F(1, 8), F(1, 4))
 
+    def test_non_positive_k_rejected(self):
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            CircleLinkS2(0, F(1, 8), F(1, 4))
+
     def test_zero_bulk_rejected(self):
         with pytest.raises(ConfigError):
             BulkParameter(F(0))
@@ -97,6 +101,12 @@ class TestBuildChainPotential:
         extra = LaurentPotential(2, {(1, 1): mono(7, F(1, 2))})
         W = build_chain_potential(link, BulkParameter(F(1)), extra)
         assert W.coefficient((1, 1)) == mono(7, F(1, 2))
+
+    def test_extra_terms_with_wrong_variable_count_rejected(self):
+        link = CircleLinkS2(2, F(1, 8), F(1, 4))
+        extra = LaurentPotential(3, {(1, 0, 0): mono(1)})
+        with pytest.raises(ConfigError, match="wrong variable count"):
+            build_chain_potential(link, BulkParameter(F(1)), extra)
 
 
 class TestCriticalData:

@@ -125,6 +125,11 @@ class TestInvert:
         x = S((2, F(3, 2)), (1, 2))
         assert x.invert(4).valuation() == F(-3, 2)
 
+    def test_target_below_the_leading_term_rejected(self):
+        # 1/(T + T^2) starts at T^-1, which a target of -2 does not reach.
+        with pytest.raises(PrecisionError, match="does not reach"):
+            NovikovSeries([(1, 1), (1, 2)], 3).invert(-2)
+
     def test_finite_precision_limits_inverse(self):
         x = NovikovSeries([(1, 1)], 3)  # T + O(T^3): relative precision 2
         inv = x.invert(10)
@@ -180,6 +185,14 @@ class TestSerialization:
     def test_accepts_bare_term_list(self):
         s = NovikovSeries.from_obj([{"c": "2", "e": "1/4"}])
         assert s == S((2, F(1, 4)))
+
+    @pytest.mark.parametrize("bad, match", [
+        (5, "a term list or an object"),
+        ({"terms": [1]}, "a list of objects"),
+    ])
+    def test_malformed_object_refused(self, bad, match):
+        with pytest.raises(ConfigError, match=match):
+            NovikovSeries.from_obj(bad)
 
     def test_fraction_parsing(self):
         assert as_fraction("-3/7") == F(-3, 7)

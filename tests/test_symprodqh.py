@@ -72,6 +72,16 @@ class TestRankTwoAlgebra:
         with pytest.raises(ConfigError, match="omega must be positive"):
             symk_idempotents(2, -1)
 
+    def test_non_positive_k_rejected(self):
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            SymQHElement(0, 1, [1])
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            symk_idempotents(0, 1)
+
+    def test_wrong_coefficient_count_rejected(self):
+        with pytest.raises(ConfigError, match="need 3 basis coefficients"):
+            SymQHElement(2, 1, [1, 0])
+
     @pytest.mark.parametrize("k", [True, 2.5, F(3, 2), "2"])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ConfigError, match="k must be a JSON integer"):
