@@ -118,6 +118,15 @@ class AreaSchedule:
         )
 
 
+def _k_range(k_range) -> Tuple[int, int]:
+    """``(lo, hi)`` from a pair of ints; any other shape or entry raises
+    ``ConfigError``."""
+    if not (isinstance(k_range, (tuple, list)) and len(k_range) == 2):
+        raise ConfigError(f"k_range must be a pair (lo, hi), got {k_range!r}")
+    lo, hi = (_parse_json_int(x, "k_range entry") for x in k_range)
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Sweep settings shared by the scan subcommands."""
@@ -128,7 +137,7 @@ class ScanConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
-        lo, hi = (_parse_json_int(x, "k_range entry") for x in self.k_range)
+        lo, hi = _k_range(self.k_range)
         if lo < 1 or hi < lo:
             raise ConfigError("k_range must satisfy 1 <= lo <= hi")
         object.__setattr__(self, "k_range", (lo, hi))
@@ -215,7 +224,7 @@ def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
     row is computed.
     """
     omega = as_fraction(omega, "omega")
-    lo, hi = (_parse_json_int(x, "k_range entry") for x in k_range)
+    lo, hi = _k_range(k_range)
     if hi > SYMK_K_LIMIT:
         raise ConfigError(f"k = {hi} is above the limit SYMK_K_LIMIT = "
                           f"{SYMK_K_LIMIT}")

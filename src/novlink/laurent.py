@@ -432,11 +432,14 @@ def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     the Bareiss divisions are exact, so precision follows the adic rules
     with no division loss.  Each step's divisor is inverted at most once
     (see ``novikov._divider``).  The empty matrix has determinant 1.
+    Entries are series or exact rationals, read through
+    ``NovikovSeries.from_scalar``; anything else raises ``ConfigError``.
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ConfigError("matrix is not square")
+    matrix = [[NovikovSeries.from_scalar(x) for x in row] for row in matrix]
     blocks = _components(matrix)
     if len(blocks) <= 1:
         return _bareiss(matrix)
@@ -467,7 +470,6 @@ def _bareiss(matrix):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 m[i][j] = by_prev(num)
-            m[i][k] = NovikovSeries.zero(m[i][k].precision)
         prev = m[k][k]
     out = m[n - 1][n - 1]
     return out if sign == 1 else -out
@@ -528,15 +530,17 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
     ``InexactDivisionError``; truncate the inputs to keep it finite.  Raises
     ``SingularMatrixError`` when no pivot with a nonzero leading term exists
     at the available precision, and ``ConfigError`` when the matrix is
-    not square or ``rhs`` does not have one entry per row.
+    not square, ``rhs`` does not have one entry per row, or an entry of
+    either is neither a series nor an exact rational (each is read through
+    ``NovikovSeries.from_scalar``).
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ConfigError("matrix is not square")
     if len(rhs) != n:
         raise ConfigError(f"rhs has {len(rhs)} entries for {n} rows")
-    a = [list(row) + [NovikovSeries.from_scalar(rhs[i])]
-         for i, row in enumerate(matrix)]
+    a = [[NovikovSeries.from_scalar(x) for x in (*row, r)]
+         for row, r in zip(matrix, rhs)]
     by_pivot = []
     for k in range(n):
         best = _pick_pivot(a, k)
@@ -550,7 +554,7 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
             if a[i][k].is_exact_zero():
                 continue
             factor = by_pivot[k](a[i][k])
-            for j in range(k, n + 1):
+            for j in range(k + 1, n + 1):
                 a[i][j] = a[i][j] - factor * a[k][j]
     xs: List[NovikovSeries] = [NovikovSeries.zero()] * n
     for k in range(n - 1, -1, -1):

@@ -23,7 +23,6 @@ that need a fixed lattice enforce it themselves.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from collections import defaultdict
@@ -616,70 +615,36 @@ def _divider(b: NovikovSeries):
     A monomial or finite-precision divisor is inverted once: ``a`` times
     ``b.invert()`` has exactly the quotient's terms and precision
     ``val(a) - val(b) + min(relprec(a), relprec(b))``.  An exact multi-term
-    divisor has no finite inverse: an exact dividend takes the exact
-    quotient (``_exact_quotient``), and a finite-precision one is multiplied
-    by the inverse taken to its own relative precision, which gives it that
-    precision.
+    divisor has no finite inverse, so each dividend is multiplied by the
+    inverse taken as far as it needs.  A finite-precision dividend takes it
+    to its own relative precision, which gives the quotient that precision.
+    An exact dividend must have a finite quotient ``q``, whose top exponent
+    is ``top(a) - top(b)`` (top terms of exact products never cancel) and
+    whose exponents lie on the ``1 / lcm(de_a, de_b)`` grid, so the inverse
+    taken one grid step past that top gives every term of ``q``; ``q`` is
+    returned when ``q * b == a``.  A dividend with a shorter span than the
+    divisor, or a failed check product, raises ``InexactDivisionError``.
     """
     if len(b._E) < 2 or b._P is not None:
         inverse = b.invert()  # raises for a term-free divisor
         return lambda a: a * inverse
-    vb = b.valuation()
+    vb, tb = b.valuation(), Fraction(b._E[-1], b._de)
 
     def quotient(a: NovikovSeries) -> NovikovSeries:
         if not a._E:
             return NovikovSeries.zero(a.precision - vb)
-        if a._P is None:
-            return _exact_quotient(a, b)
-        return a * b.invert(a.precision - a.valuation() - vb)
+        va = a.valuation()
+        if a._P is not None:
+            return a * b.invert(a.precision - va - vb)
+        ta = Fraction(a._E[-1], a._de)
+        if ta - va >= tb - vb:
+            eps = Fraction(1, math.lcm(a._de, b._de))
+            q = (a * b.invert(ta - tb - va + eps)).assume_precision(INFINITY)
+            if q * b == a:
+                return q
+        raise InexactDivisionError("division of exact series is not exact")
 
     return quotient
-
-
-def _exact_quotient(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
-    """Exact quotient of two exact series by long division on integers.
-
-    Exponents go over one common denominator, the dividend keeps its
-    integer coefficients, and the divisor's are made primitive.  By
-    Gauss's lemma an exact quotient by a primitive integer divisor has
-    integer coefficients, so ``InexactDivisionError`` is raised as soon as
-    a quotient coefficient is not an integer or a quotient term passes
-    ``top(a) - top(b)``.  The remainder is an ``{exponent: coefficient}``
-    dict whose exponents wait in a heap.
-    """
-    de = math.lcm(a._de, b._de)
-    eb = _rescale(b._E, de // b._de)
-    g = math.gcd(*b._C)
-    vb, lead = eb[0], b._C[0] // g
-    tail = [(f - vb, c // g) for f, c in zip(eb[1:], b._C[1:])]
-    heap = list(_rescale(a._E, de // a._de))  # ascending, so a heap
-    rem = dict(zip(heap, a._C))
-    qtop = heap[-1] - eb[-1]
-    E, C = [], []
-    while rem:
-        x = heapq.heappop(heap)
-        c = rem.pop(x, 0)
-        if not c:
-            continue  # cancelled after it was queued
-        q, r = divmod(c, lead)
-        e = x - vb
-        if r or e > qtop:
-            raise InexactDivisionError("division of exact series is not "
-                                       "exact")
-        E.append(e)  # popped in ascending order
-        C.append(q * b._dc)
-        # Tail gaps are positive, so every key touched lies above ``x``.
-        for f, cb in tail:
-            y, d = x + f, q * cb
-            cur = rem.get(y)
-            if cur is None:
-                rem[y] = -d
-                heapq.heappush(heap, y)
-            elif cur != d:
-                rem[y] = cur - d
-            else:
-                del rem[y]
-    return NovikovSeries._raw(de, a._dc * g, E, C, None)
 
 
 def is_unitary(x: NovikovSeries) -> bool:

@@ -116,6 +116,9 @@ class TestSchedules:
             ScanConfig(k_range=(F(3, 2), 2))
         with pytest.raises(ConfigError, match="k_range entry"):
             ScanConfig(k_range=(1.5, 2))
+        for bad in [(1, 2, 3), (1,), 5]:
+            with pytest.raises(ConfigError, match="k_range"):
+                ScanConfig(k_range=bad)
 
     def test_vanishing_k_plus_shift_rejected(self):
         with pytest.raises(ConfigError, match=r"k = 2 .*shift = -2"):
@@ -222,6 +225,11 @@ class TestNobulkScan:
         with pytest.raises(ConfigError, match="k_range entry"):
             nobulk_scan((lo, 2), 1)
 
+    @pytest.mark.parametrize("k_range", [(1, 2, 3), (1,), 5])
+    def test_malformed_k_range_rejected(self, k_range):
+        with pytest.raises(ConfigError, match="k_range"):
+            nobulk_scan(k_range, 1)
+
     def test_size_limit(self):
         assert len(symk_idempotents(SYMK_K_LIMIT, F(1))) == SYMK_K_LIMIT + 1
         with pytest.raises(ConfigError, match=str(SYMK_K_LIMIT)):
@@ -325,6 +333,10 @@ class TestCLI:
         (["crit", "lift", "--potential", "lift_k3_potential.json",
           "--seed", "lift_k3_seed.json", "--prec", "6"],
          "lift_k3_prec_6.json"),
+        # Exact two-term entries: Bareiss divides by an exact two-term
+        # pivot, and the quotient's exponents are sixths.
+        (["trace", "check", "--hessian", "trace_exact_hessian.json"],
+         "trace_exact_check.txt"),
     ])
     def test_output_matches_golden(self, argv, expected, capsys):
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]

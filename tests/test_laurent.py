@@ -311,6 +311,27 @@ class TestMatrixHelpers:
             solve_linear([[mono(x) for x in row] for row in rows],
                          [mono(x) for x in rhs])
 
+    def test_rational_entries_are_read_as_series(self):
+        # Ints, Fractions and "p/q" strings are exact constants, as on the
+        # right-hand side.
+        for matrix, want in [([[2, 0], [0, 1]], mono(2)),
+                             ([[F(1, 2)]], mono(F(1, 2))),
+                             ([["1/3", 1], [0, mono(3, 1)]], mono(1, 1))]:
+            det = det_bareiss(matrix)
+            assert isinstance(det, NovikovSeries) and det == want
+        xs = solve_linear([[2, 0], [0, 1]], [1, 1])
+        assert all(isinstance(x, NovikovSeries) for x in xs)
+        assert xs == [mono(F(1, 2)), mono(1)]
+
+    @pytest.mark.parametrize("bad", [True, 1.5, "x", None])
+    def test_non_rational_entries_refused(self, bad):
+        with pytest.raises(ConfigError):
+            det_bareiss([[bad]])
+        with pytest.raises(ConfigError):
+            det_bareiss([[mono(1), bad], [bad, mono(1)]])
+        with pytest.raises(ConfigError):
+            solve_linear([[mono(1), bad], [bad, mono(1)]], [1, 1])
+
     def test_bareiss_refuses_a_non_square_matrix(self):
         with pytest.raises(ConfigError, match="not square"):
             det_bareiss([[mono(1), mono(2)]])

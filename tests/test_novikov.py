@@ -141,10 +141,19 @@ class TestDivide:
         num = S((1, 0), (-1, 2))  # 1 - T^2
         den = S((1, 0), (-1, 1))  # 1 - T
         assert divide(num, den) == S((1, 0), (1, 1))
+        # The quotient's exponents are halves, the divisor's thirds.
+        den = S((1, 0), (-1, F(1, 3)))
+        q = S((2, 0), (1, F(1, 2)))
+        assert divide(den * q, den) == q
 
     def test_inexact_division_raises(self):
-        with pytest.raises(InexactDivisionError):
-            divide(S((1, 0)), S((1, 0), (-1, 1)))
+        for num in [
+            S((1, 0)),  # spans less than 1 - T: refused before any inverse
+            S((1, 0), (1, 1)),  # the span of 1 - T, but no multiple of it
+            S((1, 0), (-1, 1), (1, F(3, 2))),  # the quotient is infinite
+        ]:
+            with pytest.raises(InexactDivisionError):
+                divide(num, S((1, 0), (-1, 1)))
 
     def test_long_finite_quotient(self):
         # (1 - T^N)/(1 - T) = 1 + T + ... + T^(N-1): every quotient term is
