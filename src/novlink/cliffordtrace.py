@@ -34,12 +34,13 @@ from .errors import (
     AlgebraMismatchError,
     ConfigError,
     DegenerateTraceError,
-    PrecisionError,
 )
 from .laurent import _components
 from .novikov import (
     Exponent,
+    INFINITY,
     NovikovSeries,
+    _least_valuation,
     linear_combination,
 )
 
@@ -436,9 +437,7 @@ def defect_bound(Z: NovikovSeries) -> Exponent:
     Morse.  A trace known only as ``O(T^p)`` has no known valuation and
     raises ``PrecisionError``.
     """
-    if Z.is_zero():
-        if Z.is_exact():
-            raise DegenerateTraceError("degenerate: not Morse")
-        raise PrecisionError(f"trace is known only as O(T^{Z.precision}); "
-                             "its valuation is unknown")
-    return Z.valuation()
+    v = _least_valuation((Z,), lambda _: "the trace")
+    if v is INFINITY:
+        raise DegenerateTraceError("degenerate: not Morse")
+    return v

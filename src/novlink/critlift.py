@@ -40,6 +40,7 @@ from .errors import (
     NonMorseError,
     NotZeroDimensionalError,
     ObstructedError,
+    PrecisionError,
 )
 from .laurent import (
     LaurentPotential,
@@ -49,7 +50,13 @@ from .laurent import (
     det_bareiss,
     solve_linear,
 )
-from .novikov import INFINITY, NovikovSeries, as_fraction, as_precision
+from .novikov import (
+    INFINITY,
+    NovikovSeries,
+    _least_valuation,
+    as_fraction,
+    as_precision,
+)
 
 #: Newton steps a lift may take before it is reported obstructed.  The
 #: residual valuation climbs quadratically, so a converging lift needs far
@@ -101,7 +108,9 @@ class CriticalCertificate:
     residual_valuations: Tuple = ()
 
     def det_valuation(self):
-        return self.hessian_det.valuation()
+        """``PrecisionError`` for a determinant known only as ``O(T^p)``."""
+        return _least_valuation((self.hessian_det,),
+                                lambda _: "the determinant")
 
 
 # -- leading-order system -----------------------------------------------------
@@ -110,42 +119,37 @@ class CriticalCertificate:
 Polynomial = Dict[Tuple[int, ...], Fraction]
 
 
-def _leading_polynomial(component: LaurentPotential) -> Polynomial:
-    """Lowest-valuation layer of a gradient component as a polynomial.
-
-    The monomial content is divided out (per-variable minimum exponent set
-    to zero), which is harmless on the unit torus and keeps the system
-    polynomial.  A coefficient known only as ``O(T^p)`` with ``p <= v``
-    leaves layer ``v`` unknown and raises ``PrecisionError``.
-    """
-    v = component.min_coefficient_valuation()
-    monos = [(m, coeff.leading_coefficient())
-             for m, coeff in component.terms_through(v).items()]
-    shift = [min(m[i] for m, _ in monos) for i in range(component.num_vars)]
-    return {tuple(e - s for e, s in zip(m, shift)): c for m, c in monos}
-
-
 def _solve_leading_system(W: LaurentPotential):
     """All torus solutions of the leading gradient system.
 
+    Gradient component ``i`` is ``sum m_i coeff z^m``: its leading layer,
+    read off ``W``'s terms by ``novikov._least_valuation``, is ``m_i`` times
+    each coefficient's term there.  The monomial content is divided out
+    (per-variable minimum exponent set to zero), which is harmless on the
+    unit torus and keeps the system polynomial.
+
     Returns ``(rational_points, irrational_count)``.  Raises
     ``NotZeroDimensionalError`` when the solution set is not finite (this
-    includes a gradient component that vanishes identically and a variable
-    that no leading polynomial constrains), and ``ConfigError`` when the
+    includes a gradient component with no known term and a variable that
+    no leading polynomial constrains), and ``ConfigError`` when the
     Bezout bound of the system exceeds ``LEADING_SOLUTION_LIMIT``.
     """
-    grads = W.log_gradient()
-    # A component whose coefficients are all zero modulo precision has no
-    # known leading layer.
-    if any(g.min_coefficient_valuation() is INFINITY for g in grads):
+    components = [[(m, c) for m, c in W.items() if m[i]]
+                  for i in range(W.num_vars)]
+    if any(all(c.is_zero() for _, c in comp) for comp in components):
         raise NotZeroDimensionalError("leading system not zero-dimensional")
     polys = []
-    for g in grads:
-        poly = _leading_polynomial(g)
-        if len(poly) == 1:
+    for i, comp in enumerate(components):
+        v = _least_valuation(
+            [c for _, c in comp],
+            lambda j: f"the coefficient of z^{list(comp[j][0])}")
+        monos = [(m, a) for m, c in comp if (a := m[i] * c.coefficient(v))]
+        if len(monos) == 1:
             # A gradient layer reduced to a nonzero constant: no unit zeros.
             return [], 0
-        polys.append(poly)
+        shift = [min(m[j] for m, _ in monos) for j in range(W.num_vars)]
+        polys.append({tuple(e - s for e, s in zip(m, shift)): a
+                      for m, a in monos})
     rational, irrational = _solve_polynomials(polys, W.num_vars)
     # Few distinct coordinates recur across the 2^k-style product.
     leads = {c: NovikovSeries.monomial(c, 0) for c in set().union(*rational)}
@@ -374,13 +378,10 @@ def leading_solutions(W: LaurentPotential) -> List[UnitaryPoint]:
 def _leading_matrix(matrix):
     """Lowest-valuation layer of a series matrix as exact constants.
 
-    Returns ``(v0, rows)`` where entries with valuation above ``v0``
-    contribute zero.
+    Returns ``(v0, rows)``, ``v0`` by ``novikov._least_valuation``, where
+    entries with valuation above ``v0`` contribute zero.
     """
-    v0 = INFINITY
-    for row in matrix:
-        for entry in row:
-            v0 = min(v0, entry.val_lower_bound())
+    v0 = _least_valuation(entry for row in matrix for entry in row)
     if v0 is INFINITY:
         return INFINITY, None
     rows = [[NovikovSeries.monomial(entry.coefficient(v0), 0)
@@ -397,7 +398,8 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     Newton iteration: solve ``H(z) delta = -grad(z)`` and update
     ``z <- z * (1 + delta)`` componentwise.  Requires the Hessian at the
     seed to be invertible at leading order; the correction acquired over
-    the seed has strictly positive valuation.
+    the seed has strictly positive valuation.  A target that leaves that
+    layer unknown reads it off the seed's Hessian without a target.
 
     Precision doubles with the accuracy (von zur Gathen & Gerhard, *Modern
     Computer Algebra*, ch. 9).  Let ``v0`` be the valuation of the leading
@@ -463,8 +465,11 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     if len(z0) != W.num_vars:
         raise ConfigError("seed point has the wrong number of coordinates")
     target = cfg.target_precision
-    _, h_matrix = W.log_jet(z0, target)
-    v0, lead = _leading_matrix(h_matrix)
+    try:
+        v0, lead = _leading_matrix(W.log_jet(z0, target)[1])
+    except PrecisionError:
+        # The target is at or below the Hessian's leading layer.
+        v0, lead = _leading_matrix(W.log_jet(z0)[1])
     if v0 is INFINITY or det_bareiss(lead).is_zero():
         raise NonMorseError("non-Morse: cannot lift")
 

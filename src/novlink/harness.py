@@ -151,13 +151,12 @@ class ScanConfig:
 
     @classmethod
     def from_obj(cls, obj) -> "ScanConfig":
-        """Parse a scan config: ``k_range`` is two JSON integers, ``c0`` a
-        JSON integer or ``"p/q"`` string."""
-        k_range = obj.get("k_range") if isinstance(obj, dict) else None
-        if not (isinstance(k_range, list) and len(k_range) == 2):
-            raise ConfigError("config needs k_range: [lo, hi]")
+        """Parse a scan config object: ``k_range`` is two JSON integers,
+        ``c0`` a JSON integer or ``"p/q"`` string."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a scan config must be an object, got {obj!r}")
         return cls(
-            k_range=tuple(k_range),
+            k_range=obj.get("k_range"),
             schedule=AreaSchedule.from_obj(obj.get("schedule", {})),
             c0=obj.get("c0", 1),
             output_format=obj.get("output_format", "csv"),

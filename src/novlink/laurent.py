@@ -29,6 +29,7 @@ from .novikov import (
     _divider,
     _json_key,
     _parse_json_int,
+    as_fraction,
     as_precision,
     is_unitary,
     linear_combination,
@@ -163,10 +164,6 @@ class LaurentPotential:
             return LaurentPotential(self._num_vars, merged)
         return NotImplemented
 
-    def min_coefficient_valuation(self):
-        vals = [c.valuation() for c in self._terms.values()]
-        return min(vals) if vals else INFINITY
-
     def terms_through(self, cutoff) -> Dict[ExponentVector, NovikovSeries]:
         """The terms whose coefficient has valuation ``<= cutoff``.
 
@@ -251,8 +248,8 @@ class LaurentPotential:
         """Log-gradient and log-Hessian at a unitary point in one pass.
 
         Returns ``(gradient, hessian)``: entry by entry the values of
-        ``log_gradient()`` and ``log_hessian()`` at the point modulo
-        ``T^target_precision``, read off one monomial table as sums
+        ``sum m_i coeff z^m`` and ``sum m_i m_j coeff z^m`` at the point
+        modulo ``T^target_precision``, read off one monomial table as sums
         weighted by ``m_i`` and ``m_i * m_j``.  The precision rules are
         those of ``evaluate``.  An entry that no monomial reaches is
         identically zero and comes out as an exact zero, which keeps
@@ -261,33 +258,6 @@ class LaurentPotential:
         _, table = self._monomial_table(point, target_precision)
         return (_table_gradient(table, self._num_vars),
                 _table_hessian(table, self._num_vars))
-
-    def log_gradient(self) -> List["LaurentPotential"]:
-        """Multiplicative gradient: component ``i`` is ``sum m_i coeff z^m``."""
-        out = []
-        for i in range(self._num_vars):
-            comp = {}
-            for m, coeff in self._terms.items():
-                if m[i]:
-                    comp[m] = coeff * m[i]
-            out.append(LaurentPotential(self._num_vars, comp))
-        return out
-
-    def log_hessian(self) -> List[List["LaurentPotential"]]:
-        """Symbolic matrix of second multiplicative derivatives."""
-        n = self._num_vars
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                comp = {}
-                for m, coeff in self._terms.items():
-                    f = m[i] * m[j]
-                    if f:
-                        comp[m] = coeff * f
-                row.append(LaurentPotential(n, comp))
-            rows.append(row)
-        return rows
 
     # -- serialization -------------------------------------------------------
 
@@ -393,6 +363,15 @@ def _table_hessian(table, n, precision=INFINITY
 # -- series matrices ---------------------------------------------------------
 
 
+def _entry(x, name, *index) -> NovikovSeries:
+    """A series, or an exact rational as a constant; else ``ConfigError``
+    naming the entry, e.g. ``matrix[1][0]``."""
+    if isinstance(x, NovikovSeries):
+        return x
+    where = name + "".join(f"[{i}]" for i in index)
+    return NovikovSeries.monomial(as_fraction(x, where), 0)
+
+
 def _components(matrix: Sequence[Sequence[NovikovSeries]]
                 ) -> List[List[int]]:
     """The index sets of the diagonal blocks of a square matrix.
@@ -432,14 +411,15 @@ def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     the Bareiss divisions are exact, so precision follows the adic rules
     with no division loss.  Each step's divisor is inverted at most once
     (see ``novikov._divider``).  The empty matrix has determinant 1.
-    Entries are series or exact rationals, read through
-    ``NovikovSeries.from_scalar``; anything else raises ``ConfigError``.
+    Entries are series or exact rationals; anything else raises
+    ``ConfigError`` naming the entry.
     """
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ConfigError("matrix is not square")
-    matrix = [[NovikovSeries.from_scalar(x) for x in row] for row in matrix]
+    matrix = [[_entry(x, "matrix", i, j) for j, x in enumerate(row)]
+              for i, row in enumerate(matrix)]
     blocks = _components(matrix)
     if len(blocks) <= 1:
         return _bareiss(matrix)
@@ -531,16 +511,17 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
     ``SingularMatrixError`` when no pivot with a nonzero leading term exists
     at the available precision, and ``ConfigError`` when the matrix is
     not square, ``rhs`` does not have one entry per row, or an entry of
-    either is neither a series nor an exact rational (each is read through
-    ``NovikovSeries.from_scalar``).
+    either is neither a series nor an exact rational (the message names
+    it, e.g. ``rhs[2]``).
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ConfigError("matrix is not square")
     if len(rhs) != n:
         raise ConfigError(f"rhs has {len(rhs)} entries for {n} rows")
-    a = [[NovikovSeries.from_scalar(x) for x in (*row, r)]
-         for row, r in zip(matrix, rhs)]
+    a = [[_entry(x, "matrix", i, j) for j, x in enumerate(row)]
+         + [_entry(r, "rhs", i)]
+         for i, (row, r) in enumerate(zip(matrix, rhs))]
     by_pivot = []
     for k in range(n):
         best = _pick_pivot(a, k)

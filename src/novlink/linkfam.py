@@ -36,6 +36,7 @@ from .errors import AreaError, ConfigError, NotZeroDimensionalError
 from .laurent import LaurentPotential, UnitaryPoint
 from .novikov import (
     NovikovSeries,
+    _least_valuation,
     _parse_json_int,
     as_fraction,
 )
@@ -174,17 +175,15 @@ def truncation_obstruction(W: LaurentPotential, cutoff) -> TruncationReport:
     ``PrecisionError``.
     """
     cutoff = as_fraction(cutoff, "cutoff")
-    truncated = LaurentPotential(W.num_vars, W.terms_through(cutoff))
-    if truncated.is_zero():
+    kept = W.terms_through(cutoff)
+    if not kept:
         return TruncationReport(unobstructed=True, note="empty truncation")
-    min_val = truncated.min_coefficient_valuation()
-
-    grads = truncated.log_gradient()
-    active = [i for i, g in enumerate(grads) if not g.is_zero()]
+    active = [i for i in range(W.num_vars) if any(m[i] for m in kept)]
     if not active:
         return TruncationReport(unobstructed=True,
                                 note="truncation has no gradient constraints")
-    sub = _restrict_to_variables(truncated, active)
+    sub = LaurentPotential(len(active), {tuple(m[v] for v in active): c
+                                         for m, c in kept.items()})
     try:
         points, irrational = _solve_leading_system(sub)
     except NotZeroDimensionalError:
@@ -193,23 +192,12 @@ def truncation_obstruction(W: LaurentPotential, cutoff) -> TruncationReport:
             note="leading system not zero-dimensional on the active "
                  "variables")
     if not points and not irrational:
-        return TruncationReport(unobstructed=False, order=min_val)
+        return TruncationReport(unobstructed=False,
+                                order=_least_valuation(kept.values()))
     full_points = tuple(_embed_point(p, active, W.num_vars) for p in points)
     note = (f"{irrational} non-rational branch(es) dropped"
             if irrational else "")
     return TruncationReport(unobstructed=True, points=full_points, note=note)
-
-
-def _restrict_to_variables(W: LaurentPotential,
-                           keep: List[int]) -> LaurentPotential:
-    index = {v: i for i, v in enumerate(keep)}
-    terms = {}
-    for m, c in W.items():
-        mm = [0] * len(keep)
-        for v, i in index.items():
-            mm[i] = m[v]
-        terms[tuple(mm)] = c
-    return LaurentPotential(len(keep), terms)
 
 
 def _embed_point(p: UnitaryPoint, active: List[int], k: int) -> UnitaryPoint:

@@ -589,6 +589,27 @@ def linear_combination(pairs) -> "NovikovSeries":
     return NovikovSeries._raw(de, dc, E, [acc[e] for e in E], P)
 
 
+def _least_valuation(series, name=None):
+    """The least valuation of the ``series``, on their integer forms;
+    ``INFINITY`` when all are exact zeros.  A series known only as
+    ``O(T^p)`` with ``p`` at or below it leaves that layer unknown and
+    raises ``PrecisionError``, naming series ``i`` ``name(i)`` if given."""
+    E = de = P = pde = bad = None
+    for i, x in enumerate(series):
+        if x._E:
+            if E is None or x._E[0] * de < E * x._de:
+                E, de = x._E[0], x._de
+        elif x._P is not None and (P is None or x._P * pde < P * x._de):
+            P, pde, bad = x._P, x._de, i
+    if P is not None and (E is None or P * de <= E * pde):
+        what = ("a series" if name is None else name(bad)) + \
+            f" is O(T^{_fmt_exp(Fraction(P, pde))})"
+        raise PrecisionError(
+            f"no layer is known: {what}" if E is None else
+            f"layer T^{_fmt_exp(Fraction(E, de))} is unknown: {what}")
+    return INFINITY if E is None else Fraction(E, de)
+
+
 def _coerce(x):
     if isinstance(x, NovikovSeries):
         return x

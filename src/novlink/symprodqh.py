@@ -27,8 +27,8 @@ from typing import List, Optional, Tuple
 
 from .errors import AlgebraMismatchError, ConfigError
 from .novikov import (
-    INFINITY,
     NovikovSeries,
+    _least_valuation,
     _parse_json_int,
     _product_precision,
     as_fraction,
@@ -86,7 +86,8 @@ class SymQHElement:
         return all(c.is_zero() for c in self._coeffs)
 
     def valuation(self):
-        return min((c.valuation() for c in self._coeffs), default=INFINITY)
+        """The least coefficient valuation: ``novikov._least_valuation``."""
+        return _least_valuation(self._coeffs, lambda j: f"coefficient m{j}")
 
     def __eq__(self, other):
         if not isinstance(other, SymQHElement):

@@ -9,8 +9,10 @@ Everything here deliberately avoids the code path it verifies:
 * ``series_product`` and ``series_sum``: term-by-term arithmetic on
   ``{exponent: coefficient}`` Fraction dicts, the adic precision rule
   written out (checks the integer-form series arithmetic);
-* ``evaluate_dual``: first-order dual-number evaluation (checks symbolic
-  multiplicative gradients);
+* ``log_gradient`` and ``log_hessian``: the multiplicative derivatives as
+  potentials, term by term (check the log-jet read off a monomial table);
+* ``evaluate_dual``: first-order dual-number evaluation (checks the
+  symbolic multiplicative gradients);
 * ``one_exponent_lift``: kill the residual one exponent layer at a time
   with a constant leading Hessian (checks Newton lifting);
 * ``full_precision_lift``: the Newton loop with every step at the full
@@ -43,6 +45,7 @@ from novlink.errors import (
     NonMorseError,
     NotInvertibleError,
     ObstructedError,
+    PrecisionError,
 )
 from novlink.laurent import LaurentPotential, UnitaryPoint, det_bareiss, solve_linear
 from novlink.novikov import INFINITY, NovikovSeries
@@ -166,6 +169,38 @@ def series_sum(x, y, sign=1):
     return _series_from_dict(out, min(finite) if finite else None)
 
 
+# -- symbolic derivatives ---------------------------------------------------
+
+
+def log_gradient(W: LaurentPotential):
+    """Multiplicative gradient: component ``i`` is ``sum m_i coeff z^m``."""
+    out = []
+    for i in range(W.num_vars):
+        comp = {}
+        for m, coeff in W.items():
+            if m[i]:
+                comp[m] = coeff * m[i]
+        out.append(LaurentPotential(W.num_vars, comp))
+    return out
+
+
+def log_hessian(W: LaurentPotential):
+    """Symbolic matrix of second multiplicative derivatives."""
+    n = W.num_vars
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            comp = {}
+            for m, coeff in W.items():
+                f = m[i] * m[j]
+                if f:
+                    comp[m] = coeff * f
+            row.append(LaurentPotential(n, comp))
+        rows.append(row)
+    return rows
+
+
 # -- dual numbers --------------------------------------------------------------
 
 
@@ -251,12 +286,22 @@ def one_exponent_lift(W: LaurentPotential, z0: UnitaryPoint, target):
     Uses only the constant leading Hessian at the seed; every pass solves
     one rational linear system and multiplies in a single-exponent
     correction.  Raises ``ObstructedError`` when the leading layer of the
-    residual is not in the image of the leading Hessian.
+    residual is not in the image of the leading Hessian.  The leading
+    Hessian is read modulo the target, or exactly when an entry known only
+    as ``O(T^p)`` with ``p`` at or below the least valuation leaves it
+    unknown there.
     """
-    grads = W.log_gradient()
-    hess = W.log_hessian()
-    h_at = [[entry.evaluate(z0, target) for entry in row] for row in hess]
-    v0 = min(e.val_lower_bound() for row in h_at for e in row)
+    grads = log_gradient(W)
+    hess = log_hessian(W)
+    for prec in (target, None):
+        h_at = [[entry.evaluate(z0, prec) for entry in row] for row in hess]
+        v0 = min((e.terms[0][0] for row in h_at for e in row if e.terms),
+                 default=INFINITY)
+        if all(e.terms or e.precision > v0 or e.precision is INFINITY
+               for row in h_at for e in row):
+            break
+    else:
+        raise PrecisionError("the leading Hessian layer is unknown")
     H0 = [[e.coefficient(v0) for e in row] for row in h_at]
 
     # Clearing the residual up to target + v0 pins the point mod target.
@@ -286,15 +331,26 @@ def full_precision_lift(W: LaurentPotential, z0: UnitaryPoint, target):
     The loop ``hensel_lift`` ran before it lifted at doubling precision:
     each step evaluates the residual and Hessian modulo ``work = target +
     max(v0, 0)``, solves ``H delta = -grad`` and keeps the whole updated
-    point.  Same checks, same errors, same certificate.
+    point.  Same checks, same errors, same certificate.  The seed's
+    leading Hessian ``v0`` comes from its Hessian modulo the target, or
+    from its Hessian without a target when an ``O(T^p)`` entry with ``p``
+    at or below the other entries' least valuation leaves it unknown.
     """
     if len(z0) != W.num_vars:
         raise ConfigError("seed point has the wrong number of coordinates")
-    _, h_matrix = W.log_jet(z0, target)
-    v0 = INFINITY
-    for row in h_matrix:
-        for entry in row:
-            v0 = min(v0, entry.val_lower_bound())
+    for prec in (target, None):
+        _, h_matrix = W.log_jet(z0, prec)
+        entries = [e for row in h_matrix for e in row]
+        v0 = INFINITY
+        for e in entries:
+            if not e.is_zero():
+                v0 = min(v0, e.valuation())
+        unknown = [e for e in entries
+                   if e.is_zero() and not e.is_exact() and e.precision <= v0]
+        if not unknown:
+            break
+    else:
+        raise PrecisionError("the leading Hessian layer is unknown")
     if v0 is INFINITY or det_bareiss(
             [[NovikovSeries.monomial(e.coefficient(v0), 0) for e in row]
              for row in h_matrix]).is_zero():

@@ -125,7 +125,9 @@ class TestLeadingSolutions:
         # The z^2 coefficient is O(T): layer T^2 of the gradient is unknown.
         W = LaurentPotential(1, {(2,): NovikovSeries.zero(1),
                                  (-1,): mono(1, 2), (1,): mono(1, 2)})
-        with pytest.raises(PrecisionError, match="unknown"):
+        with pytest.raises(PrecisionError,
+                           match=r"layer T\^2 is unknown: the coefficient "
+                                 r"of z\^\[2\] is O\(T\^1\)"):
             leading_solutions(W)
 
     # The next tests pin the answers the leading solve gave when it sent
@@ -230,6 +232,36 @@ class TestHenselLift:
     def test_non_morse_seed_rejected(self):
         with pytest.raises(NonMorseError, match="non-Morse"):
             hensel_lift(cubic_potential(), ones(1), LiftConfig(F(2)))
+
+    @pytest.mark.parametrize("target", [B / 2, B])
+    def test_target_at_or_below_the_hessian_valuation_lifts(self, target):
+        # The chain's Hessian at (1, 1) is 2 T^B on the diagonal, so modulo
+        # a target at or below B it is O(T^target): its leading layer is
+        # read off the seed's Hessian without a target.
+        W = build_chain_potential(LINK2, BulkParameter(F(1)))
+        cert = hensel_lift(W, ones(2), LiftConfig(target))
+        assert cert.point == UnitaryPoint(
+            [NovikovSeries.monomial(1, 0, target)] * 2)
+        assert cert.residual_valuations == (target + B,)
+        assert cert.hessian_det == NovikovSeries.zero(2 * target)
+        assert not cert.morse
+        with pytest.raises(PrecisionError,
+                           match=r"no layer is known: the determinant is "
+                                 rf"O\(T\^\({2 * target}\)\)"):
+            cert.det_valuation()
+        # Just above B the determinant's leading term is known.
+        cert = hensel_lift(W, ones(2), LiftConfig(B + F(1, 16)))
+        assert cert.morse and cert.det_valuation() == 2 * B
+        assert cert.hessian_det == NovikovSeries([(4, 2 * B)],
+                                                 2 * B + F(1, 16))
+
+    def test_leading_hessian_unknown_without_a_target_raises(self):
+        # Modulo the target 1/8 the Hessian is O(T^(1/8)), and without a
+        # target the exact two-term seed cannot be inverted for 1/z.
+        W = LaurentPotential(1, {(1,): mono(1, B), (-1,): mono(1, B)})
+        seed = UnitaryPoint([NovikovSeries([(1, 0), (1, 1)])])
+        with pytest.raises(PrecisionError, match="inverse of a multi-term"):
+            hensel_lift(W, seed, LiftConfig(B / 2))
 
     def test_rank_one_leading_hessian_rejected(self):
         # W = z1 z2 + 1/(z1 z2) is critical at (1, 1) with Hessian
@@ -516,7 +548,9 @@ def doubling_lift(W, z0, target):
 def perturbed_chain_lifts(draw):
     """A perturbed chain (k = 1..4, c0 and a bulk tail drawn, 0..k extra
     monomials, some below the chain's valuation), a sign branch of its
-    leading system as seed (now and then moved off it), and a target."""
+    leading system as seed (now and then moved off it), and a target from
+    B/2 to 8B: at B/2 and B the Hessian modulo the target may leave its
+    leading layer unknown."""
     k = draw(st.integers(1, 4))
     B = draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 5)]))
     link = CircleLinkS2(k, B / draw(st.sampled_from([2, 3])), B)
@@ -548,7 +582,7 @@ def perturbed_chain_lifts(draw):
     if draw(st.integers(0, 9)) == 0:
         leads[0] *= 2
     seed = UnitaryPoint([NovikovSeries.monomial(c, 0) for c in leads])
-    return W, seed, B * draw(st.integers(2, 8))
+    return W, seed, B * draw(st.sampled_from([F(1, 2), *range(1, 9)]))
 
 
 def landing_potential(tail):

@@ -28,6 +28,7 @@ from novlink.laurent import LaurentPotential
 from novlink.linkfam import (
     BulkParameter,
     CircleLinkS2,
+    build_chain_potential,
     critical_data,
     truncation_obstruction,
 )
@@ -62,8 +63,23 @@ from novlink.symprodqh import SYMK_K_LIMIT, SymQHElement, symk_idempotents
 # potential's bytes.  The README's other CLI examples have goldens too:
 # ``trace check`` on the Hessian of the README's k = 3 chain link
 # (``trace_k3_hessian.json``), ``qh idempotents``, ``spectrum enum`` and
-# ``scan nobulk``.  Any change in these bytes is a change in results.
+# ``scan nobulk``.  ``trace_exact_hessian.json`` has exact two-term
+# entries: Bareiss divides by an exact two-term pivot, and the quotient's
+# exponents are sixths.  ``golden/commands.txt`` lists every call with its
+# golden output.  Any change in these bytes is a change in results.
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_commands():
+    """``(argv, expected output file)`` per line of ``golden/commands.txt``:
+    the output file's name, then the ``novlink`` arguments, whose
+    ``.json`` files lie in ``golden/`` too."""
+    lines = (GOLDEN / "commands.txt").read_text(encoding="utf-8").splitlines()
+    return [(words[1:], words[0]) for words in map(str.split, lines)
+            if words and not words[0].startswith("#")]
+
+
+GOLDEN_COMMANDS = _golden_commands()
 ONE = {"terms": [{"c": "1", "e": "0"}]}
 
 
@@ -146,6 +162,12 @@ class TestSchedules:
             AreaSchedule(kind="nope")
         with pytest.raises(ConfigError, match="c0 must be nonzero"):
             ScanConfig(k_range=(1, 2), c0=0)
+        for bad in [{}, {"k_range": None}, {"k_range": "12"},
+                    {"k_range": [1]}]:
+            with pytest.raises(ConfigError, match=r"k_range must be a pair"):
+                ScanConfig.from_obj(bad)
+        with pytest.raises(ConfigError, match="must be an object"):
+            ScanConfig.from_obj([1, 2])
 
 
 class TestWeylScan:
@@ -306,38 +328,7 @@ class TestCLI:
         assert lines[1] == "1,2,-1/2,-1/2"
         assert lines[3] == "3,4,-3/2,-1/2"
 
-    @pytest.mark.parametrize("argv, expected", [
-        (["crit", "lift", "--potential", "lift_k3_potential.json",
-          "--seed", "lift_k3_seed.json", "--prec", "3/2"],
-         "lift_k3_prec_3_2.json"),
-        (["scan", "weyl", "--config", "weyl_k1_6_config.json"],
-         "weyl_k1_6.csv"),
-        (["scan", "weyl", "--config", "weyl_k1_12_config.json"],
-         "weyl_k1_12.csv"),
-        (["crit", "find", "--potential", "lift_k3_potential.json"],
-         "lift_k3_find.json"),
-        (["trace", "check", "--hessian", "trace_k3_hessian.json"],
-         "trace_k3_check.txt"),
-        (["qh", "idempotents", "--k", "5", "--omega", "1"],
-         "qh_idempotents_k5.txt"),
-        (["spectrum", "enum", "--values", "0,1", "--k", "2", "--pi", "100",
-          "--window", "-5,5"], "spectrum_enum_k2.json"),
-        (["scan", "nobulk", "--kmax", "8", "--omega", "1"], "nobulk_k1_8.csv"),
-        (["crit", "lift", "--potential", "lift_k3_potential_prec.json",
-          "--seed", "lift_k3_seed.json", "--prec", "3/2"],
-         "lift_k3_potential_prec_3_2.json"),
-        (["scan", "weyl", "--config", "weyl_k13_16_config.json"],
-         "weyl_k13_16.csv"),
-        (["scan", "weyl", "--config", "weyl_k17_24_config.json"],
-         "weyl_k17_24.csv"),
-        (["crit", "lift", "--potential", "lift_k3_potential.json",
-          "--seed", "lift_k3_seed.json", "--prec", "6"],
-         "lift_k3_prec_6.json"),
-        # Exact two-term entries: Bareiss divides by an exact two-term
-        # pivot, and the quotient's exponents are sixths.
-        (["trace", "check", "--hessian", "trace_exact_hessian.json"],
-         "trace_exact_check.txt"),
-    ])
+    @pytest.mark.parametrize("argv, expected", GOLDEN_COMMANDS)
     def test_output_matches_golden(self, argv, expected, capsys):
         argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
         assert main(argv) == 0
@@ -380,7 +371,6 @@ class TestCLI:
 
     def test_crit_find_and_lift(self, tmp_path, capsys):
         link = CircleLinkS2(2, F(1, 8), F(1, 4))
-        from novlink.linkfam import build_chain_potential
         W = build_chain_potential(link, BulkParameter(F(1)))
         wpath = self._write(tmp_path, "W.json", W.to_obj())
         assert main(["crit", "find", "--potential", wpath]) == 0
@@ -393,6 +383,21 @@ class TestCLI:
         lifted = json.loads(capsys.readouterr().out)
         assert lifted["morse"] is True
         assert lifted["det_valuation"] == "1/2"
+
+    def test_crit_lift_with_an_unknown_determinant(self, tmp_path, capsys):
+        # At --prec 1/4 = B the k = 2 chain's determinant is O(T^(1/2)): the
+        # lift succeeds, the point is not certified Morse, and the
+        # determinant's valuation is unknown.
+        W = build_chain_potential(CircleLinkS2(2, F(1, 8), F(1, 4)),
+                                  BulkParameter(F(1)))
+        wpath = self._write(tmp_path, "W.json", W.to_obj())
+        seed = self._write(tmp_path, "z.json", {"coords": [ONE, ONE]})
+        assert main(["crit", "lift", "--potential", wpath, "--seed", seed,
+                     "--prec", "1/4"]) == 0
+        lifted = json.loads(capsys.readouterr().out)
+        assert lifted["morse"] is False
+        assert lifted["det_valuation"] is None
+        assert lifted["hessian_det"] == {"terms": [], "prec": "1/2"}
 
     def test_crit_find_irrational_branches_only(self, tmp_path, capsys):
         # z + 2/z: its critical points z^2 = 2 are irrational.

@@ -19,6 +19,7 @@ from novlink.errors import (
 from novlink.novikov import (
     INFINITY,
     NovikovSeries,
+    _least_valuation,
     as_fraction,
     as_precision,
     divide,
@@ -55,6 +56,48 @@ class TestValuation:
         z = NovikovSeries.zero(5)
         assert z.valuation() is INFINITY
         assert z.val_lower_bound() == 5
+
+
+class TestLeastValuation:
+    def test_least_over_denominators_and_signs(self):
+        xs = [S((1, F(1, 2))), S((5, F(-1, 3)), (1, 4), prec=6),
+              S((2, F(-2, 7))), NovikovSeries.zero()]
+        assert _least_valuation(xs) == F(-1, 3)
+
+    def test_exact_zeros_only_give_infinity(self):
+        assert _least_valuation([]) is INFINITY
+        assert _least_valuation([NovikovSeries.zero()] * 3) is INFINITY
+
+    def test_unknown_above_the_least_layer_is_fine(self):
+        xs = [NovikovSeries.zero(F(3, 5)), S((1, F(1, 2)))]
+        assert _least_valuation(xs) == F(1, 2)
+
+    @pytest.mark.parametrize("prec", [F(1, 2), F(1, 3), -1])
+    def test_unknown_at_or_below_the_least_layer_raises(self, prec):
+        xs = [S((1, F(1, 2))), NovikovSeries.zero(prec)]
+        with pytest.raises(PrecisionError,
+                           match=rf"layer T\^\(1/2\) is unknown: a series "
+                                 rf"is O\(T\^\({prec}\)\)"):
+            _least_valuation(xs)
+        with pytest.raises(PrecisionError, match="the second is O"):
+            _least_valuation(xs, ["the first", "the second"].__getitem__)
+
+    def test_no_known_term_raises(self):
+        with pytest.raises(PrecisionError,
+                           match=r"no layer is known: a series is O\(T\^2\)"):
+            _least_valuation([NovikovSeries.zero(), NovikovSeries.zero(2)])
+
+    @given(st.lists(series(max_terms=2), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fraction_views(self, xs):
+        known = min((x.terms[0][0] for x in xs if x.terms), default=INFINITY)
+        unknown = [x.precision for x in xs
+                   if not x.terms and x.precision is not INFINITY]
+        if any(p <= known for p in unknown):
+            with pytest.raises(PrecisionError):
+                _least_valuation(xs)
+        else:
+            assert _least_valuation(xs) == known
 
 
 class TestExactZero:

@@ -9,8 +9,8 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 
-from novlink.errors import AlgebraMismatchError, ConfigError
-from novlink.novikov import NovikovSeries
+from novlink.errors import AlgebraMismatchError, ConfigError, PrecisionError
+from novlink.novikov import INFINITY, NovikovSeries
 from novlink.symprodqh import (
     SymQHElement,
     grading,
@@ -88,6 +88,23 @@ class TestRankTwoAlgebra:
             SymQHElement(k, 1, [1, 0])
         with pytest.raises(ConfigError, match="k must be a JSON integer"):
             symk_idempotents(k, 1)
+
+
+class TestElementValuation:
+    def test_unknown_coefficient_below_the_least_term_raises(self):
+        x = SymQHElement(1, F(1), [NovikovSeries.zero(1),
+                                   NovikovSeries.monomial(1, 5)])
+        with pytest.raises(PrecisionError,
+                           match=r"layer T\^5 is unknown: coefficient m0 is "
+                                 r"O\(T\^1\)"):
+            x.valuation()
+
+    def test_known_coefficients(self):
+        x = SymQHElement(2, F(1), [NovikovSeries.zero(6),
+                                   NovikovSeries.monomial(2, F(-1, 2)),
+                                   NovikovSeries([(1, F(1, 3))], 2)])
+        assert x.valuation() == F(-1, 2)
+        assert SymQHElement(1, F(1), [0, 0]).valuation() is INFINITY
 
 
 class TestRankTwoIdempotents:
