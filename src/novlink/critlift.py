@@ -130,13 +130,15 @@ def _solve_leading_system(W: LaurentPotential):
 
     Returns ``(rational_points, irrational_count)``.  Raises
     ``NotZeroDimensionalError`` when the solution set is not finite (this
-    includes a gradient component with no known term and a variable that
-    no leading polynomial constrains), and ``ConfigError`` when the
+    includes a variable that no monomial involves and one that no leading
+    polynomial constrains), ``PrecisionError`` when a gradient component
+    has no known leading layer (every coefficient only ``O(T^p)``, or one
+    such at or below the least known term), and ``ConfigError`` when the
     Bezout bound of the system exceeds ``LEADING_SOLUTION_LIMIT``.
     """
     components = [[(m, c) for m, c in W.items() if m[i]]
                   for i in range(W.num_vars)]
-    if any(all(c.is_zero() for _, c in comp) for comp in components):
+    if not all(components):
         raise NotZeroDimensionalError("leading system not zero-dimensional")
     polys = []
     for i, comp in enumerate(components):

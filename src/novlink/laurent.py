@@ -142,9 +142,6 @@ class LaurentPotential:
     def coefficient(self, m: ExponentVector) -> NovikovSeries:
         return self._terms.get(tuple(m), NovikovSeries.zero())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPotential):
             return NotImplemented

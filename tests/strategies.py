@@ -116,6 +116,37 @@ def sym_element_pairs(draw, max_k=4, exact_only=False):
 
 
 @st.composite
+def homogeneous_sym_element_pairs(draw, max_k=6, exact_only=False):
+    """Two homogeneous elements of one symmetric algebra (``k <= max_k``):
+    each slot ``w`` is an exact zero, ``O(T^p)``, or one term at
+    ``a - w * omega / 2`` for the element's own ``a``, exact or known to a
+    precision above it, so each element has one degree class."""
+    k = draw(st.integers(1, max_k))
+    omega = draw(positive_fractions)
+
+    def element():
+        a = draw(small_fractions)
+        coeffs = []
+        for w in range(k + 1):
+            kind = draw(st.sampled_from(
+                ("zero", "term") if exact_only
+                else ("zero", "term", "term", "unknown")))
+            e = a - w * omega / 2
+            if kind == "zero":
+                coeffs.append(NovikovSeries.zero())
+            elif kind == "unknown":
+                coeffs.append(NovikovSeries.zero(e + draw(positive_fractions)))
+            else:
+                prec = (INFINITY if exact_only or draw(st.booleans())
+                        else e + draw(positive_fractions))
+                coeffs.append(NovikovSeries([(draw(nonzero_fractions), e)],
+                                            prec))
+        return SymQHElement(k, omega, coeffs)
+
+    return element(), element()
+
+
+@st.composite
 def completions(draw, x, exact=None):
     """``x`` changed only at or above its precision: one or two terms added
     there, and the result exact or known to a higher precision (``exact``

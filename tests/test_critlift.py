@@ -118,7 +118,9 @@ class TestLeadingSolutions:
         # The z1 component has only an O(T^3) coefficient: no known layer.
         W = LaurentPotential(2, {(1, 0): NovikovSeries.zero(3),
                                  (0, 1): mono(1), (0, -1): mono(1)})
-        with pytest.raises(NotZeroDimensionalError):
+        with pytest.raises(PrecisionError,
+                           match=r"no layer is known: the coefficient of "
+                                 r"z\^\[1, 0\] is O\(T\^3\)"):
             leading_solutions(W)
 
     def test_unknown_leading_layer_needs_precision(self):

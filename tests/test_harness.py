@@ -399,6 +399,18 @@ class TestCLI:
         assert lifted["det_valuation"] is None
         assert lifted["hessian_det"] == {"terms": [], "prec": "1/2"}
 
+    def test_crit_find_unknown_gradient_layer_exits_2(self, tmp_path, capsys):
+        # O(T^3) z1 + z2 + 1/z2: the z1 gradient component has no known
+        # term, so its leading layer is unknown, not positive-dimensional.
+        W = LaurentPotential(2, {(1, 0): NovikovSeries.zero(3), (0, 1): 1,
+                                 (0, -1): 1})
+        wpath = self._write(tmp_path, "W.json", W.to_obj())
+        assert main(["crit", "find", "--potential", wpath]) == 2
+        captured = capsys.readouterr()
+        assert "no layer is known" in captured.err
+        assert "not zero-dimensional" not in captured.err
+        assert captured.out == ""
+
     def test_crit_find_irrational_branches_only(self, tmp_path, capsys):
         # z + 2/z: its critical points z^2 = 2 are irrational.
         W = LaurentPotential(1, {(1,): 1, (-1,): 2})

@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from novlink import symprodqh
 from novlink.errors import AlgebraMismatchError, ConfigError, PrecisionError
 from novlink.novikov import INFINITY, NovikovSeries
 from novlink.symprodqh import (
@@ -26,7 +29,7 @@ from oracles import (
     tensor_multiply,
     tensor_to_sym,
 )
-from strategies import sym_element_pairs
+from strategies import homogeneous_sym_element_pairs, sym_element_pairs
 
 
 def mono(c, e=0):
@@ -183,6 +186,23 @@ class TestSymmetricAlgebra:
                                    int(x.omega * de)) == \
             int_tensor(tensor_multiply(tx, ty, x.omega), de, dc * dc)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(homogeneous_sym_element_pairs(),
+                     homogeneous_sym_element_pairs(exact_only=True)))
+    def test_homogeneous_product_matches_tensor_oracle_on_both_paths(
+            self, pair):
+        # One degree class per operand: the transform's case.  Each path is
+        # forced in turn, so both meet the oracle on the same operands.
+        x, y = pair
+        want = tensor_to_sym(
+            tensor_multiply(sym_to_tensor(x), sym_to_tensor(y), x.omega),
+            x.k, x.omega)
+        assert symk_multiply(x, y) == want
+        for pick in (True, False):
+            with patch.object(symprodqh, "_transform_pays",
+                              return_value=pick):
+                assert symk_multiply(x, y) == want
+
     def test_tensor_oracle_needs_every_arrangement(self):
         # m1 of Sym^2 has two arrangements; one alone is not symmetric.
         with pytest.raises(AssertionError, match="not symmetric"):
@@ -192,6 +212,45 @@ class TestSymmetricAlgebra:
         with pytest.raises(AlgebraMismatchError):
             symk_multiply(SymQHElement(2, F(1), [1, 0, 0]),
                           SymQHElement(3, F(1), [1, 0, 0, 0]))
+
+
+def path_taken(x, y):
+    """``"transform"`` or ``"scatter"``: the path ``symk_multiply`` runs."""
+    with patch.object(symprodqh, "_transform",
+                      wraps=symprodqh._transform) as transform, \
+            patch.object(symprodqh, "_scatter",
+                         wraps=symprodqh._scatter) as scatter:
+        symk_multiply(x, y)
+    assert transform.call_count + scatter.call_count == 1
+    return "transform" if transform.called else "scatter"
+
+
+class TestPathChoice:
+    @pytest.mark.parametrize("k", range(4, 33, 4))
+    def test_idempotent_pairs_take_the_transform(self, k):
+        idems = symk_idempotents(k, F(2, 3))
+        for i, j in ((0, k), (k // 2, k // 2), (1, k // 3), (k - 1, k - 1)):
+            assert path_taken(idems[i], idems[j]) == "transform"
+
+    @pytest.mark.parametrize("k", [8, 32])
+    def test_mixed_degree_pair_takes_the_scatter(self, k):
+        # Every coefficient a term at its own exponent: k + 1 classes each.
+        rng = random.Random(k)
+
+        def element():
+            return SymQHElement(k, F(3, 2), [
+                mono(rng.randint(1, 9), F(rng.randint(-10**6, 10**6), 997))
+                for _ in range(k + 1)])
+
+        assert path_taken(element(), element()) == "scatter"
+
+    def test_single_basis_element_takes_the_scatter(self):
+        # One term against a dense class: the scatter visits k + 1 slots.
+        k = 16
+        x = SymQHElement(k, F(1), [0] * k + [1])
+        y = symk_idempotents(k, F(1))[3]
+        assert path_taken(x, y) == "scatter"
+        assert path_taken(y, x) == "scatter"
 
 
 class TestSymmetricIdempotents:
@@ -227,6 +286,15 @@ class TestSymmetricIdempotents:
                         assert prod == ei
                     else:
                         assert prod.is_zero()
+
+    def test_orthogonal_at_the_k_limit(self):
+        k, omega = 160, F(3, 2)
+        idems = symk_idempotents(k, omega)
+        zero = SymQHElement(k, omega, [0] * (k + 1))
+        for i, j in ((0, 0), (80, 80), (37, 37), (0, 160), (79, 80),
+                     (37, 121)):
+            want = idems[i] if i == j else zero
+            assert symk_multiply(idems[i], idems[j]) == want
 
     def test_matches_closed_form_triple_sum(self):
         for omega in (F(1), F(3, 2)):
