@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, lcm
-from operator import add, mul
+from operator import mul
 from typing import List, Optional, Tuple
 
 from .errors import AlgebraMismatchError, ConfigError
@@ -129,31 +128,29 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
     into degree classes; a homogeneous element, each idempotent included,
     has exactly one.
 
-    * **Transform** (``_transform``).  Each class is a vector ``v`` over
+    * **Transform** (``_transform``), when each operand has exactly one
+      class (``_degree_class``).  The class is a vector ``v`` over
       ``m~_0..m~_k``; its character ``chi_t = sum_i K_i(t) v_i``
       (``_krawtchouk``) evaluates it where ``t`` of the ``k`` tensor
-      factors take ``T^(-omega/2) H = -1`` and the rest ``+1``.  Characters
-      multiply pointwise, the class pairs' products summed per output
-      class.  The orthogonality relation ``sum_t C(k, t) K_i(t) K_l(t) =
-      2^k C(k, i) delta_il`` and the reciprocity ``C(k, t) K_i(t) = C(k, i)
-      K_t(i)`` make ``K`` its own inverse up to ``2^k``, so an output
-      coefficient is ``2^-k sum_t K_t(l) chi_t``, an exact integer
-      division, shifted back by ``-l*omega/2``.  ``O(k^2)`` products per
-      class and per output class, where two dense one-class factors cost
-      ``O(k^3)`` structure-constant updates.
-    * **Scatter** (``_scatter``).  The structure constants in their
-      unrescaled form ``m_i m_j = sum_l C(l, i-c) C(k-l, c) T^(c*omega)
-      m_l``, summed over every slot pair.  Operands whose terms sit at
-      unrelated exponents have about one class per term, and the
-      transform would pay ``(k + 1)^2`` for each output class.
+      factors take ``T^(-omega/2) H = -1`` and the rest ``+1``, so
+      characters multiply pointwise.  The orthogonality relation ``sum_t
+      C(k, t) K_i(t) K_l(t) = 2^k C(k, i) delta_il`` and the reciprocity
+      ``C(k, t) K_i(t) = C(k, i) K_t(i)`` make ``K`` its own inverse up to
+      ``2^k``, so an output coefficient is ``2^-k sum_t K_t(l) chi_t``, an
+      exact integer division, shifted back by ``-l*omega/2``: ``O(k^2)``
+      integer products, where two dense factors cost ``O(k^3)``
+      structure-constant updates, and ``O(k^2)`` steps for the precisions
+      (``_slot_precisions``).
+    * **Scatter** (``_scatter``), for every other pair.  The structure
+      constants in their unrescaled form ``m_i m_j = sum_l C(l, i-c) C(k-l,
+      c) T^(c*omega) m_l``, summed over every slot pair, precisions in the
+      same loop.  Operands whose terms sit at unrelated exponents have
+      about one class per term, and a transform per class pair would cost
+      ``(k + 1)^2`` each.
 
-    ``_transform_pays`` picks the path per call: it counts the transform's
-    multiply-adds from the operands' classes and the scatter's updates from
-    their term counts per slot, and takes the transform when it costs at
-    most ``_SCATTER_WEIGHT`` (calibrated by timing both paths) times as
-    many.  Either way the sum runs on integer forms: exponents, precisions
-    and ``omega`` share one denominator, each operand's coefficients have
-    their own.  A slot's precision is the least over its contributions of
+    Either way the sum runs on integer forms: exponents, precisions and
+    ``omega`` share one denominator, each operand's coefficients have their
+    own.  A slot's precision is the least over its contributions of
     ``min(p_i + val_j, p_j + val_i) + c*omega``, exactly what series
     arithmetic would give; a slot nothing reaches stays an exact ``0``.
     """
@@ -165,10 +162,14 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
     step = omega.numerator * (de // omega.denominator)
     dcx, xt = _integer_rows(xs, de)
     dcy, yt = _integer_rows(ys, de)
-    multiply = _transform if _transform_pays(k, step, xt, yt) else _scatter
-    slots = multiply(k, step, xt, yt)
+    a, b = _degree_class(step, xt), _degree_class(step, yt)
+    if a is None or b is None:
+        slots, prec = _scatter(k, de, step, xt, yt)
+    else:
+        slots = _transform(k, step, a + b, xt, yt)
+        prec = _slot_precisions(k, de, step, xt, yt)
     out = []
-    for slot, p in zip(slots, _slot_precisions(k, xs, ys, de, step)):
+    for slot, p in zip(slots, prec):
         E = sorted(slot)
         out.append(NovikovSeries._raw(de, dcx * dcy, E, [slot[e] for e in E],
                                       p))
@@ -176,118 +177,71 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
 
 
 def _integer_rows(coeffs, de: int):
-    """``(dc, rows)``: ``rows`` lists ``(i, [(e, c), ...])`` for each
-    coefficient with terms, its terms ``(c / dc) T^(e / de)``."""
+    """``(dc, rows)``: ``rows`` lists ``(i, series, [(e, c), ...])`` for
+    each ``(i, series)`` of ``coeffs``, its terms ``(c / dc) T^(e /
+    de)``."""
     dc = lcm(*(c.integer_form[1] for _, c in coeffs))
     rows = []
     for i, series in coeffs:
         sde, sdc, E, C = series.integer_form
-        if E:
-            m, n = de // sde, dc // sdc
-            rows.append((i, [(e * m, c * n) for e, c in zip(E, C)]))
+        m, n = de // sde, dc // sdc
+        rows.append((i, series, [(e * m, c * n) for e, c in zip(E, C)]))
     return dc, rows
 
 
-#: One structure-constant update of ``_scatter`` (a Python-level dict
-#: update, with the binomials' share) costs about as much as this many
-#: integer multiply-adds of ``_transform``'s C-level dot products.  Timing
-#: both paths on 114 operand pairs at k = 1..48 (idempotents; homogeneous
-#: elements with a quarter to all of their slots filled; sums of two to
-#: five classes; dense and sparse terms at unrelated exponents) on a 2-core
-#: x86-64 under Python 3.11, weights 6 to 8 came within 2.8 % of always
-#: taking the faster path (geometric mean), 2 within 8.5 %.
-_SCATTER_WEIGHT = 6
-
-
-def _transform_pays(k: int, step: int, xt, yt) -> bool:
-    """Whether ``_transform`` is expected to beat ``_scatter`` on the
-    rows ``xt``, ``yt`` of ``_integer_rows``: whether its count of
-    operations is at most ``_SCATTER_WEIGHT`` times the scatter's.
-
-    The transform costs ``(k + 1)^2`` multiply-adds per operand class and
-    per output class, and ``k + 1`` per class pair; there are at least as
-    many output classes as either operand has.  The scatter visits
-    ``min(r_i, r_j) + 1`` values of ``c`` for slots ``i``, ``j`` with
-    ``r = min(i, k - i)``, each costing one step plus one update per term
-    product ``t_i t_j``; summed over slot pairs that is ``sum_m N_x(m)
-    N_y(m) + A_x(m) A_y(m)``, ``N(m)`` and ``A(m)`` counting the slots
-    and terms with ``r >= m``.
-    """
-    (nx, ax), (ny, ay) = _reach(k, xt), _reach(k, yt)
-    budget = _SCATTER_WEIGHT * (sum(map(mul, nx, ny)) + sum(map(mul, ax, ay)))
-    cx, cy = ({2 * e + i * step for i, row in rows for e, _ in row}
-              for rows in (xt, yt))
-    n = k + 1
-
-    def transform(out):
-        return n * (n * (len(cx) + len(cy) + out) + len(cx) * len(cy))
-
-    return (transform(max(len(cx), len(cy))) <= budget
-            and transform(len({a + b for a in cx for b in cy})) <= budget)
-
-
-def _reach(k: int, rows):
-    """``(N, A)``: the number of slots, and of terms, among ``rows`` with
-    ``min(i, k - i) >= m``, listed for ``m = k // 2`` down to ``0``."""
-    slots, terms = [0] * (k // 2 + 1), [0] * (k // 2 + 1)
-    for i, row in rows:
-        r = min(i, k - i)
-        slots[r] += 1
-        terms[r] += len(row)
-    return list(accumulate(reversed(slots))), list(accumulate(reversed(terms)))
-
-
-def _transform(k: int, step: int, xt, yt):
-    """Product terms through the characters: ``[{e: c}]`` per slot ``l``
-    over the rows' ``de``, coefficients over the product of their ``dc``.
+def _degree_class(step: int, rows):
+    """The class every term of ``rows`` (``_integer_rows``) falls in, or
+    ``None`` when they have none or several.
 
     A term ``T^e`` of slot ``i`` has the rescaled exponent ``e + i*step/2``
-    over ``de``; its class is keyed by the doubled value ``2e + i*step``,
-    an integer, as in ``_transform_pays``.  Slot ``l`` of output class
-    ``a`` holds the exponent ``(a - l*step) / 2``, an integer since every
-    product exponent is one over ``de``.
+    over ``de``; the class is keyed by the doubled value ``2e + i*step``,
+    an integer.  One class holds at most one term per slot.
+    """
+    classes = {2 * e + i * step for i, _, terms in rows for e, _ in terms}
+    return classes.pop() if len(classes) == 1 else None
+
+
+def _transform(k: int, step: int, a: int, xt, yt):
+    """Product terms of two one-class operands through the characters:
+    ``[{e: c}]`` per slot ``l`` over the rows' ``de``, coefficients over
+    the product of their ``dc``.
+
+    ``a`` is the output class, the sum of the operands' ``_degree_class``;
+    slot ``l`` holds the exponent ``(a - l*step) / 2``, an integer since
+    every product exponent is one over ``de``.
     """
     K = _krawtchouk(k)
 
     def characters(rows):
-        vectors = {}
-        for i, row in rows:
-            for e, c in row:
-                key = 2 * e + i * step
-                v = vectors.get(key)
-                if v is None:
-                    v = vectors[key] = [0] * (k + 1)
+        v = [0] * (k + 1)
+        for i, _, terms in rows:
+            for _, c in terms:
                 v[i] = c
-        return [(a, [sum(map(mul, r, v)) for r in K])
-                for a, v in vectors.items()]
+        return [sum(map(mul, r, v)) for r in K]
 
-    ychi = characters(yt)
-    products = {}
-    for a, u in characters(xt):
-        for b, v in ychi:
-            p = list(map(mul, u, v))
-            q = products.get(a + b)
-            products[a + b] = p if q is None else list(map(add, q, p))
+    chi = list(map(mul, characters(xt), characters(yt)))
     slots = [{} for _ in range(k + 1)]
-    for a, p in products.items():
-        for l, (slot, r) in enumerate(zip(slots, K)):
-            c = sum(map(mul, r, p))
-            if c:
-                slot[(a - l * step) >> 1] = c >> k  # a multiple of 2^k
+    for l, (slot, r) in enumerate(zip(slots, K)):
+        c = sum(map(mul, r, chi))
+        if c:
+            slot[(a - l * step) >> 1] = c >> k  # a multiple of 2^k
     return slots
 
 
-def _scatter(k: int, step: int, xt, yt):
-    """Product terms by the structure constants ``m_i m_j = sum_l
-    C(l, i-c) C(k-l, c) T^(c*omega) m_l``, same output as ``_transform``."""
+def _scatter(k: int, de: int, step: int, xt, yt):
+    """Product terms as ``_transform`` gives them, and the slots'
+    precisions as ``_slot_precisions`` does, by the structure constants
+    ``m_i m_j = sum_l C(l, i-c) C(k-l, c) T^(c*omega) m_l``."""
     slots = [{} for _ in range(k + 1)]
-    for i, ti in xt:
-        for j, tj in yt:
+    prec = [None] * (k + 1)
+    for i, ci, ti in xt:
+        for j, cj, tj in yt:
             prod: dict = {}
             for ea, ca in ti:
                 for eb, cb in tj:
                     e = ea + eb
                     prod[e] = prod.get(e, 0) + ca * cb
+            base = _product_precision(ci, cj, de)
             for c in range(max(0, i + j - k), min(i, j) + 1):
                 l = i + j - 2 * c
                 mult = comb(l, i - c) * comb(k - l, c)
@@ -297,26 +251,45 @@ def _scatter(k: int, step: int, xt, yt):
                 for e, v in prod.items():
                     e += shift
                     slot[e] = get(e, 0) + v * mult
-    return slots
+                if base is not None and (prec[l] is None
+                                         or base + shift < prec[l]):
+                    prec[l] = base + shift
+    return slots, prec
 
 
-def _slot_precisions(k: int, xs, ys, de: int, step: int):
-    """Each slot's precision as an int over ``de`` (``None`` for
-    ``INFINITY``): the least over the slot pairs and overlaps ``c`` that
-    reach it of ``_product_precision + c * step``.  Two exact
-    coefficients give no candidate, so only pairs with an inexact one
-    are visited."""
-    prec = [None] * (k + 1)
-    inexact = [(j, cj) for j, cj in ys if not cj.is_exact()]
-    for i, ci in xs:
-        for j, cj in (inexact if ci.is_exact() else ys):
-            base = _product_precision(ci, cj, de)
-            if base is None:
-                continue
-            for c in range(max(0, i + j - k), min(i, j) + 1):
-                l, p = i + j - 2 * c, base + c * step
-                if prec[l] is None or p < prec[l]:
-                    prec[l] = p
+def _slot_precisions(k: int, de: int, step: int, xt, yt):
+    """Each slot's precision, from the rows of ``_integer_rows``, as an
+    int over ``de`` (``None`` for ``INFINITY``): the least over the slot
+    pairs ``i, j`` and overlaps ``c`` that reach slot ``l = i + j - 2c``
+    of ``_product_precision + c * step``, which is ``(w(i, j) - l * step)
+    / 2`` for ``w(i, j) = 2 * _product_precision + (i + j) * step``.
+
+    The pairs that reach ``l`` with overlap ``c`` are those that reach
+    ``l - 2`` with overlap ``c + 1`` and the two with ``min(i, j) = c``,
+    ``(c, l + c)`` and ``(l + c, c)``.  So the least ``w`` per overlap,
+    row ``l``, is one ``min`` per entry over row ``l - 2`` and two
+    diagonals of ``w``: ``O(k^2)`` steps in all.  Two exact coefficients
+    give no candidate, so exact operands give exact slots at once.
+    """
+    if all(c.is_exact() for _, c, _ in xt + yt):
+        return [None] * (k + 1)
+    inf = float("inf")  # no candidate; compared with ints, never added
+    w = [[inf] * (k + 1) for _ in range(k + 1)]
+    for i, ci, _ in xt:
+        row = w[i]
+        for j, cj, _ in yt:
+            p = _product_precision(ci, cj, de)
+            if p is not None:
+                row[j] = 2 * p + (i + j) * step
+    prec, older, old = [], [inf] * (k + 3), [inf] * (k + 2)
+    for l in range(k + 1):
+        n = k - l + 1  # overlaps 0..k-l
+        least = list(map(min, older[1:n + 1],
+                         [w[c][c + l] for c in range(n)],
+                         [w[c + l][c] for c in range(n)]))
+        p = min(least)
+        prec.append(None if p == inf else (p - l * step) >> 1)
+        older, old = old, least
     return prec
 
 

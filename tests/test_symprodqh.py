@@ -191,17 +191,16 @@ class TestSymmetricAlgebra:
                      homogeneous_sym_element_pairs(exact_only=True)))
     def test_homogeneous_product_matches_tensor_oracle_on_both_paths(
             self, pair):
-        # One degree class per operand: the transform's case.  Each path is
-        # forced in turn, so both meet the oracle on the same operands.
+        # One degree class per operand (none where no slot has a term):
+        # the transform's case.  The scatter is then forced, so both paths
+        # meet the oracle on the same operands.
         x, y = pair
         want = tensor_to_sym(
             tensor_multiply(sym_to_tensor(x), sym_to_tensor(y), x.omega),
             x.k, x.omega)
         assert symk_multiply(x, y) == want
-        for pick in (True, False):
-            with patch.object(symprodqh, "_transform_pays",
-                              return_value=pick):
-                assert symk_multiply(x, y) == want
+        with patch.object(symprodqh, "_degree_class", return_value=None):
+            assert symk_multiply(x, y) == want
 
     def test_tensor_oracle_needs_every_arrangement(self):
         # m1 of Sym^2 has two arrangements; one alone is not symmetric.
@@ -244,13 +243,16 @@ class TestPathChoice:
 
         assert path_taken(element(), element()) == "scatter"
 
-    def test_single_basis_element_takes_the_scatter(self):
-        # One term against a dense class: the scatter visits k + 1 slots.
+    def test_one_class_each_takes_the_transform(self):
+        # A single basis element is one class, however sparse; a second
+        # class in either operand, here the idempotent's copy times T,
+        # sends the pair to the scatter.
         k = 16
         x = SymQHElement(k, F(1), [0] * k + [1])
-        y = symk_idempotents(k, F(1))[3]
-        assert path_taken(x, y) == "scatter"
-        assert path_taken(y, x) == "scatter"
+        e = symk_idempotents(k, F(1))[3]
+        two = e + SymQHElement(k, F(1), [c * mono(1, 1) for c in e.coeffs])
+        assert path_taken(x, e) == path_taken(e, x) == "transform"
+        assert path_taken(two, e) == path_taken(e, two) == "scatter"
 
 
 class TestSymmetricIdempotents:
