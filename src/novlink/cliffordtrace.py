@@ -40,6 +40,7 @@ from .novikov import (
     Exponent,
     INFINITY,
     NovikovSeries,
+    _entry,
     _least_valuation,
     linear_combination,
 )
@@ -49,24 +50,18 @@ Subset = Tuple[int, ...]
 #: Frozen calibration scalar for the anticommutation relation.
 KAPPA = Fraction(1)
 
-#: Most generators in one component of the form that ``trace_Z`` accepts.
-#: A component of ``m`` generators visits ``2^m`` masks whatever its
-#: entries: ``2^18`` masks of one key each took 6.5 s and 179 MB,
-#: ``2^19`` took 14 s, under Python 3.11 on a 2-core x86-64 machine.  The
-#: number of components is not bounded; a diagonal form has one generator
-#: in each.
-TRACE_N_LIMIT = 18
-
-#: Most weighted series products ``trace_Z`` accepts, as bounded from the
-#: supports of the form alone (see ``_trace_work``).  Dense forms of
-#: two-term entries have the bound 48 034 at 7 generators and took 1.2 s,
-#: and 205 904 at 8, which took 15 s; tridiagonal ones have 39 940 at 8
-#: (0.2 s) and 503 452 at 10 (3.0 s), same machine.  A diagonal form has
-#: the bound ``n`` for one-term entries.
+#: Most units of work ``trace_Z`` accepts, as bounded from the supports of
+#: the form alone (see ``_trace_work``): a mask visit or a weighted series
+#: product, about 25 us each.  ``2^18`` masks of one key each took 6.5 s;
+#: dense forms of two-term entries have the bound 48 034 at 7 generators
+#: (1.2 s) and 205 904 at 8 (15 s), under Python 3.11 on a 2-core x86-64
+#: machine.  No component above 16 generators passes; a diagonal form has
+#: the bound ``3n`` for one-term entries.
 TRACE_WORK_LIMIT = 10 ** 5
 
-# Bits at odd 0-based positions: generators 2, 4, 6, ...
-_ODD_BITS = int("10" * TRACE_N_LIMIT, 2)
+# Bits at odd 0-based positions: generators 2, 4, 6, ..., enough for any
+# component within the limit (``2^m`` mask visits count against it).
+_ODD_BITS = int("10" * TRACE_WORK_LIMIT.bit_length(), 2)
 
 
 def shuffle_sign(I: Subset, J: Subset) -> int:
@@ -93,8 +88,8 @@ class CliffordAlgebraModel:
     def __init__(self, form: Sequence[Sequence[NovikovSeries]]):
         n = len(form)
         rows = []
-        for row in form:
-            row = [NovikovSeries.from_scalar(x) for x in row]
+        for i, row in enumerate(form):
+            row = [_entry(x, "form", i, j) for j, x in enumerate(row)]
             if len(row) != n:
                 raise ConfigError("form matrix is not square")
             rows.append(tuple(row))
@@ -308,10 +303,9 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
     on the whole form.  An entry known only as ``O(T^p)`` joins its
     component, so it still bounds the precision.
 
-    Two stated limits are checked before any series product, and either
-    raises ``ConfigError``: a component of more than ``TRACE_N_LIMIT``
-    generators, and a bound, read off the supports alone, of more than
-    ``TRACE_WORK_LIMIT`` weighted series products (see ``_trace_work``).
+    A bound, read off the supports alone, of more than
+    ``TRACE_WORK_LIMIT`` units of work (see ``_trace_work``) raises
+    ``ConfigError`` before any series product.
 
     In the mask loop, subsets are int masks, bit ``i - 1`` standing for
     generator ``i``, and the complement of ``K`` is ``full ^ K``.
@@ -349,24 +343,19 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
     zero, so entries known only as ``O(T^p)`` bound the precision.
     """
     blocks = []
+    work = 0
     for comp in _components(alg._b):
-        if len(comp) > TRACE_N_LIMIT:
-            raise ConfigError(f"the trace of a component of {len(comp)} "
-                              f"generators is above the limit "
-                              f"TRACE_N_LIMIT = {TRACE_N_LIMIT}")
         # Row i of B on the component, less its exact zeros, as
         # (bit of j, bits below j, B_ij) in the component's numbering.
-        blocks.append([[(1 << a, (1 << a) - 1, alg._b[i][j])
-                        for a, j in enumerate(comp)
-                        if not alg._b[i][j].is_exact_zero()]
-                       for i in comp])
-    work = 0
-    for rows in blocks:
+        rows = [[(1 << a, (1 << a) - 1, alg._b[i][j])
+                 for a, j in enumerate(comp)
+                 if not alg._b[i][j].is_exact_zero()]
+                for i in comp]
         work += _trace_work(rows, TRACE_WORK_LIMIT - work)
         if work > TRACE_WORK_LIMIT:
             raise ConfigError(f"the trace needs more than TRACE_WORK_LIMIT "
-                              f"= {TRACE_WORK_LIMIT} weighted series "
-                              f"products")
+                              f"= {TRACE_WORK_LIMIT} units of work")
+        blocks.append(rows)
     Z = None
     for rows in blocks:
         z = _trace_loop(rows)
@@ -375,7 +364,8 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
 
 
 def _trace_work(rows, budget: int) -> int:
-    """A bound on the series products of ``_trace_loop`` over ``rows``.
+    """A bound on the work of ``_trace_loop`` over ``rows``: its ``2^m``
+    mask visits for ``m`` rows, plus its series products.
 
     ``N(I) = N(I ^ low) | supp(row low)``, with ``low`` the least bit of
     ``I``, holds every generator that contracting by the rows ``I`` can
@@ -384,11 +374,11 @@ def _trace_work(rows, budget: int) -> int:
     weighted by its term count (at least 1).  The sum stops once it passes
     ``budget``.
     """
+    work = 1 << len(rows)
     supp = [sum(bit for bit, _, _ in row) for row in rows]
     weight = [sum(max(1, len(b.integer_form[2])) for _, _, b in row)
               for row in rows]
     reach = [0]
-    work = 0
     for I in range(1, 1 << len(rows)):
         low = I & -I
         r = low.bit_length() - 1

@@ -45,6 +45,7 @@ from .errors import (
 from .laurent import (
     LaurentPotential,
     UnitaryPoint,
+    _as_unitary_coords,
     _table_gradient,
     _table_hessian,
     det_bareiss,
@@ -462,10 +463,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
       0``, above its unit terms, and the final check at ``work`` asserts
       it modulo ``work``, as the full-precision loop holds it.
     """
-    if not isinstance(z0, UnitaryPoint):
-        z0 = UnitaryPoint(z0)
-    if len(z0) != W.num_vars:
-        raise ConfigError("seed point has the wrong number of coordinates")
+    z0 = _as_unitary_coords(z0, W.num_vars)
     target = cfg.target_precision
     try:
         v0, lead = _leading_matrix(W.log_jet(z0, target)[1])
@@ -482,9 +480,9 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     # the seed's accuracy, and the result is re-verified at the end.
     work = target + max(v0, 0)
     # Every exponent the loop meets is a multiple of eps.
-    inputs = [c for _, c in W.items()] + list(z0.coords)
+    inputs = [c for _, c in W.items()] + list(z0)
     eps = Fraction(1, math.lcm(*(c.integer_form[0] for c in inputs)))
-    z = [c.assume_precision(work) for c in z0.coords]
+    z = [c.assume_precision(work) for c in z0]
     p = work
     residual_vals = []
     bound = v0  # each residual valuation must pass v0 and the one before

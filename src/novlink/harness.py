@@ -180,9 +180,11 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
 
     Each row certifies the chain critical point, traces the Clifford
     algebra of the certified Hessian, and reports ``val_Z`` from the
-    trace; the determinant's valuation must agree, and is checked on
-    every row.  A range reaching above ``WEYL_K_LIMIT`` raises
-    ``ConfigError`` before any row is computed.
+    trace (``cliffordtrace.defect_bound``); the determinant's valuation
+    must agree, and is checked on every row.  A trace or determinant known
+    only as ``O(T^p)`` raises ``PrecisionError``, and a zero trace
+    ``DegenerateTraceError``.  A range reaching above ``WEYL_K_LIMIT``
+    raises ``ConfigError`` before any row is computed.
     """
     lo, hi = cfg.k_range
     if hi > WEYL_K_LIMIT:
@@ -197,8 +199,8 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
             raise AreaError(f"critical point at k = {k} is not Morse: {cert.reason}")
         Z = cliffordtrace.trace_Z(
             cliffordtrace.CliffordAlgebraModel(cert.hessian))
-        val_z = Z.valuation()
-        det_val = cert.hessian_det.valuation()
+        val_z = cliffordtrace.defect_bound(Z)
+        det_val = cert.det_valuation()
         if val_z != det_val:
             raise AreaError(f"trace/determinant valuation mismatch at "
                             f"k = {k}: {val_z} vs {det_val}")
@@ -208,7 +210,7 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
             "B": link.B,
             "val_Z": val_z,
             "val_Z_over_k": val_z / k,
-            "defect_bound": cliffordtrace.defect_bound(Z),
+            "defect_bound": val_z,
         })
     return rows
 
@@ -243,25 +245,18 @@ def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
     return rows
 
 
-def rows_to_csv(rows: List[Dict[str, object]],
-                columns: Tuple[str, ...]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([str(row[c]) for c in columns])
-    return buf.getvalue()
-
-
-def rows_to_json(rows: List[Dict[str, object]],
-                 columns: Tuple[str, ...]) -> str:
-    out = [{c: str(row[c]) for c in columns} for row in rows]
-    return json.dumps(out, indent=2) + "\n"
-
-
-def render_rows(rows, columns, output_format: str) -> str:
+def render_rows(rows: List[Dict[str, object]], columns: Tuple[str, ...],
+                output_format: str) -> str:
+    """The table as CSV with a header row, or as a JSON list of objects;
+    every entry is rendered with ``str``."""
     if output_format == "csv":
-        return rows_to_csv(rows, columns)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([str(row[c]) for c in columns])
+        return buf.getvalue()
     if output_format == "json":
-        return rows_to_json(rows, columns)
+        out = [{c: str(row[c]) for c in columns} for row in rows]
+        return json.dumps(out, indent=2) + "\n"
     raise ConfigError("output_format must be csv or json")

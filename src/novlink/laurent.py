@@ -15,7 +15,7 @@ adic precision is lost to division.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     ConfigError,
@@ -27,9 +27,9 @@ from .novikov import (
     INFINITY,
     NovikovSeries,
     _divider,
+    _entry,
     _json_key,
     _parse_json_int,
-    as_fraction,
     as_precision,
     is_unitary,
     linear_combination,
@@ -48,7 +48,7 @@ class UnitaryPoint:
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Sequence[NovikovSeries]):
-        coords = tuple(NovikovSeries.from_scalar(c) for c in coords)
+        coords = tuple(_entry(c, "coords", i) for i, c in enumerate(coords))
         for c in coords:
             if not is_unitary(c):
                 raise NonUnitaryError("point not in unitary torus")
@@ -103,19 +103,22 @@ class UnitaryPoint:
 class LaurentPotential:
     """Finite Laurent polynomial in ``num_vars`` variables over the series field.
 
-    ``num_vars`` and the exponents must be ints (a bool, float or string
-    raises ``ConfigError``).  Only an exact-zero coefficient is dropped.
+    ``terms`` is a mapping ``{m: coeff}`` or an iterable of ``(m, coeff)``
+    pairs; repeated monomials are summed.  ``num_vars`` and the exponents
+    must be ints (a bool, float or string raises ``ConfigError``).  Only
+    an exact-zero coefficient is dropped.
     """
 
     __slots__ = ("_num_vars", "_terms")
 
-    def __init__(self, num_vars: int,
-                 terms: Optional[Dict[ExponentVector, NovikovSeries]] = None):
+    def __init__(self, num_vars: int, terms=()):
         if _parse_json_int(num_vars, "num_vars") < 1:
             raise ConfigError("num_vars must be a positive integer")
         self._num_vars = num_vars
+        if hasattr(terms, "items"):
+            terms = terms.items()
         cleaned: Dict[ExponentVector, NovikovSeries] = {}
-        for m, coeff in (terms or {}).items():
+        for m, coeff in terms:
             m = tuple(_parse_json_int(e, "monomial exponents") for e in m)
             if len(m) != self._num_vars:
                 raise ConfigError("exponent vector length does not match "
@@ -155,10 +158,8 @@ class LaurentPotential:
         if isinstance(other, LaurentPotential):
             if other._num_vars != self._num_vars:
                 raise ConfigError("potentials have different variable counts")
-            merged = dict(self._terms)
-            for m, c in other._terms.items():
-                merged[m] = merged.get(m, NovikovSeries.zero()) + c
-            return LaurentPotential(self._num_vars, merged)
+            return LaurentPotential(self._num_vars, [*self._terms.items(),
+                                                     *other._terms.items()])
         return NotImplemented
 
     def terms_through(self, cutoff) -> Dict[ExponentVector, NovikovSeries]:
@@ -288,20 +289,17 @@ class LaurentPotential:
                               f"object, got {obj!r}")
         if not isinstance(items, list):
             raise ConfigError("potential terms must be a list")
-        terms: Dict[ExponentVector, NovikovSeries] = {}
+        terms = []
         for item in items:
             m = (_json_key(item, "m", "potential term")
                  if isinstance(item, dict) else None)
             if not isinstance(m, list):
                 raise ConfigError(f"monomial exponents must be a list of "
                                   f"integers, got {m!r}")
-            # Checked before merging: ``(1.0,)`` and ``(1,)`` are one key.
-            m = tuple(_parse_json_int(e, "monomial exponents") for e in m)
-            coeff = NovikovSeries.from_obj(
-                _json_key(item, "coeff", "potential term"))
-            terms[m] = terms.get(m, NovikovSeries.zero()) + coeff
+            terms.append((m, NovikovSeries.from_obj(
+                _json_key(item, "coeff", "potential term"))))
         if num_vars is None:
-            num_vars = len(next(iter(terms)))
+            num_vars = len(terms[0][0])
         return cls(num_vars, terms)
 
     def __repr__(self):
@@ -360,15 +358,6 @@ def _table_hessian(table, n, precision=INFINITY
 # -- series matrices ---------------------------------------------------------
 
 
-def _entry(x, name, *index) -> NovikovSeries:
-    """A series, or an exact rational as a constant; else ``ConfigError``
-    naming the entry, e.g. ``matrix[1][0]``."""
-    if isinstance(x, NovikovSeries):
-        return x
-    where = name + "".join(f"[{i}]" for i in index)
-    return NovikovSeries.monomial(as_fraction(x, where), 0)
-
-
 def _components(matrix: Sequence[Sequence[NovikovSeries]]
                 ) -> List[List[int]]:
     """The index sets of the diagonal blocks of a square matrix.
@@ -417,21 +406,16 @@ def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
             raise ConfigError("matrix is not square")
     matrix = [[_entry(x, "matrix", i, j) for j, x in enumerate(row)]
               for i, row in enumerate(matrix)]
-    blocks = _components(matrix)
-    if len(blocks) <= 1:
-        return _bareiss(matrix)
     det = None
-    for block in blocks:
+    for block in _components(matrix):
         d = _bareiss([[matrix[i][j] for j in block] for i in block])
         det = d if det is None else det * d
-    return det
+    return NovikovSeries.one() if det is None else det
 
 
 def _bareiss(matrix):
     """Bareiss elimination of one square block (see ``det_bareiss``)."""
     n = len(matrix)
-    if n == 0:
-        return NovikovSeries.one()
     m = [list(row) for row in matrix]
     sign = 1
     prev = NovikovSeries.one()

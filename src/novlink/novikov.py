@@ -112,6 +112,15 @@ def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
         raise ConfigError(f"{what} {x!r} is not a rational number") from exc
 
 
+def _entry(x, name: str, *index) -> "NovikovSeries":
+    """A series, or an exact rational as a constant; else ``ConfigError``
+    naming the entry, e.g. ``matrix[1][0]``."""
+    if isinstance(x, NovikovSeries):
+        return x
+    where = name + "".join(f"[{i}]" for i in index)
+    return NovikovSeries.monomial(as_fraction(x, where), 0)
+
+
 def as_precision(x: PrecisionLike, what: str = "precision"
                  ) -> Union[Fraction, _Infinity]:
     """``INFINITY`` for itself or ``"inf"``, else ``as_fraction(x, what)``."""

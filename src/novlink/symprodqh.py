@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 from .errors import AlgebraMismatchError, ConfigError
 from .novikov import (
     NovikovSeries,
+    _entry,
     _least_valuation,
     _parse_json_int,
     _product_precision,
@@ -57,7 +58,7 @@ class SymQHElement:
     def __init__(self, k: int, omega, coeffs):
         if _parse_json_int(k, "k") < 1:
             raise ConfigError("k must be a positive integer")
-        coeffs = tuple(NovikovSeries.from_scalar(c) for c in coeffs)
+        coeffs = tuple(_entry(c, "coeffs", j) for j, c in enumerate(coeffs))
         if len(coeffs) != k + 1:
             raise ConfigError(f"need {k + 1} basis coefficients, "
                               f"got {len(coeffs)}")
@@ -352,16 +353,13 @@ def grading(x) -> Optional[Fraction]:
     """Common degree of a homogeneous element, or ``None`` for mixed.
 
     A term ``T^e`` on a basis element with ``w`` quantum-class factors has
-    degree ``-4 e / omega - 2 w``.
+    degree ``-4 e / omega - 2 w``: ``-2 a / step`` for the element's
+    ``_degree_class`` ``a``, with ``omega = step / de``.
     """
     if not isinstance(x, SymQHElement):
         raise TypeError("grading expects a sphere-algebra element")
-    degree = None
-    for w, series in enumerate(x.coeffs):
-        for e, _ in series.terms:
-            d = Fraction(-4) * e / x.omega - 2 * w
-            if degree is None:
-                degree = d
-            elif degree != d:
-                return None
-    return degree
+    coeffs = list(enumerate(x.coeffs))
+    de = lcm(x.omega.denominator, *(c.integer_form[0] for _, c in coeffs))
+    step = x.omega.numerator * (de // x.omega.denominator)
+    a = _degree_class(step, _integer_rows(coeffs, de)[1])
+    return None if a is None else Fraction(-2 * a, step)

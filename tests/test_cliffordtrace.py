@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from novlink import cliffordtrace
 from novlink.cliffordtrace import (
     KAPPA,
-    TRACE_N_LIMIT,
     TRACE_WORK_LIMIT,
     CliffordAlgebraModel,
     _shuffle_parity,
@@ -64,6 +63,11 @@ def dense_form(n):
 
 def tridiagonal_form(n):
     return [[two_term(min(i, j), max(i, j)) if abs(i - j) <= 1
+             else NovikovSeries.zero() for j in range(n)] for i in range(n)]
+
+
+def star_form(n):
+    return [[two_term(min(i, j), max(i, j)) if i == j or 0 in (i, j)
              else NovikovSeries.zero() for j in range(n)] for i in range(n)]
 
 
@@ -232,13 +236,17 @@ class TestTraceIdentity:
         assert Z.precision == want.precision
 
     def test_size_limit_refused_before_any_work(self, monkeypatch):
-        # One tridiagonal component, one generator above the limit.
+        # One component of 17 generators: 2^17 mask visits alone pass the
+        # work limit, whatever the entries.
         monkeypatch.setattr(cliffordtrace, "_trace_loop", no_loop)
-        monkeypatch.setattr(cliffordtrace, "_trace_work", no_loop)
-        alg = CliffordAlgebraModel(tridiagonal_form(TRACE_N_LIMIT + 1))
-        with pytest.raises(ConfigError, match=f"TRACE_N_LIMIT = "
-                                              f"{TRACE_N_LIMIT}"):
-            trace_Z(alg)
+        for shape in (star_form, tridiagonal_form):
+            alg = CliffordAlgebraModel(shape(17))
+            assert len(_components(alg.form)) == 1
+            start = time.perf_counter()
+            with pytest.raises(ConfigError, match=f"TRACE_WORK_LIMIT = "
+                                                  f"{TRACE_WORK_LIMIT}"):
+                trace_Z(alg)
+            assert time.perf_counter() - start < 1
 
     def test_work_limit_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(cliffordtrace, "_trace_loop", no_loop)
@@ -280,9 +288,12 @@ class TestComponents:
                 [zero, zero, zero, one]]
         assert _components(form) == [[0, 2], [1], [3]]
 
-    @given(form=block_forms())
-    @settings(max_examples=150, deadline=None)
-    def test_factored_trace_matches_loop_and_definition(self, form):
+    @staticmethod
+    def check_factored_trace(form):
+        # The product of the components' traces may be known to a higher
+        # precision than the whole-form loop and the definition (the
+        # valuations of the factors add), never to a lower one, and agrees
+        # with both below the lesser precision.
         alg = CliffordAlgebraModel(form)
         Z = trace_Z(alg)
         whole = _trace_loop([[(1 << j, (1 << j) - 1, b)
@@ -290,11 +301,33 @@ class TestComponents:
                               if not b.is_exact_zero()] for row in alg._b])
         want = trace_with_conventions(form, KAPPA, True, True)
         for other in (whole, want):
-            assert Z.integer_form == other.integer_form
-            assert Z.precision == other.precision
+            assert Z.precision >= other.precision
+            assert Z.eq_mod(other, other.precision)
+        return Z, whole, want
+
+    @given(form=block_forms())
+    @settings(max_examples=150, deadline=None)
+    def test_factored_trace_matches_loop_and_definition(self, form):
+        self.check_factored_trace(form)
+
+    def test_factored_trace_is_tighter_on_an_unknown_block(self):
+        # A block of O(T^(1/6)) entries has a trace of valuation at least
+        # 1/3 for every completion, so the product with a block of
+        # valuation -1/3 is O(T^0); the whole-form sums only reach
+        # O(T^(-1/3)).
+        u, a = NovikovSeries.zero(F(1, 6)), mono(F(3, 2), F(-1, 3))
+        b = a + 1
+        zero = NovikovSeries.zero()
+        form = [[u, u, zero, zero],
+                [u, u, zero, zero],
+                [zero, zero, a, b],
+                [zero, zero, b, b]]
+        Z, whole, want = self.check_factored_trace(form)
+        assert Z == NovikovSeries.zero(0)
+        assert whole == want == NovikovSeries.zero(F(-1, 3))
 
     def test_chain_trace_is_the_product_of_its_entries(self):
-        # A diagonal form far above TRACE_N_LIMIT: one component per entry.
+        # A diagonal form of 64 generators: one component per entry.
         link = CircleLinkS2(64, F(1, 8), F(1, 4))
         cert = critical_data(link, BulkParameter(F(2)))
         Z = trace_Z(CliffordAlgebraModel(cert.hessian))

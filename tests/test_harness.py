@@ -9,11 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from novlink import cli, harness
+from novlink import cli, cliffordtrace, harness
 from novlink.cli import main
-from novlink.cliffordtrace import TRACE_N_LIMIT, TRACE_WORK_LIMIT
+from novlink.cliffordtrace import TRACE_WORK_LIMIT
 from novlink.critlift import LiftConfig
-from novlink.errors import AreaError, ConfigError
+from novlink.errors import (
+    AreaError,
+    ConfigError,
+    DegenerateTraceError,
+    PrecisionError,
+)
 from novlink.harness import (
     NOBULK_COLUMNS,
     WEYL_COLUMNS,
@@ -198,6 +203,18 @@ class TestWeylScan:
             link = cfg.schedule.link(row["k"])
             cert = critical_data(link, BulkParameter(cfg.c0))
             assert cert.det_valuation() == row["val_Z"]
+
+    @pytest.mark.parametrize("Z, error", [
+        (NovikovSeries.zero(1), PrecisionError),
+        (NovikovSeries.zero(), DegenerateTraceError),
+    ])
+    def test_unknown_or_zero_trace_is_not_a_valuation(self, monkeypatch, Z,
+                                                      error):
+        # Z = O(T) has no valuation to compare with the determinant's, and
+        # Z = 0 is degenerate; neither is reported as a mismatch.
+        monkeypatch.setattr(cliffordtrace, "trace_Z", lambda alg: Z)
+        with pytest.raises(error):
+            weyl_scan(power_config(1, 2))
 
     def test_trace_size_limit_refused_before_any_row(self, monkeypatch):
         def no_lift(*args):
@@ -384,6 +401,16 @@ class TestCLI:
         assert lifted["morse"] is True
         assert lifted["det_valuation"] == "1/2"
 
+    def test_crit_lift_seed_of_wrong_length_exits_2(self, tmp_path, capsys):
+        seed = self._write(tmp_path, "z.json", {"coords": [ONE, ONE]})
+        assert main(["crit", "lift",
+                     "--potential", str(GOLDEN / "lift_k3_potential.json"),
+                     "--seed", seed, "--prec", "3/2"]) == 2
+        captured = capsys.readouterr()
+        assert "point has 2 coordinates, potential has 3 variables" \
+            in captured.err
+        assert captured.out == ""
+
     def test_crit_lift_with_an_unknown_determinant(self, tmp_path, capsys):
         # At --prec 1/4 = B the k = 2 chain's determinant is O(T^(1/2)): the
         # lift succeeds, the point is not certified Morse, and the
@@ -479,15 +506,16 @@ class TestCLI:
             assert line in out.splitlines()
 
     def test_trace_check_over_size_limit_exits_2(self, tmp_path, capsys):
-        # One tridiagonal component, one generator above the limit.
-        n = TRACE_N_LIMIT + 1
+        # One tridiagonal component of 17 generators: 2^17 mask visits
+        # alone pass the work limit.
+        n = 17
         one = {"terms": [{"c": "1", "e": "0"}]}
         hpath = self._write(tmp_path, "H.json", [
             [one if abs(i - j) <= 1 else {"terms": []} for j in range(n)]
             for i in range(n)])
         assert main(["trace", "check", "--hessian", hpath]) == 2
         captured = capsys.readouterr()
-        assert f"TRACE_N_LIMIT = {TRACE_N_LIMIT}" in captured.err
+        assert f"TRACE_WORK_LIMIT = {TRACE_WORK_LIMIT}" in captured.err
         assert captured.out == ""
 
     def test_trace_check_over_work_limit_exits_2(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from novlink.cliffordtrace import CliffordAlgebraModel
 from novlink.errors import (
     ConfigError,
     NonUnitaryError,
@@ -24,6 +25,7 @@ from novlink.laurent import (
 )
 from novlink.linkfam import BulkParameter, CircleLinkS2, build_chain_potential
 from novlink.novikov import NovikovSeries
+from novlink.symprodqh import SymQHElement
 
 from oracles import (
     det_minor_expansion,
@@ -473,6 +475,43 @@ class TestSerialization:
         W = LaurentPotential.from_obj(obj)
         assert W.num_vars == 2
 
+    def test_repeated_monomials_are_summed(self):
+        def term(m, c, e="0"):
+            return {"m": m, "coeff": {"terms": [{"c": c, "e": e}]}}
+
+        W = LaurentPotential.from_obj([term([1, 0], "1"),
+                                       term([0, 1], "2"),
+                                       term([1, 0], "3", "1/2")])
+        assert W == LaurentPotential(2, {
+            (1, 0): NovikovSeries([(1, 0), (3, F(1, 2))]),
+            (0, 1): NovikovSeries.monomial(2, 0)})
+        # Copies that cancel leave no term; only the other one stays.
+        W = LaurentPotential.from_obj({"num_vars": 1, "terms": [
+            term([1], "1"), term([-1], "2"), term([1], "-1")]})
+        assert W == LaurentPotential(1, {(-1,): NovikovSeries.monomial(2, 0)})
+
+    def test_pairs_match_the_mapping(self):
+        x, y = NovikovSeries.monomial(1, F(1, 3)), NovikovSeries.zero(2)
+        W = LaurentPotential(2, {(1, 0): x, (0, -1): y})
+        assert LaurentPotential(2, [((0, -1), y), ((1, 0), x)]) == W
+        assert LaurentPotential(2, [((1, 0), x), ((0, -1), y),
+                                    ((1, 0), -x), ((1, 0), x)]) == W
+        assert W + W == LaurentPotential(2, {(1, 0): 2 * x, (0, -1): y})
+
     def test_point_round_trip(self):
         pt = UnitaryPoint([NovikovSeries([(1, 0), (F(1, 2), F(3, 2))])])
         assert UnitaryPoint.from_obj(pt.to_obj()) == pt
+
+
+@pytest.mark.parametrize("build, where", [
+    (lambda bad: CliffordAlgebraModel([[1, 0], [0, bad]]), r"form\[1\]\[1\]"),
+    (lambda bad: UnitaryPoint([1, bad]), r"coords\[1\]"),
+    (lambda bad: SymQHElement(2, 1, [1, 0, bad]), r"coeffs\[2\]"),
+])
+def test_containers_name_the_bad_entry(build, where):
+    with pytest.raises(ConfigError, match=where + r" must be an integer "
+                                                  r".*got True"):
+        build(True)
+    with pytest.raises(ConfigError, match=where + r" 'x' is not a rational "
+                                                  r"number"):
+        build("x")
