@@ -73,6 +73,18 @@ MAX_NEWTON_STEPS = 64
 #: x86-64).
 LEADING_SOLUTION_LIMIT = 1024
 
+#: Largest cost ``n (M + n^2) L^3`` of a lift (``_lift_cost``), read off
+#: its inputs before the first Newton step: ``n`` variables, ``M``
+#: monomials and ``L`` lattice points below the working precision.  The
+#: coefficients grow with the terms, so a product of ``L``-term series
+#: costs about ``L^3``, and a step makes about ``n M`` of them for the
+#: monomial table and ``n^3`` for the solve.  Lifts took 1-3 ns per unit
+#: under Python 3.11.7 on a 2-core x86-64 machine: on the k = 3 golden
+#: potential (``L = 16 (target + 1/4)``), 0.41 s at ``--prec 12`` (cost
+#: 4.1e8), 2.2 s at 18 (1.3e9, refused) and 4.0 s at 24 (3.2e9, refused);
+#: a k = 6 perturbed chain 0.54 s at target 6 (3.2e8).
+LIFT_WORK_LIMIT = 10 ** 9
+
 
 @dataclass(frozen=True)
 class LiftConfig:
@@ -462,6 +474,9 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     * ``v0 < 0``.  The point stays asserted modulo at least ``2g + eps >
       0``, above its unit terms, and the final check at ``work`` asserts
       it modulo ``work``, as the full-precision loop holds it.
+
+    A lift whose cost, read off ``W``, the seed and ``work``, exceeds
+    ``LIFT_WORK_LIMIT`` raises ``ConfigError`` before the first step.
     """
     z0 = _as_unitary_coords(z0, W.num_vars)
     target = cfg.target_precision
@@ -482,6 +497,11 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     # Every exponent the loop meets is a multiple of eps.
     inputs = [c for _, c in W.items()] + list(z0)
     eps = Fraction(1, math.lcm(*(c.integer_form[0] for c in inputs)))
+    cost = _lift_cost(W, z0, work, eps)
+    if cost > LIFT_WORK_LIMIT:
+        raise ConfigError(f"the lift to precision {target} costs {cost} "
+                          f"units of work, above LIFT_WORK_LIMIT = "
+                          f"{LIFT_WORK_LIMIT}")
     z = [c.assume_precision(work) for c in z0]
     p = work
     residual_vals = []
@@ -522,6 +542,32 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     point = UnitaryPoint(z)
     cert = certify_morse(W, point, target_precision=target)
     return replace(cert, residual_valuations=tuple(residual_vals))
+
+
+def _lift_cost(W: LaurentPotential, z0, work, eps) -> int:
+    """The cost ``n (M + n^2) L^3`` that ``LIFT_WORK_LIMIT`` bounds, with
+    ``L = ceil(work / g)`` and ``g`` the gcd of the differences of the
+    exponents of ``W``'s coefficients and of the seed's own exponents, all of
+    them multiples of ``eps = 1/D``.
+
+    Every exponent the lift forms lies on ``g Z`` (the point's) or on
+    ``b + g Z`` (the monomial table, gradient and Hessian), ``b`` any
+    exponent of ``W``: products, inverses and the Hessian solve keep these
+    cosets.  So a unitary coordinate has at most ``L`` terms below
+    ``work``.  The precisions' denominators make ``eps`` finer but add no
+    term, and ``g = 0`` (one exponent in ``W``, a constant seed) keeps the
+    point constant: ``L = 1``.
+    """
+    n, coeffs, D = W.num_vars, [c for _, c in W.items()], eps.denominator
+
+    def exponents(series):  # over D
+        return [e * (D // de) for de, _, E, _ in
+                (c.integer_form for c in series) for e in E]
+
+    ws = exponents(coeffs)
+    g = math.gcd(*(e - ws[0] for e in ws), *exponents(z0))
+    points = math.ceil(work * D / g) if g else 1
+    return n * (len(coeffs) + n * n) * points ** 3
 
 
 def certify_morse(W: LaurentPotential, z, target_precision=None

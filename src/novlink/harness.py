@@ -25,7 +25,7 @@ from . import cliffordtrace
 from .errors import AreaError, ConfigError
 from .linkfam import BulkParameter, CircleLinkS2, critical_data
 from .novikov import _parse_json_int, as_fraction
-from .symprodqh import SYMK_K_LIMIT, symk_idempotents
+from .symprodqh import _idempotent_columns
 
 
 @dataclass(frozen=True)
@@ -220,25 +220,26 @@ def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
 
     ``k_range`` holds two ints, checked as ``ScanConfig`` checks its own.
     Empty ranges give empty tables.  The valuations are read off the
-    computed idempotents, not the closed formula, and must all agree.  A
-    range reaching above ``SYMK_K_LIMIT`` raises ``ConfigError`` before any
-    row is computed.
+    integer Krawtchouk columns that ``symk_idempotents`` wraps into series
+    (``symprodqh._idempotent_columns``), not the closed formula, and must
+    all agree; no series is built.  An ``omega`` that is not positive, or a
+    range reaching above ``SYMK_K_LIMIT``, raises ``ConfigError`` before
+    any row is computed, an empty range's ``omega`` included.
     """
-    omega = as_fraction(omega, "omega")
     lo, hi = _k_range(k_range)
-    if hi > SYMK_K_LIMIT:
-        raise ConfigError(f"k = {hi} is above the limit SYMK_K_LIMIT = "
-                          f"{SYMK_K_LIMIT}")
+    # The top k first, so a bad omega or a k above SYMK_K_LIMIT is refused
+    # before any row (max(hi, 1): an empty range's omega too).
+    omega = _idempotent_columns(max(hi, 1), omega)[0]
     rows = []
     for k in range(lo, hi + 1):
-        idems = symk_idempotents(k, omega)
-        vals = {e.valuation() for e in idems}
-        if len(vals) != 1:
+        _, step, cols = _idempotent_columns(k, omega)
+        tops = {max(w for w, a in enumerate(col) if a) for col in cols}
+        if len(tops) != 1:
             raise ConfigError(f"idempotent valuations differ at k = {k}")
-        val_e = vals.pop()
+        val_e = step * tops.pop()
         rows.append({
             "k": k,
-            "idempotent_count": len(idems),
+            "idempotent_count": len(cols),
             "val_e": val_e,
             "val_e_over_k": val_e / k,
         })

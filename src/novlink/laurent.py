@@ -105,8 +105,10 @@ class LaurentPotential:
 
     ``terms`` is a mapping ``{m: coeff}`` or an iterable of ``(m, coeff)``
     pairs; repeated monomials are summed.  ``num_vars`` and the exponents
-    must be ints (a bool, float or string raises ``ConfigError``).  Only
-    an exact-zero coefficient is dropped.
+    must be ints (a bool, float or string raises ``ConfigError``), and a
+    coefficient a series or an exact rational (anything else raises
+    ``ConfigError`` naming its monomial, e.g. ``terms[(1,)]``).  Only an
+    exact-zero coefficient is dropped.
     """
 
     __slots__ = ("_num_vars", "_terms")
@@ -123,7 +125,7 @@ class LaurentPotential:
             if len(m) != self._num_vars:
                 raise ConfigError("exponent vector length does not match "
                                   "num_vars")
-            coeff = NovikovSeries.from_scalar(coeff)
+            coeff = _entry(coeff, "terms", m)
             if m in cleaned:
                 coeff = cleaned[m] + coeff
             if coeff.is_exact_zero():

@@ -39,8 +39,8 @@ from .novikov import (
 
 #: Largest ``k`` the idempotents are computed for.  Their ``(k+1)^2``
 #: coefficients have ``k``-bit numerators, so memory grows about as
-#: ``k^3``; ``scan nobulk`` up to this ``k`` takes about 10 s on a 2-core
-#: machine (``qh idempotents --k 160`` about 0.3 s).
+#: ``k^3``.  In process, ``scan nobulk --kmax 160`` took 0.3-0.5 s and
+#: ``qh idempotents --k 160`` 0.25 s (Python 3.11.7, 2-core x86-64).
 SYMK_K_LIMIT = 160
 
 
@@ -315,6 +315,30 @@ def _krawtchouk(k: int):
     return tuple(rows)
 
 
+def _idempotent_columns(k: int, omega):
+    """``(omega, step, cols)`` behind the idempotents ``E_0..E_k`` of
+    ``symk_idempotents``: the checked ``omega`` as a ``Fraction``, ``step =
+    -omega/2`` and ``cols[j] = (K_j(0), ..., K_j(k))``, column ``j`` of
+    ``_krawtchouk(k)``.
+
+    The coefficient of ``m_w`` in ``E_j`` is ``2^-k (-1)^w K_j(w)
+    T^(w*step)``.  ``step`` is negative, so ``val(E_j)`` is ``step`` times
+    the top ``w`` with ``K_j(w) != 0``: the scan reads it off the integers
+    without building a series.  A ``k`` that is not a positive integer up
+    to ``SYMK_K_LIMIT``, or an ``omega`` that is not positive, raises
+    ``ConfigError``.
+    """
+    if _parse_json_int(k, "k") < 1:
+        raise ConfigError("k must be a positive integer")
+    if k > SYMK_K_LIMIT:
+        raise ConfigError(f"k = {k} is above the limit SYMK_K_LIMIT = "
+                          f"{SYMK_K_LIMIT}")
+    omega = as_fraction(omega, "omega")
+    if omega <= 0:
+        raise ConfigError("omega must be positive")
+    return omega, -omega / 2, list(zip(*_krawtchouk(k)))
+
+
 def symk_idempotents(k: int, omega) -> List[SymQHElement]:
     """The ``k + 1`` indecomposable idempotents of the invariant algebra.
 
@@ -331,22 +355,18 @@ def symk_idempotents(k: int, omega) -> List[SymQHElement]:
     ``ConfigError``.
 
     ``alpha_{j,w}`` is the coefficient of ``s^j`` in ``(s - 1)^w (1 +
-    s)^(k-w)``, that is ``(-1)^w K_j(w)`` read off ``_krawtchouk(k)``:
-    ``O(k^2)`` integers in all.  In rescaled coordinates ``E_j`` is one
-    degree class whose only nonzero character is ``chi_(k-j) = 1``.
+    s)^(k-w)``, that is ``(-1)^w K_j(w)`` read off ``_krawtchouk(k)``
+    (``_idempotent_columns``): ``O(k^2)`` integers in all.  In rescaled
+    coordinates ``E_j`` is one degree class whose only nonzero character is
+    ``chi_(k-j) = 1``.
     """
-    if _parse_json_int(k, "k") < 1:
-        raise ConfigError("k must be a positive integer")
-    if k > SYMK_K_LIMIT:
-        raise ConfigError(f"k = {k} is above the limit SYMK_K_LIMIT = "
-                          f"{SYMK_K_LIMIT}")
-    omega = as_fraction(omega, "omega")
+    omega, step, cols = _idempotent_columns(k, omega)
     denom = 2 ** k
-    num, de = omega.numerator, 2 * omega.denominator
+    num, de = step.numerator, step.denominator
     return [SymQHElement(k, omega, [
-        NovikovSeries._raw(de, denom, (-w * num,), (-a if w % 2 else a,),
+        NovikovSeries._raw(de, denom, (w * num,), (-a if w % 2 else a,),
                            None)
-        for w, a in enumerate(col)]) for col in zip(*_krawtchouk(k))]
+        for w, a in enumerate(col)]) for col in cols]
 
 
 def grading(x) -> Optional[Fraction]:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
@@ -15,6 +18,7 @@ from sympy.solvers.polysys import solve_poly_system
 from novlink import critlift
 from novlink.critlift import (
     LEADING_SOLUTION_LIMIT,
+    LIFT_WORK_LIMIT,
     LiftConfig,
     _rational_roots,
     _solve_leading_system,
@@ -528,6 +532,53 @@ class TestLeadingSolutionLimit:
                            match="LEADING_SOLUTION_LIMIT = "
                                  f"{LEADING_SOLUTION_LIMIT}"):
             leading_solutions(W)
+
+
+class TestLiftWorkLimit:
+    GOLDEN = Path(__file__).parent / "golden"
+
+    def load(self, name):
+        return json.loads((self.GOLDEN / name).read_text(encoding="utf-8"))
+
+    # The k = 3 golden potential has n = 3 variables, M = 9 monomials and
+    # exponents 1/4, 5/16, 3/8 and 7/16; v0 = 1/4, so L = 16 * (target +
+    # 1/4).  Its copy with coefficients known modulo T^(25/14), T^(13/7)
+    # and T^(9/5) has the same cost: precisions do not count.
+    @pytest.mark.parametrize("potential", ["lift_k3_potential.json",
+                                           "lift_k3_potential_prec.json"])
+    def test_cost_is_read_before_the_first_step(self, monkeypatch,
+                                                potential):
+        class FirstStep(Exception):
+            pass
+
+        def first_step(*args):
+            raise FirstStep
+
+        monkeypatch.setattr(critlift, "_table_gradient", first_step)
+        W = LaurentPotential.from_obj(self.load(potential))
+        z0 = UnitaryPoint.from_obj(self.load("lift_k3_seed.json"))
+        assert 3 * (9 + 9) * 260 ** 3 <= LIFT_WORK_LIMIT
+        with pytest.raises(FirstStep):
+            hensel_lift(W, z0, LiftConfig(16))
+        cost = 3 * (9 + 9) * 276 ** 3
+        with pytest.raises(ConfigError,
+                           match=f"costs {cost} units of work, above "
+                                 f"LIFT_WORK_LIMIT = {LIFT_WORK_LIMIT}"):
+            hensel_lift(W, z0, LiftConfig(17))
+
+    def test_lattice_is_spanned_by_exponent_differences(self):
+        # Every coefficient of this chain sits at T^B: with a constant seed
+        # the point stays constant, one lattice point whatever the target.
+        W = build_chain_potential(CircleLinkS2(12, F(13, 400), F(13, 40)),
+                                  BulkParameter(F(2)))
+        M = len(list(W.items()))
+        work = 17 * F(13, 40)
+        assert critlift._lift_cost(W, ones(12), work, F(1, 40)) == \
+            12 * (M + 144)
+        # A seed term at T^(1/7) makes the step gcd(0, 1/7) = 1/7.
+        seed = [mono(1)] * 11 + [mono(1) + mono(1, F(1, 7))]
+        assert critlift._lift_cost(W, seed, work, F(1, 280)) == \
+            12 * (M + 144) * math.ceil(7 * work) ** 3
 
 
 # -- doubling precision against the full-precision loop ------------------------

@@ -8,11 +8,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from novlink import cli, cliffordtrace, harness
+from novlink import cli, cliffordtrace, harness, symprodqh
 from novlink.cli import main
 from novlink.cliffordtrace import TRACE_WORK_LIMIT
-from novlink.critlift import LiftConfig
+from novlink.critlift import LIFT_WORK_LIMIT, LiftConfig
 from novlink.errors import (
     AreaError,
     ConfigError,
@@ -68,7 +70,9 @@ from novlink.symprodqh import SYMK_K_LIMIT, SymQHElement, symk_idempotents
 # potential's bytes.  The README's other CLI examples have goldens too:
 # ``trace check`` on the Hessian of the README's k = 3 chain link
 # (``trace_k3_hessian.json``), ``qh idempotents``, ``spectrum enum`` and
-# ``scan nobulk``.  ``trace_exact_hessian.json`` has exact two-term
+# ``scan nobulk``; ``nobulk_k1_160_omega_3_2.csv`` runs that scan to
+# SYMK_K_LIMIT, written while the scan still read each valuation off the
+# idempotents' series.  ``trace_exact_hessian.json`` has exact two-term
 # entries: Bareiss divides by an exact two-term pivot, and the quotient's
 # exponents are sixths.  ``golden/commands.txt`` lists every call with its
 # golden output.  Any change in these bytes is a change in results.
@@ -276,6 +280,69 @@ class TestNobulkScan:
         # Refused before the first row, not after computing the others.
         with pytest.raises(ConfigError, match=str(SYMK_K_LIMIT)):
             nobulk_scan((1, SYMK_K_LIMIT + 1), F(1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 24),
+           omega=st.fractions(min_value=F(1, 12), max_value=F(6),
+                              max_denominator=12))
+    def test_rows_match_the_idempotents_series(self, k, omega):
+        idems = symk_idempotents(k, omega)
+        vals = {e.valuation() for e in idems}
+        assert len(vals) == 1
+        val_e = vals.pop()
+        assert nobulk_scan((k, k), omega) == [{
+            "k": k, "idempotent_count": len(idems), "val_e": val_e,
+            "val_e_over_k": val_e / k}]
+
+    def test_builds_no_series(self, monkeypatch):
+        calls = []
+        raw = NovikovSeries._raw.__func__
+
+        def counting_raw(cls, *args):
+            calls.append(args)
+            return raw(cls, *args)
+
+        monkeypatch.setattr(NovikovSeries, "_raw", classmethod(counting_raw))
+        rows = nobulk_scan((1, 40), F(2, 3))
+        assert len(rows) == 40 and calls == []
+        symk_idempotents(2, F(2, 3))  # the counter does see series
+        assert len(calls) == 9
+
+    def test_unequal_columns_are_refused(self, monkeypatch):
+        columns = symprodqh._idempotent_columns
+
+        def one_top_zeroed(k, omega):
+            omega, step, cols = columns(k, omega)
+            if k == 3:
+                cols[1] = cols[1][:-1] + (0,)
+            return omega, step, cols
+
+        monkeypatch.setattr(harness, "_idempotent_columns", one_top_zeroed)
+        assert len(nobulk_scan((1, 2), F(1))) == 2
+        with pytest.raises(ConfigError,
+                           match="idempotent valuations differ at k = 3"):
+            nobulk_scan((1, 4), F(1))
+
+    @pytest.mark.parametrize("k_range, omega, match", [
+        ((1, SYMK_K_LIMIT + 1), F(1), str(SYMK_K_LIMIT)),
+        ((1, 8), F(0), "omega must be positive"),
+        ((1, 8), F(-1, 2), "omega must be positive"),
+        ((5, 4), F(-1), "omega must be positive"),
+        ((5, 4), "abc", "omega"),
+    ])
+    def test_refused_before_any_row(self, monkeypatch, k_range, omega,
+                                    match):
+        seen = []
+        columns = symprodqh._idempotent_columns
+
+        def recording(k, omega):
+            seen.append(k)
+            return columns(k, omega)
+
+        monkeypatch.setattr(harness, "_idempotent_columns", recording)
+        with pytest.raises(ConfigError, match=match):
+            nobulk_scan(k_range, omega)
+        assert len(seen) == 1
 
     def test_json_rendering(self):
         rows = nobulk_scan((1, 2), F(1))
@@ -796,6 +863,17 @@ class TestCLI:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(SYMK_K_LIMIT) in err and str(SYMK_K_LIMIT + 1) in err
+
+    def test_crit_lift_over_work_limit_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["crit", "lift",
+                     "--potential", str(GOLDEN / "lift_k3_potential.json"),
+                     "--seed", str(GOLDEN / "lift_k3_seed.json"),
+                     "--prec", "100"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert f"LIFT_WORK_LIMIT = {LIFT_WORK_LIMIT}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["qh", "idempotents", "--k", "2", "--omega", "0"],

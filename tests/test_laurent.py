@@ -507,6 +507,7 @@ class TestSerialization:
     (lambda bad: CliffordAlgebraModel([[1, 0], [0, bad]]), r"form\[1\]\[1\]"),
     (lambda bad: UnitaryPoint([1, bad]), r"coords\[1\]"),
     (lambda bad: SymQHElement(2, 1, [1, 0, bad]), r"coeffs\[2\]"),
+    (lambda bad: LaurentPotential(1, {(1,): bad}), r"terms\[\(1,\)\]"),
 ])
 def test_containers_name_the_bad_entry(build, where):
     with pytest.raises(ConfigError, match=where + r" must be an integer "
