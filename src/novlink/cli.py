@@ -36,7 +36,7 @@ from .errors import (
     SpectrumError,
 )
 from .laurent import LaurentPotential, UnitaryPoint, det_bareiss
-from .novikov import NovikovSeries, as_fraction
+from .novikov import NovikovSeries, _json_fields, as_fraction
 from .spectrum import ModelOrbitSet, SpectrumConfig, enumerate_spectrum
 from .symprodqh import symk_idempotents
 
@@ -79,11 +79,13 @@ def _cmd_crit_lift(args) -> int:
 def _hessian_entries(obj):
     """The rows of a ``trace check`` input: a list of lists, or an object
     whose ``entries`` is one; anything else raises ``ConfigError``."""
-    entries = obj.get("entries") if isinstance(obj, dict) else obj
+    rule = ("a Hessian must be a list of rows (lists of series) or an "
+            "object whose \"entries\" is one")
+    entries = (obj if isinstance(obj, list)
+               else _json_fields(obj, rule, ("entries",))["entries"])
     if not (isinstance(entries, list)
             and all(isinstance(row, list) for row in entries)):
-        raise ConfigError("a Hessian must be a list of rows (lists of "
-                          "series) or an object whose \"entries\" is one")
+        raise ConfigError(f"{rule}, got {entries!r}")
     return entries
 
 

@@ -55,7 +55,7 @@ from .novikov import (
     INFINITY,
     NovikovSeries,
     _least_valuation,
-    as_fraction,
+    _positive_fraction,
     as_precision,
 )
 
@@ -97,10 +97,8 @@ class LiftConfig:
     target_precision: Fraction
 
     def __post_init__(self):
-        target = as_fraction(self.target_precision, "target_precision")
-        if target <= 0:
-            raise ConfigError("target_precision must be positive")
-        object.__setattr__(self, "target_precision", target)
+        object.__setattr__(self, "target_precision", _positive_fraction(
+            self.target_precision, "target_precision"))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,12 @@ from typing import Dict, List, Optional, Tuple
 from . import cliffordtrace
 from .errors import AreaError, ConfigError
 from .linkfam import BulkParameter, CircleLinkS2, critical_data
-from .novikov import _parse_json_int, as_fraction
+from .novikov import (
+    _json_fields,
+    _parse_json_int,
+    _positive_fraction,
+    as_fraction,
+)
 from .symprodqh import _idempotent_columns
 
 
@@ -57,7 +62,7 @@ class AreaSchedule:
     def __post_init__(self):
         _parse_json_int(self.power, "power")
         _parse_json_int(self.shift, "shift")
-        object.__setattr__(self, "beta", as_fraction(self.beta, "beta"))
+        object.__setattr__(self, "beta", _positive_fraction(self.beta, "beta"))
         object.__setattr__(self, "annulus_ratio",
                            as_fraction(self.annulus_ratio, "annulus_ratio"))
         if self.total_area is not None:
@@ -69,8 +74,6 @@ class AreaSchedule:
             raise ConfigError("power_fixed_total needs total_area")
         if not (0 < self.annulus_ratio < 1):
             raise ConfigError("annulus_ratio must lie in (0, 1)")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
 
     def disc_area(self, k: int) -> Fraction:
         if self.kind == "constant":
@@ -99,23 +102,18 @@ class AreaSchedule:
 
     @classmethod
     def from_obj(cls, obj) -> "AreaSchedule":
-        """Parse a schedule object.
+        """Parse a schedule object: the fields by name, ``kind`` as
+        ``type``, a missing one at its default.
 
         ``beta``, ``annulus_ratio`` and ``total_area`` must be JSON integers
         or ``"p/q"`` strings, ``power`` and ``shift`` JSON integers; anything
-        else raises ``ConfigError``.
+        else, or an unknown key, raises ``ConfigError``.
         """
-        if not isinstance(obj, dict):
-            raise ConfigError(f"schedule must be an object, got {obj!r}")
-        return cls(
-            kind=obj.get("type", "power"),
-            beta=obj.get("beta", 1),
-            power=obj.get("power", 2),
-            shift=obj.get("shift", 2),
-            annulus_ratio=obj.get("annulus_ratio", "1/2"),
-            total_area=(as_fraction(obj["total_area"], "total_area")
-                        if "total_area" in obj else None),
-        )
+        fields = _json_fields(obj, "schedule must be an object", optional=(
+            "type", "beta", "power", "shift", "annulus_ratio", "total_area"))
+        if "type" in fields:
+            fields["kind"] = fields.pop("type")
+        return cls(**fields)
 
 
 def _k_range(k_range) -> Tuple[int, int]:
@@ -129,9 +127,10 @@ def _k_range(k_range) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Sweep settings shared by the scan subcommands."""
+    """Sweep settings shared by the scan subcommands.  ``k_range`` has no
+    usable default: a missing one raises ``ConfigError``."""
 
-    k_range: Tuple[int, int]
+    k_range: Optional[Tuple[int, int]] = None
     schedule: AreaSchedule = field(default_factory=AreaSchedule)
     c0: Fraction = Fraction(1)
     output_format: str = "csv"
@@ -143,24 +142,22 @@ class ScanConfig:
         object.__setattr__(self, "k_range", (lo, hi))
         if lo <= -self.schedule.shift <= hi:
             self.schedule.disc_area(-self.schedule.shift)  # refuses 0
-        object.__setattr__(self, "c0", as_fraction(self.c0, "c0"))
-        if self.c0 == 0:
-            raise ConfigError("c0 must be nonzero")
+        object.__setattr__(self, "c0", BulkParameter(self.c0).c0)
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format must be csv or json")
 
     @classmethod
     def from_obj(cls, obj) -> "ScanConfig":
-        """Parse a scan config object: ``k_range`` is two JSON integers,
-        ``c0`` a JSON integer or ``"p/q"`` string."""
-        if not isinstance(obj, dict):
-            raise ConfigError(f"a scan config must be an object, got {obj!r}")
-        return cls(
-            k_range=obj.get("k_range"),
-            schedule=AreaSchedule.from_obj(obj.get("schedule", {})),
-            c0=obj.get("c0", 1),
-            output_format=obj.get("output_format", "csv"),
-        )
+        """Parse a scan config object: the fields by name, a missing one at
+        its default.  ``k_range`` is two JSON integers, ``c0`` a JSON
+        integer or ``"p/q"`` string; an unknown key raises
+        ``ConfigError``."""
+        fields = _json_fields(obj, "a scan config must be an object",
+                              optional=("k_range", "schedule", "c0",
+                                        "output_format"))
+        if "schedule" in fields:
+            fields["schedule"] = AreaSchedule.from_obj(fields["schedule"])
+        return cls(**fields)
 
 
 WEYL_COLUMNS = ("k", "A", "B", "val_Z", "val_Z_over_k", "defect_bound")
@@ -228,11 +225,14 @@ def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
     """
     lo, hi = _k_range(k_range)
     # The top k first, so a bad omega or a k above SYMK_K_LIMIT is refused
-    # before any row (max(hi, 1): an empty range's omega too).
-    omega = _idempotent_columns(max(hi, 1), omega)[0]
+    # before any row (max(hi, 1): an empty range's omega too); its columns
+    # make the last row, so no table is built twice.
+    top = max(hi, 1)
+    checked = _idempotent_columns(top, omega)
+    omega = checked[0]
     rows = []
     for k in range(lo, hi + 1):
-        _, step, cols = _idempotent_columns(k, omega)
+        _, step, cols = checked if k == top else _idempotent_columns(k, omega)
         tops = {max(w for w, a in enumerate(col) if a) for col in cols}
         if len(tops) != 1:
             raise ConfigError(f"idempotent valuations differ at k = {k}")

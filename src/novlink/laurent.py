@@ -28,8 +28,9 @@ from .novikov import (
     NovikovSeries,
     _divider,
     _entry,
-    _json_key,
+    _json_fields,
     _parse_json_int,
+    _positive_int,
     as_precision,
     is_unitary,
     linear_combination,
@@ -89,10 +90,10 @@ class UnitaryPoint:
     @classmethod
     def from_obj(cls, obj) -> "UnitaryPoint":
         """Parse ``to_obj`` output: an object whose ``coords`` is a list."""
-        coords = obj.get("coords") if isinstance(obj, dict) else None
+        rule = "a point must be an object with a \"coords\" list"
+        coords = _json_fields(obj, rule, ("coords",))["coords"]
         if not isinstance(coords, list):
-            raise ConfigError(f"a point must be an object with a \"coords\" "
-                              f"list, got {obj!r}")
+            raise ConfigError(f"{rule}, got {obj!r}")
         return cls([NovikovSeries.from_obj(c) for c in coords])
 
     def __repr__(self):
@@ -114,9 +115,7 @@ class LaurentPotential:
     __slots__ = ("_num_vars", "_terms")
 
     def __init__(self, num_vars: int, terms=()):
-        if _parse_json_int(num_vars, "num_vars") < 1:
-            raise ConfigError("num_vars must be a positive integer")
-        self._num_vars = num_vars
+        self._num_vars = _positive_int(num_vars, "num_vars")
         if hasattr(terms, "items"):
             terms = terms.items()
         cleaned: Dict[ExponentVector, NovikovSeries] = {}
@@ -273,36 +272,27 @@ class LaurentPotential:
         """Parse ``to_obj`` output, or a bare term list.
 
         ``num_vars`` and the monomial exponents must be JSON integers; a
-        float, bool or string raises ``ConfigError``.
+        float, bool or string, or an unknown key, raises ``ConfigError``.
         """
-        if isinstance(obj, list):
-            items = obj
-            if not items:
-                raise ConfigError("cannot infer variable count from an "
-                                  "empty term list")
-            num_vars = None
-        elif isinstance(obj, dict):
-            items = obj.get("terms", [])
-            num_vars = obj.get("num_vars")
-            if num_vars is None and not items:
-                raise ConfigError("potential needs num_vars or terms")
-        else:
-            raise ConfigError(f"a potential must be a term list or an "
-                              f"object, got {obj!r}")
+        fields = _json_fields({"terms": obj} if isinstance(obj, list) else obj,
+                              "a potential must be a term list or an object",
+                              optional=("num_vars", "terms"))
+        rule = "potential terms must be a list of objects"
+        items = fields.get("terms", [])
         if not isinstance(items, list):
-            raise ConfigError("potential terms must be a list")
+            raise ConfigError(f"{rule}, got {items!r}")
         terms = []
         for item in items:
-            m = (_json_key(item, "m", "potential term")
-                 if isinstance(item, dict) else None)
-            if not isinstance(m, list):
+            item = _json_fields(item, rule, ("m", "coeff"))
+            if not isinstance(item["m"], list):
                 raise ConfigError(f"monomial exponents must be a list of "
-                                  f"integers, got {m!r}")
-            terms.append((m, NovikovSeries.from_obj(
-                _json_key(item, "coeff", "potential term"))))
-        if num_vars is None:
-            num_vars = len(terms[0][0])
-        return cls(num_vars, terms)
+                                  f"integers, got {item['m']!r}")
+            terms.append((item["m"], NovikovSeries.from_obj(item["coeff"])))
+        if "num_vars" in fields:
+            return cls(fields["num_vars"], terms)
+        if not terms:
+            raise ConfigError("potential needs num_vars or terms")
+        return cls(len(terms[0][0]), terms)
 
     def __repr__(self):
         body = " + ".join(f"({c})*z^{list(m)}" for m, c in self.items())

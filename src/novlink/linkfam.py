@@ -37,7 +37,7 @@ from .laurent import LaurentPotential, UnitaryPoint
 from .novikov import (
     NovikovSeries,
     _least_valuation,
-    _parse_json_int,
+    _positive_int,
     as_fraction,
 )
 
@@ -56,11 +56,9 @@ class CircleLinkS2:
     total_area: Fraction
 
     def __init__(self, k: int, A, B):
-        k = _parse_json_int(k, "k")
+        k = _positive_int(k, "k")
         A = as_fraction(A, "A")
         B = as_fraction(B, "B")
-        if k < 1:
-            raise ConfigError("k must be a positive integer")
         if not (0 < A < B):
             raise AreaError("not η-monotone")
         object.__setattr__(self, "k", k)
@@ -83,7 +81,7 @@ class BulkParameter:
     def __init__(self, c0=Fraction(1)):
         c0 = as_fraction(c0, "c0")
         if c0 == 0:
-            raise ConfigError("c0 must be a nonzero rational")
+            raise ConfigError("c0 must be nonzero")
         object.__setattr__(self, "c0", c0)
 
 

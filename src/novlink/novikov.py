@@ -402,23 +402,19 @@ class NovikovSeries:
         """Parse ``to_obj`` output, or a bare term list for an exact series.
 
         Coefficients, exponents and the precision must be JSON integers or
-        strings; a float or bool, or a term without ``"c"`` or ``"e"``,
-        raises ``ConfigError``.
+        strings; a float or bool, a term without ``"c"`` or ``"e"``, or an
+        unknown key raises ``ConfigError``.
         """
-        if isinstance(obj, list):
-            terms = obj
-            prec = "inf"
-        elif isinstance(obj, dict):
-            terms = obj.get("terms", [])
-            prec = obj.get("prec", "inf")
-        else:
-            raise ConfigError(f"a series must be a term list or an object, "
-                              f"got {obj!r}")
-        if not isinstance(terms, list) or not all(isinstance(t, dict)
-                                                  for t in terms):
-            raise ConfigError("series terms must be a list of objects")
-        return cls([(_json_key(t, "c", "series term"),
-                     _json_key(t, "e", "series term")) for t in terms], prec)
+        fields = _json_fields({"terms": obj} if isinstance(obj, list) else obj,
+                              "a series must be a term list or an object",
+                              optional=("terms", "prec"))
+        rule = "series terms must be a list of objects"
+        terms = fields.get("terms", [])
+        if not isinstance(terms, list):
+            raise ConfigError(f"{rule}, got {terms!r}")
+        terms = [_json_fields(t, rule, ("c", "e")) for t in terms]
+        return cls([(t["c"], t["e"]) for t in terms],
+                   fields.get("prec", INFINITY))
 
     def __repr__(self):
         return f"NovikovSeries({self})"
@@ -453,11 +449,37 @@ def _parse_json_int(x, what: str) -> int:
     return x
 
 
-def _json_key(obj: dict, key: str, what: str):
-    """``obj[key]``, or ``ConfigError`` naming the missing key."""
-    if key not in obj:
-        raise ConfigError(f"{what} {obj!r} has no \"{key}\"")
-    return obj[key]
+def _positive_int(x, what: str) -> int:
+    """``x`` if it is a JSON integer of at least 1, else ``ConfigError``."""
+    if _parse_json_int(x, what) < 1:
+        raise ConfigError(f"{what} must be a positive integer")
+    return x
+
+
+def _positive_fraction(x: RationalLike, what: str) -> Fraction:
+    """``as_fraction(x, what)`` if it is above 0, else ``ConfigError``."""
+    x = as_fraction(x, what)
+    if x <= 0:
+        raise ConfigError(f"{what} must be positive")
+    return x
+
+
+def _json_fields(obj, rule: str, required=(), optional=()) -> dict:
+    """A copy of the JSON object ``obj``, which has every key of the tuple
+    ``required`` and others only from ``optional``.  ``rule`` says what
+    ``obj`` must be and leads each ``ConfigError``: for a non-object, a
+    missing key (``has no "<key>"``) or an unknown one, which a typo would
+    otherwise turn into a default without a word."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{rule}, got {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{rule}; {obj!r} has no \"{key}\"")
+    for key in obj:
+        if key not in required + optional:
+            raise ConfigError(f"{rule}; {obj!r} has an unknown key {key!r}, "
+                              f"not one of {required + optional}")
+    return dict(obj)
 
 
 def _fmt_exp(e) -> str:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, SpectrumError, SubadditivityError
-from .novikov import as_fraction
+from .novikov import _positive_fraction, _positive_int, as_fraction
 
 #: Most spectrum points ``enumerate_spectrum`` may have to build.
 SPECTRUM_POINT_LIMIT = 10 ** 6
@@ -61,11 +61,8 @@ class SpectrumConfig:
     window: Tuple[Fraction, Fraction]
 
     def __init__(self, k: int, pi_generator, window):
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ConfigError(f"k must be a positive integer, got {k!r}")
-        pi_generator = as_fraction(pi_generator, "pi_generator")
-        if pi_generator <= 0:
-            raise ConfigError("pi_generator must be positive")
+        k = _positive_int(k, "k")
+        pi_generator = _positive_fraction(pi_generator, "pi_generator")
         if not (isinstance(window, (list, tuple)) and len(window) == 2):
             raise ConfigError(f"window must be a pair (lo, hi), got "
                               f"{window!r}")

@@ -32,9 +32,9 @@ from .novikov import (
     NovikovSeries,
     _entry,
     _least_valuation,
-    _parse_json_int,
+    _positive_fraction,
+    _positive_int,
     _product_precision,
-    as_fraction,
 )
 
 #: Largest ``k`` the idempotents are computed for.  Their ``(k+1)^2``
@@ -42,6 +42,13 @@ from .novikov import (
 #: ``k^3``.  In process, ``scan nobulk --kmax 160`` took 0.3-0.5 s and
 #: ``qh idempotents --k 160`` 0.25 s (Python 3.11.7, 2-core x86-64).
 SYMK_K_LIMIT = 160
+
+
+def _sphere_algebra(k, omega):
+    """``(k, omega)`` of a ``k``-fold sphere algebra, ``omega`` as a
+    ``Fraction``: a ``k`` that is not a positive JSON integer, or an
+    ``omega`` that is not a positive rational, raises ``ConfigError``."""
+    return _positive_int(k, "k"), _positive_fraction(omega, "omega")
 
 
 class SymQHElement:
@@ -56,15 +63,11 @@ class SymQHElement:
     __slots__ = ("k", "omega", "_coeffs")
 
     def __init__(self, k: int, omega, coeffs):
-        if _parse_json_int(k, "k") < 1:
-            raise ConfigError("k must be a positive integer")
+        k, omega = _sphere_algebra(k, omega)
         coeffs = tuple(_entry(c, "coeffs", j) for j, c in enumerate(coeffs))
         if len(coeffs) != k + 1:
             raise ConfigError(f"need {k + 1} basis coefficients, "
                               f"got {len(coeffs)}")
-        omega = as_fraction(omega, "omega")
-        if omega <= 0:
-            raise ConfigError("omega must be positive")
         self.k = k
         self.omega = omega
         self._coeffs = coeffs
@@ -140,20 +143,20 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
       ``2^k``, so an output coefficient is ``2^-k sum_t K_t(l) chi_t``, an
       exact integer division, shifted back by ``-l*omega/2``: ``O(k^2)``
       integer products, where two dense factors cost ``O(k^3)``
-      structure-constant updates, and ``O(k^2)`` steps for the precisions
-      (``_slot_precisions``).
+      structure-constant updates.
     * **Scatter** (``_scatter``), for every other pair.  The structure
       constants in their unrescaled form ``m_i m_j = sum_l C(l, i-c) C(k-l,
-      c) T^(c*omega) m_l``, summed over every slot pair, precisions in the
-      same loop.  Operands whose terms sit at unrelated exponents have
-      about one class per term, and a transform per class pair would cost
-      ``(k + 1)^2`` each.
+      c) T^(c*omega) m_l``, summed over every slot pair.  Operands whose
+      terms sit at unrelated exponents have about one class per term, and
+      a transform per class pair would cost ``(k + 1)^2`` each.
 
     Either way the sum runs on integer forms: exponents, precisions and
     ``omega`` share one denominator, each operand's coefficients have their
-    own.  A slot's precision is the least over its contributions of
-    ``min(p_i + val_j, p_j + val_i) + c*omega``, exactly what series
-    arithmetic would give; a slot nothing reaches stays an exact ``0``.
+    own.  Both paths take the slots' precisions from ``_slot_precisions``,
+    the one precision rule, in ``O(k^2)`` steps: a slot's precision is the
+    least over its contributions of ``min(p_i + val_j, p_j + val_i) +
+    c*omega``, exactly what series arithmetic would give; a slot nothing
+    reaches stays an exact ``0``.
     """
     x._check(y)
     k, omega = x.k, x.omega
@@ -164,13 +167,10 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
     dcx, xt = _integer_rows(xs, de)
     dcy, yt = _integer_rows(ys, de)
     a, b = _degree_class(step, xt), _degree_class(step, yt)
-    if a is None or b is None:
-        slots, prec = _scatter(k, de, step, xt, yt)
-    else:
-        slots = _transform(k, step, a + b, xt, yt)
-        prec = _slot_precisions(k, de, step, xt, yt)
+    slots = (_scatter(k, step, xt, yt) if a is None or b is None
+             else _transform(k, step, a + b, xt, yt))
     out = []
-    for slot, p in zip(slots, prec):
+    for slot, p in zip(slots, _slot_precisions(k, de, step, xt, yt)):
         E = sorted(slot)
         out.append(NovikovSeries._raw(de, dcx * dcy, E, [slot[e] for e in E],
                                       p))
@@ -229,20 +229,18 @@ def _transform(k: int, step: int, a: int, xt, yt):
     return slots
 
 
-def _scatter(k: int, de: int, step: int, xt, yt):
-    """Product terms as ``_transform`` gives them, and the slots'
-    precisions as ``_slot_precisions`` does, by the structure constants
-    ``m_i m_j = sum_l C(l, i-c) C(k-l, c) T^(c*omega) m_l``."""
+def _scatter(k: int, step: int, xt, yt):
+    """Product terms as ``_transform`` gives them, by the structure
+    constants ``m_i m_j = sum_l C(l, i-c) C(k-l, c) T^(c*omega) m_l``;
+    ``_slot_precisions`` gives the slots' precisions on both paths."""
     slots = [{} for _ in range(k + 1)]
-    prec = [None] * (k + 1)
-    for i, ci, ti in xt:
-        for j, cj, tj in yt:
+    for i, _, ti in xt:
+        for j, _, tj in yt:
             prod: dict = {}
             for ea, ca in ti:
                 for eb, cb in tj:
                     e = ea + eb
                     prod[e] = prod.get(e, 0) + ca * cb
-            base = _product_precision(ci, cj, de)
             for c in range(max(0, i + j - k), min(i, j) + 1):
                 l = i + j - 2 * c
                 mult = comb(l, i - c) * comb(k - l, c)
@@ -252,10 +250,7 @@ def _scatter(k: int, de: int, step: int, xt, yt):
                 for e, v in prod.items():
                     e += shift
                     slot[e] = get(e, 0) + v * mult
-                if base is not None and (prec[l] is None
-                                         or base + shift < prec[l]):
-                    prec[l] = base + shift
-    return slots, prec
+    return slots
 
 
 def _slot_precisions(k: int, de: int, step: int, xt, yt):
@@ -324,18 +319,14 @@ def _idempotent_columns(k: int, omega):
     The coefficient of ``m_w`` in ``E_j`` is ``2^-k (-1)^w K_j(w)
     T^(w*step)``.  ``step`` is negative, so ``val(E_j)`` is ``step`` times
     the top ``w`` with ``K_j(w) != 0``: the scan reads it off the integers
-    without building a series.  A ``k`` that is not a positive integer up
-    to ``SYMK_K_LIMIT``, or an ``omega`` that is not positive, raises
-    ``ConfigError``.
+    without building a series.  ``k`` and ``omega`` pass
+    ``_sphere_algebra``, and a ``k`` above ``SYMK_K_LIMIT`` raises
+    ``ConfigError`` too.
     """
-    if _parse_json_int(k, "k") < 1:
-        raise ConfigError("k must be a positive integer")
+    k, omega = _sphere_algebra(k, omega)
     if k > SYMK_K_LIMIT:
         raise ConfigError(f"k = {k} is above the limit SYMK_K_LIMIT = "
                           f"{SYMK_K_LIMIT}")
-    omega = as_fraction(omega, "omega")
-    if omega <= 0:
-        raise ConfigError("omega must be positive")
     return omega, -omega / 2, list(zip(*_krawtchouk(k)))
 
 

@@ -31,7 +31,7 @@ from novlink.harness import (
     render_rows,
     weyl_scan,
 )
-from novlink.laurent import LaurentPotential
+from novlink.laurent import LaurentPotential, UnitaryPoint
 from novlink.linkfam import (
     BulkParameter,
     CircleLinkS2,
@@ -125,7 +125,7 @@ class TestSchedules:
         obj = {"k_range": [1, 12],
                "schedule": {"type": "power", "beta": "1", "power": 2,
                             "shift": 2},
-               "c0": "1", "omega": "1", "output_format": "csv"}
+               "c0": "1", "output_format": "csv"}
         cfg = ScanConfig.from_obj(obj)
         assert cfg.k_range == (1, 12)
         assert cfg.schedule.disc_area(1) == F(1, 9)
@@ -177,6 +177,17 @@ class TestSchedules:
                 ScanConfig.from_obj(bad)
         with pytest.raises(ConfigError, match="must be an object"):
             ScanConfig.from_obj([1, 2])
+
+    def test_omega_is_not_a_scan_config_key(self):
+        # ``scan weyl`` has no omega; ``scan nobulk`` takes it as an option.
+        with pytest.raises(ConfigError, match="unknown key 'omega'"):
+            ScanConfig.from_obj({"k_range": [1, 12], "omega": "1"})
+
+    def test_missing_fields_take_the_dataclass_defaults(self):
+        assert ScanConfig.from_obj({"k_range": [1, 2]}) == ScanConfig((1, 2))
+        assert AreaSchedule.from_obj({}) == AreaSchedule()
+        with pytest.raises(ConfigError, match="k_range must be a pair"):
+            ScanConfig()
 
 
 class TestWeylScan:
@@ -308,6 +319,13 @@ class TestNobulkScan:
         symk_idempotents(2, F(2, 3))  # the counter does see series
         assert len(calls) == 9
 
+    def test_builds_each_table_once(self):
+        # The top k's table is checked first and makes the last row, so
+        # the ascending rows do not evict it and build it again.
+        symprodqh._krawtchouk.cache_clear()
+        assert len(nobulk_scan((1, 32), F(1))) == 32
+        assert symprodqh._krawtchouk.cache_info().misses == 32
+
     def test_unequal_columns_are_refused(self, monkeypatch):
         columns = symprodqh._idempotent_columns
 
@@ -388,6 +406,36 @@ RATIONAL_ENTRIES = {
 def test_every_rational_entry_refuses_non_rationals(entry, bad):
     with pytest.raises(ConfigError):
         RATIONAL_ENTRIES[entry](bad)
+
+
+# Every JSON reader, with a valid object that carries one key it does not
+# know.  A misspelt key must not fall back to a default: ``"precision"``
+# for ``"prec"`` would make the series exact.
+UNKNOWN_KEYS = {
+    "series": (NovikovSeries.from_obj, {**ONE, "precision": "3"},
+               "precision"),
+    "series term": (NovikovSeries.from_obj,
+                    [{"c": "1", "e": "0", "prec": "3"}], "prec"),
+    "potential": (LaurentPotential.from_obj,
+                  {"num_vars": 1, "terms": [], "vars": 1}, "vars"),
+    "potential term": (LaurentPotential.from_obj,
+                       [{"m": [1], "coeff": ONE, "c": "2"}], "c"),
+    "point": (UnitaryPoint.from_obj, {"coords": [ONE], "prec": "3"},
+              "prec"),
+    "schedule": (AreaSchedule.from_obj, {"kind": "constant"}, "kind"),
+    "scan config": (ScanConfig.from_obj,
+                    {"k_range": [1, 2], "schedul": {"type": "constant"}},
+                    "schedul"),
+    "Hessian": (cli._hessian_entries, {"entries": [[ONE]], "rows": 1},
+                "rows"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(UNKNOWN_KEYS))
+def test_every_json_reader_refuses_an_unknown_key(reader):
+    parse, obj, key = UNKNOWN_KEYS[reader]
+    with pytest.raises(ConfigError, match=f"has an unknown key '{key}'"):
+        parse(obj)
 
 
 class TestCLI:
@@ -843,6 +891,36 @@ class TestCLI:
         assert cfg.schedule.beta == F(1, 2)
         assert cfg.schedule.annulus_ratio == F(1, 3)
         assert cfg.schedule.total_area == 1
+
+    @pytest.mark.parametrize("command, obj, key", [
+        ("find", {"num_vars": 1, "terms": [], "vars": 1}, "vars"),
+        ("find", [{"m": [1], "coeff": ONE, "sign": 1}], "sign"),
+        ("find", [{"m": [1], "coeff": {**ONE, "precision": "3"}}],
+         "precision"),
+        ("lift", {"coords": [ONE], "prec": "3"}, "prec"),
+        ("trace", {"entries": [[ONE]], "rows": 1}, "rows"),
+        ("trace", [[{"terms": [{"c": "1", "e": "0", "p": "3"}]}]], "p"),
+        ("weyl", {"k_range": [1, 2], "schedul": {"type": "constant"}},
+         "schedul"),
+        ("weyl", {"k_range": [1, 2], "schedule": {"typ": "constant"}},
+         "typ"),
+    ])
+    def test_unknown_key_in_input_file_exits_2(self, tmp_path, capsys,
+                                               command, obj, key):
+        path = self._write(tmp_path, "input.json", obj)
+        wpath = self._write(tmp_path, "W.json", [{"m": [1], "coeff": ONE}])
+        argv = {
+            "find": ["crit", "find", "--potential", path],
+            "lift": ["crit", "lift", "--potential", wpath, "--seed", path,
+                     "--prec", "2"],
+            "trace": ["trace", "check", "--hessian", path],
+            "weyl": ["scan", "weyl", "--config", path],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error: " in captured.err
+        assert f"has an unknown key '{key}'" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("seed", [[1], {"coords": 1}, "z", {}])
     def test_malformed_seed_point_exits_2(self, tmp_path, capsys, seed):

@@ -1,6 +1,7 @@
 """Source hygiene of ``src/novlink``, read with the stdlib ``ast`` alone:
-every imported name is used, and every private module-level name is
-referenced somewhere other than its own definition."""
+every imported name is used, every private module-level name is
+referenced somewhere other than its own definition, and the JSON shape
+tests stay in ``novikov``."""
 
 from __future__ import annotations
 
@@ -95,3 +96,26 @@ def test_every_private_name_is_referenced():
         for private, node in private_definitions(tree)
         if everywhere[private] == references(node)[private]]
     assert unreferenced == []
+
+
+def isinstance_classes(tree):
+    """``(class name, line)`` for each class an ``isinstance`` call in
+    ``tree`` tests against, alone or in a tuple."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            spec = node.args[1]
+            for cls in spec.elts if isinstance(spec, ast.Tuple) else [spec]:
+                if isinstance(cls, ast.Name):
+                    yield cls.id, node.lineno
+
+
+@pytest.mark.parametrize("cls", ["bool", "dict"])
+def test_json_shapes_are_tested_in_novikov_alone(cls):
+    """A JSON integer (``bool`` is an ``int``) is told apart by
+    ``_parse_json_int`` and a JSON object by ``_json_fields``; a second
+    copy elsewhere would grow its own rules and messages."""
+    found = [f"{path.name}:{line}" for path in MODULES
+             if path.name != "novikov.py"
+             for name, line in isinstance_classes(parse(path)) if name == cls]
+    assert found == []

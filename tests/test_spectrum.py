@@ -50,7 +50,7 @@ class TestEnumerate:
     def test_window_validation(self):
         with pytest.raises(ConfigError):
             cfg(1, 1, 2, 1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
             SpectrumConfig(k=0, pi_generator=1, window=(0, 1))
 
     @pytest.mark.parametrize("window", [5, (0,), (0, 1, 2), "01", None])
@@ -66,7 +66,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("k", [2.5, F(2), True, "2"])
     def test_non_integer_k_rejected(self, k):
         # A period budget is a count: it is refused, not cut to an int.
-        with pytest.raises(ConfigError, match="positive integer"):
+        with pytest.raises(ConfigError, match="k must be a JSON integer"):
             SpectrumConfig(k=k, pi_generator=1, window=(0, 1))
 
     def test_permutation_invariance(self):
