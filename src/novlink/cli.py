@@ -36,7 +36,7 @@ from .errors import (
     SpectrumError,
 )
 from .laurent import LaurentPotential, UnitaryPoint, det_bareiss
-from .novikov import NovikovSeries, _json_fields, as_fraction
+from .novikov import NovikovSeries, _json_array, _json_list
 from .spectrum import ModelOrbitSet, SpectrumConfig, enumerate_spectrum
 from .symprodqh import symk_idempotents
 
@@ -60,7 +60,7 @@ def _cmd_crit_find(args) -> int:
 def _cmd_crit_lift(args) -> int:
     W = LaurentPotential.from_obj(_load_json(args.potential))
     seed = UnitaryPoint.from_obj(_load_json(args.seed))
-    cfg = LiftConfig(target_precision=as_fraction(args.prec, "--prec"))
+    cfg = LiftConfig(target_precision=args.prec)
     cert = hensel_lift(W, seed, cfg)
     try:
         det_valuation = str(cert.det_valuation())
@@ -77,21 +77,17 @@ def _cmd_crit_lift(args) -> int:
 
 
 def _hessian_entries(obj):
-    """The rows of a ``trace check`` input: a list of lists, or an object
-    whose ``entries`` is one; anything else raises ``ConfigError``."""
+    """The series rows of a ``trace check`` input: a list of lists, or an
+    object whose ``entries`` is one; anything else raises ``ConfigError``."""
     rule = ("a Hessian must be a list of rows (lists of series) or an "
             "object whose \"entries\" is one")
-    entries = (obj if isinstance(obj, list)
-               else _json_fields(obj, rule, ("entries",))["entries"])
-    if not (isinstance(entries, list)
-            and all(isinstance(row, list) for row in entries)):
-        raise ConfigError(f"{rule}, got {entries!r}")
-    return entries
+    rows, _ = _json_list(obj, rule, "entries", required=("entries",))
+    return [[NovikovSeries.from_obj(e) for e in _json_array(row, rule)]
+            for row in rows]
 
 
 def _cmd_trace_check(args) -> int:
-    entries = _hessian_entries(_load_json(args.hessian))
-    matrix = [[NovikovSeries.from_obj(e) for e in row] for row in entries]
+    matrix = _hessian_entries(_load_json(args.hessian))
     alg = cliffordtrace.CliffordAlgebraModel(matrix)
     Z = cliffordtrace.trace_Z(alg)
     det = det_bareiss(matrix)
@@ -111,8 +107,7 @@ def _cmd_trace_check(args) -> int:
 
 
 def _cmd_qh_idempotents(args) -> int:
-    omega = as_fraction(args.omega, "--omega")
-    idems = symk_idempotents(args.k, omega)
+    idems = symk_idempotents(args.k, args.omega)
     for j, e in enumerate(idems):
         v = e.valuation()
         print(f"e[{j}] val = {v}  val/k = {v / args.k}")
@@ -123,35 +118,30 @@ def _cmd_qh_idempotents(args) -> int:
 
 
 def _cmd_spectrum_enum(args) -> int:
-    values = [as_fraction(v, "--values") for v in args.values.split(",")
-              if v.strip()]
-    lo_hi = [as_fraction(v, "--window") for v in args.window.split(",")]
-    if len(lo_hi) != 2:
-        raise ConfigError("window must be lo,hi")
-    cfg = SpectrumConfig(k=args.k, pi_generator=as_fraction(args.pi, "--pi"),
-                         window=(lo_hi[0], lo_hi[1]))
-    spec = enumerate_spectrum(ModelOrbitSet(values), cfg)
+    orbits = ModelOrbitSet([v for v in args.values.split(",") if v.strip()])
+    cfg = SpectrumConfig(k=args.k, pi_generator=args.pi,
+                         window=args.window.split(","))
+    spec = enumerate_spectrum(orbits, cfg)
     print(json.dumps([str(x) for x in spec]))
     return 0
 
 
 def _cmd_scan_weyl(args) -> int:
     cfg = harness.ScanConfig.from_obj(_load_json(args.config))
-    rows = harness.weyl_scan(cfg)
-    text = harness.render_rows(rows, harness.WEYL_COLUMNS, cfg.output_format)
-    _emit(text, args.out)
+    _emit(harness.weyl_scan(cfg), harness.WEYL_COLUMNS, cfg.output_format,
+          args.out)
     return 0
 
 
 def _cmd_scan_nobulk(args) -> int:
-    rows = harness.nobulk_scan((args.kmin, args.kmax),
-                               as_fraction(args.omega, "--omega"))
-    text = harness.render_rows(rows, harness.NOBULK_COLUMNS, args.format)
-    _emit(text, args.out)
+    _emit(harness.nobulk_scan((args.kmin, args.kmax), args.omega),
+          harness.NOBULK_COLUMNS, args.format, args.out)
     return 0
 
 
-def _emit(text: str, out):
+def _emit(rows, columns, output_format: str, out):
+    """Write the table (``harness.render_rows``) to ``out`` or stdout."""
+    text = harness.render_rows(rows, columns, output_format)
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -217,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     nobulk.add_argument("--kmax", type=int, required=True)
     nobulk.add_argument("--kmin", type=int, default=1)
     nobulk.add_argument("--omega", required=True, metavar="p/q")
-    nobulk.add_argument("--format", choices=("csv", "json"), default="csv")
+    nobulk.add_argument("--format", choices=harness.OUTPUT_FORMATS,
+                        default="csv")
     nobulk.add_argument("--out", default=None)
     nobulk.set_defaults(func=_cmd_scan_nobulk)
 

@@ -26,8 +26,8 @@ form exactly.  Both constants are frozen below and never re-tuned.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
     ConfigError,
     DegenerateTraceError,
 )
-from .laurent import _components
+from .laurent import _components, _square
 from .novikov import (
     Exponent,
     INFINITY,
@@ -86,13 +86,8 @@ class CliffordAlgebraModel:
     """Rank ``2^n`` algebra built from a symmetric series-valued form."""
 
     def __init__(self, form: Sequence[Sequence[NovikovSeries]]):
-        n = len(form)
-        rows = []
-        for i, row in enumerate(form):
-            row = [_entry(x, "form", i, j) for j, x in enumerate(row)]
-            if len(row) != n:
-                raise ConfigError("form matrix is not square")
-            rows.append(tuple(row))
+        rows = [tuple(row) for row in _square(form, "form", "form matrix")]
+        n = len(rows)
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
@@ -189,7 +184,8 @@ class CliffordElement:
     """Finite combination of wedge-basis elements with series coefficients.
 
     A coefficient known only as ``O(T^p)`` is kept: only exact zeros are
-    dropped.
+    dropped.  A coefficient must be a series or an exact rational; anything
+    else raises ``ConfigError`` naming it, e.g. ``coeffs[(1,)]``.
     """
 
     __slots__ = ("algebra", "_coeffs")
@@ -200,7 +196,7 @@ class CliffordElement:
         cleaned = {}
         for I, c in coeffs.items():
             I = tuple(sorted(I))
-            c = NovikovSeries.from_scalar(c)
+            c = _entry(c, "coeffs", I)
             if not c.is_exact_zero():
                 cleaned[I] = c
         self._coeffs = cleaned
@@ -356,11 +352,8 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
             raise ConfigError(f"the trace needs more than TRACE_WORK_LIMIT "
                               f"= {TRACE_WORK_LIMIT} units of work")
         blocks.append(rows)
-    Z = None
-    for rows in blocks:
-        z = _trace_loop(rows)
-        Z = z if Z is None else Z * z
-    return NovikovSeries.one() if Z is None else Z
+    traces = [_trace_loop(rows) for rows in blocks] or [NovikovSeries.one()]
+    return math.prod(traces[1:], start=traces[0])
 
 
 def _trace_work(rows, budget: int) -> int:
@@ -383,7 +376,7 @@ def _trace_work(rows, budget: int) -> int:
         low = I & -I
         r = low.bit_length() - 1
         reach.append(reach[I ^ low] | supp[r])
-        work += comb(reach[I].bit_count(), I.bit_count()) * weight[r]
+        work += math.comb(reach[I].bit_count(), I.bit_count()) * weight[r]
         if work > budget:
             break
     return work

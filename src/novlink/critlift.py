@@ -45,7 +45,8 @@ from .errors import (
 from .laurent import (
     LaurentPotential,
     UnitaryPoint,
-    _as_unitary_coords,
+    _as_point,
+    _classes,
     _table_gradient,
     _table_hessian,
     det_bareiss,
@@ -56,7 +57,6 @@ from .novikov import (
     NovikovSeries,
     _least_valuation,
     _positive_fraction,
-    as_precision,
 )
 
 #: Newton steps a lift may take before it is reported obstructed.  The
@@ -181,18 +181,13 @@ def _solve_polynomials(polys: List[Polynomial], k: int):
     A coupled block whose roots cannot all be written in radicals raises
     ``ConfigError``.
     """
-    blocks = []  # (variables, ascending indices of their polynomials)
-    for n, poly in enumerate(polys):
-        variables = {i for m in poly for i, e in enumerate(m) if e}
-        joined = [b for b in blocks if b[0] & variables]
-        for b in joined:
-            blocks.remove(b)
-            variables |= b[0]
-        blocks.append((variables,
-                       sorted(i for b in joined for i in b[1]) + [n]))
-    blocks = [(sorted(vs), [polys[i] for i in members])
-              for vs, members in blocks]
-    if sum(len(vs) for vs, _ in blocks) != k:
+    # The blocks are the classes (``_classes``) of the variables 0..k-1 and
+    # the polynomials, numbered from k, where a polynomial joins its variables.
+    blocks = [([i for i in c if i < k], [polys[i - k] for i in c if i >= k])
+              for c in _classes(k + len(polys), (
+                  (k + n, i) for n, p in enumerate(polys)
+                  for m in p for i, e in enumerate(m) if e))]
+    if not all(ps for _, ps in blocks):  # a variable in no polynomial
         raise NotZeroDimensionalError("leading system not zero-dimensional")
     bound = math.prod(_bezout_bound(len(vs), ps) for vs, ps in blocks)
     if bound > LEADING_SOLUTION_LIMIT:
@@ -476,7 +471,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     A lift whose cost, read off ``W``, the seed and ``work``, exceeds
     ``LIFT_WORK_LIMIT`` raises ``ConfigError`` before the first step.
     """
-    z0 = _as_unitary_coords(z0, W.num_vars)
+    z0 = _as_point(z0, W.num_vars)
     target = cfg.target_precision
     try:
         v0, lead = _leading_matrix(W.log_jet(z0, target)[1])
@@ -578,16 +573,10 @@ def certify_morse(W: LaurentPotential, z, target_precision=None
     With no explicit target the point's own precision is used; exact
     points are checked exactly.
     """
-    if not isinstance(z, UnitaryPoint):
-        z = UnitaryPoint(z)
-    if target_precision is None:
-        prec = z.precision()
-        target = None if prec is INFINITY else prec
-    else:
-        target = as_precision(target_precision, "target_precision")
-
+    z = _as_point(z, W.num_vars)
     reasons = []
-    residual, matrix = W.log_jet(z, target)
+    residual, matrix = W.log_jet(z, z.precision() if target_precision is None
+                                 else target_precision)
     grad_ok = all(r.is_zero() for r in residual)
     if not grad_ok:
         bad = min(r.val_lower_bound() for r in residual if not r.is_zero())

@@ -3,6 +3,10 @@
 The CLI maps these onto exit codes: configuration problems exit with 2,
 mathematical obstructions (non-Morse points, obstructed lifts, degenerate
 traces) exit with 3.
+
+Context beyond the message is given by keyword and read as an attribute,
+``None`` when not given: ``ObstructedError.order``, ``SpectrumError.index``
+and ``SubadditivityError.pair``, each named in its class's ``_context``.
 """
 
 from __future__ import annotations
@@ -10,6 +14,15 @@ from __future__ import annotations
 
 class NovlinkError(Exception):
     """Base class for all library errors."""
+
+    _context: tuple = ()
+
+    def __init__(self, *args, **context):
+        super().__init__(*args)
+        for name in self._context:
+            setattr(self, name, context.pop(name, None))
+        if context:
+            raise TypeError(f"unknown error context {', '.join(context)}")
 
 
 class ConfigError(NovlinkError):
@@ -54,9 +67,7 @@ class ObstructedError(NovlinkError):
     ``order`` carries the offending exponent.
     """
 
-    def __init__(self, message, order=None):
-        super().__init__(message)
-        self.order = order
+    _context = ("order",)
 
 
 class DegenerateTraceError(NovlinkError):
@@ -66,17 +77,13 @@ class DegenerateTraceError(NovlinkError):
 class SpectrumError(NovlinkError):
     """Invalid spectrum data or a spectrality violation."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    _context = ("index",)
 
 
 class SubadditivityError(NovlinkError):
     """Sequence fails the subadditivity inequality; ``pair`` names (m, n)."""
 
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
+    _context = ("pair",)
 
 
 class AreaError(NovlinkError):

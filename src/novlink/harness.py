@@ -26,6 +26,7 @@ from .errors import AreaError, ConfigError
 from .linkfam import BulkParameter, CircleLinkS2, critical_data
 from .novikov import (
     _json_fields,
+    _pair,
     _parse_json_int,
     _positive_fraction,
     as_fraction,
@@ -116,15 +117,6 @@ class AreaSchedule:
         return cls(**fields)
 
 
-def _k_range(k_range) -> Tuple[int, int]:
-    """``(lo, hi)`` from a pair of ints; any other shape or entry raises
-    ``ConfigError``."""
-    if not (isinstance(k_range, (tuple, list)) and len(k_range) == 2):
-        raise ConfigError(f"k_range must be a pair (lo, hi), got {k_range!r}")
-    lo, hi = (_parse_json_int(x, "k_range entry") for x in k_range)
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """Sweep settings shared by the scan subcommands.  ``k_range`` has no
@@ -136,15 +128,14 @@ class ScanConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
-        lo, hi = _k_range(self.k_range)
+        lo, hi = _pair(self.k_range, "k_range", _parse_json_int)
         if lo < 1 or hi < lo:
             raise ConfigError("k_range must satisfy 1 <= lo <= hi")
         object.__setattr__(self, "k_range", (lo, hi))
         if lo <= -self.schedule.shift <= hi:
             self.schedule.disc_area(-self.schedule.shift)  # refuses 0
         object.__setattr__(self, "c0", BulkParameter(self.c0).c0)
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError("output_format must be csv or json")
+        render_rows([], (), self.output_format)  # refuses another format
 
     @classmethod
     def from_obj(cls, obj) -> "ScanConfig":
@@ -160,6 +151,8 @@ class ScanConfig:
         return cls(**fields)
 
 
+#: The table formats ``render_rows`` writes.
+OUTPUT_FORMATS = ("csv", "json")
 WEYL_COLUMNS = ("k", "A", "B", "val_Z", "val_Z_over_k", "defect_bound")
 NOBULK_COLUMNS = ("k", "idempotent_count", "val_e", "val_e_over_k")
 
@@ -223,7 +216,7 @@ def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
     range reaching above ``SYMK_K_LIMIT``, raises ``ConfigError`` before
     any row is computed, an empty range's ``omega`` included.
     """
-    lo, hi = _k_range(k_range)
+    lo, hi = _pair(k_range, "k_range", _parse_json_int)
     # The top k first, so a bad omega or a k above SYMK_K_LIMIT is refused
     # before any row (max(hi, 1): an empty range's omega too); its columns
     # make the last row, so no table is built twice.
@@ -249,15 +242,17 @@ def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
 def render_rows(rows: List[Dict[str, object]], columns: Tuple[str, ...],
                 output_format: str) -> str:
     """The table as CSV with a header row, or as a JSON list of objects;
-    every entry is rendered with ``str``."""
-    if output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([str(row[c]) for c in columns])
-        return buf.getvalue()
+    every entry is rendered with ``str``.  A format not in
+    ``OUTPUT_FORMATS`` raises ``ConfigError``."""
+    if output_format not in OUTPUT_FORMATS:
+        raise ConfigError(f"output_format must be "
+                          f"{' or '.join(OUTPUT_FORMATS)}")
     if output_format == "json":
         out = [{c: str(row[c]) for c in columns} for row in rows]
         return json.dumps(out, indent=2) + "\n"
-    raise ConfigError("output_format must be csv or json")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([str(row[c]) for c in columns])
+    return buf.getvalue()

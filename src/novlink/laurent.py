@@ -14,6 +14,7 @@ adic precision is lost to division.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -28,8 +29,10 @@ from .novikov import (
     NovikovSeries,
     _divider,
     _entry,
+    _int_vector,
+    _json_array,
     _json_fields,
-    _parse_json_int,
+    _json_list,
     _positive_int,
     as_precision,
     is_unitary,
@@ -91,9 +94,8 @@ class UnitaryPoint:
     def from_obj(cls, obj) -> "UnitaryPoint":
         """Parse ``to_obj`` output: an object whose ``coords`` is a list."""
         rule = "a point must be an object with a \"coords\" list"
-        coords = _json_fields(obj, rule, ("coords",))["coords"]
-        if not isinstance(coords, list):
-            raise ConfigError(f"{rule}, got {obj!r}")
+        coords = _json_array(_json_fields(obj, rule, ("coords",))["coords"],
+                             rule)
         return cls([NovikovSeries.from_obj(c) for c in coords])
 
     def __repr__(self):
@@ -106,7 +108,7 @@ class LaurentPotential:
 
     ``terms`` is a mapping ``{m: coeff}`` or an iterable of ``(m, coeff)``
     pairs; repeated monomials are summed.  ``num_vars`` and the exponents
-    must be ints (a bool, float or string raises ``ConfigError``), and a
+    must be ints, in a list or tuple (else ``ConfigError``), and a
     coefficient a series or an exact rational (anything else raises
     ``ConfigError`` naming its monomial, e.g. ``terms[(1,)]``).  Only an
     exact-zero coefficient is dropped.
@@ -120,7 +122,7 @@ class LaurentPotential:
             terms = terms.items()
         cleaned: Dict[ExponentVector, NovikovSeries] = {}
         for m, coeff in terms:
-            m = tuple(_parse_json_int(e, "monomial exponents") for e in m)
+            m = _int_vector(m, "monomial exponents")
             if len(m) != self._num_vars:
                 raise ConfigError("exponent vector length does not match "
                                   "num_vars")
@@ -195,7 +197,7 @@ class LaurentPotential:
         finite-precision one keeps the precision it carries, and a
         multi-term exact one raises ``PrecisionError``.
         """
-        coords = _as_unitary_coords(point, self._num_vars)
+        coords = _as_point(point, self._num_vars).coords
         prec = (INFINITY if target_precision is None
                 else as_precision(target_precision, "target_precision"))
         min_cval = min((c.val_lower_bound() for c in self._terms.values()),
@@ -274,39 +276,31 @@ class LaurentPotential:
         ``num_vars`` and the monomial exponents must be JSON integers; a
         float, bool or string, or an unknown key, raises ``ConfigError``.
         """
-        fields = _json_fields({"terms": obj} if isinstance(obj, list) else obj,
-                              "a potential must be a term list or an object",
-                              optional=("num_vars", "terms"))
+        items, fields = _json_list(
+            obj, "a potential must be a term list or an object whose "
+            "\"terms\" is one", "terms", optional=("num_vars", "terms"))
         rule = "potential terms must be a list of objects"
-        items = fields.get("terms", [])
-        if not isinstance(items, list):
-            raise ConfigError(f"{rule}, got {items!r}")
-        terms = []
-        for item in items:
-            item = _json_fields(item, rule, ("m", "coeff"))
-            if not isinstance(item["m"], list):
-                raise ConfigError(f"monomial exponents must be a list of "
-                                  f"integers, got {item['m']!r}")
-            terms.append((item["m"], NovikovSeries.from_obj(item["coeff"])))
+        terms = [(t["m"], NovikovSeries.from_obj(t["coeff"])) for t in
+                 (_json_fields(item, rule, ("m", "coeff")) for item in items)]
         if "num_vars" in fields:
             return cls(fields["num_vars"], terms)
         if not terms:
             raise ConfigError("potential needs num_vars or terms")
-        return cls(len(terms[0][0]), terms)
+        return cls(len(_int_vector(terms[0][0], "monomial exponents")), terms)
 
     def __repr__(self):
         body = " + ".join(f"({c})*z^{list(m)}" for m, c in self.items())
         return f"LaurentPotential[{self._num_vars}]({body or '0'})"
 
 
-def _as_unitary_coords(point, num_vars):
+def _as_point(point, num_vars) -> UnitaryPoint:
+    """``point`` as a ``UnitaryPoint`` of ``num_vars`` coordinates."""
     if not isinstance(point, UnitaryPoint):
         point = UnitaryPoint(point)
-    coords = point.coords
-    if len(coords) != num_vars:
-        raise ConfigError(f"point has {len(coords)} coordinates, potential "
+    if len(point) != num_vars:
+        raise ConfigError(f"point has {len(point)} coordinates, potential "
                           f"has {num_vars} variables")
-    return coords
+    return point
 
 
 def _table_gradient(table, n) -> List[NovikovSeries]:
@@ -350,31 +344,48 @@ def _table_hessian(table, n, precision=INFINITY
 # -- series matrices ---------------------------------------------------------
 
 
-def _components(matrix: Sequence[Sequence[NovikovSeries]]
-                ) -> List[List[int]]:
-    """The index sets of the diagonal blocks of a square matrix.
+def _square(matrix, name: str, what: str = "matrix"
+            ) -> List[List[NovikovSeries]]:
+    """The rows of ``matrix`` as lists of series, each entry read by
+    ``_entry`` and named ``name[i][j]``; a row whose length is not the
+    row count raises ``ConfigError``: ``<what> is not square``."""
+    n = len(matrix)
+    rows = []
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise ConfigError(f"{what} is not square")
+        rows.append([_entry(x, name, i, j) for j, x in enumerate(row)])
+    return rows
 
-    A union-find over the entries that are not exact zeros: entry
-    ``(i, j)`` joins ``i`` and ``j``, so an entry known only as ``O(T^p)``
-    joins its rows too.  Every entry between two different blocks is an
-    exact zero, so the matrix is block diagonal once its rows and columns
-    are permuted alike.  The blocks come sorted, each by its least index.
-    """
-    parent = list(range(len(matrix)))
+
+def _classes(n: int, links) -> List[List[int]]:
+    """The classes of ``range(n)`` under the equivalence the pairs
+    ``links`` generate, by a union-find: each class ascending, the classes
+    sorted by their least member."""
+    parent = list(range(n))
 
     def root(i):
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for i, row in enumerate(matrix):
-        for j, x in enumerate(row):
-            if j != i and not x.is_exact_zero():
-                parent[root(i)] = root(j)
-    blocks: Dict[int, List[int]] = {}
-    for i in range(len(matrix)):
-        blocks.setdefault(root(i), []).append(i)
-    return list(blocks.values())
+    for i, j in links:
+        parent[root(i)] = root(j)
+    classes: Dict[int, List[int]] = {}
+    for i in range(n):
+        classes.setdefault(root(i), []).append(i)
+    return list(classes.values())
+
+
+def _components(matrix: Sequence[Sequence[NovikovSeries]]
+                ) -> List[List[int]]:
+    """The index sets of the diagonal blocks of a square matrix: the
+    classes (``_classes``) that its entries other than exact zeros join,
+    so an entry known only as ``O(T^p)`` joins its rows too.  The matrix
+    is block diagonal once its rows and columns are permuted alike."""
+    return _classes(len(matrix), ((i, j) for i, row in enumerate(matrix)
+                                  for j, x in enumerate(row)
+                                  if j != i and not x.is_exact_zero()))
 
 
 def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
@@ -390,19 +401,12 @@ def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     with no division loss.  Each step's divisor is inverted at most once
     (see ``novikov._divider``).  The empty matrix has determinant 1.
     Entries are series or exact rationals; anything else raises
-    ``ConfigError`` naming the entry.
+    ``ConfigError`` naming the entry (see ``_square``).
     """
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ConfigError("matrix is not square")
-    matrix = [[_entry(x, "matrix", i, j) for j, x in enumerate(row)]
-              for i, row in enumerate(matrix)]
-    det = None
-    for block in _components(matrix):
-        d = _bareiss([[matrix[i][j] for j in block] for i in block])
-        det = d if det is None else det * d
-    return NovikovSeries.one() if det is None else det
+    matrix = _square(matrix, "matrix")
+    dets = [_bareiss([[matrix[i][j] for j in block] for i in block])
+            for block in _components(matrix)] or [NovikovSeries.one()]
+    return math.prod(dets[1:], start=dets[0])
 
 
 def _bareiss(matrix):
@@ -482,19 +486,16 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
     fully exact inputs a quotient that is not finite raises
     ``InexactDivisionError``; truncate the inputs to keep it finite.  Raises
     ``SingularMatrixError`` when no pivot with a nonzero leading term exists
-    at the available precision, and ``ConfigError`` when the matrix is
-    not square, ``rhs`` does not have one entry per row, or an entry of
-    either is neither a series nor an exact rational (the message names
-    it, e.g. ``rhs[2]``).
+    at the available precision, and ``ConfigError`` for a matrix that
+    ``_square`` refuses or an ``rhs`` that is not one series or exact
+    rational per row (the message names a bad entry, e.g. ``rhs[2]``).
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ConfigError("matrix is not square")
+    a = _square(matrix, "matrix")
+    n = len(a)
     if len(rhs) != n:
         raise ConfigError(f"rhs has {len(rhs)} entries for {n} rows")
-    a = [[_entry(x, "matrix", i, j) for j, x in enumerate(row)]
-         + [_entry(r, "rhs", i)]
-         for i, (row, r) in enumerate(zip(matrix, rhs))]
+    for i, (row, r) in enumerate(zip(a, rhs)):
+        row.append(_entry(r, "rhs", i))
     by_pivot = []
     for k in range(n):
         best = _pick_pivot(a, k)

@@ -201,11 +201,6 @@ class NovikovSeries:
                  precision: PrecisionLike = INFINITY) -> "NovikovSeries":
         return cls(((coeff, exp),), precision)
 
-    @classmethod
-    def from_scalar(cls, value) -> "NovikovSeries":
-        return (value if isinstance(value, NovikovSeries)
-                else cls.monomial(value, 0))
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -405,13 +400,10 @@ class NovikovSeries:
         strings; a float or bool, a term without ``"c"`` or ``"e"``, or an
         unknown key raises ``ConfigError``.
         """
-        fields = _json_fields({"terms": obj} if isinstance(obj, list) else obj,
-                              "a series must be a term list or an object",
-                              optional=("terms", "prec"))
+        terms, fields = _json_list(
+            obj, "a series must be a term list or an object whose "
+            "\"terms\" is one", "terms", optional=("terms", "prec"))
         rule = "series terms must be a list of objects"
-        terms = fields.get("terms", [])
-        if not isinstance(terms, list):
-            raise ConfigError(f"{rule}, got {terms!r}")
         terms = [_json_fields(t, rule, ("c", "e")) for t in terms]
         return cls([(t["c"], t["e"]) for t in terms],
                    fields.get("prec", INFINITY))
@@ -480,6 +472,39 @@ def _json_fields(obj, rule: str, required=(), optional=()) -> dict:
             raise ConfigError(f"{rule}; {obj!r} has an unknown key {key!r}, "
                               f"not one of {required + optional}")
     return dict(obj)
+
+
+def _json_array(x, rule: str, size=None):
+    """``x`` if it is a JSON list (a tuple from Python code), of ``size``
+    entries when given, else ``ConfigError`` led by ``rule``."""
+    if not isinstance(x, (list, tuple)) or size not in (None, len(x)):
+        raise ConfigError(f"{rule}, got {x!r}")
+    return x
+
+
+def _json_list(obj, rule: str, key: str, required=(), optional=()):
+    """``(items, fields)``: the JSON list ``obj`` and no fields, or the
+    list under ``key`` (empty if missing) and the other fields of the
+    object ``obj``, read by ``_json_fields(obj, rule, required, optional)``."""
+    if isinstance(obj, (list, tuple)):
+        return obj, {}
+    fields = _json_fields(obj, rule, required, optional)
+    return _json_array(fields.pop(key, []), rule), fields
+
+
+def _int_vector(x, what: str) -> tuple:
+    """A JSON list of JSON integers as a tuple, or ``ConfigError``."""
+    # Not ``_json_array``: its rule would be formatted once per monomial.
+    if not isinstance(x, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of integers, got {x!r}")
+    return tuple(_parse_json_int(e, what) for e in x)
+
+
+def _pair(x, what: str, parse) -> tuple:
+    """``(lo, hi)`` from a JSON list of two, each entry read by
+    ``parse(entry, what + " entry")``."""
+    lo, hi = _json_array(x, f"{what} must be a pair (lo, hi)", 2)
+    return parse(lo, f"{what} entry"), parse(hi, f"{what} entry")
 
 
 def _fmt_exp(e) -> str:

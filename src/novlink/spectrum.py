@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, SpectrumError, SubadditivityError
-from .novikov import _positive_fraction, _positive_int, as_fraction
+from .novikov import _pair, _positive_fraction, _positive_int, as_fraction
 
 #: Most spectrum points ``enumerate_spectrum`` may have to build.
 SPECTRUM_POINT_LIMIT = 10 ** 6
@@ -52,8 +52,8 @@ class ModelOrbitSet:
 class SpectrumConfig:
     """Total period ``k``, lattice generator and enumeration window.
 
-    ``window`` must be a list or tuple ``(lo, hi)``; anything else raises
-    ``ConfigError``.
+    ``window`` must be a list or tuple ``(lo, hi)`` of rationals; anything
+    else raises ``ConfigError``.
     """
 
     k: int
@@ -63,10 +63,7 @@ class SpectrumConfig:
     def __init__(self, k: int, pi_generator, window):
         k = _positive_int(k, "k")
         pi_generator = _positive_fraction(pi_generator, "pi_generator")
-        if not (isinstance(window, (list, tuple)) and len(window) == 2):
-            raise ConfigError(f"window must be a pair (lo, hi), got "
-                              f"{window!r}")
-        lo, hi = (as_fraction(x, "window") for x in window)
+        lo, hi = _pair(window, "window", as_fraction)
         if lo > hi:
             raise ConfigError("window must satisfy lo <= hi")
         object.__setattr__(self, "k", k)

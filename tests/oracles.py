@@ -208,8 +208,8 @@ class Dual:
     """First-order jet ``a + b*eps`` with ``eps^2 = 0`` over the series field."""
 
     def __init__(self, a, b):
-        self.a = NovikovSeries.from_scalar(a)
-        self.b = NovikovSeries.from_scalar(b)
+        self.a, self.b = (x if isinstance(x, NovikovSeries)
+                          else NovikovSeries.monomial(x, 0) for x in (a, b))
 
     def __add__(self, other):
         return Dual(self.a + other.a, self.b + other.b)

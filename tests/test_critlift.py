@@ -742,6 +742,15 @@ class TestDoublingPrecision:
         assert cert == full_precision_lift(W, ones(2), target)
         assert cert.morse and len(cert.residual_valuations) >= 5
 
+    def test_newton_steps_exhausted_is_obstructed(self, monkeypatch):
+        # The perturbed chain needs six steps (see the next test); one step
+        # leaves the residual at T^(5/16).
+        monkeypatch.setattr(critlift, "MAX_NEWTON_STEPS", 1)
+        with pytest.raises(ObstructedError,
+                           match="1 Newton steps exhausted") as err:
+            hensel_lift(perturbed_chain(F(1, 16)), ones(2), LiftConfig(6 * B))
+        assert err.value.order == F(5, 16)
+
     def test_precision_doubles_with_the_residual(self, monkeypatch):
         # The perturbed chain's gaps g = rv - B go 1/16, 1/8, 1/4, 1/2, 1,
         # so the residuals are taken modulo 7/4 (the seed), then 9/16,

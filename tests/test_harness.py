@@ -368,6 +368,15 @@ class TestNobulkScan:
         assert out[0] == {"k": "1", "idempotent_count": "2",
                           "val_e": "-1/2", "val_e_over_k": "-1/2"}
 
+    @pytest.mark.parametrize("output_format", ["xml", "CSV", None])
+    def test_unknown_format_refused(self, output_format):
+        rows = nobulk_scan((1, 2), F(1))
+        match = "output_format must be csv or json"
+        with pytest.raises(ConfigError, match=match):
+            render_rows(rows, NOBULK_COLUMNS, output_format)
+        with pytest.raises(ConfigError, match=match):
+            ScanConfig((1, 2), output_format=output_format)
+
 
 # Every public entry that takes a rational, with the bad value in that slot.
 RATIONAL_ENTRIES = {
@@ -813,7 +822,8 @@ class TestCLI:
         assert captured.out == ""
 
     @pytest.mark.parametrize("option, value, message", [
-        ("--window", "1,2,3", "window must be lo,hi"),
+        ("--window", "1,2,3",
+         "window must be a pair (lo, hi), got ['1', '2', '3']"),
         ("--pi", "0", "pi_generator must be positive"),
     ])
     def test_spectrum_enum_malformed_option_exits_2(self, capsys, option,

@@ -1,7 +1,7 @@
 """Source hygiene of ``src/novlink``, read with the stdlib ``ast`` alone:
 every imported name is used, every private module-level name is
-referenced somewhere other than its own definition, and the JSON shape
-tests stay in ``novikov``."""
+referenced somewhere other than its own definition, the JSON shape tests
+stay in ``novikov``, and each shape refusal is raised from one function."""
 
 from __future__ import annotations
 
@@ -99,23 +99,59 @@ def test_every_private_name_is_referenced():
 
 
 def isinstance_classes(tree):
-    """``(class name, line)`` for each class an ``isinstance`` call in
-    ``tree`` tests against, alone or in a tuple."""
+    """``(class names, line)`` for each ``isinstance`` call in ``tree``:
+    the classes it tests against, alone or in a tuple."""
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "isinstance" and len(node.args) == 2):
             spec = node.args[1]
-            for cls in spec.elts if isinstance(spec, ast.Tuple) else [spec]:
-                if isinstance(cls, ast.Name):
-                    yield cls.id, node.lineno
+            yield ({cls.id for cls in (spec.elts if isinstance(spec, ast.Tuple)
+                                       else [spec])
+                    if isinstance(cls, ast.Name)}, node.lineno)
 
 
-@pytest.mark.parametrize("cls", ["bool", "dict"])
+@pytest.mark.parametrize("cls", ["bool", "dict", "list"])
 def test_json_shapes_are_tested_in_novikov_alone(cls):
     """A JSON integer (``bool`` is an ``int``) is told apart by
-    ``_parse_json_int`` and a JSON object by ``_json_fields``; a second
-    copy elsewhere would grow its own rules and messages."""
+    ``_parse_json_int``, a JSON object by ``_json_fields`` and a JSON list
+    by the list readers beside it; a second copy elsewhere would grow its
+    own rules and messages.  A test that admits a ``set`` reads a Python
+    collection, not a JSON shape."""
     found = [f"{path.name}:{line}" for path in MODULES
              if path.name != "novikov.py"
-             for name, line in isinstance_classes(parse(path)) if name == cls]
+             for names, line in isinstance_classes(parse(path))
+             if cls in names and "set" not in names]
     assert found == []
+
+
+def functions_writing(phrase):
+    """``module:function`` for each function in ``src/novlink`` whose code
+    holds a string with ``phrase`` (its docstring aside)."""
+    for path in MODULES:
+        for func in ast.walk(parse(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            doc = ast.get_docstring(func, clean=False)
+            if any(isinstance(node, ast.Constant) and node.value != doc
+                   and isinstance(node.value, str) and phrase in node.value
+                   for node in ast.walk(func)):
+                yield f"{path.stem}:{func.name}"
+
+
+@pytest.mark.parametrize("phrase, reader", [
+    ("is not square", "laurent:_square"),
+    ("must be a pair", "novikov:_pair"),
+])
+def test_each_shape_refusal_is_written_in_one_place(phrase, reader):
+    """A second copy of a refusal would grow its own rule and message."""
+    assert list(functions_writing(phrase)) == [reader]
+
+
+def test_no_from_scalar():
+    """``_entry`` reads a scalar coefficient and names it; a second
+    reader would refuse it without the name."""
+    assert [path.name for path in MODULES
+            if "from_scalar" in loaded_names(parse(path))
+            or any(isinstance(node, ast.FunctionDef)
+                   and node.name == "from_scalar"
+                   for node in ast.walk(parse(path)))] == []

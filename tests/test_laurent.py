@@ -85,6 +85,12 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="must be a JSON integer"):
             LaurentPotential(num_vars, terms)
 
+    @pytest.mark.parametrize("m", [1, None, {1}])
+    def test_exponent_vector_must_be_a_list(self, m):
+        with pytest.raises(ConfigError, match="monomial exponents must be a "
+                                              "list of integers"):
+            LaurentPotential(1, [(m, 1)])
+
     def test_mismatched_variable_counts_rejected(self):
         with pytest.raises(ConfigError, match="does not match num_vars"):
             LaurentPotential(2, {(1,): 1})
@@ -502,12 +508,30 @@ class TestSerialization:
         pt = UnitaryPoint([NovikovSeries([(1, 0), (F(1, 2), F(3, 2))])])
         assert UnitaryPoint.from_obj(pt.to_obj()) == pt
 
+    ONE = [{"c": "1", "e": "0"}]
+
+    @pytest.mark.parametrize("read, obj, match", [
+        (LaurentPotential.from_obj, {"terms": 5}, "a term list or an object"),
+        (LaurentPotential.from_obj, [{"m": 5, "coeff": ONE}],
+         "monomial exponents must be a list"),
+        (LaurentPotential.from_obj,
+         {"num_vars": 1, "terms": [{"m": "1", "coeff": ONE}]},
+         "monomial exponents must be a list"),
+        (UnitaryPoint.from_obj, {"coords": 5}, "a point must be an object"),
+        (UnitaryPoint.from_obj, [ONE], "a point must be an object"),
+    ])
+    def test_malformed_lists_refused(self, read, obj, match):
+        with pytest.raises(ConfigError, match=match):
+            read(obj)
+
 
 @pytest.mark.parametrize("build, where", [
     (lambda bad: CliffordAlgebraModel([[1, 0], [0, bad]]), r"form\[1\]\[1\]"),
     (lambda bad: UnitaryPoint([1, bad]), r"coords\[1\]"),
     (lambda bad: SymQHElement(2, 1, [1, 0, bad]), r"coeffs\[2\]"),
     (lambda bad: LaurentPotential(1, {(1,): bad}), r"terms\[\(1,\)\]"),
+    (lambda bad: CliffordAlgebraModel([[1]]).element({(1,): bad}),
+     r"coeffs\[\(1,\)\]"),
 ])
 def test_containers_name_the_bad_entry(build, where):
     with pytest.raises(ConfigError, match=where + r" must be an integer "

@@ -247,6 +247,21 @@ class TestTruncationObstruction:
         assert sorted(p.leading_tuple() for p in report.points) == [(-1,),
                                                                     (1,)]
 
+    def test_constant_truncation_has_no_gradient_constraints(self):
+        # 1 + T^5 z at cutoff 1 keeps only the constant.
+        W = LaurentPotential(1, {(0,): mono(1), (1,): mono(1, 5)})
+        report = truncation_obstruction(W, 1)
+        assert report.unobstructed and report.points == ()
+        assert report.note == "truncation has no gradient constraints"
+
+    def test_positive_dimensional_truncation_is_not_obstructed(self):
+        # z1 z2 + 1/(z1 z2) is critical on the whole curve z1 z2 = +-1.
+        W = LaurentPotential(2, {(1, 1): mono(1), (-1, -1): mono(1)})
+        report = truncation_obstruction(W, 0)
+        assert report.unobstructed and report.points == ()
+        assert report.note == ("leading system not zero-dimensional on the "
+                               "active variables")
+
     def test_empty_truncation_vacuous(self):
         W = LaurentPotential(1, {(1,): mono(1, 1)})
         report = truncation_obstruction(W, F(1, 2))

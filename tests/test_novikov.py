@@ -106,6 +106,10 @@ class TestExactZero:
         assert not NovikovSeries.zero(2).is_exact_zero()  # O(T^2)
         assert not NovikovSeries.monomial(1, 1).is_exact_zero()  # T
 
+    def test_no_leading_coefficient_modulo_precision(self):
+        with pytest.raises(PrecisionError, match="zero modulo its precision"):
+            NovikovSeries.zero(3).leading_coefficient()  # O(T^3)
+
 
 class TestArithmetic:
     def test_add_cancels_constant(self):
@@ -241,6 +245,7 @@ class TestSerialization:
     @pytest.mark.parametrize("bad, match", [
         (5, "a term list or an object"),
         ({"terms": [1]}, "a list of objects"),
+        ({"terms": 5}, "a term list or an object"),
     ])
     def test_malformed_object_refused(self, bad, match):
         with pytest.raises(ConfigError, match=match):

@@ -7,7 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from novlink.errors import ConfigError, SpectrumError, SubadditivityError
+from novlink.errors import (
+    ConfigError,
+    ObstructedError,
+    SpectrumError,
+    SubadditivityError,
+)
 from novlink.spectrum import (
     SPECTRUM_POINT_LIMIT,
     ModelOrbitSet,
@@ -190,3 +195,15 @@ class TestRigidity:
     def test_gap(self):
         assert spectrum_gap(self.SPEC) == F(3, 5)
         assert spectrum_gap([F(1)]) is None
+
+
+def test_error_context_is_none_unless_given():
+    assert SubadditivityError("m").pair is None
+    assert SpectrumError("m").index is None
+    assert ObstructedError("m").order is None
+    assert ObstructedError("m", order=F(1, 2)).order == F(1, 2)
+    assert str(SpectrumError("m", index=3)) == "m"
+    for make in (lambda: ConfigError("m", order=1),
+                 lambda: SpectrumError("m", pair=(1, 1))):
+        with pytest.raises(TypeError, match="unknown error context"):
+            make()

@@ -337,6 +337,10 @@ class TestGrading:
         for e in symk_idempotents(3, F(2)):
             assert grading(e) == 0
 
+    def test_non_element_refused(self):
+        with pytest.raises(TypeError, match="sphere-algebra element"):
+            grading(5)
+
     def test_mixed_degree_detected(self):
         x = rank_two(NovikovSeries([(1, 0), (1, 1)]), 0, F(1))
         assert grading(x) is None
