@@ -4,9 +4,9 @@ The CLI maps these onto exit codes: configuration problems exit with 2,
 mathematical obstructions (non-Morse points, obstructed lifts, degenerate
 traces) exit with 3.
 
-Context beyond the message is given by keyword and read as an attribute,
-``None`` when not given: ``ObstructedError.order``, ``SpectrumError.index``
-and ``SubadditivityError.pair``, each named in its class's ``_context``.
+Context beyond the message is given by keyword only and read as an
+attribute, ``None`` when not given: ``ObstructedError.order``,
+``SpectrumError.index`` and ``SubadditivityError.pair``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ class NovlinkError(Exception):
 
     _context: tuple = ()
 
-    def __init__(self, *args, **context):
-        super().__init__(*args)
+    def __init__(self, message, **context):
+        super().__init__(message)
         for name in self._context:
             setattr(self, name, context.pop(name, None))
         if context:

@@ -135,7 +135,7 @@ class ScanConfig:
         if lo <= -self.schedule.shift <= hi:
             self.schedule.disc_area(-self.schedule.shift)  # refuses 0
         object.__setattr__(self, "c0", BulkParameter(self.c0).c0)
-        render_rows([], (), self.output_format)  # refuses another format
+        _output_format(self.output_format)
 
     @classmethod
     def from_obj(cls, obj) -> "ScanConfig":
@@ -239,15 +239,18 @@ def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
     return rows
 
 
+def _output_format(x) -> str:
+    """``x`` if it is one of ``OUTPUT_FORMATS``, else ``ConfigError``."""
+    if x in OUTPUT_FORMATS:
+        return x
+    raise ConfigError(f"output_format must be {' or '.join(OUTPUT_FORMATS)}")
+
+
 def render_rows(rows: List[Dict[str, object]], columns: Tuple[str, ...],
                 output_format: str) -> str:
-    """The table as CSV with a header row, or as a JSON list of objects;
-    every entry is rendered with ``str``.  A format not in
-    ``OUTPUT_FORMATS`` raises ``ConfigError``."""
-    if output_format not in OUTPUT_FORMATS:
-        raise ConfigError(f"output_format must be "
-                          f"{' or '.join(OUTPUT_FORMATS)}")
-    if output_format == "json":
+    """The table as CSV with a header row or as a JSON list of objects,
+    every entry rendered with ``str``; another format is a ``ConfigError``."""
+    if _output_format(output_format) == "json":
         out = [{c: str(row[c]) for c in columns} for row in rows]
         return json.dumps(out, indent=2) + "\n"
     buf = io.StringIO()

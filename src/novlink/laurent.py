@@ -122,7 +122,7 @@ class LaurentPotential:
             terms = terms.items()
         cleaned: Dict[ExponentVector, NovikovSeries] = {}
         for m, coeff in terms:
-            m = _int_vector(m, "monomial exponents")
+            m = _int_vector(m)
             if len(m) != self._num_vars:
                 raise ConfigError("exponent vector length does not match "
                                   "num_vars")
@@ -286,7 +286,7 @@ class LaurentPotential:
             return cls(fields["num_vars"], terms)
         if not terms:
             raise ConfigError("potential needs num_vars or terms")
-        return cls(len(_int_vector(terms[0][0], "monomial exponents")), terms)
+        return cls(len(_int_vector(terms[0][0])), terms)
 
     def __repr__(self):
         body = " + ".join(f"({c})*z^{list(m)}" for m, c in self.items())

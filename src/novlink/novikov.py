@@ -492,12 +492,11 @@ def _json_list(obj, rule: str, key: str, required=(), optional=()):
     return _json_array(fields.pop(key, []), rule), fields
 
 
-def _int_vector(x, what: str) -> tuple:
-    """A JSON list of JSON integers as a tuple, or ``ConfigError``."""
-    # Not ``_json_array``: its rule would be formatted once per monomial.
-    if not isinstance(x, (list, tuple)):
-        raise ConfigError(f"{what} must be a list of integers, got {x!r}")
-    return tuple(_parse_json_int(e, what) for e in x)
+def _int_vector(x) -> tuple:
+    """A JSON list of JSON integers (monomial exponents) as a tuple."""
+    rule = "monomial exponents must be a list of integers"
+    return tuple(_parse_json_int(e, "monomial exponents")
+                 for e in _json_array(x, rule))
 
 
 def _pair(x, what: str, parse) -> tuple:

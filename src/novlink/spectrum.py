@@ -162,12 +162,11 @@ def rigidity_check(spectrum: Sequence, path_samples: Sequence,
     any consecutive difference is reported as a violation.
     """
     step_bound = as_fraction(step_bound, "step_bound")
-    pts = sorted({as_fraction(x, "spectrum") for x in spectrum})
-    gap = spectrum_gap(pts)
+    members = {as_fraction(x, "spectrum") for x in spectrum}
+    gap = spectrum_gap(members)
     if gap is not None and gap <= step_bound:
         raise SpectrumError("insufficient separation")
     samples = [as_fraction(s, "path_samples") for s in path_samples]
-    members = set(pts)
     for i, s in enumerate(samples):
         if s not in members:
             raise SpectrumError(f"spectrality violated at index {i}",

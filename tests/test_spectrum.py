@@ -207,3 +207,5 @@ def test_error_context_is_none_unless_given():
                  lambda: SpectrumError("m", pair=(1, 1))):
         with pytest.raises(TypeError, match="unknown error context"):
             make()
+    with pytest.raises(TypeError):  # the context is given by keyword only
+        ObstructedError("m", F(1, 2))
