@@ -11,13 +11,10 @@ each step works at about twice the precision of the one before (see
 
 The leading system splits into blocks of polynomials that share no
 variable, and its solutions are the product of the blocks' solutions.  A
-block in one variable is solved on integers: the roots of the gcd of its
-polynomials, rational ones by the rational-root theorem, the distinct
-nonzero ones counted by the degree of the squarefree part.  Only a block
-that couples two or more variables goes to sympy's ``solve_poly_system``,
-and one with a root not in radicals is refused with ``ConfigError``.
-A system whose Bezout bound (the product of the blocks' bounds) exceeds
-``LEADING_SOLUTION_LIMIT`` is refused with ``ConfigError`` up front.
+block in one variable is solved on integers (``_solve_univariate``); only
+a block that couples two or more variables goes to sympy's
+``solve_poly_system``.  ``_solve_leading_system`` and ``_solve_polynomials``
+state the one order in which the solve's verdicts are reached.
 
 Only rational leading solutions are lifted.  Branches whose leading
 coordinates are algebraic but irrational are reported, never approximated.
@@ -130,37 +127,41 @@ class CriticalCertificate:
 Polynomial = Dict[Tuple[int, ...], Fraction]
 
 
-def _solve_leading_system(W: LaurentPotential):
-    """All torus solutions of the leading gradient system.
-
-    Gradient component ``i`` is ``sum m_i coeff z^m``: its leading layer,
-    read off ``W``'s terms by ``novikov._least_valuation``, is ``m_i`` times
-    each coefficient's term there.  The monomial content is divided out
-    (per-variable minimum exponent set to zero), which is harmless on the
-    unit torus and keeps the system polynomial.
-
-    Returns ``(rational_points, irrational_count)``.  Raises
-    ``NotZeroDimensionalError`` when the solution set is not finite (this
-    includes a variable that no monomial involves and one that no leading
-    polynomial constrains), ``PrecisionError`` when a gradient component
-    has no known leading layer (every coefficient only ``O(T^p)``, or one
-    such at or below the least known term), and ``ConfigError`` when the
-    Bezout bound of the system exceeds ``LEADING_SOLUTION_LIMIT``.
-    """
-    components = [[(m, c) for m, c in W.items() if m[i]]
-                  for i in range(W.num_vars)]
-    if not all(components):
-        raise NotZeroDimensionalError("leading system not zero-dimensional")
-    polys = []
-    for i, comp in enumerate(components):
+def _leading_layers(W: LaurentPotential):
+    """``(v, monomials)`` per variable ``i``: the leading layer of gradient
+    component ``i``, ``sum m_i coeff z^m``, at the least valuation ``v`` of
+    its coefficients (``novikov._least_valuation``, which raises
+    ``PrecisionError`` when that layer is unknown), as the pairs ``(m, m_i
+    coeff_v)``.  A variable in no monomial gets ``(INFINITY, [])``."""
+    layers = []
+    for i in range(W.num_vars):
+        comp = [(m, c) for m, c in W.items() if m[i]]
         v = _least_valuation(
             [c for _, c in comp],
             lambda j: f"the coefficient of z^{list(comp[j][0])}")
-        monos = [(m, a) for m, c in comp if (a := m[i] * c.coefficient(v))]
-        if len(monos) == 1:
-            # A gradient layer reduced to a nonzero constant: no unit zeros.
-            return [], 0
-        shift = [min(m[j] for m, _ in monos) for j in range(W.num_vars)]
+        layers.append((v, [(m, a) for m, c in comp
+                           if (a := m[i] * c.coefficient(v))]))
+    return layers
+
+
+def _solve_leading_system(W: LaurentPotential):
+    """All torus solutions of the leading gradient system, as
+    ``(rational_points, irrational_count)``.
+
+    Each layer of ``_leading_layers`` becomes a polynomial once its
+    monomial content is divided out (per-variable minimum exponent set to
+    zero), which is harmless on the unit torus.  The verdict is one global
+    check at a time, so renumbering the variables never changes it: a
+    component with no known layer raises ``PrecisionError``, then a layer
+    of one monomial, a unit on the torus, gives ``([], 0)``, and then
+    ``_solve_polynomials`` decides.
+    """
+    layers = [monos for _, monos in _leading_layers(W)]
+    if any(len(monos) == 1 for monos in layers):
+        return [], 0
+    polys = []
+    for monos in filter(None, layers):
+        shift = [min(e) for e in zip(*(m for m, _ in monos))]
         polys.append({tuple(e - s for e, s in zip(m, shift)): a
                       for m, a in monos})
     rational, irrational = _solve_polynomials(polys, W.num_vars)
@@ -176,10 +177,13 @@ def _solve_polynomials(polys: List[Polynomial], k: int):
     Returns ``(rational, irrational)``: the sorted tuples of the rational
     solutions with no zero coordinate, and the number of the other such
     solutions.  The polynomials split into blocks that share no variable,
-    and the solutions are the product of the blocks' solutions.  A system
-    with no solution at all (over the complex numbers) gives ``([], 0)``.
-    A coupled block whose roots cannot all be written in radicals raises
-    ``ConfigError``.
+    and the solutions are the product of the blocks' solutions.  In this
+    order: a variable in no polynomial raises ``NotZeroDimensionalError``;
+    a Bezout bound above ``LEADING_SOLUTION_LIMIT`` raises ``ConfigError``
+    before any block is solved; once every block is solved, a block with no
+    torus root gives ``([], 0)``, else a positive-dimensional block raises
+    ``NotZeroDimensionalError``, else a block with a root not in radicals
+    raises ``ConfigError``.
     """
     # The blocks are the classes (``_classes``) of the variables 0..k-1 and
     # the polynomials, numbered from k, where a polynomial joins its variables.
@@ -194,29 +198,23 @@ def _solve_polynomials(polys: List[Polynomial], k: int):
         raise ConfigError(
             f"the leading system may have up to {bound} solutions, above "
             f"LEADING_SOLUTION_LIMIT = {LEADING_SOLUTION_LIMIT}")
-
-    # A block with no solution settles the system even when another block
-    # cannot be solved.
-    solved, unsolved = [], None
+    solved, refused = [], []
     for vs, ps in blocks:
         try:
-            solved.append((vs, _solve_univariate(vs[0], ps) if len(vs) == 1
-                           else _solve_coupled(vs, ps)))
+            solved.append((vs, *(_solve_univariate(vs[0], ps) if len(vs) == 1
+                                 else _solve_coupled(vs, ps))))
         except (NotZeroDimensionalError, ConfigError) as exc:
-            unsolved = exc
-    if any(sols is None for _, sols in solved):
+            refused.append(exc)
+    if not all(count for _, _, count in solved):
         return [], 0
-    if unsolved is not None:
-        raise unsolved
-    rational = []
-    for combo in itertools.product(*(roots for _, (roots, _) in solved)):
-        tup = [None] * k
-        for (vs, _), values in zip(solved, combo):
-            for v, c in zip(vs, values):
-                tup[v] = c
-        rational.append(tuple(tup))
-    rational.sort()
-    total = math.prod(count for _, (_, count) in solved)
+    if refused:
+        raise min(refused, key=lambda exc: not isinstance(
+            exc, NotZeroDimensionalError))
+    where = [v for vs, _, _ in solved for v in vs]
+    rational = sorted(
+        tuple(c for _, c in sorted(zip(where, itertools.chain(*combo))))
+        for combo in itertools.product(*(roots for _, roots, _ in solved)))
+    total = math.prod(count for _, _, count in solved)
     return rational, total - len(rational)
 
 
@@ -232,10 +230,10 @@ def _solve_coupled(variables: List[int], polys: List[Polynomial]):
     ``solve_poly_system``.
 
     Returns ``(rational, count)``: the rational solutions as tuples over
-    ``variables`` and the number of solutions with no zero coordinate.
-    ``None`` means the block has no solution at all.  A block with a root
-    that cannot be written in radicals raises ``ConfigError``, since its
-    solutions could be neither listed nor counted.
+    ``variables`` and the number of solutions with no zero coordinate.  A
+    block with a root that cannot be written in radicals raises
+    ``ConfigError``, since its solutions could be neither listed nor
+    counted.
     """
     symbols = [sympy.Symbol(f"z{v + 1}") for v in variables]
     exprs = [sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
@@ -252,10 +250,8 @@ def _solve_coupled(variables: List[int], polys: List[Polynomial]):
     except NotImplementedError as exc:
         raise NotZeroDimensionalError(
             "leading system not zero-dimensional") from exc
-    if sols is None:
-        return None
     rational, count = [], 0
-    for sol in sols:
+    for sol in sols or ():  # None: no solution at all
         if any(v.is_zero for v in sol):
             continue
         count += 1
@@ -277,8 +273,8 @@ def _solve_univariate(var: int, polys: List[Polynomial]):
 
     Returns ``(rational, count)``: the rational roots as 1-tuples and the
     number of distinct nonzero roots, which is the degree of the gcd's
-    squarefree part once its factors of ``z`` are removed.  ``None`` means
-    the gcd is constant, so the polynomials have no common root.
+    squarefree part once its factors of ``z`` are removed (0 when the gcd
+    is constant).
     """
     g = None
     for p in polys:
@@ -286,8 +282,6 @@ def _solve_univariate(var: int, polys: List[Polynomial]):
         for m, c in p.items():
             f[m[var]] = c
         g = f if g is None else _poly_gcd(g, f)
-    if len(g) == 1:
-        return None
     while not g[0]:
         g = g[1:]
     squarefree = _poly_divmod(g, _poly_gcd(g, _derivative(g)))[0]

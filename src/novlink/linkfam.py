@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 
 from .critlift import (
     CriticalCertificate,
+    _leading_layers,
     _solve_leading_system,
     certify_morse,
 )
@@ -36,7 +37,6 @@ from .errors import AreaError, ConfigError, NotZeroDimensionalError
 from .laurent import LaurentPotential, UnitaryPoint
 from .novikov import (
     NovikovSeries,
-    _least_valuation,
     _positive_int,
     as_fraction,
 )
@@ -104,11 +104,7 @@ def build_chain_potential(link: CircleLinkS2, bulk: BulkParameter,
         terms[tuple(-1 if i == j else 0 for i in range(k))] = c2TA
         terms[tuple(1 if i == j + 1 else 0 for i in range(k))] = c2TA
     W = LaurentPotential(k, terms)
-    if extra_terms is not None:
-        if extra_terms.num_vars != k:
-            raise ConfigError("extra terms have the wrong variable count")
-        W = W + extra_terms
-    return W
+    return W if extra_terms is None else W + extra_terms
 
 
 def preferred_branch_leads(link: CircleLinkS2,
@@ -152,7 +148,8 @@ class TruncationReport:
 
     ``unobstructed`` records whether the truncated leading gradient system
     still has a unit-torus solution; when it does not, ``order`` names the
-    valuation at which the critical-point equation fails.  ``points`` lists
+    valuation at which the critical-point equation fails: every unit point's
+    gradient has a component of that valuation or less.  ``points`` lists
     the rational leading solutions (free coordinates set to 1).
     """
 
@@ -165,12 +162,13 @@ class TruncationReport:
 def truncation_obstruction(W: LaurentPotential, cutoff) -> TruncationReport:
     """Restrict to coefficients of valuation <= cutoff and test criticality.
 
-    A single surviving monomial in some variable can never have a critical
-    point on the unit torus (its gradient is a unit multiple of the
-    monomial), so the truncation is obstructed at that coefficient's
-    valuation.  A coefficient known only as ``O(T^p)`` with
-    ``p <= cutoff`` may or may not survive the truncation, so it raises
-    ``PrecisionError``.
+    A gradient layer of one monomial is a unit on the torus, so the
+    truncation is obstructed at that layer's valuation, the least one when
+    several are.  With no such layer, some block of leading layers has no
+    common torus root, and the order is the greatest layer valuation, by
+    which every leading equation is in force.  A coefficient known only as
+    ``O(T^p)`` with ``p <= cutoff`` may or may not survive the truncation,
+    so it raises ``PrecisionError``.
     """
     cutoff = as_fraction(cutoff, "cutoff")
     kept = W.terms_through(cutoff)
@@ -190,8 +188,10 @@ def truncation_obstruction(W: LaurentPotential, cutoff) -> TruncationReport:
             note="leading system not zero-dimensional on the active "
                  "variables")
     if not points and not irrational:
-        return TruncationReport(unobstructed=False,
-                                order=_least_valuation(kept.values()))
+        layers = _leading_layers(sub)
+        return TruncationReport(unobstructed=False, order=min(
+            (v for v, monos in layers if len(monos) == 1),
+            default=max(v for v, _ in layers)))
     full_points = tuple(_embed_point(p, active, W.num_vars) for p in points)
     note = (f"{irrational} non-rational branch(es) dropped"
             if irrational else "")

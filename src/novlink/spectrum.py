@@ -94,7 +94,7 @@ def enumerate_spectrum(orbits: ModelOrbitSet,
     bound = math.comb(cfg.k + n - 1, n - 1) * ((hi - lo) // g + 1)
     if bound > SPECTRUM_POINT_LIMIT:
         raise ConfigError(f"spectrum request may need {bound} points, above "
-                          f"the limit of {SPECTRUM_POINT_LIMIT}")
+                          f"SPECTRUM_POINT_LIMIT = {SPECTRUM_POINT_LIMIT}")
     D = math.lcm(*(q.denominator for q in orbits.values + (g, lo, hi)))
     values = [int(v * D) for v in orbits.values]
     G, L, H = int(g * D), int(lo * D), int(hi * D)
@@ -145,11 +145,17 @@ class RigidityResult:
     violation_index: Optional[int] = None
 
 
+def _read_spectrum(spectrum: Sequence):
+    """The set of the points of ``spectrum`` and the least distance between
+    two of them (``None`` for fewer than two)."""
+    members = {as_fraction(x, "spectrum") for x in spectrum}
+    pts = sorted(members)
+    return members, min((b - a for a, b in zip(pts, pts[1:])), default=None)
+
+
 def spectrum_gap(spectrum: Sequence[Fraction]) -> Optional[Fraction]:
     """Minimal distance between distinct consecutive spectrum points."""
-    pts = sorted({as_fraction(x, "spectrum") for x in spectrum})
-    gaps = [b - a for a, b in zip(pts, pts[1:])]
-    return min(gaps) if gaps else None
+    return _read_spectrum(spectrum)[1]
 
 
 def rigidity_check(spectrum: Sequence, path_samples: Sequence,
@@ -162,8 +168,7 @@ def rigidity_check(spectrum: Sequence, path_samples: Sequence,
     any consecutive difference is reported as a violation.
     """
     step_bound = as_fraction(step_bound, "step_bound")
-    members = {as_fraction(x, "spectrum") for x in spectrum}
-    gap = spectrum_gap(members)
+    members, gap = _read_spectrum(spectrum)
     if gap is not None and gap <= step_bound:
         raise SpectrumError("insufficient separation")
     samples = [as_fraction(s, "path_samples") for s in path_samples]

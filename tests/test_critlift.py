@@ -31,6 +31,7 @@ from novlink.errors import (
     ConfigError,
     NonMorseError,
     NotZeroDimensionalError,
+    NovlinkError,
     ObstructedError,
     PrecisionError,
 )
@@ -45,6 +46,7 @@ from novlink.linkfam import (
 from novlink.novikov import NovikovSeries
 
 from oracles import full_precision_lift, one_exponent_lift
+from strategies import laurent_potentials
 
 LINK2 = CircleLinkS2(2, F(1, 8), F(1, 4))
 B = LINK2.B
@@ -180,6 +182,72 @@ class TestLeadingSolutions:
         W = LaurentPotential(1, {(1,): mono(1), (-1,): mono(2)})
         assert leading_solutions(W) == []
         assert solved(W) == ([], 2)
+
+
+def permuted(W, perm):
+    """``W`` with its variable ``perm[j]`` renamed ``z_(j+1)``."""
+    return LaurentPotential(W.num_vars, {tuple(m[i] for i in perm): c
+                                         for m, c in W.items()})
+
+
+def verdict(W):
+    """The leading solve's answer, or the type of its refusal."""
+    try:
+        return solved(W)
+    except NovlinkError as exc:
+        return type(exc)
+
+
+@st.composite
+def potentials_and_permutations(draw):
+    """A potential in 2-3 variables, its coefficients exact, known modulo
+    ``T^p`` or only ``O(T^p)``, and a renumbering of its variables."""
+    n = draw(st.integers(2, 3))
+    W = draw(laurent_potentials(n))
+    return W, draw(st.permutations(range(n)))
+
+
+class TestVerdictOrder:
+    """Renumbering the variables never changes the leading solve's
+    verdict."""
+
+    def test_unknown_layer_before_a_one_monomial_layer(self):
+        # O(T) z1 + T^2/z1 + T z2: the z1 layer T^2 is unknown, the z2
+        # layer T z2 a unit.
+        W = LaurentPotential(2, {(1, 0): NovikovSeries.zero(1),
+                                 (-1, 0): mono(1, 2), (0, 1): mono(1, 1)})
+        for perm in ([0, 1], [1, 0]):
+            with pytest.raises(PrecisionError, match=r"layer T\^2"):
+                _solve_leading_system(permuted(W, perm))
+
+    def test_positive_dimensional_block_before_one_not_in_radicals(self):
+        # z1 z2 - 1 is a curve; z3^5 - z3 + z4^3, z4^2 - 1 has roots not in
+        # radicals.
+        polys = [{(1, 1, 0, 0): F(1), (0, 0, 0, 0): F(-1)},
+                 {(0, 0, 5, 0): F(1), (0, 0, 1, 0): F(-1), (0, 0, 0, 3): F(1)},
+                 {(0, 0, 0, 2): F(1), (0, 0, 0, 0): F(-1)}]
+        for perm in ([0, 1, 2, 3], [2, 3, 0, 1]):
+            with pytest.raises(NotZeroDimensionalError):
+                _solve_polynomials([{tuple(m[i] for i in perm): c
+                                     for m, c in p.items()} for p in polys],
+                                   4)
+
+    def test_one_monomial_layer_before_a_free_variable(self):
+        W = LaurentPotential(2, {(1, 0): mono(1, 1)})
+        for perm in ([0, 1], [1, 0]):
+            assert _solve_leading_system(permuted(W, perm)) == ([], 0)
+
+    @given(potentials_and_permutations())
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_the_variables_keeps_the_verdict(self, case):
+        # The same exception type, or the same points with permuted
+        # coordinates and the same irrational count.
+        W, perm = case
+        before, after = verdict(W), verdict(permuted(W, perm))
+        if isinstance(before, tuple):
+            before = (sorted(tuple(t[i] for i in perm) for t in before[0]),
+                      before[1])
+        assert after == before
 
 
 class TestHenselLift:

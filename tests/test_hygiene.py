@@ -1,7 +1,8 @@
 """Source hygiene of ``src/novlink``, read with the stdlib ``ast`` alone:
 every imported name is used, every private module-level name is
 referenced somewhere other than its own definition, the JSON shape tests
-stay in ``novikov``, and each shape refusal is raised from one function."""
+stay in ``novikov``, each shape refusal is raised from one function, and
+each ``*_LIMIT`` constant is named in a refusal of its module."""
 
 from __future__ import annotations
 
@@ -161,3 +162,28 @@ def test_no_from_scalar():
             or any(isinstance(node, ast.FunctionDef)
                    and node.name == "from_scalar"
                    for node in ast.walk(parse(path)))] == []
+
+
+def config_error_texts(tree):
+    """The literal text of each ``ConfigError`` message in ``tree``, with
+    ``{}`` for each formatted field."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "ConfigError" and node.args):
+            msg = node.args[0]
+            parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+            yield "".join(part.value if isinstance(part, ast.Constant)
+                          else "{}" for part in parts)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_each_limit_is_named_in_its_refusal(path):
+    """A refusal at a module-level ``*_LIMIT`` names the constant, so the
+    reader of the message can find the figure it broke."""
+    tree = parse(path)
+    limits = [t.id for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets
+              if isinstance(t, ast.Name) and t.id.endswith("_LIMIT")]
+    texts = list(config_error_texts(tree))
+    assert [name for name in limits
+            if not any(name in text for text in texts)] == []

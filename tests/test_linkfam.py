@@ -105,7 +105,7 @@ class TestBuildChainPotential:
     def test_extra_terms_with_wrong_variable_count_rejected(self):
         link = CircleLinkS2(2, F(1, 8), F(1, 4))
         extra = LaurentPotential(3, {(1, 0, 0): mono(1)})
-        with pytest.raises(ConfigError, match="wrong variable count"):
+        with pytest.raises(ConfigError, match="different variable counts"):
             build_chain_potential(link, BulkParameter(F(1)), extra)
 
 
@@ -221,6 +221,31 @@ class TestTruncationObstruction:
         report = truncation_obstruction(W, F(3, 4))
         assert not report.unobstructed
         assert report.order == a
+
+    def test_order_is_the_least_one_monomial_layer(self):
+        # T z1 + T/z1 + T^2 z2: the z1 layer T (z1 - 1/z1) has roots, the
+        # z2 layer T^2 z2 is a unit, so the order is 2, not the least
+        # valuation 1 of the kept terms.
+        W = LaurentPotential(2, {(1, 0): mono(1, 1), (-1, 0): mono(1, 1),
+                                 (0, 1): mono(1, 2)})
+        report = truncation_obstruction(W, 3)
+        assert not report.unobstructed
+        assert report.order == 2
+
+    def test_order_of_a_block_without_common_root_is_its_greatest_layer(
+            self):
+        # z1 + 1/z1 + T (z1^2 z2^2/2 - z2^2/2 + z2): the z1 layer gives
+        # z1 = +-1, where the z2 layer z2 (z1^2 z2 - z2 + 1) is z2.  No
+        # layer is one monomial; the two fail together once the T^1 layer
+        # is kept.
+        W = LaurentPotential(2, {(1, 0): mono(1), (-1, 0): mono(1),
+                                 (2, 2): mono(F(1, 2), 1),
+                                 (0, 2): mono(F(-1, 2), 1),
+                                 (0, 1): mono(1, 1)})
+        report = truncation_obstruction(W, 1)
+        assert not report.unobstructed
+        assert report.order == 1
+        assert truncation_obstruction(W, F(1, 2)).unobstructed
 
     def test_unused_variable_is_free(self):
         a = F(1, 5)
