@@ -9,9 +9,9 @@ Subcommands mirror the library surface:
 * ``spectrum enum``: exact action-spectrum enumeration in a window;
 * ``scan weyl`` / ``scan nobulk``: the sweep tables.
 
-Exit codes: 0 success, 2 configuration error or missing precision (such
-as a trace known only as ``O(T^p)``), 3 mathematical obstruction (non-Morse
-seed, obstructed lift, degenerate trace, area violation).
+Exit codes: 0 success, else the ``exit_code`` of the error raised, whose
+``label`` leads the stderr line (``errors``); an input file that cannot be
+opened, decoded or parsed as JSON is a configuration error (exit 2).
 """
 
 from __future__ import annotations
@@ -25,24 +25,15 @@ import sys
 from . import cliffordtrace, harness
 from .critlift import LiftConfig, hensel_lift, leading_solutions
 from .errors import (
-    AreaError,
     ConfigError,
     DegenerateTraceError,
-    NonMorseError,
-    NotZeroDimensionalError,
     NovlinkError,
-    ObstructedError,
     PrecisionError,
-    SpectrumError,
 )
 from .laurent import LaurentPotential, UnitaryPoint, det_bareiss
-from .novikov import NovikovSeries, _json_array, _json_list
+from .novikov import NovikovSeries, _json_array, _json_list, _least_valuation
 from .spectrum import ModelOrbitSet, SpectrumConfig, enumerate_spectrum
 from .symprodqh import symk_idempotents
-
-_CONFIG_ERRORS = (ConfigError, json.JSONDecodeError, OSError, ValueError)
-_MATH_ERRORS = (NonMorseError, ObstructedError, NotZeroDimensionalError,
-                DegenerateTraceError, AreaError, SpectrumError)
 
 
 def _load_json(path: str):
@@ -99,9 +90,9 @@ def _cmd_trace_check(args) -> int:
         print("val(Z) = +inf (degenerate)")
         print("leading terms match: no")
         raise
-    match = (not det.is_zero() and val_z == det.valuation()
-             and Z.leading_coefficient() == det.leading_coefficient())
     print(f"val(Z) = {val_z}")
+    match = (val_z == _least_valuation((det,), lambda _: "the determinant")
+             and Z.leading_coefficient() == det.leading_coefficient())
     print(f"leading terms match: {'yes' if match else 'no'}")
     return 0
 
@@ -118,7 +109,7 @@ def _cmd_qh_idempotents(args) -> int:
 
 
 def _cmd_spectrum_enum(args) -> int:
-    orbits = ModelOrbitSet([v for v in args.values.split(",") if v.strip()])
+    orbits = ModelOrbitSet(args.values.split(","))
     cfg = SpectrumConfig(k=args.k, pi_generator=args.pi,
                          window=args.window.split(","))
     spec = enumerate_spectrum(orbits, cfg)
@@ -229,15 +220,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _MATH_ERRORS as exc:
-        print(f"obstruction: {exc}", file=sys.stderr)
-        return 3
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NovlinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"{ConfigError.label}: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

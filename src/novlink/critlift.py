@@ -177,13 +177,13 @@ def _solve_polynomials(polys: List[Polynomial], k: int):
     Returns ``(rational, irrational)``: the sorted tuples of the rational
     solutions with no zero coordinate, and the number of the other such
     solutions.  The polynomials split into blocks that share no variable,
-    and the solutions are the product of the blocks' solutions.  In this
-    order: a variable in no polynomial raises ``NotZeroDimensionalError``;
-    a Bezout bound above ``LEADING_SOLUTION_LIMIT`` raises ``ConfigError``
-    before any block is solved; once every block is solved, a block with no
-    torus root gives ``([], 0)``, else a positive-dimensional block raises
-    ``NotZeroDimensionalError``, else a block with a root not in radicals
-    raises ``ConfigError``.
+    and the solutions are the product of the blocks' solutions.  A
+    variable in no polynomial is a block of its own, positive-dimensional.
+    In this order: a Bezout bound above ``LEADING_SOLUTION_LIMIT`` raises
+    ``ConfigError`` before any block is solved; once every block is solved,
+    a block with no torus root gives ``([], 0)``, else a
+    positive-dimensional block raises ``NotZeroDimensionalError``, else a
+    block with a root not in radicals raises ``ConfigError``.
     """
     # The blocks are the classes (``_classes``) of the variables 0..k-1 and
     # the polynomials, numbered from k, where a polynomial joins its variables.
@@ -191,8 +191,6 @@ def _solve_polynomials(polys: List[Polynomial], k: int):
               for c in _classes(k + len(polys), (
                   (k + n, i) for n, p in enumerate(polys)
                   for m in p for i, e in enumerate(m) if e))]
-    if not all(ps for _, ps in blocks):  # a variable in no polynomial
-        raise NotZeroDimensionalError("leading system not zero-dimensional")
     bound = math.prod(_bezout_bound(len(vs), ps) for vs, ps in blocks)
     if bound > LEADING_SOLUTION_LIMIT:
         raise ConfigError(
@@ -201,6 +199,9 @@ def _solve_polynomials(polys: List[Polynomial], k: int):
     solved, refused = [], []
     for vs, ps in blocks:
         try:
+            if not ps:  # a variable in no polynomial
+                raise NotZeroDimensionalError(
+                    "leading system not zero-dimensional")
             solved.append((vs, *(_solve_univariate(vs[0], ps) if len(vs) == 1
                                  else _solve_coupled(vs, ps))))
         except (NotZeroDimensionalError, ConfigError) as exc:
@@ -527,7 +528,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
 
     z = [c.truncate(target) for c in z]
     point = UnitaryPoint(z)
-    cert = certify_morse(W, point, target_precision=target)
+    cert = certify_morse(W, point)
     return replace(cert, residual_valuations=tuple(residual_vals))
 
 
@@ -557,20 +558,17 @@ def _lift_cost(W: LaurentPotential, z0, work, eps) -> int:
     return n * (len(coeffs) + n * n) * points ** 3
 
 
-def certify_morse(W: LaurentPotential, z, target_precision=None
-                  ) -> CriticalCertificate:
+def certify_morse(W: LaurentPotential, z) -> CriticalCertificate:
     """Check criticality and nondegeneracy of a point.
 
-    The point is Morse when the gradient vanishes modulo the working
+    The point is Morse when the gradient vanishes modulo the point's own
     precision and the Hessian determinant has a nonzero leading term.
     Failure is reported in the flag and reason string, never raised.
-    With no explicit target the point's own precision is used; exact
-    points are checked exactly.
+    Exact points are checked exactly.
     """
     z = _as_point(z, W.num_vars)
     reasons = []
-    residual, matrix = W.log_jet(z, z.precision() if target_precision is None
-                                 else target_precision)
+    residual, matrix = W.log_jet(z, z.precision())
     grad_ok = all(r.is_zero() for r in residual)
     if not grad_ok:
         bad = min(r.val_lower_bound() for r in residual if not r.is_zero())

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the library.
 
-The CLI maps these onto exit codes: configuration problems exit with 2,
-mathematical obstructions (non-Morse points, obstructed lifts, degenerate
-traces) exit with 3.
+Each class carries the CLI's outcome for it: ``exit_code`` and the
+``label`` that leads its stderr line.  A library error exits with 2, and a
+mathematical obstruction (an ``Obstruction``: non-Morse points, obstructed
+lifts, degenerate traces) exits with 3.
 
 Context beyond the message is given by keyword only and read as an
 attribute, ``None`` when not given: ``ObstructedError.order``,
@@ -15,6 +16,8 @@ from __future__ import annotations
 class NovlinkError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 2
+    label = "error"
     _context: tuple = ()
 
     def __init__(self, message, **context):
@@ -27,6 +30,15 @@ class NovlinkError(Exception):
 
 class ConfigError(NovlinkError):
     """Malformed configuration, schema violation, or inconsistent input data."""
+
+    label = "config error"
+
+
+class Obstruction(NovlinkError):
+    """Well-formed input for which no answer of the kind asked for exists."""
+
+    exit_code = 3
+    label = "obstruction"
 
 
 class PrecisionError(NovlinkError):
@@ -53,15 +65,15 @@ class SingularMatrixError(NovlinkError):
     """Linear system has no invertible pivot at the available precision."""
 
 
-class NotZeroDimensionalError(NovlinkError):
+class NotZeroDimensionalError(Obstruction):
     """Leading polynomial system has a positive-dimensional solution set."""
 
 
-class NonMorseError(NovlinkError):
+class NonMorseError(Obstruction):
     """Critical point is degenerate: the leading Hessian is singular."""
 
 
-class ObstructedError(NovlinkError):
+class ObstructedError(Obstruction):
     """Lifting got stuck: the residual at some order cannot be removed.
 
     ``order`` carries the offending exponent.
@@ -70,11 +82,11 @@ class ObstructedError(NovlinkError):
     _context = ("order",)
 
 
-class DegenerateTraceError(NovlinkError):
+class DegenerateTraceError(Obstruction):
     """Trace vanishes; the underlying critical point is not Morse."""
 
 
-class SpectrumError(NovlinkError):
+class SpectrumError(Obstruction):
     """Invalid spectrum data or a spectrality violation."""
 
     _context = ("index",)
@@ -86,5 +98,5 @@ class SubadditivityError(NovlinkError):
     _context = ("pair",)
 
 
-class AreaError(NovlinkError):
+class AreaError(Obstruction):
     """Link area data violates the monotonicity or consistency constraints."""

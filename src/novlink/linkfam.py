@@ -139,7 +139,7 @@ def critical_data(link: CircleLinkS2, bulk: BulkParameter
     target = (link.k + 4) * link.B
     z0 = UnitaryPoint([NovikovSeries.monomial(c, 0, target)
                        for c in preferred_branch_leads(link, bulk)])
-    return certify_morse(build_chain_potential(link, bulk), z0, target)
+    return certify_morse(build_chain_potential(link, bulk), z0)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, SpectrumError, SubadditivityError
-from .novikov import _pair, _positive_fraction, _positive_int, as_fraction
+from .novikov import (_json_array, _pair, _positive_fraction, _positive_int,
+                      as_fraction)
 
 #: Most spectrum points ``enumerate_spectrum`` may have to build.
 SPECTRUM_POINT_LIMIT = 10 ** 6
@@ -34,16 +35,14 @@ SPECTRUM_POINT_LIMIT = 10 ** 6
 class ModelOrbitSet:
     """Deduplicated, sorted list of per-period orbit actions.
 
-    ``values`` must be a list, tuple or set; anything else (a string
-    included) raises ``ConfigError``.
+    ``values`` must be a list or tuple (``novikov._json_array``); anything
+    else, a set or a string included, raises ``ConfigError``.
     """
 
     values: Tuple[Fraction, ...]
 
     def __init__(self, values: Sequence):
-        if not isinstance(values, (list, tuple, set, frozenset)):
-            raise ConfigError(f"values must be a list, tuple or set of "
-                              f"rationals, got {values!r}")
+        values = _json_array(values, "values must be a list of rationals")
         vals = tuple(sorted({as_fraction(v, "values") for v in values}))
         object.__setattr__(self, "values", vals)
 

@@ -382,7 +382,7 @@ def full_precision_lift(W: LaurentPotential, z0: UnitaryPoint, target):
                               order=rv)
 
     point = UnitaryPoint([c.truncate(target) for c in z])
-    cert = certify_morse(W, point, target_precision=target)
+    cert = certify_morse(W, point)
     return replace(cert, residual_valuations=tuple(residual_vals))
 
 

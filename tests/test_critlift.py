@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -232,6 +233,30 @@ class TestVerdictOrder:
                                      for m, c in p.items()} for p in polys],
                                    4)
 
+    def test_block_with_no_torus_root_before_a_free_variable(self):
+        # The z1, z2 layers of z1 + 1/z1 + T (z1^2 z2^2 - z2^2 + 2 z2) / 2
+        # + T^5 (z2 z3 - z3) give z1^2 = 1 and z1^2 z2 - z2 + 1 = 0, with no
+        # common root; the z3 layer z2 - 1 leaves z3 in no polynomial.
+        polys = [{(2, 0, 0): F(1), (0, 0, 0): F(-1)},
+                 {(2, 1, 0): F(1), (0, 1, 0): F(-1), (0, 0, 0): F(1)},
+                 {(0, 1, 0): F(1), (0, 0, 0): F(-1)}]
+        for perm in itertools.permutations(range(3)):
+            assert _solve_polynomials([{tuple(m[i] for i in perm): c
+                                        for m, c in p.items()}
+                                       for p in polys], 3) == ([], 0)
+        W = LaurentPotential(3, {(1, 0, 0): mono(1), (-1, 0, 0): mono(1),
+                                 (2, 2, 0): mono(F(1, 2), 1),
+                                 (0, 2, 0): mono(F(-1, 2), 1),
+                                 (0, 1, 0): mono(1, 1),
+                                 (0, 1, 1): mono(1, 5),
+                                 (0, 0, 1): mono(-1, 5)})
+        assert leading_solutions(W) == []
+        report = truncation_obstruction(W, 5)
+        assert not report.unobstructed and report.order == 5
+        # Beside blocks that all have torus roots, the free z3 is refused.
+        with pytest.raises(NotZeroDimensionalError):
+            _solve_polynomials([polys[0], polys[2]], 3)
+
     def test_one_monomial_layer_before_a_free_variable(self):
         W = LaurentPotential(2, {(1, 0): mono(1, 1)})
         for perm in ([0, 1], [1, 0]):
@@ -422,17 +447,23 @@ def univariate(q, var=0, k=1):
 
 
 def whole_system_by_sympy(polys, k):
-    """The leading solve as it was before block solving: the used-variable
-    check, then the whole system through ``solve_poly_system``, zero
-    coordinates dropped and rational solutions split off.  A system with
-    no solution gives ``([], 0)``."""
-    if {i for p in polys for m in p for i, e in enumerate(m) if e} \
-            != set(range(k)):
-        return "not zero-dimensional"
+    """The leading solve on the whole system, with no blocks.  A system
+    with no torus root gives ``([], 0)``: with ``t z1...zk - 1`` adjoined,
+    its grevlex Groebner basis is ``[1]`` (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 4).  Then the used-variable check, then
+    ``solve_poly_system``, zero coordinates dropped and rational solutions
+    split off."""
     symbols = sympy.symbols(f"z1:{k + 1}")
     exprs = [sum(sympy.Rational(c.numerator, c.denominator)
                  * sympy.prod([s ** e for s, e in zip(symbols, m)])
                  for m, c in p.items()) for p in polys]
+    t = sympy.Symbol("t")
+    if sympy.groebner(exprs + [t * sympy.prod(symbols) - 1], *symbols, t,
+                      order="grevlex").exprs == [1]:
+        return [], 0
+    if {i for p in polys for m in p for i, e in enumerate(m) if e} \
+            != set(range(k)):
+        return "not zero-dimensional"
     try:
         sols = solve_poly_system(exprs, *symbols)
     except NotImplementedError:
@@ -507,6 +538,16 @@ class TestBlockSolver:
     def test_matches_solve_poly_system(self, system):
         polys, k = system
         assert block_solve(polys, k) == whole_system_by_sympy(polys, k)
+
+    def test_no_torus_root_beside_a_positive_dimensional_block(self):
+        # 1 + z1 and (1 + z1)(1 + z2) leave z2 free on z1 = -1, and z3 has
+        # no torus root: the system has none.
+        polys = [{(0, 0, 0): F(1), (1, 0, 0): F(1)},
+                 {(0, 0, 0): F(1), (1, 0, 0): F(1), (0, 1, 0): F(1),
+                  (1, 1, 0): F(1)},
+                 {(0, 0, 1): F(1)}]
+        assert block_solve(polys, 3) == whole_system_by_sympy(polys, 3) \
+            == ([], 0)
 
     def test_two_equations_on_one_variable_give_their_gcd(self):
         # (z^2 - 2)(z - 1) and (z^2 - 2)(z + 3): gcd z^2 - 2.
@@ -596,10 +637,14 @@ class TestLeadingSolutionLimit:
         monkeypatch.setattr(critlift, "_solve_univariate", refuse)
         monkeypatch.setattr(critlift, "_solve_coupled", refuse)
         W = self.chain(LEADING_SOLUTION_LIMIT.bit_length())
-        with pytest.raises(ConfigError,
-                           match="LEADING_SOLUTION_LIMIT = "
-                                 f"{LEADING_SOLUTION_LIMIT}"):
-            leading_solutions(W)
+        # A free variable beside the blocks is refused by the bound too.
+        free = LaurentPotential(W.num_vars + 1,
+                                {m + (0,): c for m, c in W.items()})
+        for potential in (W, free):
+            with pytest.raises(ConfigError,
+                               match="LEADING_SOLUTION_LIMIT = "
+                                     f"{LEADING_SOLUTION_LIMIT}"):
+                leading_solutions(potential)
 
 
 class TestLiftWorkLimit:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novlink import cli, cliffordtrace, harness, symprodqh
+from novlink import cli, cliffordtrace, errors, harness, symprodqh
 from novlink.cli import main
 from novlink.cliffordtrace import TRACE_WORK_LIMIT
 from novlink.critlift import LIFT_WORK_LIMIT, LiftConfig
@@ -571,6 +571,24 @@ class TestCLI:
         assert json.loads(captured.out) == {"points": []}
         assert captured.err == ""
 
+    def test_crit_find_no_torus_root_beside_a_free_variable(self, tmp_path,
+                                                            capsys):
+        # z1 + 1/z1 + T (z1^2 z2^2 - z2^2 + 2 z2) / 2 + T^5 (z2 z3 - z3):
+        # z1^2 = 1 leaves z1^2 z2 - z2 + 1 = 1, so no point, though z3 is
+        # in no leading polynomial.
+        def term(m, c, e):
+            return {"m": m, "coeff": {"terms": [{"c": c, "e": e}]}}
+
+        wpath = self._write(tmp_path, "W.json", {"num_vars": 3, "terms": [
+            term([1, 0, 0], "1", "0"), term([-1, 0, 0], "1", "0"),
+            term([2, 2, 0], "1/2", "1"), term([0, 2, 0], "-1/2", "1"),
+            term([0, 1, 0], "1", "1"), term([0, 1, 1], "1", "5"),
+            term([0, 0, 1], "-1", "5")]})
+        assert main(["crit", "find", "--potential", wpath]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"points": []}
+        assert captured.err == ""
+
     def test_crit_find_above_solution_limit_exits_2(self, tmp_path, capsys,
                                                      monkeypatch):
         from novlink import critlift
@@ -620,6 +638,28 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "Z = O(T^2)" in captured.out
         assert "degenerate" not in captured.out + captured.err
+
+    def test_trace_check_unknown_determinant_exits_2(self, tmp_path,
+                                                     capsys):
+        # Bareiss leaves this determinant O(T^(-2/3)), below val(Z) = 2/3:
+        # its leading layer is unknown, so no mismatch is known.
+        def series(terms, prec=None):
+            obj = {"terms": [{"c": c, "e": e} for c, e in terms]}
+            return obj if prec is None else {**obj, "prec": prec}
+
+        a, b, c = (series([("5/2", "2")]), series([("2", "1/2")], "2"),
+                   series([], "5/2"))
+        d = series([("2/5", "-4"), ("-11/5", "-2")])
+        e = series([("-3", "-2/3"), ("7/2", "11/4")], "107/20")
+        hpath = self._write(tmp_path, "H.json",
+                            [[a, b, c], [b, d, e], [c, e, series([], "7/2")]])
+        assert main(["trace", "check", "--hessian", hpath]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "Z = -45/2*T^(2/3) + O(T^1)", "det = O(T^(-2/3))",
+            "val(Z) = 2/3"]
+        assert captured.err == ("error: no layer is known: the determinant "
+                                "is O(T^(-2/3))\n")
 
     def test_trace_check_exact_zero_hessian_exits_3(self, tmp_path, capsys):
         hpath = self._write(tmp_path, "H.json", [[[]]])
@@ -825,6 +865,8 @@ class TestCLI:
         ("--window", "1,2,3",
          "window must be a pair (lo, hi), got ['1', '2', '3']"),
         ("--pi", "0", "pi_generator must be positive"),
+        ("--values", "0,,1", "values '' is not a rational number"),
+        ("--values", ",", "values '' is not a rational number"),
     ])
     def test_spectrum_enum_malformed_option_exits_2(self, capsys, option,
                                                     value, message):
@@ -978,3 +1020,63 @@ class TestCLI:
                      "--pi", "1/1000000", "--window", "-1000,1000"]) == 2
         err = capsys.readouterr().err
         assert "2000000001" in err and "1000000" in err
+
+
+#: The exit code and stderr label ``main`` gives each error, as they were
+#: when ``cli`` listed the classes by name.
+EXIT_POLICY = {
+    errors.NovlinkError: (2, "error"),
+    errors.ConfigError: (2, "config error"),
+    errors.PrecisionError: (2, "error"),
+    errors.NotInvertibleError: (2, "error"),
+    errors.InexactDivisionError: (2, "error"),
+    errors.NonUnitaryError: (2, "error"),
+    errors.AlgebraMismatchError: (2, "error"),
+    errors.SingularMatrixError: (2, "error"),
+    errors.SubadditivityError: (2, "error"),
+    errors.Obstruction: (3, "obstruction"),
+    errors.NotZeroDimensionalError: (3, "obstruction"),
+    errors.NonMorseError: (3, "obstruction"),
+    errors.ObstructedError: (3, "obstruction"),
+    errors.DegenerateTraceError: (3, "obstruction"),
+    errors.SpectrumError: (3, "obstruction"),
+    errors.AreaError: (3, "obstruction"),
+}
+
+
+def library_errors(cls=errors.NovlinkError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from library_errors(sub)
+
+
+@pytest.mark.parametrize("exc, code, label", [
+    *((cls("the message"), *EXIT_POLICY.get(cls, (None, None)))
+      for cls in library_errors()),
+    (OSError("the message"), 2, "config error"),
+    (json.JSONDecodeError("the message", "{", 1), 2, "config error"),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "the message"), 2,
+     "config error"),
+], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else None)
+def test_each_error_exits_with_its_code_and_label(monkeypatch, capsys, exc,
+                                                   code, label):
+    # Every library error is in the table, so a new one must be given its
+    # outcome here.
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "symk_idempotents", fail)
+    assert main(["qh", "idempotents", "--k", "2", "--omega", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"{label}: {exc}\n"
+    assert captured.out == ""
+
+
+def test_a_plain_value_error_propagates(monkeypatch):
+    # A ValueError is a bug in the library, not a malformed input.
+    def fail(*args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "symk_idempotents", fail)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["qh", "idempotents", "--k", "2", "--omega", "1"])

@@ -111,11 +111,6 @@ def isinstance_classes(tree):
                     if isinstance(cls, ast.Name)}, node.lineno)
 
 
-#: ``ModelOrbitSet`` (spectrum.py) reads a Python collection of orbit
-#: actions, a set included, not a JSON list.
-ORBIT_COLLECTION = {"list", "tuple", "set", "frozenset"}
-
-
 @pytest.mark.parametrize("cls", ["bool", "dict", "list"])
 def test_json_shapes_are_tested_in_novikov_alone(cls):
     """A JSON integer (``bool`` is an ``int``) is told apart by
@@ -125,9 +120,7 @@ def test_json_shapes_are_tested_in_novikov_alone(cls):
     found = [f"{path.name}:{line}" for path in MODULES
              if path.name != "novikov.py"
              for names, line in isinstance_classes(parse(path))
-             if cls in names and not (cls == "list"
-                                      and path.name == "spectrum.py"
-                                      and names == ORBIT_COLLECTION)]
+             if cls in names]
     assert found == []
 
 

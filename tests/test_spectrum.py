@@ -63,7 +63,7 @@ class TestEnumerate:
         with pytest.raises(ConfigError, match="window must be a pair"):
             SpectrumConfig(2, 1, window)
 
-    @pytest.mark.parametrize("values", [5, "01", None, {0: 1}])
+    @pytest.mark.parametrize("values", [5, "01", None, {0: 1}, {0, 1}])
     def test_malformed_values_rejected(self, values):
         with pytest.raises(ConfigError, match="values must be a list"):
             ModelOrbitSet(values)
