@@ -38,7 +38,10 @@ from .symprodqh import symk_idempotents
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply") from None
 
 
 def _cmd_crit_find(args) -> int:

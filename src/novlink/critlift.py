@@ -75,11 +75,11 @@ LEADING_SOLUTION_LIMIT = 1024
 #: monomials and ``L`` lattice points below the working precision.  The
 #: coefficients grow with the terms, so a product of ``L``-term series
 #: costs about ``L^3``, and a step makes about ``n M`` of them for the
-#: monomial table and ``n^3`` for the solve.  Lifts took 1-3 ns per unit
-#: under Python 3.11.7 on a 2-core x86-64 machine: on the k = 3 golden
-#: potential (``L = 16 (target + 1/4)``), 0.41 s at ``--prec 12`` (cost
-#: 4.1e8), 2.2 s at 18 (1.3e9, refused) and 4.0 s at 24 (3.2e9, refused);
-#: a k = 6 perturbed chain 0.54 s at target 6 (3.2e8).
+#: monomial table and ``n^3`` for the solve.  Lifts took 0.8-1.1 ns per
+#: unit under Python 3.11.7 on a 2-core x86-64 machine: on the k = 3
+#: golden potential (``L = 16 (target + 1/4)``), 0.37 s at ``--prec 12``
+#: (cost 4.1e8), 1.4 s at 18 (1.3e9, refused) and 2.6 s at 24 (3.2e9,
+#: refused); a k = 6 perturbed chain 0.32 s at target 6 (3.2e8).
 LIFT_WORK_LIMIT = 10 ** 9
 
 
@@ -417,30 +417,33 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     valuation ``rv`` puts the point within relative order ``g = rv - v0``
     of the critical point, and the Newton update within ``2g``.  Only a
     residual that is not zero goes on to a solve, against the Hessian
-    built from the same table modulo ``T^(v0 + g + eps)``; the check that
-    ends the loop builds no Hessian.  The step keeps the updated point's
-    terms below ``min(work, 2g + eps)`` and asserts them exact modulo
-    ``min(work, p - min(v0, 0))`` for the next ``p = min(work, v0 + 4g +
-    eps)``: the residual modulo that ``p`` fixes the next update below
-    ``2g' + eps`` when ``g' = 2g``.  The residual's precision is absolute
-    and the point's is relative to its valuation 0; a point error at
-    ``T^x`` moves the residual at ``T^(v0 + x)``, so ``p - v0`` is enough,
-    and at ``v0 >= 0`` the point is asserted modulo ``p`` itself.  A
-    residual that is zero modulo a ``p`` below ``work`` is evaluated again
-    at ``work``, and the loop stops only on a residual that is zero modulo
-    ``T^work``.
+    built from the same table modulo ``T^(v0 + h)``, ``h = min(g + eps, p
+    - rv)``; the check that ends the loop builds no Hessian.  The step
+    keeps the updated point's terms below ``min(work, 2g + eps)`` and
+    asserts them exact modulo ``min(work, p - min(v0, 0))`` for the next
+    ``p = min(work, v0 + 4g + eps)``: the residual modulo that ``p``
+    fixes the next update below ``2g' + eps`` when ``g' = 2g``.  The
+    residual's precision is absolute and the point's is relative to its
+    valuation 0; a point error at ``T^x`` moves the residual at ``T^(v0 +
+    x)``, so ``p - v0`` is enough, and at ``v0 >= 0`` the point is
+    asserted modulo ``p`` itself.  A residual that is zero modulo a ``p``
+    below ``work`` is evaluated again at ``work``, and the loop stops only
+    on a residual that is zero modulo ``T^work``.
 
     Why the certificate is the one a loop at the full precision ``work``
     gives:
 
     * The solve's Hessian.  Its leading layer at ``v0`` is invertible, so
       ``H^-1`` has valuation ``-v0`` and the update ``delta = -H^-1 r``
-      valuation at least ``g``.  An error ``E`` in ``H`` at ``T^(v0 + g +
-      eps)`` changes ``H^-1`` by ``H^-1 E (H + E)^-1``, of valuation at
-      least ``g + eps - v0``, so it moves ``delta`` only at ``T^(2g +
-      eps)``, which the step truncates away: the kept point is the one the
-      full Hessian gives.  The pivots keep valuation ``v0 < v0 + g + eps``,
-      so the solve fails no more often than with the full Hessian.
+      valuation at least ``g``.  An error ``E`` in ``H`` at ``T^(v0 + h)``
+      changes ``H^-1`` by ``H^-1 E (H + E)^-1``, of valuation at least ``h
+      - v0``, so it moves ``delta`` only at ``T^(g + h)`` (Caruso, Roe &
+      Vaccon, ANTS XI, 2014): at ``T^(2g + eps)``, which the step
+      truncates away, or at ``T^(p - v0)``, where the residual, known
+      modulo ``T^p``, leaves ``delta`` unknown anyway.  Only a step capped
+      at ``p = work``, or one after ``g`` more than doubled, has ``p - rv
+      < g + eps``.  The pivots keep valuation ``v0 < v0 + h``, so the
+      solve fails no more often than with the full Hessian.
     * Point, Hessian and determinant.  The final point is critical modulo
       ``T^work`` and the leading Hessian is invertible, so by Hensel
       uniqueness it equals the full-precision loop's point modulo
@@ -511,7 +514,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
         if rv <= bound:
             raise ObstructedError(f"obstructed at order {rv}", order=rv)
         bound = rv
-        h_now = _table_hessian(table, n, rv + eps)
+        h_now = _table_hessian(table, n, min(rv + eps, v0 + p - rv))
         delta = solve_linear(h_now, [-r for r in residual])
         g = rv - v0
         keep = min(work, 2 * g + eps)

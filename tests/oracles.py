@@ -4,6 +4,10 @@ Everything here deliberately avoids the code path it verifies:
 
 * ``det_minor_expansion``: division-free cofactor determinant (checks the
   Bareiss route);
+* ``det_bareiss_full_square`` and ``solve_linear_full_square``: the
+  Bareiss and Gaussian loops with every step updating the whole trailing
+  square (check the one-triangle update on symmetric matrices field for
+  field, raised errors included);
 * ``long_divide``: schoolbook long division on Fraction dicts (checks the
   series quotient, precision included);
 * ``series_product`` and ``series_sum``: term-by-term arithmetic on
@@ -35,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from novlink.cliffordtrace import CliffordAlgebraModel, clifford_product, poincare_pairing
 from novlink.critlift import MAX_NEWTON_STEPS, certify_morse
@@ -46,9 +50,25 @@ from novlink.errors import (
     NotInvertibleError,
     ObstructedError,
     PrecisionError,
+    SingularMatrixError,
 )
-from novlink.laurent import LaurentPotential, UnitaryPoint, det_bareiss, solve_linear
-from novlink.novikov import INFINITY, NovikovSeries
+from novlink.laurent import (
+    LaurentPotential,
+    UnitaryPoint,
+    _components,
+    _pick_pivot,
+    _singular_det,
+    _square,
+    det_bareiss,
+    solve_linear,
+)
+from novlink.novikov import (
+    INFINITY,
+    NovikovSeries,
+    _divider,
+    _entry,
+    linear_combination,
+)
 
 
 # -- determinants -------------------------------------------------------------
@@ -78,6 +98,72 @@ def det_minor_expansion(matrix):
         return acc
 
     return minor(tuple(range(n)))
+
+
+def det_bareiss_full_square(matrix):
+    """``det_bareiss`` with every elimination step updating the whole
+    trailing square; the pivot, quotient and singular-column rules are
+    the library's."""
+    matrix = _square(matrix, "matrix")
+    dets = [bareiss_full_square([[matrix[i][j] for j in block]
+                                 for i in block])
+            for block in _components(matrix)] or [NovikovSeries.one()]
+    return prod(dets[1:], start=dets[0])
+
+
+def bareiss_full_square(matrix):
+    """``laurent._bareiss`` with every step updating the whole trailing
+    square."""
+    n = len(matrix)
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = NovikovSeries.one()
+    for k in range(n - 1):
+        pivot_row = _pick_pivot(m, k)
+        if pivot_row is None:
+            return _singular_det(matrix, m, k, prev)
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        by_prev = _divider(prev)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = by_prev(num)
+        prev = m[k][k]
+    out = m[n - 1][n - 1]
+    return out if sign == 1 else -out
+
+
+def solve_linear_full_square(matrix, rhs):
+    """``solve_linear`` with every step updating the whole trailing square
+    and the rhs."""
+    a = _square(matrix, "matrix")
+    n = len(a)
+    if len(rhs) != n:
+        raise ConfigError(f"rhs has {len(rhs)} entries for {n} rows")
+    for i, (row, r) in enumerate(zip(a, rhs)):
+        row.append(_entry(r, "rhs", i))
+    by_pivot = []
+    for k in range(n):
+        best = _pick_pivot(a, k)
+        if best is None:
+            raise SingularMatrixError("matrix is singular at the available "
+                                      "precision")
+        if best != k:
+            a[k], a[best] = a[best], a[k]
+        by_pivot.append(_divider(a[k][k]))
+        for i in range(k + 1, n):
+            if a[i][k].is_exact_zero():
+                continue
+            factor = by_pivot[k](a[i][k])
+            for j in range(k + 1, n + 1):
+                a[i][j] = a[i][j] - factor * a[k][j]
+    xs = [NovikovSeries.zero()] * n
+    for k in range(n - 1, -1, -1):
+        xs[k] = by_pivot[k](linear_combination(
+            [(1, a[k][n])] + [(-1, a[k][j] * xs[j]) for j in range(k + 1, n)]))
+    return xs
 
 
 # -- long division -------------------------------------------------------------

@@ -855,6 +855,30 @@ class TestDoublingPrecision:
         assert cert == full_precision_lift(W, ones(2), target)
         assert cert.morse and len(cert.residual_valuations) >= 5
 
+    @pytest.mark.parametrize("k, extra", [
+        (5, {(1, 0, -1, 0, 0): (1, 1), (0, 1, 0, 0, -1): (-1, 3),
+             (0, 0, 1, 1, 0): (F(1, 2), 2), (-1, 0, 0, 0, 1): (2, 5),
+             (0, -1, 1, 0, 0): (-1, 6)}),
+        (6, {(1, -1, 0, 0, 0, 0): (1, 1), (0, 0, 1, 0, -1, 0): (-1, 2),
+             (0, 1, 0, 1, 0, 0): (F(1, 3), 3), (0, 0, 0, -1, 0, 1): (2, 4),
+             (-1, 0, 0, 0, 0, 1): (1, 5), (0, 0, -1, 1, 1, 0): (F(-1, 2), 7)}),
+    ])
+    def test_five_and_six_link_chains_match_full_precision_lift(self, k,
+                                                                 extra):
+        # The property above stops at k = 4.  Each chain has k extra
+        # monomials c z^m at T^(B + j/16), given as m: (c, j); the last
+        # solve of the lift to 6B takes the Hessian only modulo T^(3/4).
+        link, bulk = CircleLinkS2(k, B / 2, B), BulkParameter(F(1))
+        W = build_chain_potential(link, bulk, LaurentPotential(k, {
+            m: NovikovSeries.monomial(c, B + F(j, 16))
+            for m, (c, j) in extra.items()}))
+        seed = UnitaryPoint([mono(c) for c in preferred_branch_leads(link,
+                                                                     bulk)])
+        cert = doubling_lift(W, seed, 6 * B)
+        assert cert == full_precision_lift(W, seed, 6 * B)
+        assert cert.morse and cert.residual_valuations[-2:] == (F(5, 4),
+                                                                 F(7, 4))
+
     def test_newton_steps_exhausted_is_obstructed(self, monkeypatch):
         # The perturbed chain needs six steps (see the next test); one step
         # leaves the residual at T^(5/16).
@@ -867,9 +891,12 @@ class TestDoublingPrecision:
     def test_precision_doubles_with_the_residual(self, monkeypatch):
         # The perturbed chain's gaps g = rv - B go 1/16, 1/8, 1/4, 1/2, 1,
         # so the residuals are taken modulo 7/4 (the seed), then 9/16,
-        # 13/16, 21/16 and 7/4 = work twice, and each solve gets the
-        # Hessian modulo B + g + 1/16.  The closing check, whose residual
-        # is zero, builds no Hessian.
+        # 13/16, 21/16 and 7/4 = work twice.  Each solve gets the Hessian
+        # modulo B + min(g + 1/16, p - rv): B + g + 1/16 while p doubles,
+        # and B + 7/4 - 5/4 = 3/4 in the last, capped solve, where the
+        # residual known modulo T^(7/4) leaves delta unknown from T^(3/2)
+        # on.  The closing check, whose residual is zero, builds no
+        # Hessian.
         calls = []
         table = LaurentPotential._monomial_table
         hessian = critlift._table_hessian
@@ -895,5 +922,5 @@ class TestDoublingPrecision:
             ("table", F(9, 16)), ("hessian", F(7, 16)),
             ("table", F(13, 16)), ("hessian", F(9, 16)),
             ("table", F(21, 16)), ("hessian", F(13, 16)),
-            ("table", F(7, 4)), ("hessian", F(21, 16)),
+            ("table", F(7, 4)), ("hessian", F(3, 4)),
             ("table", F(7, 4))]

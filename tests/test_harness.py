@@ -661,6 +661,16 @@ class TestCLI:
         assert captured.err == ("error: no layer is known: the determinant "
                                 "is O(T^(-2/3))\n")
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # json.load recurses once per nesting level.
+        hpath = tmp_path / "H.json"
+        hpath.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["trace", "check", "--hessian", str(hpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"config error: {hpath}: JSON nested too deeply\n"
+        assert captured.out == ""
+
     def test_trace_check_exact_zero_hessian_exits_3(self, tmp_path, capsys):
         hpath = self._write(tmp_path, "H.json", [[[]]])
         assert main(["trace", "check", "--hessian", hpath]) == 3

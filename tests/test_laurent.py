@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from novlink import laurent
 from novlink.cliffordtrace import CliffordAlgebraModel
 from novlink.errors import (
     ConfigError,
     NonUnitaryError,
+    NovlinkError,
     PrecisionError,
     SingularMatrixError,
 )
@@ -28,10 +30,13 @@ from novlink.novikov import NovikovSeries
 from novlink.symprodqh import SymQHElement
 
 from oracles import (
+    bareiss_full_square,
+    det_bareiss_full_square,
     det_minor_expansion,
     evaluate_dual,
     log_gradient,
     log_hessian,
+    solve_linear_full_square,
 )
 from strategies import (
     block_forms,
@@ -39,6 +44,7 @@ from strategies import (
     laurent_potentials,
     positive_fractions,
     series,
+    symmetric_forms,
     unitary_series,
 )
 
@@ -467,6 +473,71 @@ class TestMatrixHelpers:
                            for e in rhs])
         for x, y in zip(xs, ys):
             assert y.eq_mod(x, x.precision)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and message of the library error it
+    raises."""
+    try:
+        return f(*args)
+    except NovlinkError as exc:
+        return type(exc), str(exc)
+
+
+def count_quotients(monkeypatch):
+    """A list that gains one entry per quotient an elimination takes."""
+    calls = []
+    divider = laurent._divider
+
+    def spy(b):
+        quotient = divider(b)
+        return lambda a: calls.append(a) or quotient(a)
+
+    monkeypatch.setattr(laurent, "_divider", spy)
+    return calls
+
+
+class TestSymmetricElimination:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_square_loops(self, data):
+        # Exact, finite-precision and O(T^p) entries; exact multi-term
+        # entries may make a quotient inexact, which must raise alike.
+        form = data.draw(st.one_of(symmetric_forms(), block_forms()))
+        rhs = data.draw(st.lists(series(max_terms=2), min_size=len(form),
+                                 max_size=len(form)))
+        assert outcome(det_bareiss, form) == \
+            outcome(det_bareiss_full_square, form)
+        assert outcome(_bareiss, form) == outcome(bareiss_full_square, form)
+        assert outcome(solve_linear, form, rhs) == \
+            outcome(solve_linear_full_square, form, rhs)
+
+    def test_row_swap_ends_the_copying(self, monkeypatch):
+        # Column 0's least valuation is in row 1, so the first pivot swaps
+        # rows 0 and 1 and every step updates the whole square: 4 + 1
+        # Bareiss updates, where one triangle would take 3 + 1.
+        T = mono(1, 1)
+        form = [[T, mono(1), mono(2)], [mono(1), T, mono(3)],
+                [mono(2), mono(3), T]]
+        rhs = [mono(1), mono(0), mono(-1)]
+        calls = count_quotients(monkeypatch)
+        det = det_bareiss(form)
+        assert len(calls) == 4 + 1
+        assert det == bareiss_full_square(form) == det_minor_expansion(form)
+        # Truncated, so that the solve's quotients are finite.
+        form = [[e.truncate(8) for e in row] for row in form]
+        xs = solve_linear(form, rhs)
+        assert xs == solve_linear_full_square(form, rhs)
+        assert all(x.precision == 8 for x in xs)
+
+    def test_dense_symmetric_form_updates_one_triangle(self, monkeypatch):
+        # Diagonal pivots throughout: 10 + 6 + 3 + 1 updates, not
+        # 16 + 9 + 4 + 1.
+        form = [[mono(5 if i == j else 1) for j in range(5)]
+                for i in range(5)]
+        calls = count_quotients(monkeypatch)
+        assert det_bareiss(form) == mono(4 ** 4 * 9)
+        assert len(calls) == 20
 
 
 class TestSerialization:
