@@ -127,103 +127,98 @@ class CriticalCertificate:
 Polynomial = Dict[Tuple[int, ...], Fraction]
 
 
-def _leading_layers(W: LaurentPotential):
-    """``(v, monomials)`` per variable ``i``: the leading layer of gradient
-    component ``i``, ``sum m_i coeff z^m``, at the least valuation ``v`` of
-    its coefficients (``novikov._least_valuation``, which raises
-    ``PrecisionError`` when that layer is unknown), as the pairs ``(m, m_i
-    coeff_v)``.  A variable in no monomial gets ``(INFINITY, [])``."""
-    layers = []
+def _solve_leading_system(W: LaurentPotential):
+    """All torus solutions of the leading gradient system, as
+    ``(rational_points, irrational_count, order)``.
+
+    The leading layer of gradient component ``i``, ``sum m_i coeff z^m``,
+    is its part at the least valuation ``v`` of its coefficients
+    (``novikov._least_valuation``, which raises ``PrecisionError`` when
+    that layer is unknown).  It becomes a polynomial once its monomial
+    content is divided out (per-variable minimum exponent set to zero),
+    which is harmless on the unit torus: a layer of one monomial becomes a
+    nonzero constant, a unit.  A variable in no monomial has no layer.
+    Every layer is read before ``_solve_polynomials`` decides, so
+    renumbering the variables never changes the verdict.  ``order`` is
+    ``None`` unless some block has no torus root; then it is the least,
+    over those blocks, of the greatest valuation among the block's layers.
+    """
+    valuations, polys = [], []
     for i in range(W.num_vars):
         comp = [(m, c) for m, c in W.items() if m[i]]
+        if not comp:
+            continue
         v = _least_valuation(
             [c for _, c in comp],
             lambda j: f"the coefficient of z^{list(comp[j][0])}")
-        layers.append((v, [(m, a) for m, c in comp
-                           if (a := m[i] * c.coefficient(v))]))
-    return layers
-
-
-def _solve_leading_system(W: LaurentPotential):
-    """All torus solutions of the leading gradient system, as
-    ``(rational_points, irrational_count)``.
-
-    Each layer of ``_leading_layers`` becomes a polynomial once its
-    monomial content is divided out (per-variable minimum exponent set to
-    zero), which is harmless on the unit torus.  The verdict is one global
-    check at a time, so renumbering the variables never changes it: a
-    component with no known layer raises ``PrecisionError``, then a layer
-    of one monomial, a unit on the torus, gives ``([], 0)``, and then
-    ``_solve_polynomials`` decides.
-    """
-    layers = [monos for _, monos in _leading_layers(W)]
-    if any(len(monos) == 1 for monos in layers):
-        return [], 0
-    polys = []
-    for monos in filter(None, layers):
+        monos = [(m, a) for m, c in comp if (a := m[i] * c.coefficient(v))]
         shift = [min(e) for e in zip(*(m for m, _ in monos))]
+        valuations.append(v)
         polys.append({tuple(e - s for e, s in zip(m, shift)): a
                       for m, a in monos})
-    rational, irrational = _solve_polynomials(polys, W.num_vars)
+    rational, irrational, rootless = _solve_polynomials(polys, W.num_vars)
+    order = min((max(valuations[n] for n in block) for block in rootless),
+                default=None)
     # Few distinct coordinates recur across the 2^k-style product.
     leads = {c: NovikovSeries.monomial(c, 0) for c in set().union(*rational)}
     points = [UnitaryPoint([leads[c] for c in tup]) for tup in rational]
-    return points, irrational
+    return points, irrational, order
 
 
 def _solve_polynomials(polys: List[Polynomial], k: int):
-    """Torus solutions of nonconstant polynomials in ``k`` variables.
-
-    Returns ``(rational, irrational)``: the sorted tuples of the rational
-    solutions with no zero coordinate, and the number of the other such
-    solutions.  The polynomials split into blocks that share no variable,
-    and the solutions are the product of the blocks' solutions.  A
-    variable in no polynomial is a block of its own, positive-dimensional.
-    In this order: a Bezout bound above ``LEADING_SOLUTION_LIMIT`` raises
-    ``ConfigError`` before any block is solved; once every block is solved,
-    a block with no torus root gives ``([], 0)``, else a
-    positive-dimensional block raises ``NotZeroDimensionalError``, else a
-    block with a root not in radicals raises ``ConfigError``.
+    """Torus solutions of nonzero polynomials in ``k`` variables, as
+    ``(rational, irrational, rootless)``: the sorted tuples of the rational
+    solutions with no zero coordinate, the number of the other such
+    solutions, and the polynomials' indices in each block with no torus
+    root.  The blocks share no variable, and the solutions are the product
+    of theirs.  A nonzero constant is a block with no variable and no
+    root, a variable in no polynomial a positive-dimensional block; every
+    other block is solved once, to ``(rational roots, count)``, count
+    ``None`` for a positive dimension, or to the ``ConfigError`` of a root
+    not in radicals.  The verdict, in this order: a constant gives no
+    solution; a Bezout bound above ``LEADING_SOLUTION_LIMIT`` raises
+    ``ConfigError`` before any block is solved; a block with no torus root
+    gives none; a positive dimension raises ``NotZeroDimensionalError``; a
+    root not in radicals raises its block's ``ConfigError``.
     """
     # The blocks are the classes (``_classes``) of the variables 0..k-1 and
     # the polynomials, numbered from k, where a polynomial joins its variables.
-    blocks = [([i for i in c if i < k], [polys[i - k] for i in c if i >= k])
+    blocks = [([i for i in c if i < k], [i - k for i in c if i >= k])
               for c in _classes(k + len(polys), (
                   (k + n, i) for n, p in enumerate(polys)
                   for m in p for i, e in enumerate(m) if e))]
-    bound = math.prod(_bezout_bound(len(vs), ps) for vs, ps in blocks)
+    if constants := [ns for vs, ns in blocks if not vs]:
+        return [], 0, constants
+    # Bezout: a block has at most the product of its len(vs) largest total
+    # degrees of isolated roots.
+    bound = 1
+    for vs, ns in blocks:
+        degrees = sorted((max(map(sum, polys[n])) for n in ns), reverse=True)
+        bound *= math.prod(degrees[:len(vs)])
     if bound > LEADING_SOLUTION_LIMIT:
         raise ConfigError(
             f"the leading system may have up to {bound} solutions, above "
             f"LEADING_SOLUTION_LIMIT = {LEADING_SOLUTION_LIMIT}")
-    solved, refused = [], []
-    for vs, ps in blocks:
-        try:
-            if not ps:  # a variable in no polynomial
-                raise NotZeroDimensionalError(
-                    "leading system not zero-dimensional")
-            solved.append((vs, *(_solve_univariate(vs[0], ps) if len(vs) == 1
-                                 else _solve_coupled(vs, ps))))
-        except (NotZeroDimensionalError, ConfigError) as exc:
-            refused.append(exc)
-    if not all(count for _, _, count in solved):
-        return [], 0
-    if refused:
-        raise min(refused, key=lambda exc: not isinstance(
-            exc, NotZeroDimensionalError))
-    where = [v for vs, _, _ in solved for v in vs]
+    outcomes = []
+    for vs, ns in blocks:
+        ps = [polys[n] for n in ns]
+        outcomes.append(([], None) if not ps  # a variable in no polynomial
+                        else _solve_univariate(vs[0], ps) if len(vs) == 1
+                        else _solve_coupled(vs, ps))
+    counts = [out if isinstance(out, ConfigError) else out[1]
+              for out in outcomes]
+    if 0 in counts:
+        return [], 0, [ns for (_, ns), c in zip(blocks, counts) if c == 0]
+    if None in counts:
+        raise NotZeroDimensionalError("leading system not zero-dimensional")
+    for c in counts:
+        if isinstance(c, ConfigError):
+            raise c
+    where = [v for vs, _ in blocks for v in vs]
     rational = sorted(
         tuple(c for _, c in sorted(zip(where, itertools.chain(*combo))))
-        for combo in itertools.product(*(roots for _, roots, _ in solved)))
-    total = math.prod(count for _, _, count in solved)
-    return rational, total - len(rational)
-
-
-def _bezout_bound(n: int, polys: List[Polynomial]) -> int:
-    """Product of the ``n`` largest total degrees: a bound on the isolated
-    solutions of ``polys`` in ``n`` variables."""
-    degrees = sorted((max(sum(m) for m in p) for p in polys), reverse=True)
-    return math.prod(degrees[:n])
+        for combo in itertools.product(*(roots for roots, _ in outcomes)))
+    return rational, math.prod(counts) - len(rational), []
 
 
 def _solve_coupled(variables: List[int], polys: List[Polynomial]):
@@ -231,10 +226,10 @@ def _solve_coupled(variables: List[int], polys: List[Polynomial]):
     ``solve_poly_system``.
 
     Returns ``(rational, count)``: the rational solutions as tuples over
-    ``variables`` and the number of solutions with no zero coordinate.  A
-    block with a root that cannot be written in radicals raises
-    ``ConfigError``, since its solutions could be neither listed nor
-    counted.
+    ``variables`` and the number of solutions with no zero coordinate, or
+    ``([], None)`` for a positive-dimensional block.  A block with a root
+    that cannot be written in radicals returns a ``ConfigError``, since its
+    solutions could be neither listed nor counted.
     """
     symbols = [sympy.Symbol(f"z{v + 1}") for v in variables]
     exprs = [sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
@@ -243,14 +238,13 @@ def _solve_coupled(variables: List[int], polys: List[Polynomial]):
                          for m, c in p.items())) for p in polys]
     try:
         sols = solve_poly_system(exprs, *symbols, strict=True)
-    except UnsolvableFactorError as exc:
-        raise ConfigError(
+    except UnsolvableFactorError:
+        return ConfigError(
             f"the roots of the leading block in "
             f"{', '.join(map(str, symbols))} cannot all be written in "
-            f"radicals") from exc
-    except NotImplementedError as exc:
-        raise NotZeroDimensionalError(
-            "leading system not zero-dimensional") from exc
+            f"radicals")
+    except NotImplementedError:  # sympy's refusal of a positive dimension
+        return [], None
     rational, count = [], 0
     for sol in sols or ():  # None: no solution at all
         if any(v.is_zero for v in sol):
@@ -371,8 +365,7 @@ def leading_solutions(W: LaurentPotential) -> List[UnitaryPoint]:
     coordinate tuple; irrational branches are dropped, and
     ``truncation_obstruction`` counts them.  ``hensel_lift`` lifts a point.
     """
-    points, _ = _solve_leading_system(W)
-    return points
+    return _solve_leading_system(W)[0]
 
 
 # -- lifting -------------------------------------------------------------------
@@ -427,8 +420,14 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
     valuation 0; a point error at ``T^x`` moves the residual at ``T^(v0 +
     x)``, so ``p - v0`` is enough, and at ``v0 >= 0`` the point is
     asserted modulo ``p`` itself.  A residual that is zero modulo a ``p``
-    below ``work`` is evaluated again at ``work``, and the loop stops only
-    on a residual that is zero modulo ``T^work``.
+    below ``min(work, p_W)`` is evaluated again at ``work``, and the loop
+    stops only on a residual that is zero modulo ``T^min(work, p_W)``.
+    The point claims no more than ``W`` fixes: a monomial has valuation 0
+    on the unit torus, so ``W`` fixes the gradient, and the residual is
+    cut, modulo ``T^p_W``, the least precision of a coefficient whose
+    monomial is not constant (infinite for an exact ``W``); by
+    ``dz = -H^-1 d(grad)`` the point is asserted modulo at most
+    ``min(work, p_W - v0)``.
 
     Why the certificate is the one a loop at the full precision ``work``
     gives:
@@ -445,10 +444,10 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
       < g + eps``.  The pivots keep valuation ``v0 < v0 + h``, so the
       solve fails no more often than with the full Hessian.
     * Point, Hessian and determinant.  The final point is critical modulo
-      ``T^work`` and the leading Hessian is invertible, so by Hensel
-      uniqueness it equals the full-precision loop's point modulo
-      ``T^target``; ``certify_morse`` computes the Hessian and determinant
-      from that truncated point alone.
+      ``T^min(work, p_W)`` and the leading Hessian is invertible, so by
+      Hensel uniqueness it equals the full-precision loop's point modulo
+      ``T^min(target, p_W - v0)``; ``certify_morse`` computes the Hessian
+      and determinant from that truncated point alone.
     * ``residual_valuations``.  Let the kept point agree with the
       full-precision iterate beyond its accuracy ``g``.  A Newton step
       moves the two apart by no more than it moves either toward the
@@ -481,7 +480,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
 
     # Each Newton division costs the Hessian's leading valuation, so run
     # the loop that much above the target; the point then comes out known
-    # modulo the full target.  Seed terms are taken at face value (finite
+    # modulo the target or W's cap.  Seed terms are taken at face value (finite
     # seed precision dropped): the iteration self-corrects anything above
     # the seed's accuracy, and the result is re-verified at the end.
     work = target + max(v0, 0)
@@ -493,20 +492,21 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
         raise ConfigError(f"the lift to precision {target} costs {cost} "
                           f"units of work, above LIFT_WORK_LIMIT = "
                           f"{LIFT_WORK_LIMIT}")
-    z = [c.assume_precision(work) for c in z0]
+    p_W = min((c.precision for m, c in W.items() if any(m)), default=INFINITY)
+    cap = min(work, p_W - v0)
+    z = [c.assume_precision(cap) for c in z0]
     p = work
     residual_vals = []
     bound = v0  # each residual valuation must pass v0 and the one before
     n = W.num_vars
     for _ in range(MAX_NEWTON_STEPS):
         _, table = W._monomial_table(z, p)
-        residual = _table_gradient(table, n)
-        if p < work and all(r.is_zero() for r in residual):
+        residual = [r.truncate(p_W) for r in _table_gradient(table, n)]
+        if p < min(work, p_W) and all(r.is_zero() for r in residual):
             # Zero below p says nothing about the orders up to work.
             p = work
-            z = [c.assume_precision(work) for c in z]
-            _, table = W._monomial_table(z, p)
-            residual = _table_gradient(table, n)
+            z = [c.assume_precision(cap) for c in z]
+            continue
         rv = min(r.val_lower_bound() for r in residual)
         residual_vals.append(rv)
         if all(r.is_zero() for r in residual):
@@ -520,7 +520,7 @@ def hensel_lift(W: LaurentPotential, z0: UnitaryPoint,
         keep = min(work, 2 * g + eps)
         p = min(work, v0 + 4 * g + eps)
         # p is absolute; the point's precision is relative to valuation 0.
-        held = min(work, p - min(v0, 0))
+        held = min(cap, p - min(v0, 0))
         z = [(z[i] * (NovikovSeries.one() + delta[i])).truncate(keep)
              .assume_precision(held) for i in range(n)]
     else:

@@ -25,6 +25,7 @@ from . import cliffordtrace
 from .errors import AreaError, ConfigError
 from .linkfam import BulkParameter, CircleLinkS2, critical_data
 from .novikov import (
+    _echo,
     _json_fields,
     _pair,
     _parse_json_int,
@@ -70,7 +71,7 @@ class AreaSchedule:
             object.__setattr__(self, "total_area",
                                as_fraction(self.total_area, "total_area"))
         if self.kind not in ("power", "constant", "power_fixed_total"):
-            raise ConfigError(f"unknown schedule kind {self.kind!r}")
+            raise ConfigError(f"unknown schedule kind {_echo(self.kind)}")
         if self.kind == "power_fixed_total" and self.total_area is None:
             raise ConfigError("power_fixed_total needs total_area")
         if not (0 < self.annulus_ratio < 1):

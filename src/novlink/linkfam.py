@@ -25,14 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from .critlift import (
-    CriticalCertificate,
-    _leading_layers,
-    _solve_leading_system,
-    certify_morse,
-)
+from .critlift import CriticalCertificate, _solve_leading_system, certify_morse
 from .errors import AreaError, ConfigError, NotZeroDimensionalError
 from .laurent import LaurentPotential, UnitaryPoint
 from .novikov import (
@@ -149,8 +144,13 @@ class TruncationReport:
     ``unobstructed`` records whether the truncated leading gradient system
     still has a unit-torus solution; when it does not, ``order`` names the
     valuation at which the critical-point equation fails: every unit point's
-    gradient has a component of that valuation or less.  ``points`` lists
-    the rational leading solutions (free coordinates set to 1).
+    gradient has a component of that valuation or less.  It is the least,
+    over the blocks of leading layers with no common torus root, of the
+    greatest valuation among the block's layers; a layer of one monomial
+    is such a block alone.  A solvable block beside them does not move it,
+    but a layer that first becomes active at a higher cutoff can join a
+    rootless block and raise it.  ``points`` lists the rational leading
+    solutions (free coordinates set to 1).
     """
 
     unobstructed: bool
@@ -162,13 +162,10 @@ class TruncationReport:
 def truncation_obstruction(W: LaurentPotential, cutoff) -> TruncationReport:
     """Restrict to coefficients of valuation <= cutoff and test criticality.
 
-    A gradient layer of one monomial is a unit on the torus, so the
-    truncation is obstructed at that layer's valuation, the least one when
-    several are.  With no such layer, some block of leading layers has no
-    common torus root, and the order is the greatest layer valuation, by
-    which every leading equation is in force.  A coefficient known only as
-    ``O(T^p)`` with ``p <= cutoff`` may or may not survive the truncation,
-    so it raises ``PrecisionError``.
+    The leading system on the variables the kept terms use is solved
+    once, and ``order`` is read off that solve (see ``TruncationReport``).
+    A coefficient known only as ``O(T^p)`` with ``p <= cutoff`` may or may
+    not survive the truncation, so it raises ``PrecisionError``.
     """
     cutoff = as_fraction(cutoff, "cutoff")
     kept = W.terms_through(cutoff)
@@ -181,25 +178,17 @@ def truncation_obstruction(W: LaurentPotential, cutoff) -> TruncationReport:
     sub = LaurentPotential(len(active), {tuple(m[v] for v in active): c
                                          for m, c in kept.items()})
     try:
-        points, irrational = _solve_leading_system(sub)
+        points, irrational, order = _solve_leading_system(sub)
     except NotZeroDimensionalError:
         return TruncationReport(
             unobstructed=True,
             note="leading system not zero-dimensional on the active "
                  "variables")
-    if not points and not irrational:
-        layers = _leading_layers(sub)
-        return TruncationReport(unobstructed=False, order=min(
-            (v for v, monos in layers if len(monos) == 1),
-            default=max(v for v, _ in layers)))
-    full_points = tuple(_embed_point(p, active, W.num_vars) for p in points)
+    if order is not None:
+        return TruncationReport(unobstructed=False, order=order)
+    full_points = tuple(
+        UnitaryPoint([dict(zip(active, p)).get(v, NovikovSeries.one())
+                      for v in range(W.num_vars)]) for p in points)
     note = (f"{irrational} non-rational branch(es) dropped"
             if irrational else "")
     return TruncationReport(unobstructed=True, points=full_points, note=note)
-
-
-def _embed_point(p: UnitaryPoint, active: List[int], k: int) -> UnitaryPoint:
-    coords = [NovikovSeries.one()] * k
-    for slot, var in enumerate(active):
-        coords[var] = p[slot]
-    return UnitaryPoint(coords)

@@ -24,9 +24,11 @@ that need a fixed lattice enforce it themselves.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
+from pprint import pformat
 from typing import Iterable, Union
 
 from .errors import (
@@ -105,11 +107,18 @@ def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
         return Fraction(x)
     if type(x) is not str:
         raise ConfigError(f"{what} must be an integer or a \"p/q\" string, "
-                          f"got {x!r}")
+                          f"got {_echo(x)}")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{what} {x!r} is not a rational number") from exc
+        raise ConfigError(
+            f"{what} {_echo(x)} is not a rational number") from exc
+
+
+def _echo(x) -> str:
+    """``repr(x)`` for a refusal, cut at six levels and 80 characters."""
+    text = pformat(x, depth=6, width=sys.maxsize, sort_dicts=False)
+    return text if len(text) <= 80 else text[:80] + "..."
 
 
 def _entry(x, name: str, *index) -> "NovikovSeries":
@@ -437,7 +446,7 @@ class NovikovSeries:
 def _parse_json_int(x, what: str) -> int:
     """``x`` if it is a JSON integer (not a bool), else ``ConfigError``."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ConfigError(f"{what} must be a JSON integer, got {x!r}")
+        raise ConfigError(f"{what} must be a JSON integer, got {_echo(x)}")
     return x
 
 
@@ -463,14 +472,15 @@ def _json_fields(obj, rule: str, required=(), optional=()) -> dict:
     missing key (``has no "<key>"``) or an unknown one, which a typo would
     otherwise turn into a default without a word."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{rule}, got {obj!r}")
+        raise ConfigError(f"{rule}, got {_echo(obj)}")
     for key in required:
         if key not in obj:
-            raise ConfigError(f"{rule}; {obj!r} has no \"{key}\"")
+            raise ConfigError(f"{rule}; {_echo(obj)} has no \"{key}\"")
     for key in obj:
         if key not in required + optional:
-            raise ConfigError(f"{rule}; {obj!r} has an unknown key {key!r}, "
-                              f"not one of {required + optional}")
+            raise ConfigError(f"{rule}; {_echo(obj)} has an unknown key "
+                              f"{_echo(key)}, not one of "
+                              f"{required + optional}")
     return dict(obj)
 
 
@@ -478,7 +488,7 @@ def _json_array(x, rule: str, size=None):
     """``x`` if it is a JSON list (a tuple from Python code), of ``size``
     entries when given, else ``ConfigError`` led by ``rule``."""
     if not isinstance(x, (list, tuple)) or size not in (None, len(x)):
-        raise ConfigError(f"{rule}, got {x!r}")
+        raise ConfigError(f"{rule}, got {_echo(x)}")
     return x
 
 

@@ -47,7 +47,7 @@ from novlink.linkfam import (
 from novlink.novikov import NovikovSeries
 
 from oracles import full_precision_lift, one_exponent_lift
-from strategies import laurent_potentials
+from strategies import completions, laurent_potentials
 
 LINK2 = CircleLinkS2(2, F(1, 8), F(1, 4))
 B = LINK2.B
@@ -86,7 +86,7 @@ def gradient_potential(q, shift=1):
 
 
 def solved(W):
-    points, irrational = _solve_leading_system(W)
+    points, irrational, _ = _solve_leading_system(W)
     return [p.leading_tuple() for p in points], irrational
 
 
@@ -243,7 +243,7 @@ class TestVerdictOrder:
         for perm in itertools.permutations(range(3)):
             assert _solve_polynomials([{tuple(m[i] for i in perm): c
                                         for m, c in p.items()}
-                                       for p in polys], 3) == ([], 0)
+                                       for p in polys], 3)[:2] == ([], 0)
         W = LaurentPotential(3, {(1, 0, 0): mono(1), (-1, 0, 0): mono(1),
                                  (2, 2, 0): mono(F(1, 2), 1),
                                  (0, 2, 0): mono(F(-1, 2), 1),
@@ -260,7 +260,7 @@ class TestVerdictOrder:
     def test_one_monomial_layer_before_a_free_variable(self):
         W = LaurentPotential(2, {(1, 0): mono(1, 1)})
         for perm in ([0, 1], [1, 0]):
-            assert _solve_leading_system(permuted(W, perm)) == ([], 0)
+            assert _solve_leading_system(permuted(W, perm))[:2] == ([], 0)
 
     @given(potentials_and_permutations())
     @settings(max_examples=100, deadline=None)
@@ -482,7 +482,7 @@ def whole_system_by_sympy(polys, k):
 
 def block_solve(polys, k):
     try:
-        return _solve_polynomials(polys, k)
+        return _solve_polynomials(polys, k)[:2]
     except NotZeroDimensionalError:
         return "not zero-dimensional"
 
@@ -553,16 +553,16 @@ class TestBlockSolver:
         # (z^2 - 2)(z - 1) and (z^2 - 2)(z + 3): gcd z^2 - 2.
         polys = [univariate(poly_mul([-2, 0, 1], [-1, 1])),
                  univariate(poly_mul([-2, 0, 1], [3, 1]))]
-        assert _solve_polynomials(polys, 1) == ([], 2)
+        assert _solve_polynomials(polys, 1)[:2] == ([], 2)
         assert whole_system_by_sympy(polys, 1) == ([], 2)
         coprime = [univariate([-1, 1]), univariate([-2, 1])]
-        assert _solve_polynomials(coprime, 1) == ([], 0)
+        assert _solve_polynomials(coprime, 1)[:2] == ([], 0)
 
     def test_unsolvable_quintic_counts_every_root(self):
         # z^5 - z - 1 is irreducible with no solution in radicals: sympy's
         # ``roots`` returns none of its five roots, the degree counts them.
         q = poly_mul([-1, -1, 0, 0, 0, 1], [-1, 1])
-        assert _solve_polynomials([univariate(q)], 1) == ([(1,)], 5)
+        assert _solve_polynomials([univariate(q)], 1)[:2] == ([(1,)], 5)
         assert len(set(sympy.Poly(list(reversed(q)),
                                   sympy.Symbol("z")).all_roots())) == 6
         assert whole_system_by_sympy([univariate(q)], 1) == ([(1,)], 0)
@@ -579,7 +579,7 @@ class TestBlockSolver:
         # Beside a block with no root the system has no solution at all.
         none = [univariate([-1, 1], 2, 3), univariate([-2, 1], 2, 3)]
         assert _solve_polynomials([{m + (0,): c for m, c in p.items()}
-                                   for p in polys] + none, 3) == ([], 0)
+                                   for p in polys] + none, 3)[:2] == ([], 0)
         # z1^6 + 6 z1 + 6 z1 z2 + 3 z2^2: the z2 layer gives z2 = -z1, and
         # the z1 layer then 6 (z1^5 - z1 + 1).
         W = LaurentPotential(2, {(6, 0): mono(1), (1, 0): mono(6),
@@ -924,3 +924,98 @@ class TestDoublingPrecision:
             ("table", F(21, 16)), ("hessian", F(13, 16)),
             ("table", F(7, 4)), ("hessian", F(3, 4)),
             ("table", F(7, 4))]
+
+
+# -- the lift claims no more than W's coefficients fix ------------------------
+
+
+def chain_plus(coeff):
+    """The k = 2 chain (A = 1/8, B = 1/4, c0 = 1) plus ``coeff z1``."""
+    return build_chain_potential(LINK2, BulkParameter(F(1)),
+                                 LaurentPotential(2, {(1, 0): coeff}))
+
+
+@st.composite
+def capped_chain_lifts(draw):
+    """A chain (k = 1..3) plus 1..k monomials ``c T^e`` at ``e = B +
+    j/16``, each known modulo a ``T^p`` on the exponents' lattice strictly
+    between ``e`` and ``work = target + B``; a sign branch as seed; and
+    the potential with every inexact coefficient completed above its
+    precision."""
+    k = draw(st.integers(1, 3))
+    B = draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 5)]))
+    link = CircleLinkS2(k, B / 2, B)
+    bulk = BulkParameter(draw(st.sampled_from([F(1), F(2), F(-1, 2)])))
+    target = B * draw(st.integers(3, 6))
+    extra = {}
+    for _ in range(draw(st.integers(1, k))):
+        m = draw(st.tuples(*[st.integers(-1, 1)] * k).filter(any))
+        e = B + F(draw(st.integers(1, 4)), 16)
+        below_work = math.ceil((target + B - e) * 16) - 1
+        p = e + F(draw(st.integers(1, below_work)), 16)
+        extra[m] = NovikovSeries.monomial(
+            draw(st.sampled_from([F(1), F(-1), F(2), F(1, 2)])), e, p)
+    W = build_chain_potential(link, bulk, LaurentPotential(k, extra))
+    completed = LaurentPotential(k, {m: draw(completions(c))
+                                     for m, c in W.items()})
+    seed = UnitaryPoint([mono(draw(st.sampled_from([1, -1])) * c)
+                         for c in preferred_branch_leads(link, bulk)])
+    return W, completed, seed, target
+
+
+class TestCoefficientPrecisionCap:
+    """A coefficient known modulo ``T^p_W`` fixes the point modulo
+    ``T^(p_W - v0)``, and the lift claims no more."""
+
+    def test_two_completions_part_where_the_claim_ends(self):
+        # p_W = 8/5 and v0 = B = 1/4: z1 is known modulo T^(27/20), the
+        # full-precision loop's figure, and the completions + T^(8/5) and
+        # - 7 T^(8/5) lift to points that first differ there.
+        target = F(3, 2)
+        W = chain_plus(NovikovSeries.monomial(1, F(5, 16), F(8, 5)))
+        cert = doubling_lift(W, ones(2), target)
+        assert cert.morse
+        assert [c.precision for c in cert.point] == [F(27, 20)] * 2
+        assert full_precision_lift(W, ones(2), target).point[0].precision \
+            == F(27, 20)
+        z1s = [doubling_lift(chain_plus(NovikovSeries(
+            [(1, F(5, 16)), (c, F(8, 5))])), ones(2), target).point[0]
+            for c in (1, -7)]
+        assert [z.coefficient(F(27, 20)) for z in z1s] == [F(-1, 2),
+                                                           F(7, 2)]
+        for z in z1s:
+            assert z.eq_mod(cert.point[0], F(27, 20))
+
+    def test_precision_below_the_target(self):
+        # p_W = 33/80 at target 1/2: the point is known modulo T^(13/80).
+        W = chain_plus(NovikovSeries.monomial(1, F(5, 16), F(33, 80)))
+        cert = doubling_lift(W, ones(2), F(1, 2))
+        assert [c.precision for c in cert.point] == [F(13, 80)] * 2
+
+    def test_lift_stops_once_the_residual_is_zero_modulo_p_w(self):
+        # z2's coefficient is known modulo T^(19/16), below work = 2: every
+        # seed stops with the residual zero modulo T^(19/16), not with an
+        # obstruction there.
+        W = LaurentPotential(2, {
+            (-1, -1): NovikovSeries([(-1, F(9, 16))], F(447, 112)),
+            (-1, 0): mono(4, F(1, 4)), (0, -1): mono(1, F(1, 4)),
+            (0, 1): NovikovSeries([(4, F(1, 4)), (1, F(9, 16))], F(19, 16)),
+            (1, 0): mono(1, F(1, 4))})
+        seeds = leading_solutions(W)
+        assert sorted(p.leading_tuple() for p in seeds) == [
+            (-2, F(-1, 2)), (-2, F(1, 2)), (2, F(-1, 2)), (2, F(1, 2))]
+        for seed in seeds:
+            cert = doubling_lift(W, seed, F(7, 4))
+            assert cert.morse
+            assert [c.precision for c in cert.point] == [F(15, 16)] * 2
+            assert cert.residual_valuations == (F(9, 16), F(7, 8),
+                                                F(19, 16))
+
+    @given(capped_chain_lifts())
+    @settings(max_examples=200, deadline=None)
+    def test_completions_agree_modulo_the_claimed_precision(self, case):
+        W, completed, seed, target = case
+        cert = doubling_lift(W, seed, target)
+        other = doubling_lift(completed, seed, target)
+        for z, w in zip(cert.point, other.point):
+            assert z.eq_mod(w, z.precision)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from fractions import Fraction as F
@@ -669,6 +670,22 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err == \
             f"config error: {hpath}: JSON nested too deeply\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("entry", [
+        {"terms": [[0] * 100_000]},
+        {"terms": [{"c": [0] * 100_000, "e": "0"}]},
+        {"terms": [{"c": "1" * 100_000, "e": "0"}]},
+        functools.reduce(lambda x, _: [x], range(500), []),
+    ], ids=["long-term", "long-list-coefficient", "long-string-coefficient",
+            "deep-list"])
+    def test_refusal_echoes_a_bounded_part_of_the_input(self, tmp_path,
+                                                         capsys, entry):
+        hpath = self._write(tmp_path, "H.json", [[entry]])
+        assert main(["trace", "check", "--hessian", hpath]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert len(captured.err.encode("utf-8")) < 200
         assert captured.out == ""
 
     def test_trace_check_exact_zero_hessian_exits_3(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Source hygiene of ``src/novlink``, read with the stdlib ``ast`` alone:
 every imported name is used, every private module-level name is
 referenced somewhere other than its own definition, the JSON shape tests
-stay in ``novikov``, each shape refusal is raised from one function, and
-each ``*_LIMIT`` constant is named in a refusal of its module."""
+stay in ``novikov``, each shape refusal is raised from one function,
+``NotZeroDimensionalError`` is built in one function, and each
+``*_LIMIT`` constant is named in a refusal of its module."""
 
 from __future__ import annotations
 
@@ -147,6 +148,19 @@ def test_each_shape_refusal_is_written_in_one_place(phrase, reader):
     assert list(functions_writing(phrase)) == [reader]
 
 
+def test_positive_dimension_is_decided_in_one_function():
+    """The leading solve's blocks are data until one verdict reads them; a
+    second place that builds the error would decide it a second time."""
+    builders = [f"{path.stem}:{func.name}" for path in MODULES
+                for func in ast.walk(parse(path))
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "NotZeroDimensionalError"]
+    assert builders == ["critlift:_solve_polynomials"]
+
+
 def test_no_from_scalar():
     """``_entry`` reads a scalar coefficient and names it; a second
     reader would refuse it without the name."""
@@ -167,6 +181,20 @@ def config_error_texts(tree):
             parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
             yield "".join(part.value if isinstance(part, ast.Constant)
                           else "{}" for part in parts)
+
+
+def test_refusals_echo_through_the_bounded_repr():
+    """A ``!r`` in a ``ConfigError`` message would write an outside value
+    back in full, however large; ``novikov._echo`` bounds it."""
+    found = [f"{path.name}:{node.lineno}" for path in MODULES
+             for call in ast.walk(parse(path))
+             if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name)
+             and call.func.id == "ConfigError"
+             for node in ast.walk(call)
+             if isinstance(node, ast.FormattedValue)
+             and node.conversion == ord("r")]
+    assert found == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

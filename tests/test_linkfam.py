@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from novlink import critlift
 from novlink.critlift import LiftConfig, hensel_lift, leading_solutions
 from novlink.errors import AreaError, ConfigError, PrecisionError
 from novlink.laurent import LaurentPotential, UnitaryPoint
@@ -246,6 +247,35 @@ class TestTruncationObstruction:
         assert not report.unobstructed
         assert report.order == 1
         assert truncation_obstruction(W, F(1, 2)).unobstructed
+
+    def rootless_beside_solvable(self):
+        # z1 + 1/z1 + T (z1^2 z2^2/2 - z2^2/2 + z2) + T^5 (z3 + 1/z3): the
+        # z1, z2 block has no common root, the z3 block has z3 = +-1.
+        return LaurentPotential(3, {(1, 0, 0): mono(1), (-1, 0, 0): mono(1),
+                                    (2, 2, 0): mono(F(1, 2), 1),
+                                    (0, 2, 0): mono(F(-1, 2), 1),
+                                    (0, 1, 0): mono(1, 1),
+                                    (0, 0, 1): mono(1, 5),
+                                    (0, 0, -1): mono(1, 5)})
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 5, 6])
+    def test_solvable_block_does_not_move_the_order(self, cutoff):
+        report = truncation_obstruction(self.rootless_beside_solvable(),
+                                        cutoff)
+        assert not report.unobstructed
+        assert report.order == 1
+
+    def test_each_block_is_solved_once(self, monkeypatch):
+        calls = []
+        for name in ("_solve_univariate", "_solve_coupled"):
+            def counted(variables, polys, name=name,
+                        solve=getattr(critlift, name)):
+                calls.append((name, variables))
+                return solve(variables, polys)
+            monkeypatch.setattr(critlift, name, counted)
+        truncation_obstruction(self.rootless_beside_solvable(), 5)
+        assert sorted(calls) == [("_solve_coupled", [0, 1]),
+                                 ("_solve_univariate", 2)]
 
     def test_unused_variable_is_free(self):
         a = F(1, 5)
