@@ -31,7 +31,7 @@ from .errors import (
     PrecisionError,
 )
 from .laurent import LaurentPotential, UnitaryPoint, det_bareiss
-from .novikov import NovikovSeries, _json_array, _json_list, _least_valuation
+from .novikov import NovikovSeries, _json_array, _json_list
 from .spectrum import ModelOrbitSet, SpectrumConfig, enumerate_spectrum
 from .symprodqh import symk_idempotents
 
@@ -94,8 +94,7 @@ def _cmd_trace_check(args) -> int:
         print("leading terms match: no")
         raise
     print(f"val(Z) = {val_z}")
-    match = (val_z == _least_valuation((det,), lambda _: "the determinant")
-             and Z.leading_coefficient() == det.leading_coefficient())
+    match = cliffordtrace._leading_terms_match(Z, det)
     print(f"leading terms match: {'yes' if match else 'no'}")
     return 0
 

@@ -35,7 +35,7 @@ from .errors import (
     ConfigError,
     DegenerateTraceError,
 )
-from .laurent import _components, _square
+from .laurent import _components, _square, _symmetric
 from .novikov import (
     Exponent,
     INFINITY,
@@ -87,12 +87,9 @@ class CliffordAlgebraModel:
 
     def __init__(self, form: Sequence[Sequence[NovikovSeries]]):
         rows = [tuple(row) for row in _square(form, "form", "form matrix")]
-        n = len(rows)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ConfigError("form matrix is not symmetric")
-        self.n = n
+        if not _symmetric(rows):
+            raise ConfigError("form matrix is not symmetric")
+        self.n = len(rows)
         self.form = tuple(rows)
         # Contraction form B = (KAPPA/2) * form, the square of a generator.
         # An exact zero stays as it is: its product would be the same zero.
@@ -424,3 +421,13 @@ def defect_bound(Z: NovikovSeries) -> Exponent:
     if v is INFINITY:
         raise DegenerateTraceError("degenerate: not Morse")
     return v
+
+
+def _leading_terms_match(Z: NovikovSeries, det: NovikovSeries) -> bool:
+    """Whether the trace ``Z`` and the determinant ``det`` share their
+    valuation and leading coefficient: the verdict of ``trace check`` and of
+    each ``scan weyl`` row.  ``Z`` is read by ``defect_bound``; a
+    determinant known only as ``O(T^p)`` raises ``PrecisionError``."""
+    return (defect_bound(Z) == _least_valuation((det,),
+                                                lambda _: "the determinant")
+            and Z.leading_coefficient() == det.leading_coefficient())

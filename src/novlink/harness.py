@@ -88,18 +88,13 @@ class AreaSchedule:
 
     def link(self, k: int) -> CircleLinkS2:
         B = self.disc_area(k)
-        if self.kind == "power_fixed_total":
-            if k == 1:
-                A = B * self.annulus_ratio
-                if self.total_area != 2 * B:
-                    raise AreaError(f"schedule violates the area constraint "
-                                    f"at k = {k}")
-            else:
-                A = (self.total_area - 2 * B) / (k - 1)
-            if not (0 < A < B):
-                raise AreaError(f"schedule violates A < B at k = {k}")
-            return CircleLinkS2(k, A, B)
         A = B * self.annulus_ratio
+        if self.kind == "power_fixed_total":
+            if k > 1:
+                A = (self.total_area - 2 * B) / (k - 1)
+            elif self.total_area != 2 * B:
+                raise AreaError(f"schedule violates the area constraint "
+                                f"at k = {k}")
         return CircleLinkS2(k, A, B)
 
     @classmethod
@@ -171,30 +166,29 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
 
     Each row certifies the chain critical point, traces the Clifford
     algebra of the certified Hessian, and reports ``val_Z`` from the
-    trace (``cliffordtrace.defect_bound``); the determinant's valuation
-    must agree, and is checked on every row.  A trace or determinant known
-    only as ``O(T^p)`` raises ``PrecisionError``, and a zero trace
-    ``DegenerateTraceError``.  A range reaching above ``WEYL_K_LIMIT``
-    raises ``ConfigError`` before any row is computed.
+    trace (``cliffordtrace.defect_bound``).  ``trace check``'s verdict
+    checks every row: a trace whose valuation or leading coefficient is
+    not the determinant's raises ``AreaError`` naming ``k``.  A trace or
+    determinant known only as ``O(T^p)`` raises ``PrecisionError``, a
+    zero trace ``DegenerateTraceError``, and a range above
+    ``WEYL_K_LIMIT`` ``ConfigError`` before any row is computed.
     """
     lo, hi = cfg.k_range
     if hi > WEYL_K_LIMIT:
         raise ConfigError(f"k = {hi} is above the limit WEYL_K_LIMIT = "
                           f"{WEYL_K_LIMIT}")
+    bulk = BulkParameter(cfg.c0)
     rows = []
     for k in range(lo, hi + 1):
         link = cfg.schedule.link(k)
-        bulk = BulkParameter(cfg.c0)
         cert = critical_data(link, bulk)
         if not cert.morse:
             raise AreaError(f"critical point at k = {k} is not Morse: {cert.reason}")
         Z = cliffordtrace.trace_Z(
             cliffordtrace.CliffordAlgebraModel(cert.hessian))
         val_z = cliffordtrace.defect_bound(Z)
-        det_val = cert.det_valuation()
-        if val_z != det_val:
-            raise AreaError(f"trace/determinant valuation mismatch at "
-                            f"k = {k}: {val_z} vs {det_val}")
+        if not cliffordtrace._leading_terms_match(Z, cert.hessian_det):
+            raise AreaError(f"trace and det leading terms differ at k = {k}")
         rows.append({
             "k": k,
             "A": link.A,

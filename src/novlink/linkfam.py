@@ -55,7 +55,7 @@ class CircleLinkS2:
         A = as_fraction(A, "A")
         B = as_fraction(B, "B")
         if not (0 < A < B):
-            raise AreaError("not η-monotone")
+            raise AreaError(f"not η-monotone at k = {k}: 0 < A < B fails")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
