@@ -37,11 +37,17 @@ from .symprodqh import symk_idempotents
 
 
 def _load_json(path: str):
+    """The JSON document in the file ``path``.  A file that cannot be
+    decoded as UTF-8 or parsed as JSON, an integer literal past the
+    interpreter's digit limit included, raises ``ConfigError`` naming the
+    path; one that cannot be opened raises ``OSError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ConfigError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def _cmd_crit_find(args) -> int:

@@ -24,6 +24,7 @@ that need a fixed lattice enforce it themselves.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from bisect import bisect_left
 from collections import defaultdict
@@ -97,10 +98,22 @@ INFINITY = _Infinity()
 RationalLike = Union[int, str, Fraction]
 PrecisionLike = Union[Fraction, int, str, _Infinity]
 
+#: Most digits ``as_fraction`` reads from a string: its length plus the
+#: size of its exponent, which bounds the digits of the numerator and of
+#: the denominator.  Python prints no integer of more than 4 300 digits by
+#: default, and ``Fraction("1e10000000")`` alone took 7 s under Python
+#: 3.11 on a 2-core x86-64 machine.
+DIGIT_LIMIT = 4000
+
+# The exponent of a decimal string, as ``Fraction`` reads it.
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
     """``x`` as an exact Fraction: a Fraction, an int (not a bool) or a
     string ``Fraction`` parses; anything else raises ``ConfigError``
-    naming ``what``."""
+    naming ``what``, and so does a string of more than ``DIGIT_LIMIT``
+    digits, before it is built."""
     if type(x) is Fraction:
         return x
     if type(x) is int:
@@ -108,6 +121,12 @@ def as_fraction(x: RationalLike, what: str = "value") -> Fraction:
     if type(x) is not str:
         raise ConfigError(f"{what} must be an integer or a \"p/q\" string, "
                           f"got {_echo(x)}")
+    m = _EXPONENT.search(x)
+    exp = m.group(1).replace("_", "").lstrip("0") if m else ""
+    if (len(exp) > len(str(DIGIT_LIMIT))
+            or len(x) + int(exp or 0) > DIGIT_LIMIT):
+        raise ConfigError(f"{what} {_echo(x)} has more than DIGIT_LIMIT = "
+                          f"{DIGIT_LIMIT} digits")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:

@@ -162,8 +162,7 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
     k, omega = x.k, x.omega
     xs = [(i, ci) for i, ci in enumerate(x.coeffs) if not ci.is_exact_zero()]
     ys = [(j, cj) for j, cj in enumerate(y.coeffs) if not cj.is_exact_zero()]
-    de = lcm(omega.denominator, *(c.integer_form[0] for _, c in xs + ys))
-    step = omega.numerator * (de // omega.denominator)
+    de, step = _grid(omega, xs + ys)
     dcx, xt = _integer_rows(xs, de)
     dcy, yt = _integer_rows(ys, de)
     a, b = _degree_class(step, xt), _degree_class(step, yt)
@@ -175,6 +174,14 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
         out.append(NovikovSeries._raw(de, dcx * dcy, E, [slot[e] for e in E],
                                       p))
     return SymQHElement(k, omega, out)
+
+
+def _grid(omega: Fraction, coeffs):
+    """``(de, step)``: the least common denominator of ``omega`` and the
+    exponents of the ``(i, series)`` pairs ``coeffs``, and ``omega`` over
+    it, ``omega = step / de``."""
+    de = lcm(omega.denominator, *(c.integer_form[0] for _, c in coeffs))
+    return de, omega.numerator * (de // omega.denominator)
 
 
 def _integer_rows(coeffs, de: int):
@@ -370,7 +377,6 @@ def grading(x) -> Optional[Fraction]:
     if not isinstance(x, SymQHElement):
         raise TypeError("grading expects a sphere-algebra element")
     coeffs = list(enumerate(x.coeffs))
-    de = lcm(x.omega.denominator, *(c.integer_form[0] for _, c in coeffs))
-    step = x.omega.numerator * (de // x.omega.denominator)
+    de, step = _grid(x.omega, coeffs)
     a = _degree_class(step, _integer_rows(coeffs, de)[1])
     return None if a is None else Fraction(-2 * a, step)

@@ -408,3 +408,26 @@ class TestDefectBound:
     def test_unknown_trace_needs_precision(self):
         with pytest.raises(PrecisionError, match=r"O\(T\^2\)"):
             defect_bound(NovikovSeries.zero(2))
+
+
+class TestLeadingTermsMatch:
+    """The one trace-determinant verdict, of ``trace check`` and of each
+    ``scan weyl`` row."""
+
+    def test_same_leading_term_matches(self):
+        Z = mono(6, F(1, 2)) + mono(1, 1)
+        assert cliffordtrace._leading_terms_match(Z, mono(6, F(1, 2)))
+
+    @pytest.mark.parametrize("det", [mono(5, F(1, 2)), mono(6, 1),
+                                     NovikovSeries.zero()],
+                             ids=["coefficient", "valuation", "zero"])
+    def test_another_leading_term_does_not(self, det):
+        assert not cliffordtrace._leading_terms_match(mono(6, F(1, 2)), det)
+
+    def test_unknown_determinant_needs_precision(self):
+        with pytest.raises(PrecisionError, match="the determinant"):
+            cliffordtrace._leading_terms_match(mono(6), NovikovSeries.zero(2))
+
+    def test_zero_trace_is_degenerate(self):
+        with pytest.raises(DegenerateTraceError):
+            cliffordtrace._leading_terms_match(NovikovSeries.zero(), mono(6))

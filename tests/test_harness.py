@@ -32,7 +32,7 @@ from novlink.harness import (
     render_rows,
     weyl_scan,
 )
-from novlink.laurent import LaurentPotential, UnitaryPoint
+from novlink.laurent import LaurentPotential, UnitaryPoint, det_bareiss
 from novlink.linkfam import (
     BulkParameter,
     CircleLinkS2,
@@ -40,7 +40,7 @@ from novlink.linkfam import (
     critical_data,
     truncation_obstruction,
 )
-from novlink.novikov import NovikovSeries
+from novlink.novikov import DIGIT_LIMIT, NovikovSeries
 from novlink.spectrum import (
     ModelOrbitSet,
     SpectrumConfig,
@@ -75,8 +75,10 @@ from novlink.symprodqh import SYMK_K_LIMIT, SymQHElement, symk_idempotents
 # SYMK_K_LIMIT, written while the scan still read each valuation off the
 # idempotents' series.  ``trace_exact_hessian.json`` has exact two-term
 # entries: Bareiss divides by an exact two-term pivot, and the quotient's
-# exponents are sixths.  ``golden/commands.txt`` lists every call with its
-# golden output.  Any change in these bytes is a change in results.
+# exponents are sixths.  ``weyl_constant_k1_8.csv`` is the paper's failure
+# column: discs of constant area 1/10, whose ``val_Z_over_k`` stays 1/10.
+# ``golden/commands.txt`` lists every call with its golden output.  Any
+# change in these bytes is a change in results.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -230,6 +232,14 @@ class TestWeylScan:
         # Z = 0 is degenerate; neither is reported as a mismatch.
         monkeypatch.setattr(cliffordtrace, "trace_Z", lambda alg: Z)
         with pytest.raises(error):
+            weyl_scan(power_config(1, 2))
+
+    def test_row_compares_leading_coefficients(self, monkeypatch):
+        # Three times the determinant: its valuation, another leading
+        # coefficient.  A comparison of valuations alone would pass it.
+        monkeypatch.setattr(cliffordtrace, "trace_Z",
+                            lambda alg: 3 * det_bareiss(alg.form))
+        with pytest.raises(AreaError, match="differ at k = 1$"):
             weyl_scan(power_config(1, 2))
 
     def test_trace_size_limit_refused_before_any_row(self, monkeypatch):
@@ -670,6 +680,37 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err == \
             f"config error: {hpath}: JSON nested too deeply\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("content", [
+        b"\xff",
+        b"[[",
+        b'[[{"terms": [{"c": ' + b"7" * 5000 + b', "e": "0"}]}]]',
+    ], ids=["not-utf-8", "not-json", "integer-past-the-print-limit"])
+    def test_unreadable_input_file_names_its_path(self, tmp_path, capsys,
+                                                  content):
+        # json.load refuses an integer literal of more than 4 300 digits.
+        hpath = tmp_path / "H.json"
+        hpath.write_bytes(content)
+        assert main(["trace", "check", "--hessian", str(hpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {hpath}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["qh", "idempotents", "--k", "1", "--omega", "1e5000"],
+        ["scan", "nobulk", "--kmax", "2", "--omega", "1e5000"],
+        ["qh", "idempotents", "--k", "1", "--omega", "1e100000000"],
+    ])
+    def test_option_past_the_digit_limit_exits_2(self, capsys, argv):
+        # 1e5000 could not be printed, and Fraction takes seconds to build
+        # 1e100000000.
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: omega '{argv[-1]}' has more "
+                                f"than DIGIT_LIMIT = {DIGIT_LIMIT} digits\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("entry", [

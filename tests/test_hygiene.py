@@ -2,8 +2,9 @@
 every imported name is used, every private module-level name is
 referenced somewhere other than its own definition, the JSON shape tests
 stay in ``novikov``, each shape refusal is raised from one function,
-``NotZeroDimensionalError`` is built in one function, and each
-``*_LIMIT`` constant is named in a refusal of its module."""
+``NotZeroDimensionalError`` is built in one function, each rule on the
+Weyl row is written in one function, and each ``*_LIMIT`` constant is
+named in a refusal of its module."""
 
 from __future__ import annotations
 
@@ -159,6 +160,81 @@ def test_positive_dimension_is_decided_in_one_function():
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "NotZeroDimensionalError"]
     assert builders == ["critlift:_solve_polynomials"]
+
+
+def names_in(node):
+    """The names and attribute names read in ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def functions_comparing(rule):
+    """``module:function`` for each function in ``src/novlink`` holding a
+    comparison for which ``rule(ops, operands)`` holds."""
+    for path in MODULES:
+        for func in ast.walk(parse(path)):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(rule(node.ops, [node.left, *node.comparators])
+                            for node in ast.walk(func)
+                            if isinstance(node, ast.Compare)):
+                yield f"{path.stem}:{func.name}"
+
+
+def equality(ops):
+    return all(isinstance(op, (ast.Eq, ast.NotEq)) for op in ops)
+
+
+def trace_against_determinant(ops, operands):
+    """An equality with a determinant on one side (``det``, ``det_val``,
+    ``hessian_det``, ``det_valuation()``)."""
+    return equality(ops) and any("det" in name for operand in operands
+                                 for name in names_in(operand))
+
+
+def entry_against_mirror(ops, operands):
+    """``m[i][j] == m[j][i]`` or ``!=``, whatever the names."""
+    a, b = operands[0], operands[-1]
+    return (equality(ops) and all(isinstance(x, ast.Subscript)
+                                  and isinstance(x.value, ast.Subscript)
+                                  for x in (a, b))
+            and ast.dump(a.value.value) == ast.dump(b.value.value)
+            and ast.dump(a.slice) == ast.dump(b.value.slice)
+            and ast.dump(a.value.slice) == ast.dump(b.slice))
+
+
+def annulus_against_disc(ops, operands):
+    """An order comparison between the areas ``A`` and ``B``."""
+    return (not equality(ops)
+            and {"A", "B"} <= {name for operand in operands
+                               for name in names_in(operand)})
+
+
+@pytest.mark.parametrize("rule, owner", [
+    (trace_against_determinant, "cliffordtrace:_leading_terms_match"),
+    (entry_against_mirror, "laurent:_symmetric"),
+    (annulus_against_disc, "linkfam:__init__"),
+], ids=["trace-determinant", "symmetry", "eta-monotonicity"])
+def test_each_rule_on_the_weyl_row_is_written_in_one_function(rule, owner):
+    """``trace check`` and ``scan weyl`` read one verdict, the Clifford
+    model and the eliminations one symmetry test, and a schedule's areas
+    meet ``CircleLinkS2``'s one check; a second copy would drift from the
+    first, as a row's valuation-only comparison had."""
+    assert list(functions_comparing(rule)) == [owner]
+
+
+def test_one_bulk_parameter_per_scan():
+    """``c0`` is read into a ``BulkParameter`` once, not once per row."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = [f"{path.name}:{node.lineno}" for path in MODULES
+             for loop in ast.walk(parse(path)) if isinstance(loop, loops)
+             for node in ast.walk(loop)
+             if isinstance(node, ast.Call)
+             and "BulkParameter" in names_in(node.func)]
+    assert found == []
 
 
 def test_no_from_scalar():

@@ -40,6 +40,10 @@ class TestCircleLink:
         with pytest.raises(AreaError, match="monotone"):
             CircleLinkS2(2, F(1, 2), F(1, 4))
 
+    def test_refusal_names_k(self):
+        with pytest.raises(AreaError, match="η-monotone at k = 5"):
+            CircleLinkS2(5, F(1, 4), F(1, 8))
+
     @pytest.mark.parametrize("k", [F(27, 10), 2.7, True, "2"])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ConfigError, match="k must be a JSON integer"):

@@ -17,6 +17,7 @@ from novlink.errors import (
     PrecisionError,
 )
 from novlink.novikov import (
+    DIGIT_LIMIT,
     INFINITY,
     NovikovSeries,
     _least_valuation,
@@ -254,6 +255,30 @@ class TestSerialization:
     def test_fraction_parsing(self):
         assert as_fraction("-3/7") == F(-3, 7)
         assert as_fraction(4) == 4
+
+    @pytest.mark.parametrize("text, value", [
+        ("1.5", F(3, 2)),
+        (" -3/7 ", F(-3, 7)),
+        ("1_0e-1_0", F(1, 10 ** 9)),
+        ("1e3990", F(10 ** 3990)),
+        ("2E-3993", F(2, 10 ** 3993)),
+        ("7" * DIGIT_LIMIT, F(int("7" * DIGIT_LIMIT))),
+    ])
+    def test_forms_within_the_digit_limit_are_read(self, text, value):
+        assert as_fraction(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e5000",
+        "1e100000000",
+        "-1E-3995",
+        "1e000000000000000004000",
+        "7" * (DIGIT_LIMIT + 1),
+        "1/" + "3" * DIGIT_LIMIT,
+    ])
+    def test_longer_forms_are_refused_before_they_are_built(self, text):
+        with pytest.raises(ConfigError, match=f"omega .* has more than "
+                                              f"DIGIT_LIMIT = {DIGIT_LIMIT}"):
+            as_fraction(text, "omega")
 
 
 @given(x=nonzero_series(), y=nonzero_series())
