@@ -15,6 +15,7 @@ adic precision is lost to division.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -42,6 +43,7 @@ from .novikov import (
 ExponentVector = Tuple[int, ...]
 
 
+@dataclass(frozen=True, slots=True)
 class UnitaryPoint:
     """A point on the unit torus: coordinates of valuation zero.
 
@@ -49,46 +51,35 @@ class UnitaryPoint:
     zero (the multiplicative unit group of the series field).
     """
 
-    __slots__ = ("_coords",)
+    coords: Tuple[NovikovSeries, ...]
 
-    def __init__(self, coords: Sequence[NovikovSeries]):
-        coords = tuple(_entry(c, "coords", i) for i, c in enumerate(coords))
+    def __post_init__(self):
+        coords = tuple(_entry(c, "coords", i)
+                       for i, c in enumerate(self.coords))
         for c in coords:
             if not is_unitary(c):
                 raise NonUnitaryError("point not in unitary torus")
-        self._coords = coords
-
-    @property
-    def coords(self) -> Tuple[NovikovSeries, ...]:
-        return self._coords
+        object.__setattr__(self, "coords", coords)
 
     def __len__(self):
-        return len(self._coords)
+        return len(self.coords)
 
     def __iter__(self):
-        return iter(self._coords)
+        return iter(self.coords)
 
     def __getitem__(self, i):
-        return self._coords[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, UnitaryPoint):
-            return NotImplemented
-        return self._coords == other._coords
-
-    def __hash__(self):
-        return hash(self._coords)
+        return self.coords[i]
 
     def leading_tuple(self) -> Tuple[Fraction, ...]:
         """Leading (constant-order) coordinates over the rationals."""
-        return tuple(c.leading_coefficient() for c in self._coords)
+        return tuple(c.leading_coefficient() for c in self.coords)
 
     def precision(self):
         """Smallest coordinate precision (INFINITY when all exact)."""
-        return min((c.precision for c in self._coords), default=INFINITY)
+        return min((c.precision for c in self.coords), default=INFINITY)
 
     def to_obj(self) -> dict:
-        return {"coords": [c.to_obj() for c in self._coords]}
+        return {"coords": [c.to_obj() for c in self.coords]}
 
     @classmethod
     def from_obj(cls, obj) -> "UnitaryPoint":
@@ -99,31 +90,35 @@ class UnitaryPoint:
         return cls([NovikovSeries.from_obj(c) for c in coords])
 
     def __repr__(self):
-        inner = ", ".join(str(c) for c in self._coords)
+        inner = ", ".join(str(c) for c in self.coords)
         return f"UnitaryPoint({inner})"
 
 
+@dataclass(frozen=True, slots=True)
 class LaurentPotential:
     """Finite Laurent polynomial in ``num_vars`` variables over the series field.
 
     ``terms`` is a mapping ``{m: coeff}`` or an iterable of ``(m, coeff)``
-    pairs; repeated monomials are summed.  ``num_vars`` and the exponents
-    must be ints, in a list or tuple (else ``ConfigError``), and a
-    coefficient a series or an exact rational (anything else raises
+    pairs; repeated monomials are summed, and the field holds the result
+    as one tuple of ``(m, coeff)`` pairs sorted by ``m``.  ``num_vars`` and
+    the exponents must be ints, in a list or tuple (else ``ConfigError``),
+    and a coefficient a series or an exact rational (anything else raises
     ``ConfigError`` naming its monomial, e.g. ``terms[(1,)]``).  Only an
     exact-zero coefficient is dropped.
     """
 
-    __slots__ = ("_num_vars", "_terms")
+    num_vars: int
+    terms: Tuple[Tuple[ExponentVector, NovikovSeries], ...] = ()
 
-    def __init__(self, num_vars: int, terms=()):
-        self._num_vars = _positive_int(num_vars, "num_vars")
+    def __post_init__(self):
+        n = _positive_int(self.num_vars, "num_vars")
+        terms = self.terms
         if hasattr(terms, "items"):
             terms = terms.items()
         cleaned: Dict[ExponentVector, NovikovSeries] = {}
         for m, coeff in terms:
             m = _int_vector(m)
-            if len(m) != self._num_vars:
+            if len(m) != n:
                 raise ConfigError("exponent vector length does not match "
                                   "num_vars")
             coeff = _entry(coeff, "terms", m)
@@ -133,36 +128,22 @@ class LaurentPotential:
                 cleaned.pop(m, None)
                 continue
             cleaned[m] = coeff
-        self._terms = cleaned
+        object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
 
     # -- basic structure ----------------------------------------------------
 
-    @property
-    def num_vars(self) -> int:
-        return self._num_vars
-
     def items(self):
         """Deterministic (exponent vector, coefficient) iteration."""
-        return iter(sorted(self._terms.items()))
+        return iter(self.terms)
 
     def coefficient(self, m: ExponentVector) -> NovikovSeries:
-        return self._terms.get(tuple(m), NovikovSeries.zero())
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPotential):
-            return NotImplemented
-        return (self._num_vars == other._num_vars
-                and self._terms == other._terms)
-
-    def __hash__(self):
-        return hash((self._num_vars, tuple(sorted(self._terms.items()))))
+        return dict(self.terms).get(tuple(m), NovikovSeries.zero())
 
     def __add__(self, other):
         if isinstance(other, LaurentPotential):
-            if other._num_vars != self._num_vars:
+            if other.num_vars != self.num_vars:
                 raise ConfigError("potentials have different variable counts")
-            return LaurentPotential(self._num_vars, [*self._terms.items(),
-                                                     *other._terms.items()])
+            return LaurentPotential(self.num_vars, self.terms + other.terms)
         return NotImplemented
 
     def terms_through(self, cutoff) -> Dict[ExponentVector, NovikovSeries]:
@@ -173,7 +154,7 @@ class LaurentPotential:
         unknown: it raises ``PrecisionError`` naming the monomial.
         """
         kept = {}
-        for m, c in sorted(self._terms.items()):
+        for m, c in self.terms:
             if c.is_zero() and c.precision <= cutoff:
                 raise PrecisionError(
                     f"layer T^{cutoff} is unknown: the coefficient of "
@@ -197,10 +178,10 @@ class LaurentPotential:
         finite-precision one keeps the precision it carries, and a
         multi-term exact one raises ``PrecisionError``.
         """
-        coords = _as_point(point, self._num_vars).coords
+        coords = _as_point(point, self.num_vars).coords
         prec = (INFINITY if target_precision is None
                 else as_precision(target_precision, "target_precision"))
-        min_cval = min((c.val_lower_bound() for c in self._terms.values()),
+        min_cval = min((c.val_lower_bound() for _, c in self.terms),
                        default=Fraction(0))
         factor_prec = prec - min(min_cval, Fraction(0))
 
@@ -224,7 +205,7 @@ class LaurentPotential:
             return got
 
         table = []
-        for m, coeff in sorted(self._terms.items()):
+        for m, coeff in self.terms:
             value = coeff
             for i, e in enumerate(m):
                 if e:
@@ -257,16 +238,16 @@ class LaurentPotential:
         Hessians sparse.
         """
         _, table = self._monomial_table(point, target_precision)
-        return (_table_gradient(table, self._num_vars),
-                _table_hessian(table, self._num_vars))
+        return (_table_gradient(table, self.num_vars),
+                _table_hessian(table, self.num_vars))
 
     # -- serialization -------------------------------------------------------
 
     def to_obj(self) -> dict:
         return {
-            "num_vars": self._num_vars,
+            "num_vars": self.num_vars,
             "terms": [{"m": list(m), "coeff": c.to_obj()}
-                      for m, c in sorted(self._terms.items())],
+                      for m, c in self.terms],
         }
 
     @classmethod
@@ -289,8 +270,8 @@ class LaurentPotential:
         return cls(len(_int_vector(terms[0][0])), terms)
 
     def __repr__(self):
-        body = " + ".join(f"({c})*z^{list(m)}" for m, c in self.items())
-        return f"LaurentPotential[{self._num_vars}]({body or '0'})"
+        body = " + ".join(f"({c})*z^{list(m)}" for m, c in self.terms)
+        return f"LaurentPotential[{self.num_vars}]({body or '0'})"
 
 
 def _as_point(point, num_vars) -> UnitaryPoint:

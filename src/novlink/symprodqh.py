@@ -21,6 +21,7 @@ homogeneous and the idempotents degree zero simultaneously.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -51,6 +52,7 @@ def _sphere_algebra(k, omega):
     return _positive_int(k, "k"), _positive_fraction(omega, "omega")
 
 
+@dataclass(frozen=True, slots=True)
 class SymQHElement:
     """Element of the symmetric invariants of the k-fold tensor power.
 
@@ -60,49 +62,39 @@ class SymQHElement:
     integer or an ``omega`` that is not positive raises ``ConfigError``.
     """
 
-    __slots__ = ("k", "omega", "_coeffs")
+    k: int
+    omega: Fraction
+    coeffs: Tuple[NovikovSeries, ...]
 
-    def __init__(self, k: int, omega, coeffs):
-        k, omega = _sphere_algebra(k, omega)
-        coeffs = tuple(_entry(c, "coeffs", j) for j, c in enumerate(coeffs))
+    def __post_init__(self):
+        k, omega = _sphere_algebra(self.k, self.omega)
+        coeffs = tuple(_entry(c, "coeffs", j)
+                       for j, c in enumerate(self.coeffs))
         if len(coeffs) != k + 1:
             raise ConfigError(f"need {k + 1} basis coefficients, "
                               f"got {len(coeffs)}")
-        self.k = k
-        self.omega = omega
-        self._coeffs = coeffs
-
-    @property
-    def coeffs(self) -> Tuple[NovikovSeries, ...]:
-        return self._coeffs
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __add__(self, other):
         self._check(other)
         return SymQHElement(self.k, self.omega,
-                            [a + b for a, b in zip(self._coeffs,
-                                                   other._coeffs)])
+                            [a + b for a, b in zip(self.coeffs,
+                                                   other.coeffs)])
 
     def __sub__(self, other):
         self._check(other)
         return SymQHElement(self.k, self.omega,
-                            [a - b for a, b in zip(self._coeffs,
-                                                   other._coeffs)])
+                            [a - b for a, b in zip(self.coeffs,
+                                                   other.coeffs)])
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._coeffs)
+        return all(c.is_zero() for c in self.coeffs)
 
     def valuation(self):
         """The least coefficient valuation: ``novikov._least_valuation``."""
-        return _least_valuation(self._coeffs, lambda j: f"coefficient m{j}")
-
-    def __eq__(self, other):
-        if not isinstance(other, SymQHElement):
-            return NotImplemented
-        return (self.k == other.k and self.omega == other.omega
-                and self._coeffs == other._coeffs)
-
-    def __hash__(self):
-        return hash((self.k, self.omega, self._coeffs))
+        return _least_valuation(self.coeffs, lambda j: f"coefficient m{j}")
 
     def _check(self, other):
         if (not isinstance(other, SymQHElement) or other.k != self.k
@@ -110,7 +102,7 @@ class SymQHElement:
             raise AlgebraMismatchError("algebra mismatch: k or omega differ")
 
     def __repr__(self):
-        body = ", ".join(f"m{j}: {c}" for j, c in enumerate(self._coeffs)
+        body = ", ".join(f"m{j}: {c}" for j, c in enumerate(self.coeffs)
                          if not c.is_zero())
         return f"SymQH[k={self.k}]({body or '0'})"
 

@@ -3,8 +3,9 @@ every imported name is used, every private module-level name is
 referenced somewhere other than its own definition, the JSON shape tests
 stay in ``novikov``, each shape refusal is raised from one function,
 ``NotZeroDimensionalError`` is built in one function, each rule on the
-Weyl row is written in one function, and each ``*_LIMIT`` constant is
-named in a refusal of its module."""
+Weyl row is written in one function, each ``*_LIMIT`` constant is named
+in a refusal of its module, and the value types take equality and
+hashing from their fields."""
 
 from __future__ import annotations
 
@@ -284,3 +285,18 @@ def test_each_limit_is_named_in_its_refusal(path):
     texts = list(config_error_texts(tree))
     assert [name for name in limits
             if not any(name in text for text in texts)] == []
+
+
+def test_value_types_take_equality_and_hashing_from_their_fields():
+    """The value types are frozen dataclasses.  Only the series kernel,
+    whose canonical form is its hot path, the Clifford reference element
+    and the ``INFINITY`` sentinel write ``__eq__`` or ``__hash__``."""
+    by_hand = {"novikov:NovikovSeries", "cliffordtrace:CliffordElement",
+               "novikov:_Infinity"}
+    found = [f"{path.stem}:{cls.name}" for path in MODULES
+             for cls in ast.walk(parse(path))
+             if isinstance(cls, ast.ClassDef)
+             and any(isinstance(node, ast.FunctionDef)
+                     and node.name in ("__eq__", "__hash__")
+                     for node in cls.body)]
+    assert [name for name in found if name not in by_hand] == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -594,6 +595,49 @@ class TestSerialization:
     def test_malformed_lists_refused(self, read, obj, match):
         with pytest.raises(ConfigError, match=match):
             read(obj)
+
+    def test_terms_are_summed_and_sorted_once(self):
+        x, y = mono(1, F(1, 3)), mono(-2, 1)
+        W = LaurentPotential(2, [((1, 0), x), ((0, -1), y), ((1, 0), x)])
+        assert W.terms == (((0, -1), y), ((1, 0), 2 * x))
+        assert list(W.items()) == list(W.terms)
+
+
+# Each value type built twice from different input of equal value: a
+# potential from a mapping and from the reversed pair list with one
+# monomial split into two summands, a point from a list of series and from
+# a generator of rationals, a symmetric element from series and rationals.
+VALUE_TYPES = {
+    "point": lambda: (UnitaryPoint([mono(2), mono(-1)]),
+                      UnitaryPoint(F(c) for c in (2, -1))),
+    "potential": lambda: (
+        LaurentPotential(2, {(1, 0): mono(1) + mono(2, 1),
+                             (0, -1): mono(3)}),
+        LaurentPotential(2, [((0, -1), 3), ((1, 0), mono(2, 1)),
+                             ((1, 0), 1)])),
+    "sym-element": lambda: (
+        SymQHElement(2, F(1, 2), [mono(1), 0, mono(1, 2)]),
+        SymQHElement(2, "1/2", (1, F(0), mono(1, 2)))),
+}
+
+
+@pytest.mark.parametrize("build", VALUE_TYPES.values(),
+                         ids=list(VALUE_TYPES))
+class TestValueTypes:
+    def test_equal_input_gives_equal_values_and_hashes(self, build):
+        a, b = build()
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_not_equal_to_a_plain_tuple_of_its_fields(self, build):
+        a, _ = build()
+        assert a != tuple(getattr(a, f.name) for f in fields(a))
+
+    def test_every_field_is_frozen(self, build):
+        a, _ = build()
+        for f in fields(a):
+            with pytest.raises(AttributeError):
+                setattr(a, f.name, getattr(a, f.name))
 
 
 @pytest.mark.parametrize("build, where", [
