@@ -31,7 +31,7 @@ from .errors import (
     PrecisionError,
 )
 from .laurent import LaurentPotential, UnitaryPoint, det_bareiss
-from .novikov import NovikovSeries, _json_array, _json_list
+from .novikov import NovikovSeries, _json_array, _json_list, _text
 from .spectrum import ModelOrbitSet, SpectrumConfig, enumerate_spectrum
 from .symprodqh import symk_idempotents
 
@@ -121,7 +121,7 @@ def _cmd_spectrum_enum(args) -> int:
     cfg = SpectrumConfig(k=args.k, pi_generator=args.pi,
                          window=args.window.split(","))
     spec = enumerate_spectrum(orbits, cfg)
-    print(json.dumps([str(x) for x in spec]))
+    print(json.dumps([_text(x) for x in spec]))
     return 0
 
 
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     except NovlinkError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"{ConfigError.label}: {exc}", file=sys.stderr)
         return ConfigError.exit_code
 

@@ -30,9 +30,18 @@ from .novikov import (
     _pair,
     _parse_json_int,
     _positive_fraction,
+    _text,
     as_fraction,
 )
 from .symprodqh import _idempotent_columns
+
+
+#: Most digits of ``(k + shift)^|power|``, counted as ``|power|`` times
+#: the digits of ``|k + shift|``, that a disc area is built with.  Python
+#: prints no integer of more than 4 300 digits by default, and a one-row
+#: scan at ``power`` 10**9, which builds ``Fraction(3) ** 10**9``, had not
+#: finished after 5 s (Python 3.11, 2-core x86-64).
+DISC_DIGIT_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -78,13 +87,21 @@ class AreaSchedule:
             raise ConfigError("annulus_ratio must lie in (0, 1)")
 
     def disc_area(self, k: int) -> Fraction:
+        """``B_k``.  A ``k + shift`` of 0, or one whose ``|power|``-th
+        power has more than ``DISC_DIGIT_LIMIT`` digits, raises
+        ``ConfigError`` before it is built."""
         if self.kind == "constant":
             return self.beta
-        if k + self.shift == 0:
+        n = k + self.shift
+        if n == 0:
             raise ConfigError(f"k = {k} has k + shift = 0 (shift = "
                               f"{self.shift}), where the disc area "
                               f"beta / (k + shift)^power is undefined")
-        return self.beta / Fraction(k + self.shift) ** self.power
+        if abs(self.power) * len(_text(abs(n))) > DISC_DIGIT_LIMIT:
+            raise ConfigError(f"at k = {k}, |power| times the digits of "
+                              f"k + shift is above DISC_DIGIT_LIMIT = "
+                              f"{DISC_DIGIT_LIMIT}")
+        return self.beta / Fraction(n) ** self.power
 
     def link(self, k: int) -> CircleLinkS2:
         B = self.disc_area(k)
@@ -128,8 +145,11 @@ class ScanConfig:
         if lo < 1 or hi < lo:
             raise ConfigError("k_range must satisfy 1 <= lo <= hi")
         object.__setattr__(self, "k_range", (lo, hi))
-        if lo <= -self.schedule.shift <= hi:
-            self.schedule.disc_area(-self.schedule.shift)  # refuses 0
+        shift = self.schedule.shift
+        if lo <= -shift <= hi:
+            self.schedule.disc_area(-shift)  # refuses 0
+        # The largest |k + shift| makes the disc area of the most digits.
+        self.schedule.disc_area(max(lo, hi, key=lambda k: abs(k + shift)))
         object.__setattr__(self, "c0", BulkParameter(self.c0).c0)
         _output_format(self.output_format)
 
@@ -244,13 +264,14 @@ def _output_format(x) -> str:
 def render_rows(rows: List[Dict[str, object]], columns: Tuple[str, ...],
                 output_format: str) -> str:
     """The table as CSV with a header row or as a JSON list of objects,
-    every entry rendered with ``str``; another format is a ``ConfigError``."""
+    every entry rendered with ``novikov._text``, so one past Python's print
+    limit is a ``ConfigError``, as another format is."""
     if _output_format(output_format) == "json":
-        out = [{c: str(row[c]) for c in columns} for row in rows]
+        out = [{c: _text(row[c]) for c in columns} for row in rows]
         return json.dumps(out, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([str(row[c]) for c in columns])
+        writer.writerow([_text(row[c]) for c in columns])
     return buf.getvalue()

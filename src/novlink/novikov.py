@@ -416,8 +416,9 @@ class NovikovSeries:
     def to_obj(self) -> dict:
         """JSON-ready dict: terms as ``{"c": "p/q", "e": "p/q"}`` strings."""
         return {
-            "terms": [{"c": str(c), "e": str(e)} for e, c in self.terms],
-            "prec": "inf" if self._P is None else str(self.precision),
+            "terms": [{"c": _text(c), "e": _text(e)}
+                      for e, c in self.terms],
+            "prec": "inf" if self._P is None else _text(self.precision),
         }
 
     @classmethod
@@ -446,10 +447,10 @@ class NovikovSeries:
             return f"O(T^{_fmt_exp(self.precision)})"
         parts = []
         for i, (e, c) in enumerate(self.terms):
-            mag = abs(c)
+            mag = _text(abs(c))
             if e == 0:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = f"T^{_fmt_exp(e)}" if e != 1 else "T"
             else:
                 body = (f"{mag}*T^{_fmt_exp(e)}" if e != 1 else f"{mag}*T")
@@ -535,8 +536,21 @@ def _pair(x, what: str, parse) -> tuple:
     return parse(lo, f"{what} entry"), parse(hi, f"{what} entry")
 
 
+def _text(x) -> str:
+    """``str(x)`` of an int or Fraction, as every series prints its
+    rationals; one with more digits than Python prints
+    (``sys.get_int_max_str_digits()``) raises ``ConfigError``."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ConfigError(
+            f"a value has more than sys.get_int_max_str_digits() = "
+            f"{sys.get_int_max_str_digits()} digits, too many to print"
+        ) from None
+
+
 def _fmt_exp(e) -> str:
-    s = str(e)
+    s = _text(e)
     return f"({s})" if "/" in s or s.startswith("-") else s
 
 

@@ -23,6 +23,7 @@ from novlink.errors import (
     PrecisionError,
 )
 from novlink.harness import (
+    DISC_DIGIT_LIMIT,
     NOBULK_COLUMNS,
     WEYL_COLUMNS,
     WEYL_K_LIMIT,
@@ -132,6 +133,29 @@ class TestSchedules:
         cfg = ScanConfig.from_obj(obj)
         assert cfg.k_range == (1, 12)
         assert cfg.schedule.disc_area(1) == F(1, 9)
+
+    @pytest.mark.parametrize("kw, k_range", [
+        ({"power": 10 ** 9}, (1, 1)),
+        ({"power": -(10 ** 9)}, (1, 1)),
+        ({"power": 2, "shift": 10 ** 3000}, (1, 1)),
+        ({"power": 2, "shift": 0}, (1, 10 ** 600)),
+        ({"power": 2, "kind": "power_fixed_total", "total_area": 1},
+         (1, 10 ** 600)),
+    ])
+    def test_disc_area_past_the_digit_limit_refused_by_the_config(
+            self, kw, k_range):
+        with pytest.raises(ConfigError, match=f"DISC_DIGIT_LIMIT = "
+                                              f"{DISC_DIGIT_LIMIT}$"):
+            ScanConfig(k_range=k_range, schedule=AreaSchedule(**kw))
+
+    @pytest.mark.parametrize("power", [-100, 1, 100])
+    def test_power_up_to_100_is_accepted_through_the_k_limit(self, power):
+        cfg = power_config(1, WEYL_K_LIMIT, power=power)
+        B = cfg.schedule.disc_area(WEYL_K_LIMIT)
+        assert B == F(WEYL_K_LIMIT + 2) ** -power
+        # A constant disc area has no power to refuse.
+        ScanConfig(k_range=(1, 1), schedule=AreaSchedule(
+            kind="constant", power=10 ** 9))
 
     @pytest.mark.parametrize("kw", [{"power": 2.5}, {"power": True},
                                     {"shift": 1.5}, {"shift": True}])
@@ -268,6 +292,14 @@ class TestWeylScan:
         text2 = render_rows(weyl_scan(cfg2), WEYL_COLUMNS, "csv")
         assert text1 == text2
         assert text1.splitlines()[0] == "k,A,B,val_Z,val_Z_over_k,defect_bound"
+
+    @pytest.mark.parametrize("output_format", harness.OUTPUT_FORMATS)
+    def test_entry_past_the_print_limit_is_a_config_error(self,
+                                                          output_format):
+        # A 4 000-digit beta over a 1 000-digit (k + shift)^power.
+        row = {"k": 1, "B": F(1, 10 ** 4999)}
+        with pytest.raises(ConfigError, match="get_int_max_str_digits"):
+            render_rows([row], ("k", "B"), output_format)
 
 
 class TestNobulkScan:
@@ -713,6 +745,44 @@ class TestCLI:
                                 f"than DIGIT_LIMIT = {DIGIT_LIMIT} digits\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, obj, limit", [
+        (["trace", "check", "--hessian"],
+         [[{"terms": [{"c": "7" * 3000, "e": "0"}]}, []],
+          [[], {"terms": [{"c": "7" * 3000, "e": "0"}]}]],
+         "sys.get_int_max_str_digits() = "),
+        *((["scan", "weyl", "--config"],
+           {"k_range": [1, 1], "schedule": {"type": "power", "beta": "1",
+                                            **schedule}},
+           f"DISC_DIGIT_LIMIT = {DISC_DIGIT_LIMIT}")
+          for schedule in ({"power": 10 ** 9, "shift": 2},
+                           {"power": 2_000_000},
+                           {"power": 2, "shift": 10 ** 3000})),
+    ], ids=["trace-3000-digit-hessian", "weyl-power-1e9", "weyl-power-2e6",
+            "weyl-shift-1e3000"])
+    def test_value_too_large_to_print_exits_2(self, tmp_path, capsys,
+                                              command, obj, limit):
+        # Z has a 6 000-digit coefficient, and (k + shift)^power would have
+        # about 5e8, 1e6 or 6 000 digits, built before the first row.
+        path = self._write(tmp_path, "input.json", obj)
+        start = time.perf_counter()
+        assert main([*command, path]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert limit in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_spectrum_point_too_large_to_print_exits_2(self, capsys):
+        # Two 2 200-digit denominators make a 4 400-digit sum.
+        values = f"1/{10 ** 2199},1/{10 ** 2199 + 1}"
+        assert main(["spectrum", "enum", "--values", values, "--k", "2",
+                     "--pi", "1", "--window", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: a value has more than "
+                                       "sys.get_int_max_str_digits() = ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("entry", [
         {"terms": [[0] * 100_000]},
         {"terms": [{"c": [0] * 100_000, "e": "0"}]},
@@ -1122,9 +1192,6 @@ def library_errors(cls=errors.NovlinkError):
     *((cls("the message"), *EXIT_POLICY.get(cls, (None, None)))
       for cls in library_errors()),
     (OSError("the message"), 2, "config error"),
-    (json.JSONDecodeError("the message", "{", 1), 2, "config error"),
-    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "the message"), 2,
-     "config error"),
 ], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else None)
 def test_each_error_exits_with_its_code_and_label(monkeypatch, capsys, exc,
                                                    code, label):
@@ -1147,4 +1214,19 @@ def test_a_plain_value_error_propagates(monkeypatch):
 
     monkeypatch.setattr(cli, "symk_idempotents", fail)
     with pytest.raises(ValueError, match="a bug"):
+        main(["qh", "idempotents", "--k", "2", "--omega", "1"])
+
+
+@pytest.mark.parametrize("exc", [
+    json.JSONDecodeError("the message", "{", 1),
+    UnicodeDecodeError("utf-8", b"\xff", 0, 1, "the message"),
+], ids=lambda x: type(x).__name__)
+def test_a_decode_error_from_library_code_propagates(monkeypatch, exc):
+    # _load_json turns an input file's decode errors into ConfigError, so
+    # one raised by a library call is a bug, as a plain ValueError is.
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "symk_idempotents", fail)
+    with pytest.raises(type(exc)):
         main(["qh", "idempotents", "--k", "2", "--omega", "1"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -279,6 +280,21 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=f"omega .* has more than "
                                               f"DIGIT_LIMIT = {DIGIT_LIMIT}"):
             as_fraction(text, "omega")
+
+    def test_values_past_the_print_limit_are_refused_alone(self):
+        # Python prints an integer of up to get_int_max_str_digits() digits;
+        # one digit more was a ValueError from str and to_obj.
+        limit = sys.get_int_max_str_digits()
+        within = S((10 ** limit - 1, F(1, 10 ** limit - 1)))
+        assert str(within) == f"{10 ** limit - 1}*T^(1/{10 ** limit - 1})"
+        assert within.to_obj()["terms"] == [
+            {"c": str(10 ** limit - 1), "e": f"1/{10 ** limit - 1}"}]
+        for past in (S((10 ** limit, 0)), S((1, F(1, 10 ** limit))),
+                     S(prec=F(10 ** limit))):
+            for show in (str, NovikovSeries.to_obj):
+                with pytest.raises(ConfigError, match=fr"more than sys\."
+                                   fr"get_int_max_str_digits\(\) = {limit} "):
+                    show(past)
 
 
 @given(x=nonzero_series(), y=nonzero_series())
