@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import sympy
 from sympy.polys.polyerrors import UnsolvableFactorError
@@ -111,8 +111,8 @@ class CriticalCertificate:
     point: UnitaryPoint
     hessian_det: NovikovSeries
     morse: bool
-    reason: str = ""
-    hessian: Optional[Tuple[Tuple[NovikovSeries, ...], ...]] = None
+    reason: str
+    hessian: Tuple[Tuple[NovikovSeries, ...], ...]
     residual_valuations: Tuple = ()
 
     def det_valuation(self):

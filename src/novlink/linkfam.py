@@ -23,7 +23,7 @@ caller-supplied extra monomials and are handled by the lifting machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -48,15 +48,14 @@ class CircleLinkS2:
     k: int
     A: Fraction
     B: Fraction
-    total_area: Fraction
+    total_area: Fraction = field(init=False)
 
-    def __init__(self, k: int, A, B):
-        k = _positive_int(k, "k")
-        A = as_fraction(A, "A")
-        B = as_fraction(B, "B")
+    def __post_init__(self):
+        k = _positive_int(self.k, "k")
+        A = as_fraction(self.A, "A")
+        B = as_fraction(self.B, "B")
         if not (0 < A < B):
             raise AreaError(f"not η-monotone at k = {k}: 0 < A < B fails")
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "total_area", (k - 1) * A + 2 * B)
@@ -71,13 +70,12 @@ class BulkParameter:
     corrections to ``c`` enter ``build_chain_potential`` as extra monomials.
     """
 
-    c0: Fraction
+    c0: Fraction = Fraction(1)
 
-    def __init__(self, c0=Fraction(1)):
-        c0 = as_fraction(c0, "c0")
-        if c0 == 0:
+    def __post_init__(self):
+        object.__setattr__(self, "c0", as_fraction(self.c0, "c0"))
+        if self.c0 == 0:
             raise ConfigError("c0 must be nonzero")
-        object.__setattr__(self, "c0", c0)
 
 
 def build_chain_potential(link: CircleLinkS2, bulk: BulkParameter,

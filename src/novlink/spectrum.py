@@ -41,10 +41,10 @@ class ModelOrbitSet:
 
     values: Tuple[Fraction, ...]
 
-    def __init__(self, values: Sequence):
-        values = _json_array(values, "values must be a list of rationals")
-        vals = tuple(sorted({as_fraction(v, "values") for v in values}))
-        object.__setattr__(self, "values", vals)
+    def __post_init__(self):
+        values = _json_array(self.values, "values must be a list of rationals")
+        object.__setattr__(self, "values", tuple(
+            sorted({as_fraction(v, "values") for v in values})))
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,13 @@ class SpectrumConfig:
     pi_generator: Fraction
     window: Tuple[Fraction, Fraction]
 
-    def __init__(self, k: int, pi_generator, window):
-        k = _positive_int(k, "k")
-        pi_generator = _positive_fraction(pi_generator, "pi_generator")
-        lo, hi = _pair(window, "window", as_fraction)
+    def __post_init__(self):
+        _positive_int(self.k, "k")
+        object.__setattr__(self, "pi_generator", _positive_fraction(
+            self.pi_generator, "pi_generator"))
+        lo, hi = _pair(self.window, "window", as_fraction)
         if lo > hi:
             raise ConfigError("window must satisfy lo <= hi")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "pi_generator", pi_generator)
         object.__setattr__(self, "window", (lo, hi))
 
 

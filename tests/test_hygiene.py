@@ -4,8 +4,8 @@ referenced somewhere other than its own definition, the JSON shape tests
 stay in ``novikov``, each shape refusal is raised from one function,
 ``NotZeroDimensionalError`` is built in one function, each rule on the
 Weyl row is written in one function, each ``*_LIMIT`` constant is named
-in a refusal of its module, and the value types take equality and
-hashing from their fields."""
+in a refusal of its module, the value types take equality and hashing
+from their fields, and no dataclass writes its own ``__init__``."""
 
 from __future__ import annotations
 
@@ -216,7 +216,7 @@ def annulus_against_disc(ops, operands):
 @pytest.mark.parametrize("rule, owner", [
     (trace_against_determinant, "cliffordtrace:_leading_terms_match"),
     (entry_against_mirror, "laurent:_symmetric"),
-    (annulus_against_disc, "linkfam:__init__"),
+    (annulus_against_disc, "linkfam:__post_init__"),
 ], ids=["trace-determinant", "symmetry", "eta-monotonicity"])
 def test_each_rule_on_the_weyl_row_is_written_in_one_function(rule, owner):
     """``trace check`` and ``scan weyl`` read one verdict, the Clifford
@@ -300,3 +300,22 @@ def test_value_types_take_equality_and_hashing_from_their_fields():
                      and node.name in ("__eq__", "__hash__")
                      for node in cls.body)]
     assert [name for name in found if name not in by_hand] == []
+
+
+def test_no_dataclass_writes_its_own_init():
+    """A dataclass checks its fields in ``__post_init__`` and lets the
+    decorator write ``__init__``; a hand-written one declares the fields a
+    second time, and ``dataclasses.replace`` and ``fields`` then read the
+    class body while the constructor reads its own arguments."""
+    def is_dataclass(decorator):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+    found = [f"{path.stem}:{cls.name}" for path in MODULES
+             for cls in ast.walk(parse(path))
+             if isinstance(cls, ast.ClassDef)
+             and any(map(is_dataclass, cls.decorator_list))
+             and any(isinstance(node, ast.FunctionDef)
+                     and node.name == "__init__" for node in cls.body)]
+    assert found == []

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import random
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import novlink
 from novlink import laurent
 from novlink.cliffordtrace import CliffordAlgebraModel
 from novlink.errors import (
+    AreaError,
     ConfigError,
     NonUnitaryError,
     NovlinkError,
@@ -638,6 +640,62 @@ class TestValueTypes:
         for f in fields(a):
             with pytest.raises(AttributeError):
                 setattr(a, f.name, getattr(a, f.name))
+
+
+# One instance of each dataclass that ``novlink`` exports, with one field
+# its constructor checks, a bad value for it and the refusal (``None`` for
+# a result type, whose fields are not checked).
+EXPORTED_DATACLASSES = {
+    "AreaSchedule": (lambda: novlink.AreaSchedule(), "annulus_ratio", 1,
+                     ConfigError, "annulus_ratio must lie in"),
+    "BulkParameter": (lambda: novlink.BulkParameter("1/2"), "c0", 0,
+                      ConfigError, "c0 must be nonzero"),
+    "CircleLinkS2": (lambda: novlink.CircleLinkS2(2, "1/8", "1/4"), "A",
+                     "1/4", AreaError, "η-monotone at k = 2"),
+    "CriticalCertificate": (
+        lambda: novlink.critical_data(novlink.CircleLinkS2(2, "1/8", "1/4"),
+                                      novlink.BulkParameter()), None),
+    "LaurentPotential": (
+        lambda: novlink.LaurentPotential(2, {(1, 0): 1, (0, -1): mono(3, 1)}),
+        "num_vars", 0, ConfigError, "num_vars must be a positive integer"),
+    "LiftConfig": (lambda: novlink.LiftConfig("3/2"), "target_precision", 0,
+                   ConfigError, "target_precision must be positive"),
+    "ModelOrbitSet": (lambda: novlink.ModelOrbitSet([1, "1/2"]), "values",
+                      "12", ConfigError, "values must be a list"),
+    "RigidityResult": (lambda: novlink.rigidity_check([0, 1], [0, 0, 1],
+                                                      "1/2"), None),
+    "ScanConfig": (lambda: novlink.ScanConfig((1, 3)), "k_range", (0, 2),
+                   ConfigError, "k_range must satisfy 1 <= lo <= hi"),
+    "SpectrumConfig": (lambda: novlink.SpectrumConfig(2, 1, (0, 3)),
+                       "window", (1, 0), ConfigError,
+                       "window must satisfy lo <= hi"),
+    "SymQHElement": (lambda: novlink.SymQHElement(2, "1/2", [1, 0, 1]),
+                     "omega", 0, ConfigError, "omega must be positive"),
+    "TruncationReport": (
+        lambda: novlink.truncation_obstruction(
+            novlink.LaurentPotential(1, {(1,): 1, (-1,): 1}), 0), None),
+    "UnitaryPoint": (lambda: novlink.UnitaryPoint([mono(2), mono(-1)]),
+                     "coords", ["x"], ConfigError, "'x' is not a rational"),
+}
+
+
+def test_every_exported_dataclass_has_an_instance():
+    assert sorted(name for name in novlink.__all__
+                  if is_dataclass(getattr(novlink, name))) \
+        == sorted(EXPORTED_DATACLASSES)
+
+
+@pytest.mark.parametrize("name", list(EXPORTED_DATACLASSES))
+def test_replace_runs_the_constructor_checks(name):
+    """``dataclasses.replace`` builds through the generated ``__init__``,
+    so it reaches the same ``__post_init__`` checks as the constructor."""
+    build, field, *refusal = EXPORTED_DATACLASSES[name]
+    x = build()
+    assert replace(x) == x
+    if field is not None:
+        bad, error, match = refusal
+        with pytest.raises(error, match=match):
+            replace(x, **{field: bad})
 
 
 @pytest.mark.parametrize("build, where", [

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +56,15 @@ class TestCircleLink:
     def test_zero_bulk_rejected(self):
         with pytest.raises(ConfigError):
             BulkParameter(F(0))
+
+    def test_replace_derives_the_total_area_again(self):
+        link = replace(CircleLinkS2(2, "1/8", "1/4"), A="1/16")
+        assert link == CircleLinkS2(2, F(1, 16), F(1, 4))
+        assert link.total_area == F(1, 16) + 2 * F(1, 4)
+
+    def test_total_area_is_not_a_constructor_field(self):
+        assert [(f.name, f.init) for f in fields(CircleLinkS2)] == [
+            ("k", True), ("A", True), ("B", True), ("total_area", False)]
 
 
 class TestBuildChainPotential:
