@@ -178,7 +178,8 @@ def _solve_polynomials(polys: List[Polynomial], k: int):
     not in radicals.  The verdict, in this order: a constant gives no
     solution; a Bezout bound above ``LEADING_SOLUTION_LIMIT`` raises
     ``ConfigError`` before any block is solved; a block with no torus root
-    gives none; a positive dimension raises ``NotZeroDimensionalError``; a
+    gives none; a positive dimension raises ``NotZeroDimensionalError``
+    naming the variables of every positive-dimensional block; a
     root not in radicals raises its block's ``ConfigError``.
     """
     # The blocks are the classes (``_classes``) of the variables 0..k-1 and
@@ -210,7 +211,11 @@ def _solve_polynomials(polys: List[Polynomial], k: int):
     if 0 in counts:
         return [], 0, [ns for (_, ns), c in zip(blocks, counts) if c == 0]
     if None in counts:
-        raise NotZeroDimensionalError("leading system not zero-dimensional")
+        free = tuple(f"z{v + 1}" for v in sorted(
+            v for (vs, _), c in zip(blocks, counts) if c is None for v in vs))
+        raise NotZeroDimensionalError(
+            f"leading system not zero-dimensional in {', '.join(free)}",
+            variables=free)
     for c in counts:
         if isinstance(c, ConfigError):
             raise c

@@ -6,8 +6,9 @@ mathematical obstruction (an ``Obstruction``: non-Morse points, obstructed
 lifts, degenerate traces) exits with 3.
 
 Context beyond the message is given by keyword only and read as an
-attribute, ``None`` when not given: ``ObstructedError.order``,
-``SpectrumError.index`` and ``SubadditivityError.pair``.
+attribute, ``None`` when not given: ``NotZeroDimensionalError.variables``,
+``ObstructedError.order``, ``SpectrumError.index`` and
+``SubadditivityError.pair``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,13 @@ class SingularMatrixError(NovlinkError):
 
 
 class NotZeroDimensionalError(Obstruction):
-    """Leading polynomial system has a positive-dimensional solution set."""
+    """Leading polynomial system has a positive-dimensional solution set.
+
+    ``variables`` names the variables of its positive-dimensional blocks,
+    in increasing order, such as ``("z2", "z3")``.
+    """
+
+    _context = ("variables",)
 
 
 class NonMorseError(Obstruction):

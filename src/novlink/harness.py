@@ -132,8 +132,8 @@ class AreaSchedule:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Sweep settings shared by the scan subcommands.  ``k_range`` has no
-    usable default: a missing one raises ``ConfigError``."""
+    """Sweep settings of ``scan weyl``.  ``k_range`` has no usable
+    default: a missing one raises ``ConfigError``."""
 
     k_range: Optional[Tuple[int, int]] = None
     schedule: AreaSchedule = field(default_factory=AreaSchedule)
@@ -223,9 +223,11 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
 def nobulk_scan(k_range: Tuple[int, int], omega) -> List[Dict[str, object]]:
     """One row per ``k``: idempotent count and (normalized) valuation.
 
-    ``k_range`` holds two ints, checked as ``ScanConfig`` checks its own.
-    Empty ranges give empty tables.  The valuations are read off the
-    integer Krawtchouk columns that ``symk_idempotents`` wraps into series
+    ``k_range`` holds two JSON integers ``(lo, hi)``.  A range with
+    ``hi < lo`` is empty and gives an empty table, whatever ``lo``; a
+    ``lo`` below 1 raises ``ConfigError`` only in a range that is not
+    empty.  The valuations are read off the integer Krawtchouk columns
+    that ``symk_idempotents`` wraps into series
     (``symprodqh._idempotent_columns``), not the closed formula, and must
     all agree; no series is built.  An ``omega`` that is not positive, or a
     range reaching above ``SYMK_K_LIMIT``, raises ``ConfigError`` before

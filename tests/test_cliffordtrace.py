@@ -125,6 +125,17 @@ class TestProduct:
         with pytest.raises(AlgebraMismatchError, match="algebra mismatch"):
             clifford_product(alg2, alg2.unit, alg3.unit)
 
+    def test_mismatch_of_the_same_size_rejected(self):
+        alg = diag_algebra(mono(1), mono(1))
+        twin = diag_algebra(mono(1), mono(1))
+        other = diag_algebra(mono(1), mono(2))
+        assert alg.unit + twin.unit == alg.element({(): mono(2)})
+        for bad in (lambda: alg.unit + 1,
+                    lambda: alg.unit + other.unit,
+                    lambda: clifford_product(other, alg.unit, twin.unit)):
+            with pytest.raises(AlgebraMismatchError, match="algebra mismatch"):
+                bad()
+
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_associativity(self, data):

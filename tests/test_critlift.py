@@ -113,13 +113,25 @@ class TestLeadingSolutions:
         # z1/z2 + z2/z1: gradient layers vanish on the whole curve z1 = ±z2.
         W = LaurentPotential(2, {(1, -1): mono(1), (-1, 1): mono(1)})
         with pytest.raises(NotZeroDimensionalError,
-                           match="not zero-dimensional"):
+                           match="not zero-dimensional in z1, z2$") as exc:
             leading_solutions(W)
+        assert exc.value.variables == ("z1", "z2")
 
     def test_unconstrained_variable_rejected(self):
         W = LaurentPotential(2, {(2, 0): mono(1), (1, 0): mono(-2)})
-        with pytest.raises(NotZeroDimensionalError):
+        with pytest.raises(NotZeroDimensionalError,
+                           match="not zero-dimensional in z2$") as exc:
             leading_solutions(W)
+        assert exc.value.variables == ("z2",)
+
+    def test_every_positive_dimensional_block_is_named(self):
+        # z2 z3 + 1/(z2 z3) + z4 + 1/z4 in five variables: the curve
+        # z2 z3 = ±1 and the free z1 and z5, with z4 = ±1 between them.
+        W = LaurentPotential(5, {(0, 1, 1, 0, 0): 1, (0, -1, -1, 0, 0): 1,
+                                 (0, 0, 0, 1, 0): 1, (0, 0, 0, -1, 0): 1})
+        with pytest.raises(NotZeroDimensionalError) as exc:
+            leading_solutions(W)
+        assert exc.value.variables == ("z1", "z2", "z3", "z5")
 
     def test_gradient_zero_modulo_precision_rejected(self):
         # The z1 component has only an O(T^3) coefficient: no known layer.
@@ -548,6 +560,13 @@ class TestBlockSolver:
                  {(0, 0, 1): F(1)}]
         assert block_solve(polys, 3) == whole_system_by_sympy(polys, 3) \
             == ([], 0)
+
+    def test_coupled_root_with_a_zero_coordinate_is_not_counted(self):
+        # z1 z2 - z1 and z1 + z2 - 2: the roots (1, 1) and (0, 2), and the
+        # second is off the torus.
+        polys = [{(1, 1): F(1), (1, 0): F(-1)},
+                 {(1, 0): F(1), (0, 1): F(1), (0, 0): F(-2)}]
+        assert _solve_polynomials(polys, 2) == ([(1, 1)], 0, [])
 
     def test_two_equations_on_one_variable_give_their_gcd(self):
         # (z^2 - 2)(z - 1) and (z^2 - 2)(z + 3): gcd z^2 - 2.

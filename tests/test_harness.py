@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -266,6 +267,16 @@ class TestWeylScan:
         with pytest.raises(AreaError, match="differ at k = 1$"):
             weyl_scan(power_config(1, 2))
 
+    def test_row_that_is_not_morse_names_k(self, monkeypatch):
+        def not_morse(link, bulk):
+            cert = critical_data(link, bulk)
+            return replace(cert, morse=False, reason="the reason")
+
+        monkeypatch.setattr(harness, "critical_data", not_morse)
+        with pytest.raises(AreaError, match="critical point at k = 1 is not "
+                                            "Morse: the reason$"):
+            weyl_scan(power_config(1, 2))
+
     def test_trace_size_limit_refused_before_any_row(self, monkeypatch):
         def no_lift(*args):
             raise AssertionError("a row was computed")
@@ -316,6 +327,11 @@ class TestNobulkScan:
 
     def test_empty_range(self):
         assert nobulk_scan((5, 4), F(1)) == []
+
+    def test_lo_below_one_is_refused_only_in_a_nonempty_range(self):
+        assert nobulk_scan((0, -1), 1) == []
+        with pytest.raises(ConfigError, match="k must be a positive integer"):
+            nobulk_scan((0, 3), 1)
 
     @pytest.mark.parametrize("lo", [True, "1", 1.0])
     def test_non_integer_k_range_rejected(self, lo):
@@ -603,6 +619,23 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "no layer is known" in captured.err
         assert "not zero-dimensional" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("num_vars, terms, free", [
+        # z1 + 1/z1 + z2 z3 + 1/(z2 z3): a curve z2 z3 = ±1.
+        (3, [[1, 0, 0], [-1, 0, 0], [0, 1, 1], [0, -1, -1]], "z2, z3"),
+        # z1 + 1/z1 in two variables: z2 is in no monomial.
+        (2, [[1, 0], [-1, 0]], "z2"),
+    ])
+    def test_crit_find_names_the_free_variables(self, tmp_path, capsys,
+                                                num_vars, terms, free):
+        wpath = self._write(tmp_path, "W.json", {
+            "num_vars": num_vars,
+            "terms": [{"m": m, "coeff": ONE} for m in terms]})
+        assert main(["crit", "find", "--potential", wpath]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"obstruction: leading system not "
+                                f"zero-dimensional in {free}\n")
         assert captured.out == ""
 
     def test_crit_find_irrational_branches_only(self, tmp_path, capsys):

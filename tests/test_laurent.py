@@ -577,6 +577,8 @@ class TestSerialization:
         assert LaurentPotential(2, [((1, 0), x), ((0, -1), y),
                                     ((1, 0), -x), ((1, 0), x)]) == W
         assert W + W == LaurentPotential(2, {(1, 0): 2 * x, (0, -1): y})
+        with pytest.raises(TypeError):
+            W + 1
 
     def test_point_round_trip(self):
         pt = UnitaryPoint([NovikovSeries([(1, 0), (F(1, 2), F(3, 2))])])
@@ -593,6 +595,8 @@ class TestSerialization:
          "monomial exponents must be a list"),
         (UnitaryPoint.from_obj, {"coords": 5}, "a point must be an object"),
         (UnitaryPoint.from_obj, [ONE], "a point must be an object"),
+        (LaurentPotential.from_obj, {}, "potential needs num_vars or terms"),
+        (LaurentPotential.from_obj, [], "potential needs num_vars or terms"),
     ])
     def test_malformed_lists_refused(self, read, obj, match):
         with pytest.raises(ConfigError, match=match):

@@ -148,6 +148,16 @@ class TestArithmetic:
             assert got.integer_form == want.integer_form
             assert got.precision == want.precision
 
+    def test_infinity_has_no_difference_or_negative(self):
+        with pytest.raises(ArithmeticError, match="infinity - infinity"):
+            INFINITY - INFINITY
+        with pytest.raises(ArithmeticError, match="negative infinity"):
+            -INFINITY
+
+    def test_not_equal_to_a_foreign_operand(self):
+        assert (S((1, 0)) == "a") is False
+        assert S((1, 0)) != "a"
+
     def test_negative_exponents_allowed(self):
         s = S((1, F(-1, 2)), (2, 1))
         assert s.valuation() == F(-1, 2)
