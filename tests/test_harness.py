@@ -79,6 +79,9 @@ from novlink.symprodqh import SYMK_K_LIMIT, SymQHElement, symk_idempotents
 # entries: Bareiss divides by an exact two-term pivot, and the quotient's
 # exponents are sixths.  ``weyl_constant_k1_8.csv`` is the paper's failure
 # column: discs of constant area 1/10, whose ``val_Z_over_k`` stays 1/10.
+# ``trace_block_hessian.json`` is a 4 x 4 form of two interleaved
+# components, {1, 3} and {2, 4}, with exact, finite-precision and O(T^p)
+# entries; its golden was written while ``trace_Z`` still took an algebra.
 # ``golden/commands.txt`` lists every call with its golden output.  Any
 # change in these bytes is a change in results.
 GOLDEN = Path(__file__).parent / "golden"
