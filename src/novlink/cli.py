@@ -88,8 +88,7 @@ def _hessian_entries(obj):
 
 def _cmd_trace_check(args) -> int:
     matrix = _hessian_entries(_load_json(args.hessian))
-    alg = cliffordtrace.CliffordAlgebraModel(matrix)
-    Z = cliffordtrace.trace_Z(alg)
+    Z = cliffordtrace.trace_Z(matrix)
     det = det_bareiss(matrix)
     print(f"Z = {Z}")
     print(f"det = {det}")

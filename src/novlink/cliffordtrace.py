@@ -82,20 +82,25 @@ def _shuffle_parity(K: int) -> int:
     return ((K & _ODD_BITS).bit_count() + m * (m - 1) // 2) & 1
 
 
+def _form_rows(form) -> Tuple[Tuple[NovikovSeries, ...], ...]:
+    """The rows of ``form`` by ``_square``, refusing an asymmetric form."""
+    rows = tuple(map(tuple, _square(form, "form", "form matrix")))
+    if not _symmetric(rows):
+        raise ConfigError("form matrix is not symmetric")
+    return rows
+
+
 class CliffordAlgebraModel:
     """Rank ``2^n`` algebra built from a symmetric series-valued form."""
 
     def __init__(self, form: Sequence[Sequence[NovikovSeries]]):
-        rows = [tuple(row) for row in _square(form, "form", "form matrix")]
-        if not _symmetric(rows):
-            raise ConfigError("form matrix is not symmetric")
-        self.n = len(rows)
-        self.form = tuple(rows)
+        self.form = _form_rows(form)
+        self.n = len(self.form)
         # Contraction form B = (KAPPA/2) * form, the square of a generator.
         # An exact zero stays as it is: its product would be the same zero.
         half = KAPPA / 2
         self._b = tuple(tuple(entry if entry.is_exact_zero() else entry * half
-                              for entry in row) for row in rows)
+                              for entry in row) for row in self.form)
 
     # -- elements ------------------------------------------------------------
 
@@ -274,12 +279,16 @@ def poincare_pairing(alg: CliffordAlgebraModel, a: CliffordElement,
     return total
 
 
-def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
-    """The volume-class trace of the algebra.
+def trace_Z(form: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
+    """The volume-class trace of ``CliffordAlgebraModel(form)``.
 
     Sums ``(-1)^{|I|} g^{IJ} <m2(e_I, vol), m2(e_J, vol)>`` over the basis,
-    with the frozen graded-inversion signs; for an algebra built from a
-    Hessian matrix this equals the Hessian determinant.
+    with the frozen graded-inversion signs; for a Hessian matrix this
+    equals the Hessian determinant.  Each term is a product of ``n``
+    entries of ``B = (KAPPA/2) form``, so the loop runs on the form and
+    scales once: ``Z = (KAPPA/2)^n Z(form)``.  A form ``_form_rows``
+    refuses, or a work bound off the supports (``_trace_work``) above
+    ``TRACE_WORK_LIMIT``, raises ``ConfigError`` before any series product.
 
     The trace is the product of the traces of the form's components (see
     ``laurent._components``): when the generators split into two sets with
@@ -291,21 +300,15 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
     the ``I`` and ``J`` sides of each term, so each term is a term of one
     factor's trace times a term of the other's.  The tests check the
     product against the definition, precision included, on block forms
-    whose indices are interleaved.  Each component is traced by the mask loop below on its own generators,
-    renumbered in increasing order; a form of one component runs the loop
-    on the whole form.  An entry known only as ``O(T^p)`` joins its
-    component, so it still bounds the precision.
-
-    A bound, read off the supports alone, of more than
-    ``TRACE_WORK_LIMIT`` units of work (see ``_trace_work``) raises
-    ``ConfigError`` before any series product.
+    whose indices are interleaved.  Each component is traced by the mask
+    loop below on its own generators, renumbered in increasing order.
 
     In the mask loop, subsets are int masks, bit ``i - 1`` standing for
     generator ``i``, and the complement of ``K`` is ``full ^ K``.
 
     * ``vol`` holds every index, so ``e_I vol`` has no wedge part: it is
-      ``vol`` contracted against the rows ``I`` of ``B = (KAPPA/2) form``,
-      least index last.  ``products[I]`` is one contraction of
+      ``vol`` contracted against the rows ``I`` of the form, least index
+      last.  ``products[I]`` is one contraction of
       ``products[I ^ (I & -I)]`` by the row of the least index of ``I``.
       The contraction walks that row's entries that are not exact zeros;
       removing generator ``j`` from a key ``J`` carries the sign of its
@@ -335,22 +338,21 @@ def trace_Z(alg: CliffordAlgebraModel) -> NovikovSeries:
     A form entry is skipped, and a sum dropped, only when it is an exact
     zero, so entries known only as ``O(T^p)`` bound the precision.
     """
+    form = _form_rows(form)
     blocks = []
     work = 0
-    for comp in _components(alg._b):
-        # Row i of B on the component, less its exact zeros, as
-        # (bit of j, bits below j, B_ij) in the component's numbering.
-        rows = [[(1 << a, (1 << a) - 1, alg._b[i][j])
-                 for a, j in enumerate(comp)
-                 if not alg._b[i][j].is_exact_zero()]
-                for i in comp]
+    for comp in _components(form):
+        # Row i of the form on the component, less its exact zeros, as
+        # (bit of j, bits below j, form_ij) in the component's numbering.
+        rows = [[(1 << a, (1 << a) - 1, form[i][j]) for a, j in enumerate(comp)
+                 if not form[i][j].is_exact_zero()] for i in comp]
         work += _trace_work(rows, TRACE_WORK_LIMIT - work)
         if work > TRACE_WORK_LIMIT:
             raise ConfigError(f"the trace needs more than TRACE_WORK_LIMIT "
                               f"= {TRACE_WORK_LIMIT} units of work")
         blocks.append(rows)
     traces = [_trace_loop(rows) for rows in blocks] or [NovikovSeries.one()]
-    return math.prod(traces[1:], start=traces[0])
+    return math.prod(traces[1:], start=traces[0]) * (KAPPA / 2) ** len(form)
 
 
 def _trace_work(rows, budget: int) -> int:
@@ -380,7 +382,7 @@ def _trace_work(rows, budget: int) -> int:
 
 
 def _trace_loop(rows) -> NovikovSeries:
-    """The mask loop of ``trace_Z`` on one component's rows of ``B``."""
+    """The mask loop of ``trace_Z`` on one component's rows of the form."""
     n = len(rows)
     full = (1 << n) - 1
     products: List[Dict[int, NovikovSeries]] = [{full: NovikovSeries.one()}]

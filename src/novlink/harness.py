@@ -184,14 +184,14 @@ WEYL_K_LIMIT = 160
 def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
     """One row per ``k``: areas, trace valuation and defect bound.
 
-    Each row certifies the chain critical point, traces the Clifford
-    algebra of the certified Hessian, and reports ``val_Z`` from the
-    trace (``cliffordtrace.defect_bound``).  ``trace check``'s verdict
-    checks every row: a trace whose valuation or leading coefficient is
-    not the determinant's raises ``AreaError`` naming ``k``.  A trace or
-    determinant known only as ``O(T^p)`` raises ``PrecisionError``, a
-    zero trace ``DegenerateTraceError``, and a range above
-    ``WEYL_K_LIMIT`` ``ConfigError`` before any row is computed.
+    Each row certifies the chain critical point, traces the certified
+    Hessian form itself (``cliffordtrace.trace_Z``; no algebra object is
+    built), and reports ``val_Z`` from the trace (``defect_bound``).
+    ``trace check``'s verdict checks every row: a trace whose valuation or
+    leading coefficient is not the determinant's raises ``AreaError``
+    naming ``k``.  A trace or determinant known only as ``O(T^p)`` raises
+    ``PrecisionError``, a zero trace ``DegenerateTraceError``, and a range
+    above ``WEYL_K_LIMIT`` ``ConfigError`` before any row is computed.
     """
     lo, hi = cfg.k_range
     if hi > WEYL_K_LIMIT:
@@ -204,8 +204,7 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
         cert = critical_data(link, bulk)
         if not cert.morse:
             raise AreaError(f"critical point at k = {k} is not Morse: {cert.reason}")
-        Z = cliffordtrace.trace_Z(
-            cliffordtrace.CliffordAlgebraModel(cert.hessian))
+        Z = cliffordtrace.trace_Z(cert.hessian)
         val_z = cliffordtrace.defect_bound(Z)
         if not cliffordtrace._leading_terms_match(Z, cert.hessian_det):
             raise AreaError(f"trace and det leading terms differ at k = {k}")

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from novlink.cliffordtrace import KAPPA, CliffordAlgebraModel, trace_Z
+from novlink.cliffordtrace import KAPPA, trace_Z
 from novlink.critlift import LiftConfig, hensel_lift
 from novlink.errors import SubadditivityError
 from novlink.harness import AreaSchedule
@@ -116,7 +116,7 @@ def test_criterion_2_trace_identity():
     cases = criterion_2_cases()
     assert len(cases) == 70
     for idx, (n, diagonal, form) in enumerate(cases):
-        Z = trace_Z(CliffordAlgebraModel(form))
+        Z = trace_Z(form)
         det = det_bareiss(form)
         if det.is_zero():
             if not Z.is_zero():

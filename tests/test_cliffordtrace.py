@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novlink import cliffordtrace
+from novlink import cliffordtrace, novikov
 from novlink.cliffordtrace import (
     KAPPA,
     TRACE_WORK_LIMIT,
@@ -41,11 +41,14 @@ def mono(c, e=0):
     return NovikovSeries.monomial(F(c), F(e))
 
 
-def diag_algebra(*entries):
+def diag_form(*entries):
     n = len(entries)
-    form = [[entries[i] if i == j else NovikovSeries.zero()
+    return [[entries[i] if i == j else NovikovSeries.zero()
              for j in range(n)] for i in range(n)]
-    return CliffordAlgebraModel(form)
+
+
+def diag_algebra(*entries):
+    return CliffordAlgebraModel(diag_form(*entries))
 
 
 def no_loop(*args):
@@ -179,17 +182,16 @@ class TestPairing:
 
 class TestTraceIdentity:
     def test_rank_zero_trace_is_one(self):
-        alg = CliffordAlgebraModel([])
-        assert trace_Z(alg) == NovikovSeries.one()
+        assert trace_Z([]) == NovikovSeries.one()
 
     def test_rank_one_trace_equals_form(self):
         h = NovikovSeries([(3, F(1, 2)), (-1, 2)])
-        assert trace_Z(diag_algebra(h)) == h
+        assert trace_Z(diag_form(h)) == h
 
     def test_rank_two_diagonal_valuation_adds(self):
         h1 = NovikovSeries([(2, F(1, 3))])
         h2 = NovikovSeries([(5, F(1, 4)), (1, 1)])
-        Z = trace_Z(diag_algebra(h1, h2))
+        Z = trace_Z(diag_form(h1, h2))
         assert Z.valuation() == h1.valuation() + h2.valuation()
         assert Z == h1 * h2
 
@@ -198,17 +200,16 @@ class TestTraceIdentity:
         for n in range(1, 5):
             for _ in range(4):
                 form = random_symmetric_form(rng, n)
-                assert trace_Z(CliffordAlgebraModel(form)) \
-                    == det_bareiss(form)
+                assert trace_Z(form) == det_bareiss(form)
 
     def test_unknown_entry_is_not_zero(self):
-        assert trace_Z(diag_algebra(NovikovSeries.zero(2))) \
+        assert trace_Z(diag_form(NovikovSeries.zero(2))) \
             == NovikovSeries.zero(2)
 
     def test_unknown_off_diagonal_bounds_precision(self):
         one, unknown = NovikovSeries.one(), NovikovSeries.zero(2)
         form = [[one, unknown], [unknown, one]]
-        Z = trace_Z(CliffordAlgebraModel(form))
+        Z = trace_Z(form)
         assert Z == NovikovSeries([(1, 0)], 4)
         assert Z == det_bareiss(form)
 
@@ -233,7 +234,7 @@ class TestTraceIdentity:
                         for g in gaps]
                 entry = NovikovSeries([(c, e) for e, c in x.terms] + tail)
                 completed[i][j] = completed[j][i] = entry
-        Z = trace_Z(CliffordAlgebraModel(form))
+        Z = trace_Z(form)
         assert Z.eq_mod(det_minor_expansion(completed), Z.precision)
 
     @given(form=symmetric_forms())
@@ -241,7 +242,7 @@ class TestTraceIdentity:
     def test_matches_clifford_product_oracle(self, form):
         # The definition itself: Clifford products with the volume class,
         # the Poincare pairing and the tuple shuffle signs, term by term.
-        Z = trace_Z(CliffordAlgebraModel(form))
+        Z = trace_Z(form)
         want = trace_with_conventions(form, KAPPA, True, True)
         assert Z.integer_form == want.integer_form
         assert Z.precision == want.precision
@@ -251,28 +252,49 @@ class TestTraceIdentity:
         # work limit, whatever the entries.
         monkeypatch.setattr(cliffordtrace, "_trace_loop", no_loop)
         for shape in (star_form, tridiagonal_form):
-            alg = CliffordAlgebraModel(shape(17))
-            assert len(_components(alg.form)) == 1
+            form = shape(17)
+            assert len(_components(form)) == 1
             start = time.perf_counter()
             with pytest.raises(ConfigError, match=f"TRACE_WORK_LIMIT = "
                                                   f"{TRACE_WORK_LIMIT}"):
-                trace_Z(alg)
+                trace_Z(form)
             assert time.perf_counter() - start < 1
 
     def test_work_limit_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(cliffordtrace, "_trace_loop", no_loop)
-        alg = CliffordAlgebraModel(dense_form(12))
+        form = dense_form(12)
         start = time.perf_counter()
         with pytest.raises(ConfigError, match=f"TRACE_WORK_LIMIT = "
                                               f"{TRACE_WORK_LIMIT}"):
-            trace_Z(alg)
+            trace_Z(form)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("form, match", [
+        ([[1, 0], [0]], "form matrix is not square$"),
+        ([[1, "x"], [0]], r"form\[0\]\[1\] 'x' is not a rational number"),
+        ([[1, 0], [2, 1]], "form matrix is not symmetric$"),
+        ([[1, 0], [0, True]], r"form\[1\]\[1\] must be an integer"),
+        (dense_form(12), f"TRACE_WORK_LIMIT = {TRACE_WORK_LIMIT} units"),
+        ([row[:11] + [mono(1)] for row in dense_form(12)],
+         "form matrix is not symmetric$"),
+    ])
+    def test_form_refused_before_any_series_product(self, monkeypatch, form,
+                                                    match):
+        # The model reads the form as the trace does, and refuses it alike.
+        monkeypatch.setattr(cliffordtrace, "_trace_loop", no_loop)
+        with monkeypatch.context() as m:
+            m.setattr(novikov, "_product", no_loop)
+            with pytest.raises(ConfigError, match=match):
+                trace_Z(form)
+        if "LIMIT" not in match:
+            with pytest.raises(ConfigError, match=match):
+                CliffordAlgebraModel(form)
 
     def test_chain_link_trace_valuation_is_kB(self):
         for k in (1, 2, 3):
             link = CircleLinkS2(k, F(1, 8), F(1, 4))
             cert = critical_data(link, BulkParameter(F(1)))
-            Z = trace_Z(CliffordAlgebraModel(cert.hessian))
+            Z = trace_Z(cert.hessian)
             assert Z.valuation() == k * link.B
 
     def test_scaling_shifts_by_n_val_u(self):
@@ -281,8 +303,8 @@ class TestTraceIdentity:
         form = random_symmetric_form(rng, n)
         u = NovikovSeries([(2, F(1, 2)), (1, 1)])
         scaled = [[entry * u for entry in row] for row in form]
-        Z = trace_Z(CliffordAlgebraModel(form))
-        Zu = trace_Z(CliffordAlgebraModel(scaled))
+        Z = trace_Z(form)
+        Zu = trace_Z(scaled)
         shift = n * u.valuation()
         assert Zu.valuation() == Z.valuation() + shift
         lead_ratio = Zu.leading_coefficient() / Z.leading_coefficient()
@@ -305,11 +327,11 @@ class TestComponents:
         # precision than the whole-form loop and the definition (the
         # valuations of the factors add), never to a lower one, and agrees
         # with both below the lesser precision.
-        alg = CliffordAlgebraModel(form)
-        Z = trace_Z(alg)
+        Z = trace_Z(form)
         whole = _trace_loop([[(1 << j, (1 << j) - 1, b)
                               for j, b in enumerate(row)
-                              if not b.is_exact_zero()] for row in alg._b])
+                              if not b.is_exact_zero()] for row in form])
+        whole = whole * (KAPPA / 2) ** len(form)
         want = trace_with_conventions(form, KAPPA, True, True)
         for other in (whole, want):
             assert Z.precision >= other.precision
@@ -341,7 +363,7 @@ class TestComponents:
         # A diagonal form of 64 generators: one component per entry.
         link = CircleLinkS2(64, F(1, 8), F(1, 4))
         cert = critical_data(link, BulkParameter(F(2)))
-        Z = trace_Z(CliffordAlgebraModel(cert.hessian))
+        Z = trace_Z(cert.hessian)
         want = NovikovSeries.one()
         for i, row in enumerate(cert.hessian):
             want = want * row[i]
@@ -399,7 +421,7 @@ class TestCalibration:
         rng = random.Random(99)
         for n in (3, 4, 5):
             form = random_symmetric_form(rng, n, diagonal=(n == 5))
-            assert trace_Z(CliffordAlgebraModel(form)) == det_bareiss(form)
+            assert trace_Z(form) == det_bareiss(form)
 
 
 class TestDefectBound:
@@ -409,7 +431,7 @@ class TestDefectBound:
     def test_chain_defect_is_kB(self):
         link = CircleLinkS2(2, F(1, 8), F(1, 4))
         cert = critical_data(link, BulkParameter(F(1)))
-        Z = trace_Z(CliffordAlgebraModel(cert.hessian))
+        Z = trace_Z(cert.hessian)
         assert defect_bound(Z) == 2 * link.B
 
     def test_zero_trace_degenerate(self):

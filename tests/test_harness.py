@@ -258,7 +258,7 @@ class TestWeylScan:
                                                       error):
         # Z = O(T) has no valuation to compare with the determinant's, and
         # Z = 0 is degenerate; neither is reported as a mismatch.
-        monkeypatch.setattr(cliffordtrace, "trace_Z", lambda alg: Z)
+        monkeypatch.setattr(cliffordtrace, "trace_Z", lambda form: Z)
         with pytest.raises(error):
             weyl_scan(power_config(1, 2))
 
@@ -266,7 +266,7 @@ class TestWeylScan:
         # Three times the determinant: its valuation, another leading
         # coefficient.  A comparison of valuations alone would pass it.
         monkeypatch.setattr(cliffordtrace, "trace_Z",
-                            lambda alg: 3 * det_bareiss(alg.form))
+                            lambda form: 3 * det_bareiss(form))
         with pytest.raises(AreaError, match="differ at k = 1$"):
             weyl_scan(power_config(1, 2))
 
@@ -537,6 +537,21 @@ class TestCLI:
         assert main(argv) == 0
         assert (capsys.readouterr().out.encode("utf-8")
                 == (GOLDEN / expected).read_bytes())
+
+    @pytest.mark.parametrize("argv, expected", [
+        (argv, expected) for argv, expected in GOLDEN_COMMANDS
+        if argv[:2] == ["trace", "check"]
+        or argv[-1] == "weyl_k1_12_config.json"])
+    def test_trace_and_weyl_goldens_build_no_algebra(self, monkeypatch, argv,
+                                                     expected, capsys):
+        # The kernel traces the form itself; the algebra is the tests'
+        # reference model.
+        def refuse(*args):
+            raise AssertionError("a CliffordAlgebraModel was built")
+
+        monkeypatch.setattr(cliffordtrace.CliffordAlgebraModel, "__init__",
+                            refuse)
+        self.test_output_matches_golden(argv, expected, capsys)
 
     def test_parser_is_built_once_and_reused(self, monkeypatch, capsys):
         commands = [

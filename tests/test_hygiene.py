@@ -143,6 +143,7 @@ def functions_writing(phrase):
 
 @pytest.mark.parametrize("phrase, reader", [
     ("is not square", "laurent:_square"),
+    ("is not symmetric", "cliffordtrace:_form_rows"),
     ("must be a pair", "novikov:_pair"),
 ])
 def test_each_shape_refusal_is_written_in_one_place(phrase, reader):
