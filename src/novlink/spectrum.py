@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, SpectrumError, SubadditivityError
 from .novikov import (_json_array, _pair, _positive_fraction, _positive_int,
-                      as_fraction)
+                      _text, as_fraction)
 
 #: Most spectrum points ``enumerate_spectrum`` may have to build.
 SPECTRUM_POINT_LIMIT = 10 ** 6
@@ -80,8 +80,11 @@ def enumerate_spectrum(orbits: ModelOrbitSet,
 
     The ``C(k + n - 1, n - 1)`` multisets of ``k`` of the ``n`` values,
     each with at most ``floor((hi - lo)/g) + 1`` translates in the window,
-    bound both the work and the output; a request whose bound exceeds
-    ``SPECTRUM_POINT_LIMIT`` raises ``ConfigError`` before any of it.
+    bound the output; the program's ``k`` rounds take at most
+    ``n C(k + n - 1, n) = k C(k + n - 1, n - 1)`` steps (``n`` per sum of
+    the round before, summed by the hockey-stick identity).  A request
+    whose points or steps exceed ``SPECTRUM_POINT_LIMIT`` raises
+    ``ConfigError`` before any of the work.
     """
     if not orbits.values:
         raise SpectrumError("no orbits: spectrum undefined for autonomous "
@@ -89,10 +92,17 @@ def enumerate_spectrum(orbits: ModelOrbitSet,
     lo, hi = cfg.window
     g = cfg.pi_generator
     n = len(orbits.values)
-    bound = math.comb(cfg.k + n - 1, n - 1) * ((hi - lo) // g + 1)
+    multisets = math.comb(cfg.k + n - 1, n - 1)
+    bound = multisets * ((hi - lo) // g + 1)
     if bound > SPECTRUM_POINT_LIMIT:
-        raise ConfigError(f"spectrum request may need {bound} points, above "
-                          f"SPECTRUM_POINT_LIMIT = {SPECTRUM_POINT_LIMIT}")
+        raise ConfigError(f"spectrum request may need {_text(bound)} "
+                          f"points, above SPECTRUM_POINT_LIMIT = "
+                          f"{SPECTRUM_POINT_LIMIT}")
+    steps = cfg.k * multisets
+    if steps > SPECTRUM_POINT_LIMIT:
+        raise ConfigError(f"spectrum request may need {_text(steps)} steps to "
+                          f"build its sums, above SPECTRUM_POINT_LIMIT = "
+                          f"{SPECTRUM_POINT_LIMIT}")
     D = math.lcm(*(q.denominator for q in orbits.values + (g, lo, hi)))
     values = [int(v * D) for v in orbits.values]
     G, L, H = int(g * D), int(lo * D), int(hi * D)

@@ -1210,6 +1210,34 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "2000000001" in err and "1000000" in err
 
+    def test_spectrum_enum_count_too_long_to_print_exits_2(self, capsys):
+        # C(10^9 + 19 999, 19 999) multisets: a point count of more digits
+        # than Python prints, refused without a traceback.
+        values = ",".join(map(str, range(1, 20001)))
+        assert main(["spectrum", "enum", "--values", values, "--k",
+                     str(10 ** 9), "--pi", "1", "--window", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: a value has more than "
+                                       "sys.get_int_max_str_digits()")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("values, k, pi, steps", [
+        ("1", 10 ** 9, "1", 10 ** 9),
+        ("1,2", 10 ** 5, "1000000", 10 ** 5 * (10 ** 5 + 1)),
+    ])
+    def test_spectrum_enum_over_step_limit_exits_2_at_once(
+            self, capsys, values, k, pi, steps):
+        # Few points, but a period-budget program of k rounds.
+        start = time.perf_counter()
+        assert main(["spectrum", "enum", "--values", values, "--k", str(k),
+                     "--pi", pi, "--window", "0,1"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: spectrum request may need {steps} steps to build "
+            f"its sums, above SPECTRUM_POINT_LIMIT = 1000000\n")
+        assert captured.out == ""
+
 
 #: The exit code and stderr label ``main`` gives each error, as they were
 #: when ``cli`` listed the classes by name.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -134,6 +135,20 @@ class TestEnumerate:
         with pytest.raises(ConfigError, match="2003001 points"):
             enumerate_spectrum(ModelOrbitSet([0, F(1, 3), F(1, 7)]),
                                cfg(2000, 1, 0, 0))
+
+    @pytest.mark.parametrize("n, k", [(1, 10 ** 6), (2, 999), (3, 124)])
+    def test_step_limit_bounds_the_sums_program(self, n, k):
+        # The k rounds take n C(k + n - 1, n) steps, n per sum of the round
+        # before: the largest k within the limit runs, and the next is
+        # refused, though none of these requests has 8002 points.
+        values = [F(1, 10 ** i) for i in range(n)]
+        steps = [n * math.comb(k + j + n - 1, n) for j in (0, 1)]
+        assert steps[0] <= SPECTRUM_POINT_LIMIT < steps[1]
+        assert enumerate_spectrum(ModelOrbitSet(values), cfg(k, 1, 0, 0)) \
+            == [F(0)]
+        with pytest.raises(ConfigError, match=f"need {steps[1]} steps .* "
+                                              f"{SPECTRUM_POINT_LIMIT}$"):
+            enumerate_spectrum(ModelOrbitSet(values), cfg(k + 1, 1, 0, 0))
 
 
 class TestFekete:
