@@ -397,6 +397,22 @@ class TestMatrixHelpers:
         assert det_bareiss(form) == _bareiss(form) \
             == NovikovSeries.zero(F(7, 6))
 
+    def test_singular_det_bound_counts_the_rows_of_the_matrix(self):
+        # After the pivot 2T^(1/2), column 1 vanishes mod precision below
+        # row 1, and Sylvester's bound is only O(T^(3/2)).  The rows' least
+        # valuations, 2/3 + 1 + 0, give O(T^(5/3)), the columns' O(T^(5/6));
+        # the determinant claims the largest, as the minor expansion does.
+        def unknown(p):
+            return NovikovSeries.zero(F(p))
+
+        matrix = [[NovikovSeries([(2, F(2, 3))], F(7, 6)), unknown("5/6"),
+                   unknown("5/6")],
+                  [unknown(1)] * 3,
+                  [NovikovSeries([(2, F(1, 2))], 2), unknown("1/3"),
+                   unknown(0)]]
+        assert det_bareiss(matrix) == det_minor_expansion(matrix) \
+            == NovikovSeries.zero(F(5, 3))
+
     def test_solve_eliminates_unknown_entries(self):
         # [[e1, 1], [1, e2]] x = [1, 0] with e1, e2 = O(T^(1/6)) gives
         # x1 = 1 / (1 - e1 e2): known only modulo T^(1/3).

@@ -8,7 +8,7 @@ from math import lcm
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from novlink import symprodqh
@@ -29,7 +29,11 @@ from oracles import (
     tensor_multiply,
     tensor_to_sym,
 )
-from strategies import homogeneous_sym_element_pairs, sym_element_pairs
+from strategies import (
+    completions,
+    homogeneous_sym_element_pairs,
+    sym_element_pairs,
+)
 
 
 def mono(c, e=0):
@@ -201,6 +205,30 @@ class TestSymmetricAlgebra:
         assert symk_multiply(x, y) == want
         with patch.object(symprodqh, "_degree_class", return_value=None):
             assert symk_multiply(x, y) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), path=st.sampled_from(("transform", "scatter")))
+    def test_product_of_completions_agrees_modulo_each_slot_precision(
+            self, data, path):
+        # Any completion of the operands (terms added at or above each
+        # coefficient's precision) has a product equal to the inexact one
+        # below each slot's precision.  One-class pairs take the transform;
+        # mixed pairs are sent to the scatter, whatever their classes.
+        if path == "transform":
+            x, y = data.draw(homogeneous_sym_element_pairs())
+            assume(path_taken(x, y) == "transform")
+            product = symk_multiply(x, y)
+        else:
+            x, y = data.draw(sym_element_pairs())
+            with patch.object(symprodqh, "_degree_class", return_value=None):
+                product = symk_multiply(x, y)
+        completed = symk_multiply(*(
+            SymQHElement(z.k, z.omega,
+                         [data.draw(completions(c)) for c in z.coeffs])
+            for z in (x, y)))
+        for c, d in zip(product.coeffs, completed.coeffs):
+            assert d.precision >= c.precision
+            assert d.eq_mod(c, c.precision)
 
     def test_tensor_oracle_needs_every_arrangement(self):
         # m1 of Sym^2 has two arrangements; one alone is not symmetric.
