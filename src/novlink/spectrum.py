@@ -73,18 +73,23 @@ def enumerate_spectrum(orbits: ModelOrbitSet,
                        cfg: SpectrumConfig) -> List[Fraction]:
     """Exact sorted spectrum inside the window.
 
-    Base sums are built by a period-budget dynamic program; each base
-    value is then translated by every lattice multiple landing in the
-    window.  Everything runs on integers scaled by the least common
-    denominator of the values, the generator and the window.
+    Everything runs on integers scaled by the least common denominator
+    ``D`` of the values, the generator and the window.  A sum of exactly
+    ``k`` values is ``k v_min`` plus a sum of at most ``k`` of the
+    differences ``d_i = v_i - v_min > 0``; ``_shifted_sums`` builds those,
+    one difference at a time.  A point ``x`` of the window is in the
+    spectrum exactly when ``x - L`` is, modulo ``G``, the residue of some
+    sum (``L``, ``G`` the scaled window start and generator), so the
+    points are ``L + j G + r`` over the distinct residues ``r``, emitted in
+    order with no sort.
 
     The ``C(k + n - 1, n - 1)`` multisets of ``k`` of the ``n`` values,
     each with at most ``floor((hi - lo)/g) + 1`` translates in the window,
-    bound the output; the program's ``k`` rounds take at most
-    ``n C(k + n - 1, n) = k C(k + n - 1, n - 1)`` steps (``n`` per sum of
-    the round before, summed by the hockey-stick identity).  A request
-    whose points or steps exceed ``SPECTRUM_POINT_LIMIT`` raises
-    ``ConfigError`` before any of the work.
+    bound the output.  The sums take at most ``C(k + n - 1, n - 1) - 1``
+    steps, one per multiset of at most ``k`` differences that uses one, so
+    below the refused ``k C(k + n - 1, n - 1)``.  A request whose points
+    or that ``k C(k + n - 1, n - 1)`` exceed ``SPECTRUM_POINT_LIMIT``
+    raises ``ConfigError`` before any of the work.
     """
     if not orbits.values:
         raise SpectrumError("no orbits: spectrum undefined for autonomous "
@@ -104,16 +109,47 @@ def enumerate_spectrum(orbits: ModelOrbitSet,
                           f"build its sums, above SPECTRUM_POINT_LIMIT = "
                           f"{SPECTRUM_POINT_LIMIT}")
     D = math.lcm(*(q.denominator for q in orbits.values + (g, lo, hi)))
-    values = [int(v * D) for v in orbits.values]
+    least, *rest = [int(v * D) for v in orbits.values]
     G, L, H = int(g * D), int(lo * D), int(hi * D)
-    sums = {0}
-    for _ in range(cfg.k):
-        sums = {s + v for s in sums for v in values}
-    out = set()
-    for base in sums:
-        first = base - ((base - L) // G) * G
-        out.update(range(first, H + 1, G))
-    return [Fraction(x, D) for x in sorted(out)]
+    base = cfg.k * least - L
+    residues = sorted({(base + s) % G
+                       for s in _shifted_sums([v - least for v in rest],
+                                              cfg.k)})
+    out = []
+    for start in range(L, H + 1, G):
+        for r in residues:
+            x = start + r
+            if x > H:
+                break
+            out.append(Fraction(x, D))
+    return out
+
+
+def _shifted_sums(diffs: Sequence[int], k: int):
+    """Every sum of at most ``k`` of the positive ``diffs``, repetition
+    allowed, 0 included, in no order.
+
+    ``live`` maps each sum found so far to the least count of differences
+    reaching it, while that count is below ``k``; a sum reached with
+    exactly ``k`` is parked in ``done``, and no later difference scans it.
+    Difference ``d`` extends each live sum ``s`` of count ``c`` to ``s + m
+    d`` for ``m = 1..k - c``.  Those steps are one per multiset of at most
+    ``k`` of the differences so far that uses ``d``, so ``d_i`` costs
+    ``C(k + i - 1, i)`` and the ``n - 1`` differences of ``n`` values
+    ``C(k + n - 1, n - 1) - 1`` in all (the hockey-stick identity).  A sum
+    parked and then reached with a lesser count goes live again; its entry
+    in ``done`` is harmless.
+    """
+    live, done = {0: 0}, set()
+    for d in diffs:
+        for s, c in list(live.items()):
+            for count in range(c + 1, k):
+                s += d
+                if live.get(s, k) > count:
+                    live[s] = count
+            done.add(s + d)
+    done.update(live)
+    return done
 
 
 def fekete_homogenize(c_values: Sequence) -> Tuple[Fraction,

@@ -77,6 +77,17 @@ class SymQHElement:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _raw(cls, k: int, omega: Fraction, coeffs) -> "SymQHElement":
+        """Trusted constructor: ``k`` and ``omega`` already checked, as
+        ``_sphere_algebra`` returns them, and ``coeffs`` ``k + 1`` series in
+        a list or tuple."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "k", k)
+        object.__setattr__(x, "omega", omega)
+        object.__setattr__(x, "coeffs", tuple(coeffs))
+        return x
+
     def __add__(self, other):
         self._check(other)
         return SymQHElement(self.k, self.omega,
@@ -165,7 +176,7 @@ def symk_multiply(x: SymQHElement, y: SymQHElement) -> SymQHElement:
         E = sorted(slot)
         out.append(NovikovSeries._raw(de, dcx * dcy, E, [slot[e] for e in E],
                                       p))
-    return SymQHElement(k, omega, out)
+    return SymQHElement._raw(k, omega, out)
 
 
 def _grid(omega: Fraction, coeffs):
@@ -353,7 +364,7 @@ def symk_idempotents(k: int, omega) -> List[SymQHElement]:
     omega, step, cols = _idempotent_columns(k, omega)
     denom = 2 ** k
     num, de = step.numerator, step.denominator
-    return [SymQHElement(k, omega, [
+    return [SymQHElement._raw(k, omega, [
         NovikovSeries._raw(de, denom, (w * num,), (-a if w % 2 else a,),
                            None)
         for w, a in enumerate(col)]) for col in cols]

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novlink.errors import (
     ConfigError,
@@ -138,9 +142,10 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n, k", [(1, 10 ** 6), (2, 999), (3, 124)])
     def test_step_limit_bounds_the_sums_program(self, n, k):
-        # The k rounds take n C(k + n - 1, n) steps, n per sum of the round
-        # before: the largest k within the limit runs, and the next is
-        # refused, though none of these requests has 8002 points.
+        # The bound refused is k C(k + n - 1, n - 1) = n C(k + n - 1, n);
+        # the sums take at most C(k + n - 1, n - 1) - 1 steps, within it.
+        # The largest k within the limit runs, and the next is refused,
+        # though none of these requests has 8002 points.
         values = [F(1, 10 ** i) for i in range(n)]
         steps = [n * math.comb(k + j + n - 1, n) for j in (0, 1)]
         assert steps[0] <= SPECTRUM_POINT_LIMIT < steps[1]
@@ -149,6 +154,55 @@ class TestEnumerate:
         with pytest.raises(ConfigError, match=f"need {steps[1]} steps .* "
                                               f"{SPECTRUM_POINT_LIMIT}$"):
             enumerate_spectrum(ModelOrbitSet(values), cfg(k + 1, 1, 0, 0))
+
+
+@st.composite
+def spectrum_requests(draw):
+    """``(values, k, g, lo, hi)``: 1-6 distinct small rationals, ``k`` from
+    1 to 6, and a window with both ends on translates of a ``k``-fold sum,
+    one narrower than ``g``, or a single point."""
+    values = draw(st.lists(st.fractions(F(-4), F(4), max_denominator=4),
+                           min_size=1, max_size=6, unique=True))
+    k = draw(st.integers(1, 6))
+    g = draw(st.fractions(F(1, 3), F(5), max_denominator=3))
+    base = sum(draw(st.sampled_from(values)) for _ in range(k))
+    kind = draw(st.sampled_from(("translates", "narrow", "point")))
+    if kind == "translates":
+        lo = base - draw(st.integers(0, 3)) * g
+        hi = base + draw(st.integers(0, 3)) * g
+    else:
+        lo = draw(st.sampled_from((base, base - g / 2))) \
+            + draw(st.fractions(F(-2), F(2), max_denominator=5))
+        hi = lo if kind == "point" else \
+            lo + g * draw(st.fractions(F(0), F(1), max_denominator=7)
+                          .filter(lambda w: w < 1))
+    return values, k, g, lo, hi
+
+
+class TestOracleProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(spectrum_requests())
+    def test_matches_brute_force(self, request):
+        values, k, g, lo, hi = request
+        assert enumerate_spectrum(ModelOrbitSet(values), cfg(k, g, lo, hi)) \
+            == spectrum_brute_force(sorted(values), k, g, lo, hi)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_many_values_finish_fast(self, k):
+        # 300 values: a program that rescanned the finished sums for every
+        # value would take about 300^3 / 6 steps at k = 2, about 1 s in
+        # CPython, against C(301, 2) here.  The window holds one translate
+        # of each residue of a k-fold sum modulo 1.
+        M = 10 ** 6
+        rng = random.Random(300)
+        nums = rng.sample(range(M), 300)
+        start = time.perf_counter()
+        spec = enumerate_spectrum(ModelOrbitSet([F(n, M) for n in nums]),
+                                  cfg(k, 1, 0, F(M - 1, M)))
+        assert time.perf_counter() - start < 0.5
+        residues = sorted({sum(c) % M for c in
+                           itertools.combinations_with_replacement(nums, k)})
+        assert spec == [F(r, M) for r in residues]
 
 
 class TestFekete:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as F
 from math import lcm
@@ -281,6 +282,36 @@ class TestPathChoice:
         two = e + SymQHElement(k, F(1), [c * mono(1, 1) for c in e.coeffs])
         assert path_taken(x, e) == path_taken(e, x) == "transform"
         assert path_taken(two, e) == path_taken(e, two) == "scatter"
+
+
+def assert_checked(e):
+    """``e``, built by the trusted ``SymQHElement._raw``, is what the public
+    constructor builds from its fields, and replacing a field still
+    checks it."""
+    assert e == SymQHElement(e.k, e.omega, e.coeffs)
+    assert type(e.coeffs) is tuple and len(e.coeffs) == e.k + 1
+    assert all(type(c) is NovikovSeries for c in e.coeffs)
+    with pytest.raises(ConfigError, match="k must be a positive integer"):
+        dataclasses.replace(e, k=0)
+
+
+class TestTrustedElements:
+    @pytest.mark.parametrize("k", [1, 2, 7, 32])
+    def test_idempotents_and_products_equal_checked_elements(self, k):
+        omega = F(3, 2)
+        idems = symk_idempotents(k, omega)
+        for e in idems:
+            assert_checked(e)
+        for i, j in ((0, k), (k // 2, k // 2), (k, k)):
+            assert path_taken(idems[i], idems[j]) == "transform"
+            assert_checked(symk_multiply(idems[i], idems[j]))
+        # T^(1/5) m_0 adds a second class to slot 0: mixed degrees.
+        shift = SymQHElement(k, omega, [mono(1, F(1, 5))] + [0] * k)
+        for i, j in ((0, k), (k // 2, 1 % k)):
+            x = idems[i] + shift
+            assert path_taken(x, idems[j]) == "scatter"
+            assert_checked(symk_multiply(x, idems[j]))
+            assert_checked(symk_multiply(x, x))
 
 
 class TestSymmetricIdempotents:
