@@ -35,7 +35,7 @@ from .errors import (
     ConfigError,
     DegenerateTraceError,
 )
-from .laurent import _components, _square, _symmetric
+from .laurent import _square
 from .novikov import (
     Exponent,
     INFINITY,
@@ -82,19 +82,19 @@ def _shuffle_parity(K: int) -> int:
     return ((K & _ODD_BITS).bit_count() + m * (m - 1) // 2) & 1
 
 
-def _form_rows(form) -> Tuple[Tuple[NovikovSeries, ...], ...]:
-    """The rows of ``form`` by ``_square``, refusing an asymmetric form."""
-    rows = tuple(map(tuple, _square(form, "form", "form matrix")))
-    if not _symmetric(rows):
+def _form_rows(form):
+    """``(rows, blocks)`` of ``form`` by ``_square``, refusing asymmetry."""
+    rows, blocks = _square(form, "form", "form matrix")
+    if not all(flag for _, flag in blocks):
         raise ConfigError("form matrix is not symmetric")
-    return rows
+    return rows, blocks
 
 
 class CliffordAlgebraModel:
     """Rank ``2^n`` algebra built from a symmetric series-valued form."""
 
     def __init__(self, form: Sequence[Sequence[NovikovSeries]]):
-        self.form = _form_rows(form)
+        self.form, _ = _form_rows(form)
         self.n = len(self.form)
         # Contraction form B = (KAPPA/2) * form, the square of a generator.
         # An exact zero stays as it is: its product would be the same zero.
@@ -290,18 +290,18 @@ def trace_Z(form: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     refuses, or a work bound off the supports (``_trace_work``) above
     ``TRACE_WORK_LIMIT``, raises ``ConfigError`` before any series product.
 
-    The trace is the product of the traces of the form's components (see
-    ``laurent._components``): when the generators split into two sets with
-    ``B = 0`` between them, the algebra is the graded tensor product of the
-    two sets' algebras (Chevalley; Lawson-Michelsohn, *Spin Geometry*,
-    ch. I, section 1).  There ``e_I vol`` is, up to sign, the product of
-    the two factors' ``e_{I1} vol1`` and ``e_{I2} vol2``, and the pairing
-    and ``g^{IJ}`` factor likewise; the reordering signs cancel between
-    the ``I`` and ``J`` sides of each term, so each term is a term of one
-    factor's trace times a term of the other's.  The tests check the
-    product against the definition, precision included, on block forms
-    whose indices are interleaved.  Each component is traced by the mask
-    loop below on its own generators, renumbered in increasing order.
+    The trace is the product of the traces of the form's components, the
+    blocks ``laurent._square`` reads: when the generators split into two
+    sets with ``B = 0`` between them, the algebra is the graded tensor
+    product of the two sets' algebras (Chevalley; Lawson-Michelsohn, *Spin
+    Geometry*, ch. I, section 1).  There ``e_I vol`` is, up to sign, the
+    product of the two factors' ``e_{I1} vol1`` and ``e_{I2} vol2``, and the
+    pairing and ``g^{IJ}`` factor likewise; the reordering signs cancel
+    between the ``I`` and ``J`` sides of each term, so each term is a term
+    of one factor's trace times a term of the other's.  The tests check the
+    product against the definition, precision included, on block forms whose
+    indices are interleaved.  Each component is traced by the mask loop
+    below on its own generators, renumbered in increasing order.
 
     In the mask loop, subsets are int masks, bit ``i - 1`` standing for
     generator ``i``, and the complement of ``K`` is ``full ^ K``.
@@ -338,10 +338,9 @@ def trace_Z(form: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     A form entry is skipped, and a sum dropped, only when it is an exact
     zero, so entries known only as ``O(T^p)`` bound the precision.
     """
-    form = _form_rows(form)
-    blocks = []
-    work = 0
-    for comp in _components(form):
+    form, comps = _form_rows(form)
+    blocks, work = [], 0
+    for comp, _ in comps:
         # Row i of the form on the component, less its exact zeros, as
         # (bit of j, bits below j, form_ij) in the component's numbering.
         rows = [[(1 << a, (1 << a) - 1, form[i][j]) for a, j in enumerate(comp)

@@ -176,8 +176,8 @@ NOBULK_COLUMNS = ("k", "idempotent_count", "val_e", "val_e_over_k")
 #: Largest ``k`` a ``weyl_scan`` row is computed for.  The chain Hessian
 #: is diagonal, so its trace and determinant factor into ``k`` one-entry
 #: components, and a row's cost grows about as ``k^2`` (the Hessian's
-#: entries): a row took 0.017 s at ``k = 64``, 0.07 s at 160 and 0.35 s at
-#: 384, under Python 3.11 on a 2-core x86-64 machine.
+#: entries): a row took 0.008 s at ``k = 64``, 0.03 s at 160 and 0.16 s at
+#: 384 (in-process medians), under Python 3.11 on a 2-core x86-64 machine.
 WEYL_K_LIMIT = 160
 
 

@@ -170,11 +170,11 @@ class LaurentPotential:
 
         ``prec`` is the target, or ``INFINITY`` without one.  Every
         coordinate power comes from one memo, built by repeated
-        multiplication at the factor precision
-        ``prec - min(min coefficient valuation, 0)``, which is enough for
-        every coefficient to reach ``T^prec``.  A negative power starts
-        from ``invert`` at the factor precision, so its rule applies: with
-        no target an exact monomial coordinate inverts exactly, a
+        multiplication at the factor precision ``prec - v`` (``prec`` if
+        ``v >= prec``) for the least coefficient valuation bound ``v``,
+        enough for every coefficient to reach ``T^prec``.  A negative power
+        starts from ``invert`` at the factor precision, so its rule applies:
+        with no target an exact monomial coordinate inverts exactly, a
         finite-precision one keeps the precision it carries, and a
         multi-term exact one raises ``PrecisionError``.
         """
@@ -183,7 +183,7 @@ class LaurentPotential:
                 else as_precision(target_precision, "target_precision"))
         min_cval = min((c.val_lower_bound() for _, c in self.terms),
                        default=Fraction(0))
-        factor_prec = prec - min(min_cval, Fraction(0))
+        factor_prec = prec - min_cval if min_cval < prec else prec
 
         powers: Dict[Tuple[int, int], NovikovSeries] = {}
 
@@ -325,18 +325,29 @@ def _table_hessian(table, n, precision=INFINITY
 # -- series matrices ---------------------------------------------------------
 
 
-def _square(matrix, name: str, what: str = "matrix"
-            ) -> List[List[NovikovSeries]]:
-    """The rows of ``matrix`` as lists of series, each entry read by
-    ``_entry`` and named ``name[i][j]``; a row whose length is not the
-    row count raises ``ConfigError``: ``<what> is not square``."""
+def _square(matrix, name: str, what: str = "matrix"):
+    """``(rows, blocks)`` of a series matrix, read in one pass.
+
+    The matrix and each row must be a list or tuple (``_json_array``), a
+    row as long as the matrix (else ``<what> is not square``); each entry
+    is read by ``_entry``, named ``name[i][j]``.  ``blocks`` holds, for
+    each class (``_classes``) that the entries other than exact zeros join,
+    its indices and whether it equals its transpose (``_symmetric``).  An
+    entry unlike its mirror joins their class, so the matrix is symmetric
+    exactly when every block is."""
+    matrix = _json_array(matrix, f"{what} must be a list of rows")
     n = len(matrix)
-    rows = []
+    rows, links = [], []
     for i, row in enumerate(matrix):
+        row = _json_array(row, f"{name}[{i}] must be a list of entries")
         if len(row) != n:
             raise ConfigError(f"{what} is not square")
-        rows.append([_entry(x, name, i, j) for j, x in enumerate(row)])
-    return rows
+        entries = [_entry(x, name, i, j) for j, x in enumerate(row)]
+        links += ((i, j) for j, x in enumerate(entries)
+                  if j != i and not x.is_exact_zero())
+        rows.append(entries)
+    return rows, [(block, _symmetric(rows, block))
+                  for block in _classes(n, links)]
 
 
 def _classes(n: int, links) -> List[List[int]]:
@@ -358,45 +369,33 @@ def _classes(n: int, links) -> List[List[int]]:
     return list(classes.values())
 
 
-def _components(matrix: Sequence[Sequence[NovikovSeries]]
-                ) -> List[List[int]]:
-    """The index sets of the diagonal blocks of a square matrix: the
-    classes (``_classes``) that its entries other than exact zeros join,
-    so an entry known only as ``O(T^p)`` joins its rows too.  The matrix
-    is block diagonal once its rows and columns are permuted alike."""
-    return _classes(len(matrix), ((i, j) for i, row in enumerate(matrix)
-                                  for j, x in enumerate(row)
-                                  if j != i and not x.is_exact_zero()))
-
-
 def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     """Determinant by fraction-free Bareiss elimination.
 
     A matrix that is block diagonal up to a permutation of its indices (see
-    ``_components``) has the product of its blocks' determinants: the
+    ``_square``) has the product of its blocks' determinants: the
     permutation acts on rows and columns alike, so it carries no sign.
     Each block is eliminated on its own.
 
     Row pivoting picks the lowest-valuation nonzero entry in each column;
     the Bareiss divisions are exact, so precision follows the adic rules
     with no division loss.  Each step's divisor is inverted at most once
-    (see ``novikov._divider``).  Until its first row swap, a symmetric
-    block (``_symmetric``) updates one triangle and mirrors it: 35 updates
-    for 6 x 6, not 55.  The empty matrix has determinant 1.
+    (see ``novikov._divider``).  Until its first row swap, a block that
+    ``_square`` finds symmetric updates one triangle and mirrors it: 35
+    updates for 6 x 6, not 55.  The empty matrix has determinant 1.
     Entries are series or exact rationals; anything else raises
     ``ConfigError`` naming the entry (see ``_square``).
     """
-    matrix = _square(matrix, "matrix")
-    dets = [_bareiss([[matrix[i][j] for j in block] for i in block])
-            for block in _components(matrix)] or [NovikovSeries.one()]
+    rows, blocks = _square(matrix, "matrix")
+    dets = [_bareiss([[rows[i][j] for j in block] for i in block], sym)
+            for block, sym in blocks] or [NovikovSeries.one()]
     return math.prod(dets[1:], start=dets[0])
 
 
-def _bareiss(matrix):
-    """Bareiss elimination of one square block (see ``det_bareiss``)."""
+def _bareiss(matrix, sym: bool):
+    """Bareiss elimination of one block, symmetric if ``sym``."""
     n = len(matrix)
     m = [list(row) for row in matrix]
-    sym = _symmetric(m)
     sign = 1
     prev = NovikovSeries.one()
     for k in range(n - 1):
@@ -419,12 +418,13 @@ def _bareiss(matrix):
     return out if sign == 1 else -out
 
 
-def _symmetric(m) -> bool:
-    """Whether ``m`` equals its transpose entry for entry.  Until a row
-    swap, an elimination step keeps it so, each entry the same series as
-    its mirror: ``_product`` and the quotients are commutative field for
+def _symmetric(m, block) -> bool:
+    """Whether ``m`` on the indices ``block`` equals its transpose.  Until
+    a row swap, an elimination step keeps it so, each entry the same series
+    as its mirror: ``_product`` and the quotients are commutative field for
     field (precision rules symmetric, terms exact integer sums)."""
-    return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
+    return all(m[i][j] == m[j][i] for a, i in enumerate(block)
+               for j in block[:a])
 
 
 def _pick_pivot(m, k):
@@ -477,21 +477,22 @@ def solve_linear(matrix: Sequence[Sequence[NovikovSeries]],
 
     Gaussian elimination with lowest-valuation pivoting; division precision
     follows the adic rules, and each pivot is inverted at most once (see
-    ``novikov._divider``).  Until the first row swap, a symmetric matrix
-    (``_symmetric``) updates one triangle and the rhs, mirroring the
-    triangle: 50 products for 6 x 6, not 70.  The divisions are generic,
+    ``novikov._divider``).  Until the first row swap, a matrix whose blocks
+    ``_square`` finds symmetric updates one triangle and the rhs, mirroring
+    the triangle: 50 products for 6 x 6, not 70.  The divisions are generic,
     so with fully exact inputs a quotient that is not finite raises
     ``InexactDivisionError``; truncate the inputs to keep it finite.  Raises
     ``SingularMatrixError`` when no pivot with a nonzero leading term exists
     at the available precision, and ``ConfigError`` for a matrix that
-    ``_square`` refuses or an ``rhs`` that is not one series or exact
-    rational per row (the message names a bad entry, e.g. ``rhs[2]``).
+    ``_square`` refuses or an ``rhs`` that is not a list of one series or
+    exact rational per row (the message names a bad entry, e.g. ``rhs[2]``).
     """
-    a = _square(matrix, "matrix")
+    a, blocks = _square(matrix, "matrix")
     n = len(a)
+    rhs = _json_array(rhs, "rhs must be a list of entries")
     if len(rhs) != n:
         raise ConfigError(f"rhs has {len(rhs)} entries for {n} rows")
-    sym = _symmetric(a)
+    sym = all(flag for _, flag in blocks)
     for i, (row, r) in enumerate(zip(a, rhs)):
         row.append(_entry(r, "rhs", i))
     by_pivot = []

@@ -55,7 +55,6 @@ from novlink.errors import (
 from novlink.laurent import (
     LaurentPotential,
     UnitaryPoint,
-    _components,
     _pick_pivot,
     _singular_det,
     _square,
@@ -104,10 +103,10 @@ def det_bareiss_full_square(matrix):
     """``det_bareiss`` with every elimination step updating the whole
     trailing square; the pivot, quotient and singular-column rules are
     the library's."""
-    matrix = _square(matrix, "matrix")
-    dets = [bareiss_full_square([[matrix[i][j] for j in block]
+    rows, blocks = _square(matrix, "matrix")
+    dets = [bareiss_full_square([[rows[i][j] for j in block]
                                  for i in block])
-            for block in _components(matrix)] or [NovikovSeries.one()]
+            for block, _ in blocks] or [NovikovSeries.one()]
     return prod(dets[1:], start=dets[0])
 
 
@@ -138,7 +137,7 @@ def bareiss_full_square(matrix):
 def solve_linear_full_square(matrix, rhs):
     """``solve_linear`` with every step updating the whole trailing square
     and the rhs."""
-    a = _square(matrix, "matrix")
+    a, _ = _square(matrix, "matrix")
     n = len(a)
     if len(rhs) != n:
         raise ConfigError(f"rhs has {len(rhs)} entries for {n} rows")

@@ -28,7 +28,7 @@ from novlink.errors import (
     DegenerateTraceError,
     PrecisionError,
 )
-from novlink.laurent import _components, det_bareiss
+from novlink.laurent import _square, det_bareiss
 from novlink.linkfam import BulkParameter, CircleLinkS2, critical_data
 from novlink.novikov import NovikovSeries
 
@@ -45,6 +45,11 @@ def diag_form(*entries):
     n = len(entries)
     return [[entries[i] if i == j else NovikovSeries.zero()
              for j in range(n)] for i in range(n)]
+
+
+def components(form):
+    """The index sets of the blocks ``laurent._square`` reads off ``form``."""
+    return [block for block, _ in _square(form, "form")[1]]
 
 
 def diag_algebra(*entries):
@@ -253,7 +258,7 @@ class TestTraceIdentity:
         monkeypatch.setattr(cliffordtrace, "_trace_loop", no_loop)
         for shape in (star_form, tridiagonal_form):
             form = shape(17)
-            assert len(_components(form)) == 1
+            assert len(components(form)) == 1
             start = time.perf_counter()
             with pytest.raises(ConfigError, match=f"TRACE_WORK_LIMIT = "
                                                   f"{TRACE_WORK_LIMIT}"):
@@ -277,6 +282,13 @@ class TestTraceIdentity:
         (dense_form(12), f"TRACE_WORK_LIMIT = {TRACE_WORK_LIMIT} units"),
         ([row[:11] + [mono(1)] for row in dense_form(12)],
          "form matrix is not symmetric$"),
+        # The first component alone is above the work limit; the second
+        # is not symmetric.
+        ([row + [0, 0] for row in dense_form(12)]
+         + [[0] * 12 + [1, 2], [0] * 12 + [3, 1]],
+         "form matrix is not symmetric$"),
+        # A string iterates, but is not a row of entries.
+        (["12", "21"], r"form\[0\] must be a list of entries, got '12'$"),
     ])
     def test_form_refused_before_any_series_product(self, monkeypatch, form,
                                                     match):
@@ -319,7 +331,7 @@ class TestComponents:
                 [zero, zero, zero, zero],
                 [unknown, zero, one, zero],
                 [zero, zero, zero, one]]
-        assert _components(form) == [[0, 2], [1], [3]]
+        assert components(form) == [[0, 2], [1], [3]]
 
     @staticmethod
     def check_factored_trace(form):
@@ -377,7 +389,7 @@ class TestComponents:
                  if not diagonal]
         assert len(dense) == 20
         for form in dense:
-            assert len(_components(form)) == 1
+            assert len(components(form)) == 1
 
 
 class TestMaskSigns:

@@ -289,7 +289,7 @@ class TestWeylScan:
                                               f"{WEYL_K_LIMIT}"):
             weyl_scan(power_config(1, WEYL_K_LIMIT + 1))
 
-    @pytest.mark.parametrize("k", [17, 32, 64])
+    @pytest.mark.parametrize("k", [17, 32, 64, WEYL_K_LIMIT])
     def test_rows_above_the_old_trace_limit(self, k):
         # The diagonal chain Hessian factors into k one-generator traces.
         start = time.perf_counter()

@@ -2,10 +2,11 @@
 every imported name is used, every private module-level name is
 referenced somewhere other than its own definition, the JSON shape tests
 stay in ``novikov``, each shape refusal is raised from one function,
-``NotZeroDimensionalError`` is built in one function, each rule on the
-Weyl row is written in one function, each ``*_LIMIT`` constant is named
-in a refusal of its module, the value types take equality and hashing
-from their fields, and no dataclass writes its own ``__init__``."""
+``NotZeroDimensionalError`` is built in one function, one function tests
+a matrix's symmetry, each rule on the Weyl row is written in one
+function, each ``*_LIMIT`` constant is named in a refusal of its module,
+the value types take equality and hashing from their fields, and no
+dataclass writes its own ``__init__``."""
 
 from __future__ import annotations
 
@@ -225,6 +226,19 @@ def test_each_rule_on_the_weyl_row_is_written_in_one_function(rule, owner):
     meet ``CircleLinkS2``'s one check; a second copy would drift from the
     first, as a row's valuation-only comparison had."""
     assert list(functions_comparing(rule)) == [owner]
+
+
+def test_one_reader_decides_symmetry():
+    """``laurent._square`` reads a matrix's blocks and whether each is
+    symmetric in one pass; an elimination, a solve or the trace that tested
+    the matrix again would read it twice."""
+    callers = [f"{path.stem}:{func.name}" for path in MODULES
+               for func in ast.walk(parse(path))
+               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(isinstance(node, ast.Call)
+                       and "_symmetric" in names_in(node.func)
+                       for node in ast.walk(func))]
+    assert callers == ["laurent:_square"]
 
 
 def test_one_bulk_parameter_per_scan():

@@ -234,6 +234,34 @@ class TestLogJet:
                         gradient2 + sum(hessian2, [])):
             assert y.eq_mod(x, x.precision)
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_positive_coefficient_valuations_lose_nothing(self, data):
+        # Every coefficient has a valuation bound above 0, so below a
+        # target above it the coordinate powers are built below the
+        # target.  Every completion of the point agrees with the value and
+        # the jet below each entry's precision, and each entry claims the
+        # precision that the untargeted one has below the target.
+        n = data.draw(st.integers(1, 2))
+        shift = mono(1, 4 + data.draw(positive_fractions))
+        W = LaurentPotential(n, {m: c * shift for m, c in
+                                 data.draw(laurent_potentials(n)).items()})
+        z = [data.draw(unitary_series(min_terms=2)).truncate(
+            data.draw(positive_fractions)) for _ in range(n)]
+        z2 = [data.draw(completions(c)) for c in z]
+        target = 2 + data.draw(positive_fractions)
+
+        def values(point, *target):
+            gradient, hessian = W.log_jet(point, *target)
+            return [W.evaluate(point, *target)] + gradient + sum(hessian, [])
+
+        got = values(z, target)
+        # An entry that no monomial reaches is an exact zero either way.
+        assert [x.truncate(target) for x in got] == \
+            [x.truncate(target) for x in values(z)]
+        for x, y in zip(got, values(z2, target)):
+            assert y.eq_mod(x, x.precision)
+
     def test_untargeted_monomial_coordinate_keeps_its_precision(self):
         # 1 + O(T^5) is a monomial, but not an exact one; 1/z is 1 + O(T^5).
         z = [NovikovSeries([(1, 0)], 5)]
@@ -371,6 +399,23 @@ class TestMatrixHelpers:
         with pytest.raises(ConfigError, match="not square"):
             det_bareiss([[mono(1), mono(2)]])
 
+    @pytest.mark.parametrize("call, args, match", [
+        # Strings and dicts iterate, but are not rows of entries.
+        (det_bareiss, (["12", "34"],),
+         r"^matrix\[0\] must be a list of entries, got '12'$"),
+        (det_bareiss, ([{5: "x"}],),
+         r"^matrix\[0\] must be a list of entries, got \{5: 'x'\}$"),
+        (solve_linear, ([[1, 0], [0, 1]], "12"),
+         r"^rhs must be a list of entries, got '12'$"),
+        (det_bareiss, (5,), r"^matrix must be a list of rows, got 5$"),
+        (det_bareiss, ([5],), r"^matrix\[0\] must be a list of entries, "
+                              r"got 5$"),
+    ], ids=["string-rows", "dict-row", "string-rhs", "scalar-matrix",
+            "scalar-row"])
+    def test_matrix_rows_and_rhs_must_be_lists(self, call, args, match):
+        with pytest.raises(ConfigError, match=match):
+            call(*args)
+
     def test_singular_column_bound_counts_cofactor_valuation(self):
         # Column 0 is O(T^(1/6)), but the cofactor T^-1 + 1 of its lower
         # entry has valuation -1: the determinant is only O(T^(-5/6)).
@@ -394,7 +439,7 @@ class TestMatrixHelpers:
         form = ([[unknown] + [zero] * 6]
                 + [[zero] + [unknown] * 3 + [zero] * 3] * 3
                 + [[zero] * 4 + row for row in block])
-        assert det_bareiss(form) == _bareiss(form) \
+        assert det_bareiss(form) == _bareiss(form, True) \
             == NovikovSeries.zero(F(7, 6))
 
     def test_singular_det_bound_counts_the_rows_of_the_matrix(self):
@@ -454,7 +499,7 @@ class TestMatrixHelpers:
         # whole matrix claims, and agrees with it and with the minor
         # expansion modulo the lesser precision.
         got = det_bareiss(form)
-        whole = _bareiss(form)
+        whole = _bareiss(form, True)
         want = det_minor_expansion(form)
         assert got.precision >= whole.precision
         assert got.eq_mod(whole, whole.precision)
@@ -516,6 +561,33 @@ def count_quotients(monkeypatch):
     return calls
 
 
+class TestSquare:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_flags_hold_exactly_for_a_symmetric_matrix(self, data):
+        # Interleaved blocks of exact, finite-precision and O(T^p) entries
+        # with exact zeros between them; one entry may then be changed,
+        # to an exact zero too, so that its mirror differs and blocks may
+        # join or split.
+        form = data.draw(block_forms())
+        n = len(form)
+        if n > 1 and data.draw(st.booleans()):
+            i, j = data.draw(st.permutations(range(n)))[:2]
+            form[i][j] = data.draw(st.one_of(st.just(NovikovSeries.zero()),
+                                             series(max_terms=2)))
+        rows, blocks = laurent._square(form, "form")
+        assert rows == form
+        assert sorted(i for block, _ in blocks for i in block) == \
+            list(range(n))
+        for block, flag in blocks:
+            assert flag == all(form[i][j] == form[j][i]
+                               for i in block for j in block)
+            assert all(form[i][j].is_exact_zero() for i in block
+                       for j in range(n) if j not in block)
+        transpose = [list(col) for col in zip(*form)]
+        assert all(flag for _, flag in blocks) == (form == transpose)
+
+
 class TestSymmetricElimination:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -527,7 +599,8 @@ class TestSymmetricElimination:
                                  max_size=len(form)))
         assert outcome(det_bareiss, form) == \
             outcome(det_bareiss_full_square, form)
-        assert outcome(_bareiss, form) == outcome(bareiss_full_square, form)
+        assert outcome(_bareiss, form, True) == \
+            outcome(bareiss_full_square, form)
         assert outcome(solve_linear, form, rhs) == \
             outcome(solve_linear_full_square, form, rhs)
 
