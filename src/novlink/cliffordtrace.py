@@ -338,7 +338,13 @@ def trace_Z(form: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     A form entry is skipped, and a sum dropped, only when it is an exact
     zero, so entries known only as ``O(T^p)`` bound the precision.
     """
-    form, comps = _form_rows(form)
+    return _trace(*_form_rows(form))
+
+
+def _trace(form, comps) -> NovikovSeries:
+    """``trace_Z`` of the symmetric form whose rows and blocks
+    ``laurent._square`` read, for a caller that holds them already; the
+    work bound is checked here."""
     blocks, work = [], 0
     for comp, _ in comps:
         # Row i of the form on the component, less its exact zeros, as
@@ -384,7 +390,10 @@ def _trace_loop(rows) -> NovikovSeries:
     """The mask loop of ``trace_Z`` on one component's rows of the form."""
     n = len(rows)
     full = (1 << n) - 1
-    products: List[Dict[int, NovikovSeries]] = [{full: NovikovSeries.one()}]
+    # The seed is the exact unit: a product by it is its other factor, so
+    # none is formed (two per one-generator component).
+    unit = NovikovSeries.one()
+    products: List[Dict[int, NovikovSeries]] = [{full: unit}]
     for I in range(1, 1 << n):
         low = I & -I
         out: Dict[int, NovikovSeries] = {}
@@ -392,7 +401,7 @@ def _trace_loop(rows) -> NovikovSeries:
             for bit, below, b in rows[low.bit_length() - 1]:
                 if not J & bit:
                     continue
-                term = b * c
+                term = b if c is unit else b * c
                 _accumulate(out, J ^ bit,
                             -term if (J & below).bit_count() & 1 else term)
         products.append(out)
@@ -407,7 +416,7 @@ def _trace_loop(rows) -> NovikovSeries:
                 d = right.get(full ^ K)
                 if d is not None:
                     yield (-weight if base ^ _shuffle_parity(K)
-                           else weight, c * d)
+                           else weight, d if c is unit else c * d)
     return linear_combination(terms())
 
 

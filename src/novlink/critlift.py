@@ -44,6 +44,8 @@ from .laurent import (
     UnitaryPoint,
     _as_point,
     _classes,
+    _det,
+    _square,
     _table_gradient,
     _table_hessian,
     det_bareiss,
@@ -574,6 +576,13 @@ def certify_morse(W: LaurentPotential, z) -> CriticalCertificate:
     Failure is reported in the flag and reason string, never raised.
     Exact points are checked exactly.
     """
+    return _certify(W, z)[0]
+
+
+def _certify(W: LaurentPotential, z):
+    """``(certificate, blocks)``: ``certify_morse``'s certificate and the
+    blocks ``laurent._square`` read off its Hessian, the one reading of it,
+    for a caller that goes on to trace the Hessian."""
     z = _as_point(z, W.num_vars)
     reasons = []
     residual, matrix = W.log_jet(z, z.precision())
@@ -582,7 +591,8 @@ def certify_morse(W: LaurentPotential, z) -> CriticalCertificate:
         bad = min(r.val_lower_bound() for r in residual if not r.is_zero())
         reasons.append(f"gradient does not vanish (residual valuation {bad})")
 
-    det = det_bareiss(matrix)
+    rows, blocks = _square(matrix, "matrix")
+    det = _det(rows, blocks)
     det_ok = not det.is_zero()
     if not det_ok:
         reasons.append("Hessian determinant vanishes to available precision")
@@ -592,5 +602,5 @@ def certify_morse(W: LaurentPotential, z) -> CriticalCertificate:
         hessian_det=det,
         morse=grad_ok and det_ok,
         reason="; ".join(reasons),
-        hessian=tuple(tuple(row) for row in matrix),
-    )
+        hessian=tuple(map(tuple, rows)),
+    ), blocks

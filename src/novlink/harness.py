@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import cliffordtrace
 from .errors import AreaError, ConfigError
-from .linkfam import BulkParameter, CircleLinkS2, critical_data
+from .linkfam import BulkParameter, CircleLinkS2, _critical_data
 from .novikov import (
     _echo,
     _json_fields,
@@ -176,8 +176,9 @@ NOBULK_COLUMNS = ("k", "idempotent_count", "val_e", "val_e_over_k")
 #: Largest ``k`` a ``weyl_scan`` row is computed for.  The chain Hessian
 #: is diagonal, so its trace and determinant factor into ``k`` one-entry
 #: components, and a row's cost grows about as ``k^2`` (the Hessian's
-#: entries): a row took 0.008 s at ``k = 64``, 0.03 s at 160 and 0.16 s at
-#: 384 (in-process medians), under Python 3.11 on a 2-core x86-64 machine.
+#: entries): a row took 0.005 s at ``k = 64``, 0.017 s at 160 and 0.085 s
+#: at 384 (in-process medians), under Python 3.11 on a 2-core x86-64
+#: machine.
 WEYL_K_LIMIT = 160
 
 
@@ -185,8 +186,10 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
     """One row per ``k``: areas, trace valuation and defect bound.
 
     Each row certifies the chain critical point, traces the certified
-    Hessian form itself (``cliffordtrace.trace_Z``; no algebra object is
-    built), and reports ``val_Z`` from the trace (``defect_bound``).
+    Hessian form itself (``cliffordtrace.trace_Z``'s kernel on the blocks
+    the certificate read, so ``laurent._square`` reads each Hessian once;
+    no algebra object is built), and reports ``val_Z`` from the trace
+    (``defect_bound``).
     ``trace check``'s verdict checks every row: a trace whose valuation or
     leading coefficient is not the determinant's raises ``AreaError``
     naming ``k``.  A trace or determinant known only as ``O(T^p)`` raises
@@ -201,10 +204,10 @@ def weyl_scan(cfg: ScanConfig) -> List[Dict[str, object]]:
     rows = []
     for k in range(lo, hi + 1):
         link = cfg.schedule.link(k)
-        cert = critical_data(link, bulk)
+        cert, blocks = _critical_data(link, bulk)
         if not cert.morse:
             raise AreaError(f"critical point at k = {k} is not Morse: {cert.reason}")
-        Z = cliffordtrace.trace_Z(cert.hessian)
+        Z = cliffordtrace._trace(cert.hessian, blocks)
         val_z = cliffordtrace.defect_bound(Z)
         if not cliffordtrace._leading_terms_match(Z, cert.hessian_det):
             raise AreaError(f"trace and det leading terms differ at k = {k}")

@@ -31,6 +31,7 @@ from .novikov import (
     _divider,
     _entry,
     _int_vector,
+    _iterable,
     _json_array,
     _json_fields,
     _json_list,
@@ -48,18 +49,28 @@ class UnitaryPoint:
     """A point on the unit torus: coordinates of valuation zero.
 
     Each coordinate must have an invertible leading coefficient at exponent
-    zero (the multiplicative unit group of the series field).
+    zero (the multiplicative unit group of the series field).  ``coords``
+    is any iterable of series or exact rationals but a string or bytes
+    (``novikov._iterable``); anything else raises ``ConfigError``.
     """
 
     coords: Tuple[NovikovSeries, ...]
 
     def __post_init__(self):
-        coords = tuple(_entry(c, "coords", i)
-                       for i, c in enumerate(self.coords))
+        coords = tuple(_entry(c, "coords", i) for i, c in enumerate(
+            _iterable(self.coords, "coords must be a list of coordinates")))
         for c in coords:
             if not is_unitary(c):
                 raise NonUnitaryError("point not in unitary torus")
         object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def _raw(cls, coords) -> "UnitaryPoint":
+        """Trusted constructor: ``coords`` a tuple of unitary series, as
+        ``__post_init__`` leaves them."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", coords)
+        return point
 
     def __len__(self):
         return len(self.coords)
@@ -99,12 +110,13 @@ class LaurentPotential:
     """Finite Laurent polynomial in ``num_vars`` variables over the series field.
 
     ``terms`` is a mapping ``{m: coeff}`` or an iterable of ``(m, coeff)``
-    pairs; repeated monomials are summed, and the field holds the result
-    as one tuple of ``(m, coeff)`` pairs sorted by ``m``.  ``num_vars`` and
-    the exponents must be ints, in a list or tuple (else ``ConfigError``),
-    and a coefficient a series or an exact rational (anything else raises
-    ``ConfigError`` naming its monomial, e.g. ``terms[(1,)]``).  Only an
-    exact-zero coefficient is dropped.
+    pairs, each a list or tuple of two (anything else raises one
+    ``ConfigError``); repeated monomials are summed, and the field holds the
+    result as one tuple of ``(m, coeff)`` pairs sorted by ``m``.
+    ``num_vars`` and the exponents must be ints, in a list or tuple (else
+    ``ConfigError``), and a coefficient a series or an exact rational
+    (anything else raises ``ConfigError`` naming its monomial, e.g.
+    ``terms[(1,)]``).  Only an exact-zero coefficient is dropped.
     """
 
     num_vars: int
@@ -115,8 +127,10 @@ class LaurentPotential:
         terms = self.terms
         if hasattr(terms, "items"):
             terms = terms.items()
+        rule = "terms must be a mapping or a list of (m, coeff) pairs"
         cleaned: Dict[ExponentVector, NovikovSeries] = {}
-        for m, coeff in terms:
+        for pair in _iterable(terms, rule):
+            m, coeff = _json_array(pair, rule, 2)
             m = _int_vector(m)
             if len(m) != n:
                 raise ConfigError("exponent vector length does not match "
@@ -129,6 +143,17 @@ class LaurentPotential:
                 continue
             cleaned[m] = coeff
         object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
+
+    @classmethod
+    def _raw(cls, num_vars: int, terms) -> "LaurentPotential":
+        """Trusted constructor: ``num_vars`` a positive int and ``terms`` a
+        tuple of ``(m, coeff)`` pairs as ``__post_init__`` leaves them, each
+        ``m`` a tuple of ``num_vars`` ints, no ``m`` twice, sorted by ``m``,
+        and no ``coeff`` the exact zero."""
+        W = object.__new__(cls)
+        object.__setattr__(W, "num_vars", num_vars)
+        object.__setattr__(W, "terms", terms)
+        return W
 
     # -- basic structure ----------------------------------------------------
 
@@ -386,7 +411,12 @@ def det_bareiss(matrix: Sequence[Sequence[NovikovSeries]]) -> NovikovSeries:
     Entries are series or exact rationals; anything else raises
     ``ConfigError`` naming the entry (see ``_square``).
     """
-    rows, blocks = _square(matrix, "matrix")
+    return _det(*_square(matrix, "matrix"))
+
+
+def _det(rows, blocks) -> NovikovSeries:
+    """``det_bareiss`` of the matrix whose ``rows`` and ``blocks``
+    ``_square`` read, for a caller that holds them already."""
     dets = [_bareiss([[rows[i][j] for j in block] for i in block], sym)
             for block, sym in blocks] or [NovikovSeries.one()]
     return math.prod(dets[1:], start=dets[0])

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .critlift import CriticalCertificate, _solve_leading_system, certify_morse
+from .critlift import CriticalCertificate, _certify, _solve_leading_system
 from .errors import AreaError, ConfigError, NotZeroDimensionalError
 from .laurent import LaurentPotential, UnitaryPoint
 from .novikov import (
@@ -84,19 +84,25 @@ def build_chain_potential(link: CircleLinkS2, bulk: BulkParameter,
     """Lowest-order chain potential, optionally plus user monomials.
 
     For ``k = 1`` the annulus sum is empty and the result is
-    ``T^B (z + 1/z)``, the equatorial-circle potential.
+    ``T^B (z + 1/z)``, the equatorial-circle potential.  The chain part is
+    built by the trusted ``LaurentPotential._raw``; ``extra_terms`` joins
+    it through the public ``+``, which checks the sum.
     """
     k, B = link.k, link.B
     c2TA = NovikovSeries.monomial(bulk.c0 * bulk.c0, B)  # c^2 T^A
     TB = NovikovSeries.monomial(1, B)
 
-    # The chain's 2k monomials are distinct.
-    terms = {tuple(1 if i == 0 else 0 for i in range(k)): TB,
-             tuple(-1 if i == k - 1 else 0 for i in range(k)): TB}
-    for j in range(k - 1):
-        terms[tuple(-1 if i == j else 0 for i in range(k))] = c2TA
-        terms[tuple(1 if i == j + 1 else 0 for i in range(k))] = c2TA
-    W = LaurentPotential(k, terms)
+    def unit(i, e):  # the exponent vector of z_i^e
+        return (0,) * i + (e,) + (0,) * (k - 1 - i)
+
+    # The chain's 2k monomials are distinct and, in the order the public
+    # constructor sorts them, 1/z_1, ..., 1/z_k, z_k, ..., z_1: the disc
+    # terms z_1 and 1/z_k, and c^2 T^A on 1/z_j and z_(j+1) for j < k.
+    terms = tuple((unit(i, -1), TB if i == k - 1 else c2TA)
+                  for i in range(k))
+    terms += tuple((unit(i, 1), TB if i == 0 else c2TA)
+                   for i in reversed(range(k)))
+    W = LaurentPotential._raw(k, terms)
     return W if extra_terms is None else W + extra_terms
 
 
@@ -129,10 +135,20 @@ def critical_data(link: CircleLinkS2, bulk: BulkParameter
     precision a lift to that target would hand to ``certify_morse``;
     ``residual_valuations`` is empty.
     """
+    return _critical_data(link, bulk)[0]
+
+
+def _critical_data(link: CircleLinkS2, bulk: BulkParameter):
+    """``(certificate, blocks)``: ``critical_data``'s certificate and the
+    blocks of its Hessian (``critlift._certify``).  Each coordinate is the
+    constant ``c`` modulo ``T^target``, built on its integer form: ``c``
+    over its denominator at exponent 0, the target over its own."""
     target = (link.k + 4) * link.B
-    z0 = UnitaryPoint([NovikovSeries.monomial(c, 0, target)
-                       for c in preferred_branch_leads(link, bulk)])
-    return certify_morse(build_chain_potential(link, bulk), z0)
+    z0 = UnitaryPoint._raw(tuple(
+        NovikovSeries._raw(target.denominator, c.denominator, (0,),
+                           (c.numerator,), target.numerator)
+        for c in preferred_branch_leads(link, bulk)))
+    return _certify(build_chain_potential(link, bulk), z0)
 
 
 @dataclass(frozen=True)

@@ -512,6 +512,18 @@ def _json_array(x, rule: str, size=None):
     return x
 
 
+def _iterable(x, rule: str):
+    """An iterator over ``x`` (a generator included), else ``ConfigError``
+    led by ``rule``: for a string or bytes, whose characters are no
+    entries, or anything that cannot be iterated."""
+    try:
+        if not isinstance(x, (str, bytes)):
+            return iter(x)
+    except TypeError:
+        pass
+    raise ConfigError(f"{rule}, got {_echo(x)}")
+
+
 def _json_list(obj, rule: str, key: str, required=(), optional=()):
     """``(items, fields)``: the JSON list ``obj`` and no fields, or the
     list under ``key`` (empty if missing) and the other fields of the

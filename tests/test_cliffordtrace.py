@@ -382,6 +382,20 @@ class TestComponents:
         assert Z == want == cert.hessian_det
         assert Z.valuation() == 64 * link.B
 
+    def test_a_diagonal_form_costs_one_product_per_generator(self,
+                                                            monkeypatch):
+        # Each one-generator component's trace is its entry, formed with no
+        # product by the exact unit; the n traces take n - 1 products and
+        # the scale (KAPPA/2)^n one more.
+        form = diag_form(*(mono(i + 2, F(i, 3)) for i in range(6)))
+        want = det_bareiss(form)
+        products = []
+        original = novikov._product
+        monkeypatch.setattr(novikov, "_product",
+                            lambda x, y: products.append(1) or original(x, y))
+        assert trace_Z(form) == want
+        assert len(products) == 6
+
     def test_criterion_2_dense_cases_are_single_components(self):
         # The acceptance suite's dense forms still run the definition's
         # loop on the whole form, not a product of smaller traces.

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -13,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novlink import cli, cliffordtrace, errors, harness, symprodqh
+from novlink import (
+    cli,
+    cliffordtrace,
+    errors,
+    harness,
+    laurent,
+    linkfam,
+    symprodqh,
+)
 from novlink.cli import main
 from novlink.cliffordtrace import TRACE_WORK_LIMIT
 from novlink.critlift import LIFT_WORK_LIMIT, LiftConfig
@@ -258,24 +268,24 @@ class TestWeylScan:
                                                       error):
         # Z = O(T) has no valuation to compare with the determinant's, and
         # Z = 0 is degenerate; neither is reported as a mismatch.
-        monkeypatch.setattr(cliffordtrace, "trace_Z", lambda form: Z)
+        monkeypatch.setattr(cliffordtrace, "_trace", lambda form, blocks: Z)
         with pytest.raises(error):
             weyl_scan(power_config(1, 2))
 
     def test_row_compares_leading_coefficients(self, monkeypatch):
         # Three times the determinant: its valuation, another leading
         # coefficient.  A comparison of valuations alone would pass it.
-        monkeypatch.setattr(cliffordtrace, "trace_Z",
-                            lambda form: 3 * det_bareiss(form))
+        monkeypatch.setattr(cliffordtrace, "_trace",
+                            lambda form, blocks: 3 * det_bareiss(form))
         with pytest.raises(AreaError, match="differ at k = 1$"):
             weyl_scan(power_config(1, 2))
 
     def test_row_that_is_not_morse_names_k(self, monkeypatch):
         def not_morse(link, bulk):
-            cert = critical_data(link, bulk)
-            return replace(cert, morse=False, reason="the reason")
+            cert, blocks = linkfam._critical_data(link, bulk)
+            return replace(cert, morse=False, reason="the reason"), blocks
 
-        monkeypatch.setattr(harness, "critical_data", not_morse)
+        monkeypatch.setattr(harness, "_critical_data", not_morse)
         with pytest.raises(AreaError, match="critical point at k = 1 is not "
                                             "Morse: the reason$"):
             weyl_scan(power_config(1, 2))
@@ -284,7 +294,7 @@ class TestWeylScan:
         def no_lift(*args):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(harness, "critical_data", no_lift)
+        monkeypatch.setattr(harness, "_critical_data", no_lift)
         with pytest.raises(ConfigError, match=f"WEYL_K_LIMIT = "
                                               f"{WEYL_K_LIMIT}"):
             weyl_scan(power_config(1, WEYL_K_LIMIT + 1))
@@ -298,6 +308,42 @@ class TestWeylScan:
         B = F(1, (k + 2) ** 2)
         assert rows == [{"k": k, "A": B / 2, "B": B, "val_Z": k * B,
                          "val_Z_over_k": B, "defect_bound": k * B}]
+
+    def test_each_row_reads_its_hessian_once_and_rechecks_nothing(
+            self, monkeypatch):
+        # Op counts that hold on any machine: a row builds its potential
+        # and point with the trusted constructors, so no exponent vector or
+        # coordinate is checked again, and laurent._square reads its
+        # certified Hessian once, for the determinant and the trace alike.
+        calls = Counter()
+
+        def counted(name, original):
+            @functools.wraps(original)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        modules = [m for name, m in sys.modules.items()
+                   if name == "novlink" or name.startswith("novlink.")]
+        for name in ("_square", "_int_vector"):
+            original = getattr(laurent, name)
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name,
+                                        counted(name, original))
+        for cls in (LaurentPotential, UnitaryPoint):
+            monkeypatch.setattr(cls, "__post_init__",
+                                counted(cls.__name__, cls.__post_init__))
+        rows = weyl_scan(power_config(1, 12))
+        assert [row["k"] for row in rows] == list(range(1, 13))
+        assert calls == Counter({"_square": 12})
+        # The counters see the public paths.
+        LaurentPotential(1, {(1,): 1})
+        UnitaryPoint([1])
+        det_bareiss([[1]])
+        assert calls == Counter({"_square": 13, "_int_vector": 1,
+                                 "LaurentPotential": 1, "UnitaryPoint": 1})
 
     def test_csv_determinism(self):
         cfg1 = power_config(2, 8)

@@ -106,6 +106,28 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="different variable counts"):
             W_zplus1overz() + LaurentPotential(2, {(1, 0): 1})
 
+    @pytest.mark.parametrize("terms", [
+        5, None, "ab", b"ab", ["ab"], [(1,)], [((1,), 1, 2)], [{(1,): 1}],
+        iter([5])])
+    def test_terms_must_be_a_mapping_or_pairs(self, terms):
+        # A two-character string is no pair: it would unpack into m = "a",
+        # coeff = "b".
+        with pytest.raises(ConfigError, match=r"^terms must be a mapping or "
+                                              r"a list of \(m, coeff\) "
+                                              r"pairs, got "):
+            LaurentPotential(1, terms)
+
+    def test_terms_may_be_a_generator_of_pairs(self):
+        assert (LaurentPotential(1, (((e,), 1) for e in (1, -1)))
+                == W_zplus1overz())
+
+    @pytest.mark.parametrize("coords", ["12", b"12", "", 5, None, F(1)])
+    def test_point_coords_must_be_an_iterable_of_entries(self, coords):
+        # The digits of "12" are no coordinates of a point (1, 2).
+        with pytest.raises(ConfigError, match="^coords must be a list of "
+                                              "coordinates, got "):
+            UnitaryPoint(coords)
+
     def test_zero_modulo_precision_coefficient_kept(self):
         W = LaurentPotential(1, {(1,): NovikovSeries.zero(3), (0,): 1})
         assert W.evaluate([1]) == NovikovSeries([(1, 0)], 3)

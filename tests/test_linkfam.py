@@ -9,7 +9,12 @@ from fractions import Fraction as F
 import pytest
 
 from novlink import critlift
-from novlink.critlift import LiftConfig, hensel_lift, leading_solutions
+from novlink.critlift import (
+    LiftConfig,
+    certify_morse,
+    hensel_lift,
+    leading_solutions,
+)
 from novlink.errors import AreaError, ConfigError, PrecisionError
 from novlink.laurent import LaurentPotential, UnitaryPoint
 from novlink.linkfam import (
@@ -203,6 +208,83 @@ class TestCriticalData:
         assert cert.det_valuation() == 2 * link.B
         moved = [c - NovikovSeries.one() for c in cert.point]
         assert any(not d.is_zero() for d in moved)
+
+
+# Leading bulk coefficients for the trusted-path tests: integers of both
+# signs and fractions, so the point's coordinates have denominators.
+TRUSTED_C0 = [F(1), F(-2), F(2, 3), F(-5, 7)]
+
+
+def field_values(x):
+    return [(f.name, getattr(x, f.name)) for f in fields(x)]
+
+
+def weyl_link(k):
+    """The chain link of ``scan weyl``'s default schedule at ``k``."""
+    B = F(1, (k + 2) ** 2)
+    return CircleLinkS2(k, B / 2, B)
+
+
+class TestTrustedConstructors:
+    """``build_chain_potential`` and ``critical_data`` build their values
+    with ``LaurentPotential._raw`` and ``UnitaryPoint._raw``; the public
+    constructors, given the same input, build the same values field for
+    field."""
+
+    @pytest.mark.parametrize("c0", TRUSTED_C0)
+    def test_chain_potential_equals_the_public_one(self, c0):
+        bulk = BulkParameter(c0)
+        for k in range(1, 41):
+            link = weyl_link(k)
+            W = build_chain_potential(link, bulk)
+            public = LaurentPotential(k, dict(W.terms))
+            assert field_values(W) == field_values(public)
+            assert hash(W) == hash(public)
+            # The monomials as the module docstring lists them.
+            TB, c2TA = mono(1, link.B), mono(c0 * c0, link.B)
+
+            def unit(i, e):
+                return tuple(e if j == i else 0 for j in range(k))
+
+            terms = {unit(0, 1): TB, unit(k - 1, -1): TB}
+            for j in range(k - 1):
+                terms[unit(j, -1)] = terms[unit(j + 1, 1)] = c2TA
+            assert W == LaurentPotential(k, terms)
+
+    @pytest.mark.parametrize("c0", TRUSTED_C0)
+    def test_chain_potential_with_extra_terms_equals_the_public_one(self,
+                                                                    c0):
+        bulk = BulkParameter(c0)
+        for k in range(1, 41):
+            link = weyl_link(k)
+            # One monomial on the chain's z_1, one on none of its monomials.
+            extra = LaurentPotential(k, {
+                (1,) + (0,) * (k - 1): mono(3, link.B + F(1, 16)),
+                (1,) * k: mono(-1, link.B + F(1, 8))})
+            W = build_chain_potential(link, bulk, extra)
+            public = LaurentPotential(
+                k, list(build_chain_potential(link, bulk).terms)
+                + list(extra.terms))
+            assert field_values(W) == field_values(public)
+
+    @pytest.mark.parametrize("c0", TRUSTED_C0)
+    def test_branch_point_equals_the_public_one(self, c0):
+        bulk = BulkParameter(c0)
+        for k in range(1, 41):
+            link = weyl_link(k)
+            cert = critical_data(link, bulk)
+            point = cert.point
+            assert field_values(point) == field_values(
+                UnitaryPoint(point.coords))
+            target = (k + 4) * link.B
+            public = UnitaryPoint([NovikovSeries.monomial(c, 0, target)
+                                   for c in preferred_branch_leads(link,
+                                                                   bulk)])
+            assert field_values(point) == field_values(public)
+            assert cert == certify_morse(
+                LaurentPotential(k, dict(build_chain_potential(link,
+                                                               bulk).terms)),
+                public)
 
 
 class TestTruncationObstruction:
