@@ -30,7 +30,7 @@ from .errors import (
     NovlinkError,
     PrecisionError,
 )
-from .laurent import LaurentPotential, UnitaryPoint, det_bareiss
+from .laurent import LaurentPotential, UnitaryPoint, _det
 from .novikov import NovikovSeries, _json_array, _json_list, _text
 from .spectrum import ModelOrbitSet, SpectrumConfig, enumerate_spectrum
 from .symprodqh import symk_idempotents
@@ -87,9 +87,11 @@ def _hessian_entries(obj):
 
 
 def _cmd_trace_check(args) -> int:
-    matrix = _hessian_entries(_load_json(args.hessian))
-    Z = cliffordtrace.trace_Z(matrix)
-    det = det_bareiss(matrix)
+    # One reading of the matrix serves the trace and the determinant.
+    rows, blocks = cliffordtrace._form_rows(
+        _hessian_entries(_load_json(args.hessian)))
+    Z = cliffordtrace._trace(rows, blocks)
+    det = _det(rows, blocks)
     print(f"Z = {Z}")
     print(f"det = {det}")
     try:

@@ -41,7 +41,9 @@ from .novikov import (
     INFINITY,
     NovikovSeries,
     _entry,
+    _iterable,
     _least_valuation,
+    _parse_json_int,
     linear_combination,
 )
 
@@ -108,10 +110,8 @@ class CliffordAlgebraModel:
         return CliffordElement(self, coeffs)
 
     def basis_element(self, I: Iterable[int]) -> "CliffordElement":
-        I = tuple(sorted(int(i) for i in I))
-        if any(i < 1 or i > self.n for i in I) or len(set(I)) != len(I):
-            raise ConfigError(f"invalid basis subset {I}")
-        return CliffordElement(self, {I: NovikovSeries.one()})
+        """``e_I`` for a subset ``I`` that ``_subset`` reads."""
+        return CliffordElement(self, {_subset(I, self.n): NovikovSeries.one()})
 
     @property
     def unit(self) -> "CliffordElement":
@@ -186,8 +186,9 @@ class CliffordElement:
     """Finite combination of wedge-basis elements with series coefficients.
 
     A coefficient known only as ``O(T^p)`` is kept: only exact zeros are
-    dropped.  A coefficient must be a series or an exact rational; anything
-    else raises ``ConfigError`` naming it, e.g. ``coeffs[(1,)]``.
+    dropped.  A key is a subset that ``_subset`` reads, and a coefficient
+    must be a series or an exact rational; anything else raises
+    ``ConfigError`` naming it, e.g. ``coeffs[(1,)]``.
     """
 
     __slots__ = ("algebra", "_coeffs")
@@ -197,7 +198,7 @@ class CliffordElement:
         self.algebra = algebra
         cleaned = {}
         for I, c in coeffs.items():
-            I = tuple(sorted(I))
+            I = _subset(I, algebra.n)
             c = _entry(c, "coeffs", I)
             if not c.is_exact_zero():
                 cleaned[I] = c
@@ -229,6 +230,19 @@ class CliffordElement:
         body = " + ".join(f"({c})*e{list(I)}"
                           for I, c in sorted(self._coeffs.items()))
         return f"CliffordElement({body})"
+
+
+def _subset(I, n: int) -> Subset:
+    """``I`` as a sorted tuple of distinct generators in ``1..n``.  ``I``
+    is any iterable of JSON integers but a string or bytes
+    (``novikov._iterable``, ``novikov._parse_json_int``); anything else
+    raises ``ConfigError`` led by ``invalid basis subset``."""
+    I = tuple(sorted(_parse_json_int(i, "invalid basis subset: a generator")
+                     for i in _iterable(I, "invalid basis subset: not a list "
+                                           "of generators")))
+    if any(i < 1 or i > n for i in I) or len(set(I)) != len(I):
+        raise ConfigError(f"invalid basis subset {I}")
+    return I
 
 
 def _accumulate(d: Dict, I, c: NovikovSeries):

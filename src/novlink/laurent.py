@@ -191,7 +191,8 @@ class LaurentPotential:
     # -- torus calculus ------------------------------------------------------
 
     def _monomial_table(self, point, target_precision):
-        """``(prec, [(m, coeff * z^m mod T^prec)])`` over sorted monomials.
+        """``(prec, [(live, coeff * z^m mod T^prec)])`` over sorted monomials,
+        ``live`` the nonzero ``(i, m_i)`` of ``m`` in increasing ``i``.
 
         ``prec`` is the target, or ``INFINITY`` without one.  Every
         coordinate power comes from one memo, built by repeated
@@ -231,11 +232,11 @@ class LaurentPotential:
 
         table = []
         for m, coeff in self.terms:
+            live = [(i, e) for i, e in enumerate(m) if e]
             value = coeff
-            for i, e in enumerate(m):
-                if e:
-                    value = value * power(i, e)
-            table.append((m, value.truncate(prec)))
+            for i, e in live:
+                value = value * power(i, e)
+            table.append((live, value.truncate(prec)))
         return prec, table
 
     def evaluate(self, point, target_precision=None) -> NovikovSeries:
@@ -316,10 +317,9 @@ def _table_gradient(table, n) -> List[NovikovSeries]:
     an entry that no monomial reaches folds no pairs and is an exact zero.
     """
     pairs = [[] for _ in range(n)]
-    for m, value in table:
-        for i, mi in enumerate(m):
-            if mi:
-                pairs[i].append((mi, value))
+    for live, value in table:
+        for i, mi in live:
+            pairs[i].append((mi, value))
     return [linear_combination(p) for p in pairs]
 
 
@@ -330,13 +330,12 @@ def _table_hessian(table, n, precision=INFINITY
     Entry ``(i, j)`` is one ``linear_combination`` of the pairs ``(m_i m_j,
     value)``, each value truncated once at ``precision``, so it is the full
     entry truncated there.  Only the pairs of each monomial's nonzero
-    exponents are visited.  An entry that no monomial reaches is an exact
-    zero, which keeps Hessians sparse.
+    exponents, the table's ``live`` lists, are visited.  An entry that no
+    monomial reaches is an exact zero, which keeps Hessians sparse.
     """
     pairs: Dict[Tuple[int, int], list] = {}
-    for m, value in table:
+    for live, value in table:
         value = value.truncate(precision)
-        live = [(i, mi) for i, mi in enumerate(m) if mi]
         for a, (i, mi) in enumerate(live):
             for j, mj in live[a:]:
                 pairs.setdefault((i, j), []).append((mi * mj, value))

@@ -309,10 +309,6 @@ class NovikovSeries:
                 else linear_combination(((1, other), (-1, self))))
 
     def __mul__(self, other):
-        if type(other) is int and other:  # an exact scalar scales C alone
-            return NovikovSeries._raw(self._de, self._dc, self._E,
-                                      tuple(c * other for c in self._C),
-                                      self._P)
         other = _coerce(other)
         return other if other is NotImplemented else _product(self, other)
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, SpectrumError, SubadditivityError
-from .novikov import (_json_array, _pair, _positive_fraction, _positive_int,
-                      _text, as_fraction)
+from .novikov import (_iterable, _json_array, _pair, _positive_fraction,
+                      _positive_int, _text, as_fraction)
 
 #: Most spectrum points ``enumerate_spectrum`` may have to build.
 SPECTRUM_POINT_LIMIT = 10 ** 6
@@ -160,8 +160,11 @@ def fekete_homogenize(c_values: Sequence) -> Tuple[Fraction,
     ``c_{m+n} <= c_m + c_n`` is checked exhaustively first; a violation
     raises with the offending pair.  Returns ``(estimate, bracket)`` with
     ``estimate = min_m c_m / m`` and ``bracket = (estimate, c_M / M)``.
+    ``c_values`` is any iterable of rationals but a string or bytes
+    (``novikov._iterable``); anything else raises ``ConfigError``.
     """
-    c = [as_fraction(v, "c_values") for v in c_values]
+    c = [as_fraction(v, "c_values") for v in
+         _iterable(c_values, "c_values must be a list of rationals")]
     M = len(c)
     if M == 0:
         raise ConfigError("need at least one sequence value")
@@ -191,8 +194,11 @@ class RigidityResult:
 
 def _read_spectrum(spectrum: Sequence):
     """The set of the points of ``spectrum`` and the least distance between
-    two of them (``None`` for fewer than two)."""
-    members = {as_fraction(x, "spectrum") for x in spectrum}
+    two of them (``None`` for fewer than two).  ``spectrum`` is any
+    iterable of rationals but a string or bytes (``novikov._iterable``);
+    anything else raises ``ConfigError``."""
+    members = {as_fraction(x, "spectrum") for x in
+               _iterable(spectrum, "spectrum must be a list of rationals")}
     pts = sorted(members)
     return members, min((b - a for a, b in zip(pts, pts[1:])), default=None)
 
@@ -209,13 +215,15 @@ def rigidity_check(spectrum: Sequence, path_samples: Sequence,
     Preconditions: the spectrum's minimal gap exceeds ``step_bound`` and
     every sample belongs to the spectrum.  A continuous path moving less
     than ``step_bound`` per sample cannot jump between spectrum points, so
-    any consecutive difference is reported as a violation.
+    any consecutive difference is reported as a violation.  ``spectrum``
+    and ``path_samples`` are read as ``_read_spectrum`` reads the first.
     """
     step_bound = as_fraction(step_bound, "step_bound")
     members, gap = _read_spectrum(spectrum)
     if gap is not None and gap <= step_bound:
         raise SpectrumError("insufficient separation")
-    samples = [as_fraction(s, "path_samples") for s in path_samples]
+    samples = [as_fraction(s, "path_samples") for s in _iterable(
+        path_samples, "path_samples must be a list of rationals")]
     for i, s in enumerate(samples):
         if s not in members:
             raise SpectrumError(f"spectrality violated at index {i}",

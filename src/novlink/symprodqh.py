@@ -32,6 +32,7 @@ from .errors import AlgebraMismatchError, ConfigError
 from .novikov import (
     NovikovSeries,
     _entry,
+    _iterable,
     _least_valuation,
     _positive_fraction,
     _positive_int,
@@ -59,7 +60,9 @@ class SymQHElement:
     Coefficients are stored over the monomial basis ``m_0, ..., m_k``
     (``m_j`` sums the ``C(k, j)`` arrangements of ``j`` copies of ``H``).
     ``k = 1`` is the rank-two algebra.  A ``k`` that is not a positive
-    integer or an ``omega`` that is not positive raises ``ConfigError``.
+    integer or an ``omega`` that is not positive raises ``ConfigError``,
+    and so does a ``coeffs`` that is a string, bytes or no iterable
+    (``novikov._iterable``).
     """
 
     k: int
@@ -68,8 +71,8 @@ class SymQHElement:
 
     def __post_init__(self):
         k, omega = _sphere_algebra(self.k, self.omega)
-        coeffs = tuple(_entry(c, "coeffs", j)
-                       for j, c in enumerate(self.coeffs))
+        coeffs = tuple(_entry(c, "coeffs", j) for j, c in enumerate(
+            _iterable(self.coeffs, "coeffs must be a list of coefficients")))
         if len(coeffs) != k + 1:
             raise ConfigError(f"need {k + 1} basis coefficients, "
                               f"got {len(coeffs)}")

@@ -166,6 +166,37 @@ class TestProduct:
         assert left == right
 
 
+class TestBasisSubsets:
+    @pytest.mark.parametrize("bad, match", [
+        ([F(17, 10)], r": a generator must be a JSON integer, got "),
+        ([1.7], r": a generator must be a JSON integer, got 1\.7"),
+        ([True], r": a generator must be a JSON integer, got True"),
+        (["a"], r": a generator must be a JSON integer, got 'a'"),
+        (5, r": not a list of generators, got 5"),
+        ("12", r": not a list of generators, got '12'"),
+        ([0], r" \(0,\)"), ([3], r" \(3,\)"), ([2, 2], r" \(2, 2\)")])
+    def test_basis_element_refusals(self, bad, match):
+        alg = diag_algebra(mono(1), mono(1))
+        with pytest.raises(ConfigError, match="^invalid basis subset" + match):
+            alg.basis_element(bad)
+
+    @pytest.mark.parametrize("key", [(5,), (1, 1), (0,), (1.0,), ("1",),
+                                     "12", 5])
+    def test_element_keys_are_read_as_basis_subsets(self, key):
+        # e[5] and e[1, 1] are no basis elements of a 2-generator algebra.
+        alg = diag_algebra(mono(1), mono(1))
+        with pytest.raises(ConfigError, match="^invalid basis subset"):
+            alg.element({key: 1})
+
+    def test_subset_may_be_any_iterable_of_generators(self):
+        alg = diag_algebra(mono(1), mono(1))
+        want = alg.basis_element((1, 2))
+        assert alg.basis_element([2, 1]) == want
+        assert alg.basis_element({1, 2}) == want
+        assert alg.basis_element(i for i in (2, 1)) == want
+        assert alg.element({frozenset({1, 2}): 1}) == want == alg.vol
+
+
 class TestPairing:
     def test_unit_pairs_with_volume(self):
         alg = diag_algebra(mono(1), mono(1), mono(1))

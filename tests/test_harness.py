@@ -599,6 +599,26 @@ class TestCLI:
                             refuse)
         self.test_output_matches_golden(argv, expected, capsys)
 
+    @pytest.mark.parametrize("argv, expected", [
+        (argv, expected) for argv, expected in GOLDEN_COMMANDS
+        if argv[:2] == ["trace", "check"]])
+    def test_trace_check_reads_its_matrix_once(self, monkeypatch, argv,
+                                               expected, capsys):
+        # laurent._square reads the outside matrix once, for the trace and
+        # the determinant alike, as a Weyl row reads its Hessian.
+        calls = []
+        square = laurent._square
+
+        def counted(*args):
+            calls.append(args[1:])
+            return square(*args)
+
+        for module in (laurent, cliffordtrace, cli):
+            if getattr(module, "_square", None) is square:
+                monkeypatch.setattr(module, "_square", counted)
+        self.test_output_matches_golden(argv, expected, capsys)
+        assert calls == [("form", "form matrix")]
+
     def test_parser_is_built_once_and_reused(self, monkeypatch, capsys):
         commands = [
             ["crit", "lift",

@@ -146,6 +146,7 @@ def functions_writing(phrase):
     ("is not square", "laurent:_square"),
     ("is not symmetric", "cliffordtrace:_form_rows"),
     ("must be a pair", "novikov:_pair"),
+    ("invalid basis subset", "cliffordtrace:_subset"),
 ])
 def test_each_shape_refusal_is_written_in_one_place(phrase, reader):
     """A second copy of a refusal would grow its own rule and message."""

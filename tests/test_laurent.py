@@ -29,7 +29,7 @@ from novlink.laurent import (
     solve_linear,
 )
 from novlink.linkfam import BulkParameter, CircleLinkS2, build_chain_potential
-from novlink.novikov import NovikovSeries
+from novlink.novikov import INFINITY, NovikovSeries
 from novlink.symprodqh import SymQHElement
 
 from oracles import (
@@ -293,6 +293,33 @@ class TestLogJet:
         gradient, hessian = W_zplus1overz().log_jet(z)
         assert gradient == [NovikovSeries.zero(5)]
         assert hessian == [[NovikovSeries([(2, 0)], 5)]]
+
+
+class TestMonomialTable:
+    def test_lists_the_nonzero_exponents_of_each_monomial(self):
+        W = LaurentPotential(3, {(0, 0, 0): 1, (2, 0, -1): mono(1, 1),
+                                 (0, -3, 0): 2})
+        z = [mono(1), mono(-1), mono(2)]
+        prec, table = W._monomial_table(z, None)
+        assert prec is INFINITY
+        assert table == [([(1, -3)], mono(-2)), ([], mono(1)),
+                         ([(0, 2), (2, -1)], mono(F(1, 2), 1))]
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_entry_is_one_monomial_in_increasing_index(self, data):
+        n = data.draw(st.integers(1, 3))
+        W = data.draw(laurent_potentials(n))
+        z = [data.draw(unitary_series()) for _ in range(n)]
+        target = data.draw(positive_fractions)
+        prec, table = W._monomial_table(z, target)
+        assert prec == target
+        assert len(table) == len(W.terms)
+        for (live, value), (m, c) in zip(table, W.items()):
+            assert [i for i, _ in live] == sorted({i for i, _ in live})
+            assert all(e for _, e in live)
+            assert tuple(dict(live).get(i, 0) for i in range(n)) == m
+            assert value == LaurentPotential(n, {m: c}).evaluate(z, target)
 
 
 class TestTermsThrough:

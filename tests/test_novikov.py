@@ -457,6 +457,21 @@ def test_products_and_sums_match_dict_oracle(x, y, m):
         assert_same_fields(got, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(x=st.one_of(series(exact_only=True), series(), series(max_terms=0)),
+       n=st.sampled_from((-3, -1, 0, 1, 7)))
+@example(x=NovikovSeries.zero(F(3, 2)), n=7)
+@example(x=NovikovSeries.zero(), n=-3)
+@example(x=S((2, F(1, 3)), prec=F(5, 4)), n=0)
+def test_int_scalar_is_the_constant_monomial(x, n):
+    # An int is coerced and multiplied like any other scalar: exact,
+    # inexact and term-free series get the fields and precision of their
+    # product by n T^0.
+    want = x * NovikovSeries.monomial(n, 0)
+    assert_same_fields(x * n, want)
+    assert_same_fields(n * x, want)
+
+
 @given(x=series())
 def test_integer_form_has_least_denominators(x):
     # ``de`` covers the precision too, which is stored as ``P / de``.

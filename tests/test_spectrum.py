@@ -236,6 +236,19 @@ class TestFekete:
         with pytest.raises(ConfigError):
             fekete_homogenize([])
 
+    @pytest.mark.parametrize("bad", ["321", b"321", 5, None])
+    def test_values_must_be_an_iterable(self, bad):
+        # The digits of "321" are no sequence 3, 2, 1.
+        with pytest.raises(ConfigError, match="^c_values must be a list of "
+                                              "rationals, got "):
+            fekete_homogenize(bad)
+
+    def test_values_may_be_a_tuple_or_a_generator(self):
+        want = (F(1, 3), (F(1, 3), F(1, 3)))
+        assert fekete_homogenize([3, 2, 1]) == want
+        assert fekete_homogenize((3, 2, 1)) == want
+        assert fekete_homogenize(v for v in (3, 2, 1)) == want
+
 
 class TestRigidity:
     SPEC = [F(0), F(7, 10), F(13, 10)]
@@ -264,6 +277,28 @@ class TestRigidity:
     def test_gap(self):
         assert spectrum_gap(self.SPEC) == F(3, 5)
         assert spectrum_gap([F(1)]) is None
+
+    @pytest.mark.parametrize("bad", ["135", b"135", 5, None])
+    def test_spectrum_must_be_an_iterable(self, bad):
+        # The digits of "135" are no spectrum {1, 3, 5}.
+        for call in (lambda: spectrum_gap(bad),
+                     lambda: rigidity_check(bad, [0], F(1, 5))):
+            with pytest.raises(ConfigError, match="^spectrum must be a list "
+                                                  "of rationals, got "):
+                call()
+
+    @pytest.mark.parametrize("bad", ["11", b"11", 5, None])
+    def test_path_samples_must_be_an_iterable(self, bad):
+        with pytest.raises(ConfigError, match="^path_samples must be a list "
+                                              "of rationals, got "):
+            rigidity_check([1, 3], bad, 1)
+
+    def test_spectrum_and_samples_may_be_sets_or_generators(self):
+        assert spectrum_gap(set(self.SPEC)) == F(3, 5)
+        assert spectrum_gap(x for x in self.SPEC) == F(3, 5)
+        out = rigidity_check(tuple(self.SPEC),
+                             (s for s in [F(0), F(7, 10)]), F(1, 5))
+        assert out.violation_index == 1
 
 
 def test_error_context_is_none_unless_given():

@@ -90,6 +90,18 @@ class TestRankTwoAlgebra:
         with pytest.raises(ConfigError, match="need 3 basis coefficients"):
             SymQHElement(2, 1, [1, 0])
 
+    @pytest.mark.parametrize("coeffs", ["12", b"12", 5, None])
+    def test_coeffs_must_be_an_iterable_of_entries(self, coeffs):
+        # The digits of "12" are no coefficients m0: 1, m1: 2.
+        with pytest.raises(ConfigError, match="^coeffs must be a list of "
+                                              "coefficients, got "):
+            SymQHElement(1, 1, coeffs)
+
+    def test_coeffs_may_be_a_tuple_or_a_generator(self):
+        want = SymQHElement(1, 1, [1, 2])
+        assert SymQHElement(1, 1, (1, 2)) == want
+        assert SymQHElement(1, 1, (c for c in (1, 2))) == want
+
     @pytest.mark.parametrize("k", [True, 2.5, F(3, 2), "2"])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ConfigError, match="k must be a JSON integer"):
